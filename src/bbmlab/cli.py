@@ -250,6 +250,8 @@ def run_experiment(config: dict, out_dir) -> ConvergenceReport:
     domain = build_domain(config["domain"])
     n = domain.dimension
     p = float(config["p"])
+    if not p >= 1.0:
+        raise ConfigError("p", f"must be >= 1, got {p:g}")
     mode = config.get("mode", "rdati")
     spec = build_space(config["space"], n)
     schedule = build_schedule(config["schedule"])

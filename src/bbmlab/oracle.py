@@ -41,7 +41,7 @@ def mc_sphere_moment(p: float, n: int, samples: int, seed: int = 0) -> float:
         norms = np.linalg.norm(g, axis=1)
         good = norms > 0
         first = np.abs(g[good, 0] / norms[good])
-        total += float(np.sum(first**p)) + float(np.sum(~good)) * 0.0
+        total += float(np.sum(first**p))
         remaining -= m
     return surface * total / samples
 

@@ -11,6 +11,7 @@ only and are positively homogeneous.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, Optional, Union
@@ -643,16 +644,24 @@ def _orlicz_slice_norm(spec: OrliczSlice, field: SampledField) -> float:
     ratios = np.zeros(len(pts))
     for start in range(0, len(pts), 256):
         block = slice(start, min(start + 256, len(pts)))
+        # each center's ball as flat (row, column) index pairs
         idx_lists = tree.query_ball_point(pts[block], spec.t)
-        mask = np.zeros((block.stop - block.start, len(pts)))
-        for row, idx in enumerate(idx_lists):
-            mask[row, idx] = w[idx]
-        lam0 = np.where(mask @ (a > 0), a.max(), 0.0)
+        lengths = np.fromiter(map(len, idx_lists), dtype=np.intp,
+                              count=len(idx_lists))
+        rows = np.repeat(np.arange(len(idx_lists)), lengths)
+        cols = np.fromiter(itertools.chain.from_iterable(idx_lists),
+                           dtype=np.intp, count=int(lengths.sum()))
+        a_ball = a[cols]
+        w_ball = w[cols]
+        lam0 = np.where(np.bincount(rows, weights=w_ball * (a_ball > 0),
+                                    minlength=len(idx_lists)) > 0,
+                        a.max(), 0.0)
 
         def modular(lam):
             with np.errstate(divide="ignore"):
-                scaled = spec.phi(a[None, :] / lam[:, None])
-            return np.einsum("cj,cj->c", mask, scaled)
+                scaled = spec.phi(a_ball / lam[rows])
+            return np.bincount(rows, weights=w_ball * scaled,
+                               minlength=len(idx_lists))
 
         ratios[block] = _luxemburg(modular, lam0) / denom
     return float(np.sum(w * ratios**spec.r) ** (1.0 / spec.r))

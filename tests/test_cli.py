@@ -113,6 +113,21 @@ class TestRun:
         err = capsys.readouterr().err
         assert "min{n/p, 1}" in err
 
+    def test_p_below_one_rejected_before_the_grid(self, tmp_path,
+                                                  monkeypatch):
+        from bbmlab import cli
+
+        def no_grid(*args, **kwargs):
+            raise AssertionError("grid built for an invalid p")
+
+        monkeypatch.setattr(cli, "sample_quadrature", no_grid)
+        path = tmp_path / "p_half.cfg"
+        path.write_text(MEMBER_CFG.replace("p = 2", "p = 0.5"))
+        with pytest.raises(ConfigError) as info:
+            cli.run_experiment(parse_config(path), tmp_path / "out")
+        assert info.value.field == "p"
+        assert not (tmp_path / "out").exists()
+
     def test_missing_space_record(self, tmp_path, capsys):
         cfg = "\n".join(line for line in MEMBER_CFG.splitlines()
                         if not line.startswith("space."))

@@ -4,11 +4,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 from bbmlab.field import SampledField
-from bbmlab.geometry import Interval, QuadratureGrid, sample_quadrature
+from bbmlab.geometry import (
+    Box,
+    Disk,
+    Interval,
+    QuadratureGrid,
+    sample_quadrature,
+)
 from bbmlab.spaces import (
     BesovBourgainMorrey,
+    PowerLogOrlicz,
     ConstantWeight,
     HerzLocal,
     Lebesgue,
@@ -212,6 +220,51 @@ class TestOrliczSlice:
         ])
         expected = math.sqrt(np.sum(grid.weights * covered))
         assert got == pytest.approx(expected, rel=1e-6)
+
+
+    @staticmethod
+    def _dense_mask_norm(spec, field):
+        """The slice norm with every ball as a dense row of cell weights."""
+        from bbmlab.spaces import _luxemburg, unit_ball_volume
+
+        grid = field.grid
+        pts, w = grid.points, grid.weights
+        a = np.abs(field.values)
+        n = grid.dimension
+        ball = unit_ball_volume(n) * spec.t**n
+        denom = _luxemburg(lambda lam: ball * spec.phi(1.0 / lam),
+                           np.array([1.0]))[0]
+        # balls from the tree, so ties at distance t fall as in the engine
+        mask = np.zeros((len(pts), len(pts)))
+        for row, idx in enumerate(cKDTree(pts).query_ball_point(pts,
+                                                                spec.t)):
+            mask[row, idx] = w[idx]
+        lam0 = np.where(mask @ (a > 0), a.max(), 0.0)
+
+        def modular(lam):
+            with np.errstate(divide="ignore"):
+                return np.sum(mask * spec.phi(a[None, :] / lam[:, None]),
+                              axis=1)
+
+        ratios = _luxemburg(modular, lam0) / denom
+        return float(np.sum(w * ratios**spec.r) ** (1.0 / spec.r))
+
+    @pytest.mark.parametrize("domain, h", [
+        (Interval(0.0, 1.0), 1.0 / 64),
+        (Box((0.0, 0.0), (1.0, 1.0)), 0.1),
+        (Disk((0.0, 0.0), 1.0), 0.15),
+    ])
+    @pytest.mark.parametrize("phi", [PowerOrlicz(2.0), PowerOrlicz(1.5),
+                                     PowerLogOrlicz(1.0)])
+    @pytest.mark.parametrize("t", [0.05, 0.15, 0.5])
+    def test_ball_lists_match_dense_masks(self, rng, domain, h, phi, t):
+        grid = sample_quadrature(domain, h)
+        values = rng.normal(size=len(grid))
+        values[rng.random(len(grid)) < 0.3] = 0.0
+        spec = OrliczSlice(phi, 2.0, t)
+        f = field_on(grid, values)
+        assert norm(spec, f) == pytest.approx(self._dense_mask_norm(spec, f),
+                                              rel=1e-12)
 
 
 class TestRearrangement:
