@@ -14,7 +14,7 @@ from scipy.stats import kendalltau
 from .field import SampledField, gradient_magnitude_field
 from .mollifiers import RdatiFamily
 from .nonlocal_energy import bbm_functional_schedule, gagliardo_functional
-from .spaces import SpaceSpec, describe, has_absolutely_continuous_norm, norm
+from .spaces import SpaceSpec, norm
 
 __all__ = [
     "kappa",
@@ -220,8 +220,7 @@ def convergence_study(field: SampledField, p: float, spec: SpaceSpec,
             verdict = "inconclusive"
         else:
             rel_err = abs(fit_l - target) / target if target > 0 else abs(fit_l)
-            exact_ok = has_absolutely_continuous_norm(spec)
-            if exact_ok and rel_err <= tolerance:
+            if spec.absolutely_continuous and rel_err <= tolerance:
                 verdict = "member"
             else:
                 verdict = "inconclusive"
@@ -229,7 +228,7 @@ def convergence_study(field: SampledField, p: float, spec: SpaceSpec,
     return ConvergenceReport(
         mode=mode,
         p=p,
-        spec_label=describe(spec),
+        spec_label=spec.label,
         schedule=tuple(schedule),
         scales=tuple(scales),
         functional_values=tuple(float(v) for v in values),

@@ -10,10 +10,13 @@ files are accepted as-is.
 from __future__ import annotations
 
 import argparse
+import csv
+import dataclasses
 import itertools
 import json
 import os
 import sys
+import time
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -32,21 +35,11 @@ from .geometry import (
 )
 from .mollifiers import bump_family, fractional_family
 from .spaces import (
-    BesovBourgainMorrey,
+    SPACES,
     ConstantWeight,
-    HerzGlobal,
-    HerzLocal,
-    Lebesgue,
-    Lorentz,
-    MixedLebesgue,
-    Morrey,
-    OrliczSlice,
-    OrliczSpace,
     PowerLogOrlicz,
     PowerOrlicz,
     PowerWeight,
-    VariableLebesgue,
-    WeightedLebesgue,
     orlicz_from_csv,
     weight_from_csv,
 )
@@ -149,86 +142,61 @@ def build_domain(record: dict):
     raise ConfigError("domain.kind", f"unknown kind {kind!r}")
 
 
-def _build_orlicz(record, context: str):
+def _build_orlicz(record):
     kind = record.get("phi", "power")
     if kind == "power":
         return PowerOrlicz(record.get("phi_q", 2.0))
     if kind == "plog":
         return PowerLogOrlicz(record.get("phi_q", 2.0))
     if kind == "table":
-        return orlicz_from_csv(_require(record, "phi_table", context))
-    raise ConfigError(f"{context}.phi", f"unknown Orlicz kind {kind!r}")
+        return orlicz_from_csv(_require(record, "phi_table", "space"))
+    raise ConfigError("space.phi", f"unknown Orlicz kind {kind!r}")
 
 
-def _build_weight(record, context: str, dimension: int):
+def _build_weight(record, dimension: int):
     kind = record.get("weight", "constant")
     if kind == "constant":
         return ConstantWeight(record.get("weight_c", 1.0))
     if kind == "power":
-        return PowerWeight(_require(record, "weight_a", context))
+        return PowerWeight(_require(record, "weight_a", "space"))
     if kind == "table":
-        return weight_from_csv(_require(record, "weight_table", context),
+        return weight_from_csv(_require(record, "weight_table", "space"),
                                dimension)
-    raise ConfigError(f"{context}.weight", f"unknown weight kind {kind!r}")
+    raise ConfigError("space.weight", f"unknown weight kind {kind!r}")
 
 
 def build_space(record: dict, dimension: int):
+    """The spec named by `space.kind`; its other keys are the spec's
+    dataclass fields, except that `phi`, `weight` and the variable
+    exponent are built from keys of their own."""
     kind = _require(record, "kind", "space")
+    if kind not in SPACES:
+        raise ConfigError("space.kind", f"unknown kind {kind!r}")
+    # Herz specs default to the unweighted norm around the origin
+    values = {"a": 0.0, "xi": [0.0] * dimension, **record}
+    args = {}
     try:
-        if kind == "lebesgue":
-            return Lebesgue(_require(record, "q", "space"))
-        if kind == "weighted":
-            return WeightedLebesgue(
-                _require(record, "q", "space"),
-                _build_weight(record, "space", dimension),
-            )
-        if kind == "lorentz":
-            return Lorentz(_require(record, "r", "space"),
-                           _require(record, "tau", "space"))
-        if kind == "orlicz":
-            return OrliczSpace(_build_orlicz(record, "space"))
-        if kind == "morrey":
-            return Morrey(_require(record, "alpha", "space"),
-                          _require(record, "r", "space"))
-        if kind == "variable":
-            base = record.get("base", 2.0)
-            slope = record.get("slope", 0.0)
-            if slope == 0.0:
-                return VariableLebesgue(float(base))
-            return VariableLebesgue(
-                lambda pts, b=base, s=slope: b + s * pts[:, 0])
-        if kind == "mixed":
-            rvec = _require(record, "rvec", "space")
-            rvec = rvec if isinstance(rvec, list) else [rvec]
-            return MixedLebesgue(tuple(rvec))
-        if kind == "herz_local":
-            xi = record.get("xi", [0.0] * dimension)
-            xi = xi if isinstance(xi, list) else [xi]
-            return HerzLocal(_require(record, "p", "space"),
-                             _require(record, "q", "space"),
-                             record.get("a", 0.0), tuple(xi))
-        if kind == "herz_global":
-            return HerzGlobal(_require(record, "p", "space"),
-                              _require(record, "q", "space"),
-                              record.get("a", 0.0))
-        if kind == "bbmorrey":
-            return BesovBourgainMorrey(
-                _require(record, "q", "space"),
-                _require(record, "p", "space"),
-                _require(record, "r", "space"),
-                _require(record, "tau", "space"),
-                record.get("j_min", -8),
-                record.get("j_max", 8),
-            )
-        if kind == "orlicz_slice":
-            return OrliczSlice(_build_orlicz(record, "space"),
-                               _require(record, "r", "space"),
-                               _require(record, "t", "space"))
+        for fld in dataclasses.fields(SPACES[kind]):
+            name = fld.name
+            if name == "phi":
+                args[name] = _build_orlicz(record)
+            elif name == "weight":
+                args[name] = _build_weight(record, dimension)
+            elif name == "exponent":  # r(x) = base + slope * x_1
+                base = record.get("base", 2.0)
+                slope = record.get("slope", 0.0)
+                args[name] = float(base) if slope == 0.0 else (
+                    lambda pts: base + slope * pts[:, 0])
+            elif name in values:
+                args[name] = values[name]
+            elif fld.default is dataclasses.MISSING and \
+                    fld.default_factory is dataclasses.MISSING:
+                raise ConfigError(f"space.{name}", "missing required field")
+        return SPACES[kind](**args)
+    except ConfigError:
+        raise
     except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
         raise ConfigError("space", str(exc))
-    raise ConfigError("space.kind", f"unknown kind {kind!r}")
 
 
 def build_schedule(record: dict) -> list:
@@ -369,8 +337,6 @@ def _write_plot_svg(path: Path, report: ConvergenceReport,
 def _cmd_run(args) -> int:
     try:
         config = parse_config(args.config)
-        if args.seed is not None:
-            config["seed"] = args.seed
         if args.stride is not None:
             config["stride"] = args.stride
         out_dir = args.out
@@ -393,9 +359,20 @@ def _cmd_run(args) -> int:
 
 
 def _run_sweep_case(payload) -> dict:
+    """One sweep run; a failure is recorded as this case's, not raised."""
     config, out_dir = payload
-    report = run_experiment(config, out_dir)
-    return report.to_dict()
+    start = time.perf_counter()
+    try:
+        case = {**run_experiment(config, out_dir).to_dict(),
+                "status": "ok", "error": ""}
+    except Exception as exc:  # a failing case must not stop the sweep
+        case = {"status": "failed", "error": str(exc)}
+    case["wall_s"] = round(time.perf_counter() - start, 3)
+    return case
+
+
+SUMMARY_COLUMNS = ["status", "error", "wall_s", "verdict",
+                   "extrapolated_limit", "relative_error"]
 
 
 def _cmd_sweep(args) -> int:
@@ -420,31 +397,32 @@ def _cmd_sweep(args) -> int:
             for (key, _), value in zip(overrides, combo):
                 set_config_key(config, key, value)
             payloads.append((config, out_root / f"run_{idx:03d}"))
-        jobs = args.jobs
-        if jobs > 1:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                reports = list(pool.map(_run_sweep_case, payloads))
-        else:
-            reports = [_run_sweep_case(p) for p in payloads]
     except ConfigError as exc:
         print(exc, file=sys.stderr)
         return 1
     except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    header = ["run"] + [key for key, _ in overrides] \
-        + ["verdict", "extrapolated_limit", "relative_error"]
-    lines = [",".join(header)]
-    for idx, (combo, report) in enumerate(zip(combos, reports)):
-        row = [f"run_{idx:03d}"] + [str(v) for v in combo] + [
-            report["verdict"],
-            str(report["extrapolated_limit"]),
-            str(report["relative_error"]),
-        ]
-        lines.append(",".join(row))
-    (out_root / "summary.csv").write_text("\n".join(lines) + "\n")
-    print(f"{len(reports)} runs -> {out_root}/summary.csv")
-    return 0
+    if args.jobs > 1:
+        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+            cases = list(pool.map(_run_sweep_case, payloads))
+    else:
+        cases = [_run_sweep_case(p) for p in payloads]
+    failed = 0
+    with open(out_root / "summary.csv", "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["run"] + [key for key, _ in overrides]
+                        + SUMMARY_COLUMNS)
+        for idx, (combo, case) in enumerate(zip(combos, cases)):
+            writer.writerow([f"run_{idx:03d}", *combo]
+                            + [str(case.get(col, "")) for col in
+                               SUMMARY_COLUMNS])
+            if case["status"] != "ok":
+                failed += 1
+                print(f"run_{idx:03d} failed: {case['error']}",
+                      file=sys.stderr)
+    print(f"{len(cases)} runs ({failed} failed) -> {out_root}/summary.csv")
+    return 1 if failed else 0
 
 
 def _cmd_oracle(args) -> int:
@@ -494,7 +472,6 @@ def main(argv=None) -> int:
     p_run = sub.add_parser("run", help="run one experiment config")
     p_run.add_argument("--config", required=True)
     p_run.add_argument("--out", default="out")
-    p_run.add_argument("--seed", type=int, default=None)
     p_run.add_argument("--stride", type=int, default=None)
     p_run.set_defaults(func=_cmd_run)
 

@@ -1,10 +1,15 @@
-"""Radial decreasing approximations of the identity.
+"""Radial decreasing approximations of the identity, as power-law kernels.
 
 Two families ship: the fractional kernel nu*p*(2R)^(-nu*p) * r^(nu*p-n) on
 (0, 2R], which turns the nonlocal energy into the Gagliardo seminorm, and a
 compact bump n/nu^n on (0, nu].  Both have unit radial mass
 int_0^inf rho_nu(r) r^(n-1) dr = 1 for every admissible nu, and their mass
 concentrates at the origin as nu shrinks.
+
+Every shipped kernel, the Gagliardo kernel r^(-n-sp) included, is a power
+law cut off at some radius.  `RdatiFamily.kernel` and `gagliardo_kernel`
+return it as a `PowerKernel`, the one representation that the family
+profiles, their closed-form masses and the energy pass all read.
 """
 
 from __future__ import annotations
@@ -16,13 +21,54 @@ import numpy as np
 from scipy import integrate
 
 __all__ = [
+    "PowerKernel",
     "RdatiFamily",
     "fractional_family",
     "bump_family",
+    "gagliardo_kernel",
     "normalization_defect",
     "tail_mass",
-    "family_from_record",
 ]
+
+
+@dataclass(frozen=True)
+class PowerKernel:
+    """k(r) = A r^e on (0, cut], with k = rho(r) / r^p for the radial
+    profile rho of an n-dimensional kernel; calling it evaluates rho."""
+
+    A: float
+    e: float
+    cut: float
+    p: float
+    n: int
+
+    def __call__(self, r) -> np.ndarray:
+        """rho(r) = A r^(e + p) on (0, cut], zero elsewhere (vectorized)."""
+        r = np.asarray(r, dtype=float)
+        with np.errstate(divide="ignore"):
+            out = self.A * r ** (self.e + self.p)
+        return np.where((r > 0) & (r <= self.cut), out, 0.0)
+
+    def cell_average(self, r: np.ndarray, dr: np.ndarray) -> np.ndarray:
+        """Average of rho over the radial extent [r - dr/2, r + dr/2];
+        exact mass against a frozen quotient."""
+        expo = self.e + self.p
+        a = np.maximum(r - dr / 2.0, 1e-300)
+        b = np.minimum(r + dr / 2.0, self.cut)
+        width = np.maximum(b - a, 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            if abs(expo + 1.0) < 1e-9:
+                anti = np.log(np.maximum(b, 1e-300) / a)
+            else:
+                anti = (b ** (expo + 1.0) - a ** (expo + 1.0)) / (expo + 1.0)
+            return np.where(width > 0,
+                            self.A * anti / np.maximum(dr, 1e-300), 0.0)
+
+    def mass_below(self, t) -> np.ndarray:
+        """int_0^t rho(r) r^(n-1) dr (closed form)."""
+        expo = self.e + self.p + self.n
+        t = np.minimum(np.asarray(t, dtype=float), self.cut)
+        return self.A * np.maximum(t, 0.0) ** expo / expo
 
 
 @dataclass(frozen=True)
@@ -50,33 +96,25 @@ class RdatiFamily:
                 f"nu={nu} outside the admissible range (0, {self.nu_max})"
             )
 
-    def rho(self, nu: float, r) -> np.ndarray:
-        """Evaluate rho_nu at radii r (vectorized)."""
+    def kernel(self, nu: float, p: float = 0.0) -> PowerKernel:
+        """rho_nu as the power kernel k = rho_nu / r^p (p = 0: rho_nu)."""
         self._check_nu(nu)
-        r = np.asarray(r, dtype=float)
+        if self.kind == "bump":
+            return PowerKernel(self.n / nu**self.n, -p, nu, p, self.n)
         if self.kind == "fractional":
             np_exp = nu * self.p
             cut = 2.0 * self.R
-            with np.errstate(divide="ignore"):
-                out = np_exp * cut ** (-np_exp) * r ** (-self.n + np_exp)
-            return np.where((r > 0) & (r <= cut), out, 0.0)
-        if self.kind == "bump":
-            return np.where((r > 0) & (r <= nu), self.n / nu**self.n, 0.0)
+            return PowerKernel(np_exp * cut ** (-np_exp),
+                               np_exp - self.n - p, cut, p, self.n)
         raise ValueError(f"unknown family {self.kind!r}")
+
+    def rho(self, nu: float, r) -> np.ndarray:
+        """Evaluate rho_nu at radii r (vectorized)."""
+        return self.kernel(nu)(r)
 
     def radial_mass_below(self, nu: float, t: float) -> float:
         """Closed form of int_0^t rho_nu(r) r^(n-1) dr."""
-        self._check_nu(nu)
-        if t <= 0:
-            return 0.0
-        if self.kind == "fractional":
-            return (min(t, 2.0 * self.R) / (2.0 * self.R)) ** (nu * self.p)
-        if self.kind == "bump":
-            return (min(t, nu) / nu) ** self.n
-        raise ValueError(f"unknown family {self.kind!r}")
-
-    def support_radius(self, nu: float) -> float:
-        return 2.0 * self.R if self.kind == "fractional" else nu
+        return float(self.kernel(nu).mass_below(t))
 
 
 def fractional_family(p: float, R: float, n: int) -> RdatiFamily:
@@ -91,13 +129,17 @@ def bump_family(n: int) -> RdatiFamily:
     return RdatiFamily("bump", n)
 
 
-def family_from_record(record: dict, n: int, R: float) -> RdatiFamily:
-    kind = record.get("kind")
-    if kind == "bump":
-        return bump_family(n)
-    if kind == "fractional":
-        return fractional_family(record["p"], R, n)
-    raise ValueError(f"family.kind {kind!r} not in catalog (bump, fractional)")
+def gagliardo_kernel(s: float, p: float, n: int) -> PowerKernel:
+    """The uncut W^{s,p} Gagliardo kernel k(r) = r^(-n - sp)."""
+    return PowerKernel(1.0, -n - s * p, math.inf, p, n)
+
+
+def _radial_mass(kernel: PowerKernel, lo: float) -> float:
+    """Numeric int_lo^cut rho(r) r^(n-1) dr."""
+    val, _ = integrate.quad(lambda r: float(kernel(r)) * r ** (kernel.n - 1),
+                            lo, kernel.cut, limit=200, epsabs=1e-13,
+                            epsrel=1e-13)
+    return val
 
 
 def normalization_defect(family: RdatiFamily, nu: float) -> float:
@@ -106,10 +148,10 @@ def normalization_defect(family: RdatiFamily, nu: float) -> float:
     The fractional integrand r^(nu*p - 1) is flattened by the substitution
     u = r^(nu*p); the bump integrand is smooth on its support.
     """
-    family._check_nu(nu)
+    kernel = family.kernel(nu)
     if family.kind == "fractional":
         np_exp = nu * family.p
-        cut = 2.0 * family.R
+        cut = kernel.cut
 
         def integrand(u):
             # u = r^(nu p) flattens the r^(nu p - 1) singularity at zero;
@@ -124,15 +166,7 @@ def normalization_defect(family: RdatiFamily, nu: float) -> float:
             integrand, 0.0, cut**np_exp, limit=200, epsabs=1e-13, epsrel=1e-13
         )
     else:
-        sup = family.support_radius(nu)
-        val, _ = integrate.quad(
-            lambda r: float(family.rho(nu, r)) * r ** (family.n - 1),
-            0.0,
-            sup,
-            limit=200,
-            epsabs=1e-13,
-            epsrel=1e-13,
-        )
+        val = _radial_mass(kernel, 0.0)
     return abs(val - 1.0)
 
 
@@ -140,16 +174,7 @@ def tail_mass(family: RdatiFamily, nu: float, delta: float) -> float:
     """Numeric int_delta^inf rho_nu(r) r^(n-1) dr."""
     if delta <= 0:
         raise ValueError("delta must be positive")
-    family._check_nu(nu)
-    sup = family.support_radius(nu)
-    if delta >= sup:
+    kernel = family.kernel(nu)
+    if delta >= kernel.cut:
         return 0.0
-    val, _ = integrate.quad(
-        lambda r: float(family.rho(nu, r)) * r ** (family.n - 1),
-        delta,
-        sup,
-        limit=200,
-        epsabs=1e-13,
-        epsrel=1e-13,
-    )
-    return float(val)
+    return float(_radial_mass(kernel, delta))

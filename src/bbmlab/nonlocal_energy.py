@@ -2,16 +2,19 @@
 
 The integrand |f(x)-f(y)|^p / |x-y|^p * rho(|x-y|) is summed over the
 field's own grid.  Every shipped kernel (bump, fractional, Gagliardo) is a
-power law A r^e cut off at some radius, so two quadrature refinements come
-in closed form: far cells use the radial average of the kernel across the
-cell width instead of a midpoint value, and the near field inside roughly
-two grid spacings is re-integrated in polar coordinates with the
-difference quotient frozen at its grid average.  This keeps the total
-quadrature error O(h) uniformly over admissible scales.
+`mollifiers.PowerKernel`, a power law A r^e cut off at some radius, so two
+quadrature refinements come in closed form: far cells use the radial
+average of the kernel across the cell width instead of a midpoint value,
+and the near field inside roughly two grid spacings is re-integrated in
+polar coordinates with the difference quotient frozen at its grid average.
+This keeps the total quadrature error O(h) uniformly over admissible
+scales.
 
-One pass serves every kernel of a schedule.  Its pairs come from one of
-two sources, both as flat (row, column, distance) arrays in blocks of at
-most _PAIR_BUDGET pairs, feeding the same near/far accumulation:
+One pass serves every kernel of a schedule, and every entry point (the
+functionals, `energy_half_field` and `pointwise_energy`) runs it.  Its
+pairs come from one of two sources, both as flat (row, column, distance)
+arrays in blocks of at most _PAIR_BUDGET pairs, feeding the same near/far
+accumulation:
 
 * all pairs, when every pair of points lies within the kernels' reach
   (Gagliardo kernels, whose cut is infinite, and the fractional family
@@ -32,14 +35,13 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from scipy.spatial import cKDTree
 
 from .field import SampledField
-from .geometry import Domain, QuadratureGrid
-from .mollifiers import RdatiFamily
+from .geometry import QuadratureGrid
+from .mollifiers import RdatiFamily, gagliardo_kernel
 from .spaces import SpaceSpec, norm, unit_ball_volume
 
 __all__ = [
@@ -59,66 +61,16 @@ _PAIR_BUDGET = 4_000_000
 
 @dataclass(frozen=True)
 class EnergyParams:
-    """Exponent, kernel family, scale, and domain for one energy evaluation."""
+    """Exponent, kernel family and scale for one energy evaluation."""
 
     p: float
     family: RdatiFamily
     nu: float
-    domain: Domain
 
     def __post_init__(self):
         if self.p < 1:
             raise ValueError("p must be >= 1")
         self.family._check_nu(self.nu)
-
-
-@dataclass(frozen=True)
-class _PowerKernel:
-    """k(r) = A r^e on (0, cut]; k = rho(r) / r^p for the shipped kernels."""
-
-    A: float
-    e: float
-    cut: float
-    p: float
-    n: int
-
-    def rho_cell_average(self, r: np.ndarray, dr: np.ndarray) -> np.ndarray:
-        """Average of rho = k(r) r^p over the radial extent
-        [r - dr/2, r + dr/2]; exact mass against a frozen quotient."""
-        expo = self.e + self.p
-        a = np.maximum(r - dr / 2.0, 1e-300)
-        b = np.minimum(r + dr / 2.0, self.cut)
-        width = np.maximum(b - a, 0.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            if abs(expo + 1.0) < 1e-9:
-                anti = np.log(np.maximum(b, 1e-300) / a)
-            else:
-                anti = (b ** (expo + 1.0) - a ** (expo + 1.0)) / (expo + 1.0)
-            avg = np.where(width > 0, self.A * anti / np.maximum(dr, 1e-300),
-                           0.0)
-        return avg
-
-    def rho_mass_below(self, t: np.ndarray) -> np.ndarray:
-        """int_0^t rho(r) r^(n-1) dr with rho = k(r) r^p (closed form)."""
-        expo = self.e + self.p + self.n
-        t = np.minimum(np.asarray(t, dtype=float), self.cut)
-        return self.A * np.maximum(t, 0.0) ** expo / expo
-
-
-def _kernel_from_family(family: RdatiFamily, nu: float,
-                        p: float) -> _PowerKernel:
-    if family.kind == "bump":
-        return _PowerKernel(family.n / nu**family.n, -p, nu, p, family.n)
-    if family.kind == "fractional":
-        np_exp = nu * family.p
-        cut = 2.0 * family.R
-        return _PowerKernel(np_exp * cut ** (-np_exp),
-                            np_exp - family.n - p, cut, p, family.n)
-    raise ValueError(f"unknown family {family.kind!r}")
-
-
-def _gagliardo_kernel(s: float, p: float, n: int) -> _PowerKernel:
-    return _PowerKernel(1.0, -n - s * p, math.inf, p, n)
 
 
 def _distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -234,10 +186,10 @@ def _energy_values(field: SampledField, kernels, p: float,
             if not inside.all():
                 rows, dist, width, quot_w, lo = (
                     a[inside] for a in (rows, dist, width, quot_w, lo))
-            rho_bar = kernel.rho_cell_average(dist, width)
+            rho_bar = kernel.cell_average(dist, width)
             far_term = np.bincount(rows, weights=quot_w * rho_bar,
                                    minlength=len(sel))
-            near_term = qbar * sigma * kernel.rho_mass_below(r_eff)
+            near_term = qbar * sigma * kernel.mass_below(r_eff)
             out[ki, block] = far_term + near_term
     return out
 
@@ -245,7 +197,7 @@ def _energy_values(field: SampledField, kernels, p: float,
 def pointwise_energy(field: SampledField, x_index: int,
                      params: EnergyParams) -> float:
     """Energy density at one grid point (same path as the functionals)."""
-    kernel = _kernel_from_family(params.family, params.nu, params.p)
+    kernel = params.family.kernel(params.nu, params.p)
     value = _energy_values(field, [kernel], params.p,
                            np.asarray([x_index]))[0, 0]
     return float(value)
@@ -284,29 +236,21 @@ def _strided_grid(grid: QuadratureGrid, stride: int):
                                     axes=axes, domain=grid.domain)
 
 
-def _strided_energies(field: SampledField, kernels, p: float, stride: int):
+def _half_fields(field: SampledField, kernels, p: float,
+                 stride: int) -> list:
+    """The fields x -> E(x)^(1/p), one per kernel, on the strided grid."""
     if stride < 1:
         raise ValueError("stride must be >= 1")
     eval_idx, out_grid = _strided_grid(field.grid, stride)
-    return _energy_values(field, kernels, p, eval_idx), out_grid
-
-
-def _functional_from_kernels(field: SampledField, kernels, p: float,
-                             spec: SpaceSpec, stride: int) -> list:
-    energies, out_grid = _strided_energies(field, kernels, p, stride)
-    results = []
-    for row in energies:
-        density = SampledField(out_grid, row ** (1.0 / p))
-        results.append(norm(spec, density))
-    return results
+    energies = _energy_values(field, kernels, p, eval_idx)
+    return [SampledField(out_grid, row ** (1.0 / p)) for row in energies]
 
 
 def energy_half_field(field: SampledField, params: EnergyParams,
                       stride: int = 1) -> SampledField:
     """The field x -> E(x)^(1/p) that the functional feeds into the norm."""
-    kernel = _kernel_from_family(params.family, params.nu, params.p)
-    energies, out_grid = _strided_energies(field, [kernel], params.p, stride)
-    return SampledField(out_grid, energies[0] ** (1.0 / params.p))
+    kernel = params.family.kernel(params.nu, params.p)
+    return _half_fields(field, [kernel], params.p, stride)[0]
 
 
 def _warn_scale(nu: float, h: float, p: float) -> None:
@@ -322,26 +266,23 @@ def _warn_scale(nu: float, h: float, p: float) -> None:
 def bbm_functional(field: SampledField, params: EnergyParams,
                    spec: SpaceSpec, stride: int = 1) -> float:
     """X-norm of the pointwise energy to the 1/p, for one RDATI scale."""
-    _warn_scale(params.nu, field.grid.h, params.p)
-    kernel = _kernel_from_family(params.family, params.nu, params.p)
-    return _functional_from_kernels(field, [kernel], params.p, spec, stride)[0]
+    return float(bbm_functional_schedule(field, params.p, params.family,
+                                         [params.nu], spec, stride)[0])
 
 
 def bbm_functional_schedule(field: SampledField, p: float,
                             family: RdatiFamily, nus, spec: SpaceSpec,
                             stride: int = 1) -> np.ndarray:
     """Functional values over a scale schedule, sharing one distance pass."""
+    kernels = [family.kernel(nu, p) for nu in nus]
     for nu in nus:
-        family._check_nu(nu)
         _warn_scale(nu, field.grid.h, p)
-    kernels = [_kernel_from_family(family, nu, p) for nu in nus]
-    return np.asarray(_functional_from_kernels(field, kernels, p, spec,
-                                               stride))
+    return np.asarray([norm(spec, half)
+                       for half in _half_fields(field, kernels, p, stride)])
 
 
 def gagliardo_functional(field: SampledField, p: float, s: float,
-                         spec: SpaceSpec, domain: Optional[Domain] = None,
-                         stride: int = 1) -> float:
+                         spec: SpaceSpec, stride: int = 1) -> float:
     """(1-s)^(1/p) times the X-norm of the Gagliardo inner integral.
 
     Shares the kernel machinery with the RDATI route; with the fractional
@@ -350,8 +291,7 @@ def gagliardo_functional(field: SampledField, p: float, s: float,
     """
     if not 0.0 < s < 1.0:
         raise ValueError("s must lie in (0, 1)")
-    n = field.grid.dimension
     _warn_scale(1.0 - s, field.grid.h, p)
-    kernel = _gagliardo_kernel(s, p, n)
-    raw = _functional_from_kernels(field, [kernel], p, spec, stride)[0]
+    kernel = gagliardo_kernel(s, p, field.grid.dimension)
+    raw = norm(spec, _half_fields(field, [kernel], p, stride)[0])
     return float((1.0 - s) ** (1.0 / p) * raw)

@@ -1,11 +1,15 @@
 """Function-space norm engines for sampled fields on bounded domains.
 
-Each engine maps a SampledField to the discrete version of one norm:
-integrals become weighted sums over cells, suprema over balls or centers
-become maxima over a declared finite search family, Luxemburg-type norms
-are found by bisection on the scale parameter, and rearrangement-based
-norms sort values carrying their cell weights.  All engines depend on |f|
-only and are positively homogeneous.
+Each space is a spec dataclass (`Lebesgue`, `Morrey`, ...; `SPACES` maps
+their config kinds to them) that carries its own behaviour: its report
+label, whether its norm is absolutely continuous, and `norm(field)`, the
+discrete version of its norm.  Integrals become weighted sums over cells,
+suprema over balls or centers become maxima over a declared finite search
+family, Luxemburg-type norms are found by bisection on the scale
+parameter, and rearrangement-based norms sort values carrying their cell
+weights.  All engines depend on |f| only and are positively homogeneous.
+`norm(spec, field)` is the checked entry point: it rejects non-finite
+values, then calls the spec's engine.
 """
 
 from __future__ import annotations
@@ -13,8 +17,8 @@ from __future__ import annotations
 import csv
 import itertools
 import math
-from dataclasses import dataclass, field as dc_field
-from typing import Callable, Optional, Union
+from dataclasses import dataclass, field as dc_field, replace
+from typing import Callable, ClassVar, Union
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -47,8 +51,7 @@ __all__ = [
     "convexify",
     "ap_constant",
     "holder_defect",
-    "has_absolutely_continuous_norm",
-    "describe",
+    "SPACES",
     "unit_ball_volume",
     "orlicz_from_csv",
     "weight_from_csv",
@@ -234,17 +237,40 @@ def weight_from_csv(path, dimension: int) -> GridWeight:
 # ---------------------------------------------------------------------------
 # Space specifications
 
+class SpaceSpec:
+    """A function space and its behaviour.  Subclasses are dataclasses
+    whose fields are the `space.*` config keys besides `kind`, their name
+    in `SPACES`; `label` names them in reports; `absolutely_continuous` is
+    False where exact limit claims must be disabled (Morrey, global Herz:
+    only two-sided bounds hold); `norm` is the engine behind
+    `spaces.norm`, which first rejects non-finite values."""
+
+    kind: ClassVar[str]
+    absolutely_continuous: ClassVar[bool] = True
+
+    def norm(self, field: SampledField) -> float:
+        raise NotImplementedError
+
+
 @dataclass(frozen=True)
-class Lebesgue:
+class Lebesgue(SpaceSpec):
+    kind = "lebesgue"
+    label = property(lambda self: f"lebesgue(q={self.q:g})")
     q: float
 
     def __post_init__(self):
         if self.q < 1:
             raise ValueError("Lebesgue exponent must be >= 1")
 
+    def norm(self, field: SampledField) -> float:
+        return _lebesgue_norm(self.q, field.grid.weights, field.values)
+
 
 @dataclass(frozen=True)
-class WeightedLebesgue:
+class WeightedLebesgue(SpaceSpec):
+    kind = "weighted"
+    label = property(lambda self: f"weighted(q={self.q:g}, "
+                     f"{type(self.weight).__name__})")
     q: float
     weight: Weight = dc_field(default_factory=ConstantWeight)
 
@@ -252,9 +278,16 @@ class WeightedLebesgue:
         if self.q < 1:
             raise ValueError("weighted Lebesgue exponent must be >= 1")
 
+    def norm(self, field: SampledField) -> float:
+        grid = field.grid
+        return _lebesgue_norm(self.q, grid.weights * self.weight(grid.points),
+                              field.values)
+
 
 @dataclass(frozen=True)
-class Lorentz:
+class Lorentz(SpaceSpec):
+    kind = "lorentz"
+    label = property(lambda self: f"lorentz(r={self.r:g}, tau={self.tau:g})")
     r: float
     tau: float
 
@@ -262,16 +295,35 @@ class Lorentz:
         if not (self.r > 1 and self.tau > 0):
             raise ValueError("Lorentz space needs r > 1 and tau > 0")
 
+    def norm(self, field: SampledField) -> float:
+        step = decreasing_rearrangement(field)
+        if len(step.levels) == 0:
+            return 0.0
+        r, tau = self.r, self.tau
+        t = np.concatenate([[0.0], step.breakpoints])
+        incr = t[1:] ** (tau / r) - t[:-1] ** (tau / r)
+        total = np.sum(step.levels**tau * (r / tau) * incr)
+        return float(total ** (1.0 / tau))
+
 
 @dataclass(frozen=True)
-class OrliczSpace:
+class OrliczSpace(SpaceSpec):
+    kind = "orlicz"
+    label = property(lambda self: f"orlicz({type(self.phi).__name__})")
     phi: OrliczFunction
 
+    def norm(self, field: SampledField) -> float:
+        return _luxemburg_sum(field.grid.weights, field.values, self.phi)
+
 
 @dataclass(frozen=True)
-class Morrey:
+class Morrey(SpaceSpec):
     """alpha >= r; the ball supremum runs over a fixed documented ladder."""
 
+    kind = "morrey"
+    label = property(
+        lambda self: f"morrey(alpha={self.alpha:g}, r={self.r:g})")
+    absolutely_continuous = False
     alpha: float
     r: float
 
@@ -279,11 +331,32 @@ class Morrey:
         if not (1 < self.r <= self.alpha):
             raise ValueError("Morrey space needs 1 < r <= alpha")
 
+    def norm(self, field: SampledField) -> float:
+        """Max over balls centered at grid points, radii on a geometric
+        ladder from 2h to the diameter (12 rungs).  The top rung covers the
+        whole domain, so alpha = r collapses exactly to the Lebesgue
+        norm."""
+        grid = field.grid
+        n = grid.dimension
+        power = np.abs(field.values) ** self.r * grid.weights
+        exponent = 1.0 / self.alpha - 1.0 / self.r
+        best = 0.0
+        for rho in _morrey_radii(grid):
+            vol_factor = (unit_ball_volume(n) * rho**n) ** exponent
+            for block, rows, cols in _ball_blocks(grid.points, rho):
+                sums = np.bincount(rows, weights=power[cols],
+                                   minlength=block.stop - block.start)
+                cand = vol_factor * sums ** (1.0 / self.r)
+                best = max(best, float(cand.max(initial=0.0)))
+        return best
+
 
 @dataclass(frozen=True, eq=False)
-class VariableLebesgue:
+class VariableLebesgue(SpaceSpec):
     """Exponent field r(.) with 1 < ess inf <= ess sup < infinity."""
 
+    kind = "variable"
+    label = "variable"
     exponent: Union[float, Callable[[np.ndarray], np.ndarray]]
 
     def exponents(self, pts: np.ndarray) -> np.ndarray:
@@ -295,34 +368,65 @@ class VariableLebesgue:
             raise ValueError("variable exponent must stay above 1")
         return r
 
+    def norm(self, field: SampledField) -> float:
+        r = self.exponents(field.grid.points)
+        return _luxemburg_sum(field.grid.weights, field.values,
+                              lambda x: x ** r[None, :])
+
 
 @dataclass(frozen=True)
-class MixedLebesgue:
+class MixedLebesgue(SpaceSpec):
+    kind = "mixed"
+    label = property(lambda self: f"mixed{self.rvec}")
     rvec: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "rvec", tuple(float(r) for r in self.rvec))
+        object.__setattr__(self, "rvec", tuple(
+            float(r) for r in np.atleast_1d(self.rvec)))
         if any(r < 1 for r in self.rvec):
             raise ValueError("mixed exponents must lie in [1, inf)")
 
+    def norm(self, field: SampledField) -> float:
+        axes = field.grid.axes
+        if axes is None:
+            raise ValueError("mixed norm requires a tensor-product grid")
+        if len(self.rvec) != len(axes):
+            raise ValueError("mixed exponent count must match the dimension")
+        shape = tuple(len(ax[0]) for ax in axes)
+        a = np.abs(field.values).reshape(shape)
+        for (coords, w), r in zip(axes, self.rvec):
+            a = np.tensordot(w, a**r, axes=(0, 0)) ** (1.0 / r)
+        return float(a)
+
 
 @dataclass(frozen=True)
-class HerzLocal:
+class HerzLocal(SpaceSpec):
     """Local generalized Herz norm with power weight omega(t) = t^a."""
 
+    kind = "herz_local"
+    label = property(lambda self: f"herz_local(p={self.p:g}, "
+                     f"q={self.q:g}, a={self.a:g})")
     p: float
     q: float
     a: float
     xi: tuple = (0.0,)
 
     def __post_init__(self):
-        object.__setattr__(self, "xi", tuple(float(c) for c in self.xi))
+        object.__setattr__(self, "xi", tuple(
+            float(c) for c in np.atleast_1d(self.xi)))
         if not (self.p > 1 and self.q > 1):
             raise ValueError("Herz space needs p, q in (1, inf)")
 
+    def norm(self, field: SampledField) -> float:
+        return _herz_norm(self, field, np.asarray(self.xi, dtype=float))
+
 
 @dataclass(frozen=True)
-class HerzGlobal:
+class HerzGlobal(SpaceSpec):
+    kind = "herz_global"
+    label = property(lambda self: f"herz_global(p={self.p:g}, "
+                     f"q={self.q:g}, a={self.a:g})")
+    absolutely_continuous = False
     p: float
     q: float
     a: float
@@ -331,11 +435,28 @@ class HerzGlobal:
         if not (self.p > 1 and self.q > 1):
             raise ValueError("Herz space needs p, q in (1, inf)")
 
+    def norm(self, field: SampledField) -> float:
+        """Sup over centers sampled on a bounding-box lattice; a documented
+        lower bound of the true supremum over all centers."""
+        grid = field.grid
+        lo = grid.points.min(axis=0)
+        hi = grid.points.max(axis=0)
+        span = float(np.max(hi - lo))
+        step = max(grid.h, span / 12.0)
+        axes = [np.arange(lo[j], hi[j] + step / 2, step)
+                for j in range(grid.dimension)]
+        mesh = np.meshgrid(*axes, indexing="ij")
+        centers = np.stack([m.ravel() for m in mesh], axis=-1)
+        return max(_herz_norm(self, field, c) for c in centers)
+
 
 @dataclass(frozen=True)
-class BesovBourgainMorrey:
+class BesovBourgainMorrey(SpaceSpec):
     """Triple dyadic sum, truncated to scales j in [j_min, j_max]."""
 
+    kind = "bbmorrey"
+    label = property(lambda self: f"bbmorrey(q={self.q:g}, p={self.p:g}, "
+                     f"r={self.r:g}, tau={self.tau:g})")
     q: float
     p: float
     r: float
@@ -349,9 +470,31 @@ class BesovBourgainMorrey:
         if self.tau < 1:
             raise ValueError("tau must be >= 1")
 
+    def norm(self, field: SampledField) -> float:
+        grid = field.grid
+        n = grid.dimension
+        # cubes finer than the grid spacing carry no information
+        j_hi = min(self.j_max, int(math.floor(-math.log2(grid.h))))
+        j_hi = max(j_hi, self.j_min)
+        aq = np.abs(field.values) ** self.q * grid.weights
+        total = 0.0
+        for j in range(self.j_min, j_hi + 1):
+            cube_idx = np.floor(grid.points * 2.0**j).astype(np.int64)
+            _, inverse = np.unique(cube_idx, axis=0, return_inverse=True)
+            sums = np.bincount(inverse, weights=aq)
+            vol = 2.0 ** (-j * n)
+            terms = vol ** (1.0 / self.p - 1.0 / self.q) \
+                * sums ** (1.0 / self.q)
+            inner = np.sum(terms**self.r) ** (self.tau / self.r)
+            total += inner
+        return float(total ** (1.0 / self.tau))
+
 
 @dataclass(frozen=True)
-class OrliczSlice:
+class OrliczSlice(SpaceSpec):
+    kind = "orlicz_slice"
+    label = property(
+        lambda self: f"orlicz_slice(r={self.r:g}, t={self.t:g})")
     phi: OrliczFunction
     r: float
     t: float
@@ -360,46 +503,49 @@ class OrliczSlice:
         if self.r < 1 or self.t <= 0:
             raise ValueError("Orlicz-slice needs r >= 1 and t > 0")
 
+    def norm(self, field: SampledField) -> float:
+        grid = field.grid
+        w = grid.weights
+        a = np.abs(field.values)
+        if not np.any(a > 0):
+            return 0.0
+        ball = unit_ball_volume(grid.dimension) * self.t**grid.dimension
 
-SpaceSpec = Union[
+        def denom_modular(lam):
+            return ball * self.phi(1.0 / lam)
+
+        denom = float(_luxemburg(denom_modular, np.array([1.0]))[0])
+        ratios = np.zeros(len(a))
+        for block, rows, cols in _ball_blocks(grid.points, self.t):
+            centers = block.stop - block.start
+            a_ball = a[cols]
+            w_ball = w[cols]
+            lam0 = np.where(np.bincount(rows, weights=w_ball * (a_ball > 0),
+                                        minlength=centers) > 0,
+                            a.max(), 0.0)
+
+            def modular(lam):
+                with np.errstate(divide="ignore"):
+                    scaled = self.phi(a_ball / lam[rows])
+                return np.bincount(rows, weights=w_ball * scaled,
+                                   minlength=centers)
+
+            ratios[block] = _luxemburg(modular, lam0) / denom
+        return float(np.sum(w * ratios**self.r) ** (1.0 / self.r))
+
+
+SPACES = {cls.kind: cls for cls in (
     Lebesgue, WeightedLebesgue, Lorentz, OrliczSpace, Morrey,
     VariableLebesgue, MixedLebesgue, HerzLocal, HerzGlobal,
     BesovBourgainMorrey, OrliczSlice,
-]
+)}
 
 
-def describe(spec: SpaceSpec) -> str:
-    """Short stable label for reports."""
-    if isinstance(spec, Lebesgue):
-        return f"lebesgue(q={spec.q:g})"
-    if isinstance(spec, WeightedLebesgue):
-        return f"weighted(q={spec.q:g}, {type(spec.weight).__name__})"
-    if isinstance(spec, Lorentz):
-        return f"lorentz(r={spec.r:g}, tau={spec.tau:g})"
-    if isinstance(spec, OrliczSpace):
-        return f"orlicz({type(spec.phi).__name__})"
-    if isinstance(spec, Morrey):
-        return f"morrey(alpha={spec.alpha:g}, r={spec.r:g})"
-    if isinstance(spec, VariableLebesgue):
-        return "variable"
-    if isinstance(spec, MixedLebesgue):
-        return f"mixed{spec.rvec}"
-    if isinstance(spec, HerzLocal):
-        return f"herz_local(p={spec.p:g}, q={spec.q:g}, a={spec.a:g})"
-    if isinstance(spec, HerzGlobal):
-        return f"herz_global(p={spec.p:g}, q={spec.q:g}, a={spec.a:g})"
-    if isinstance(spec, BesovBourgainMorrey):
-        return (f"bbmorrey(q={spec.q:g}, p={spec.p:g}, r={spec.r:g}, "
-                f"tau={spec.tau:g})")
-    if isinstance(spec, OrliczSlice):
-        return f"orlicz_slice(r={spec.r:g}, t={spec.t:g})"
-    raise TypeError(f"unknown spec {type(spec)!r}")
-
-
-def has_absolutely_continuous_norm(spec: SpaceSpec) -> bool:
-    """Morrey and global Herz norms are not absolutely continuous; exact
-    limit claims are disabled for them and only two-sided bounds hold."""
-    return not isinstance(spec, (Morrey, HerzGlobal))
+def norm(spec: SpaceSpec, field: SampledField) -> float:
+    """The discrete norm of `field` in the space `spec`."""
+    if not np.all(np.isfinite(field.values)):
+        raise ValueError("field has non-finite values")
+    return spec.norm(field)
 
 
 def unit_ball_volume(n: int) -> float:
@@ -478,30 +624,16 @@ def _luxemburg(modular: Callable[[np.ndarray], np.ndarray],
 
 
 # ---------------------------------------------------------------------------
-# Norm engines
-
-def _check_finite(field: SampledField) -> None:
-    if not np.all(np.isfinite(field.values)):
-        raise ValueError("field has non-finite values")
-
+# Shared engine pieces
 
 def _lebesgue_norm(q: float, w: np.ndarray, vals: np.ndarray) -> float:
     return float(np.sum(w * np.abs(vals) ** q) ** (1.0 / q))
 
 
-def _lorentz_norm(spec: Lorentz, field: SampledField) -> float:
-    step = decreasing_rearrangement(field)
-    if len(step.levels) == 0:
-        return 0.0
-    r, tau = spec.r, spec.tau
-    t = np.concatenate([[0.0], step.breakpoints])
-    incr = t[1:] ** (tau / r) - t[:-1] ** (tau / r)
-    total = np.sum(step.levels**tau * (r / tau) * incr)
-    return float(total ** (1.0 / tau))
-
-
-def _orlicz_norm(phi: OrliczFunction, w: np.ndarray,
-                 vals: np.ndarray) -> float:
+def _luxemburg_sum(w: np.ndarray, vals: np.ndarray,
+                   phi: Callable[[np.ndarray], np.ndarray]) -> float:
+    """inf{lam > 0 : sum w phi(|f| / lam) <= 1}; phi acts elementwise on
+    the (scales, points) array of |f| / lam."""
     a = np.abs(vals)
     if not np.any(a > 0):
         return 0.0
@@ -512,18 +644,25 @@ def _orlicz_norm(phi: OrliczFunction, w: np.ndarray,
     return float(_luxemburg(modular, np.array([a.max()]))[0])
 
 
-def _variable_norm(spec: VariableLebesgue, field: SampledField) -> float:
-    w = field.grid.weights
-    a = np.abs(field.values)
-    if not np.any(a > 0):
-        return 0.0
-    r = spec.exponents(field.grid.points)
+# centers per block of ball lists (bounds their memory)
+_BALL_BLOCK = 256
 
-    def modular(lam):
-        return np.sum(w[None, :] * (a[None, :] / lam[:, None]) ** r[None, :],
-                      axis=1)
 
-    return float(_luxemburg(modular, np.array([a.max()]))[0])
+def _ball_blocks(pts: np.ndarray, radius: float):
+    """The closed balls of `radius` around every point, per block of
+    _BALL_BLOCK centers, as (block, rows, cols): `block` slices the
+    centers, and each (rows[k], cols[k]) pairs a center of the block with
+    a point of its ball."""
+    tree = cKDTree(pts)
+    for start in range(0, len(pts), _BALL_BLOCK):
+        block = slice(start, min(start + _BALL_BLOCK, len(pts)))
+        idx_lists = tree.query_ball_point(pts[block], radius)
+        lengths = np.fromiter(map(len, idx_lists), dtype=np.intp,
+                              count=len(idx_lists))
+        rows = np.repeat(np.arange(len(idx_lists)), lengths)
+        cols = np.fromiter(itertools.chain.from_iterable(idx_lists),
+                           dtype=np.intp, count=int(lengths.sum()))
+        yield block, rows, cols
 
 
 def _morrey_radii(grid: QuadratureGrid) -> np.ndarray:
@@ -534,47 +673,9 @@ def _morrey_radii(grid: QuadratureGrid) -> np.ndarray:
     return np.geomspace(lo, diam, 12)
 
 
-def _morrey_norm(spec: Morrey, field: SampledField) -> float:
-    """Max over balls centered at grid points, radii on a geometric ladder
-    from 2h to the diameter (12 rungs).  The top rung covers the whole
-    domain, so alpha = r collapses exactly to the Lebesgue norm."""
+def _herz_norm(spec, field: SampledField, xi: np.ndarray) -> float:
+    """Herz sum of `spec` (p, q, a) over the dyadic annuli around xi."""
     grid = field.grid
-    pts = grid.points
-    n = grid.dimension
-    cn = unit_ball_volume(n)
-    power = np.abs(field.values) ** spec.r * grid.weights
-    tree = cKDTree(pts)
-    best = 0.0
-    exponent = 1.0 / spec.alpha - 1.0 / spec.r
-    for rho in _morrey_radii(grid):
-        vol_factor = (cn * rho**n) ** exponent
-        # blocked neighbour sums to bound memory on large grids
-        for start in range(0, len(pts), 512):
-            block = pts[start:start + 512]
-            idx = tree.query_ball_point(block, rho)
-            sums = np.array([power[i].sum() for i in idx])
-            cand = vol_factor * sums ** (1.0 / spec.r)
-            best = max(best, float(cand.max(initial=0.0)))
-    return best
-
-
-def _mixed_norm(spec: MixedLebesgue, field: SampledField) -> float:
-    axes = field.grid.axes
-    if axes is None:
-        raise ValueError("mixed norm requires a tensor-product grid")
-    if len(spec.rvec) != len(axes):
-        raise ValueError("mixed exponent count must match the dimension")
-    shape = tuple(len(ax[0]) for ax in axes)
-    a = np.abs(field.values).reshape(shape)
-    for (coords, w), r in zip(axes, spec.rvec):
-        a = np.tensordot(w, a**r, axes=(0, 0)) ** (1.0 / r)
-    return float(a)
-
-
-def _herz_local_norm(spec: HerzLocal, field: SampledField,
-                     xi: Optional[np.ndarray] = None) -> float:
-    grid = field.grid
-    xi = np.asarray(spec.xi if xi is None else xi, dtype=float)
     if xi.shape != (grid.dimension,):
         raise ValueError("Herz center dimension mismatch")
     d = np.linalg.norm(grid.points - xi, axis=1)
@@ -592,112 +693,6 @@ def _herz_local_norm(spec: HerzLocal, field: SampledField,
     return float(np.sum(terms) ** (1.0 / spec.q))
 
 
-def _herz_global_norm(spec: HerzGlobal, field: SampledField) -> float:
-    """Sup over centers sampled on a bounding-box lattice; a documented
-    lower bound of the true supremum over all centers."""
-    grid = field.grid
-    lo = grid.points.min(axis=0)
-    hi = grid.points.max(axis=0)
-    span = float(np.max(hi - lo))
-    step = max(grid.h, span / 12.0)
-    axes = [np.arange(lo[j], hi[j] + step / 2, step)
-            for j in range(grid.dimension)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    centers = np.stack([m.ravel() for m in mesh], axis=-1)
-    local = HerzLocal(spec.p, spec.q, spec.a, tuple(centers[0]))
-    return max(_herz_local_norm(local, field, xi=c) for c in centers)
-
-
-def _bbmorrey_norm(spec: BesovBourgainMorrey, field: SampledField) -> float:
-    grid = field.grid
-    n = grid.dimension
-    # cubes finer than the grid spacing carry no information
-    j_hi = min(spec.j_max, int(math.floor(-math.log2(grid.h))))
-    j_hi = max(j_hi, spec.j_min)
-    aq = np.abs(field.values) ** spec.q * grid.weights
-    total = 0.0
-    for j in range(spec.j_min, j_hi + 1):
-        cube_idx = np.floor(grid.points * 2.0**j).astype(np.int64)
-        _, inverse = np.unique(cube_idx, axis=0, return_inverse=True)
-        sums = np.bincount(inverse, weights=aq)
-        vol = 2.0 ** (-j * n)
-        terms = vol ** (1.0 / spec.p - 1.0 / spec.q) * sums ** (1.0 / spec.q)
-        inner = np.sum(terms**spec.r) ** (spec.tau / spec.r)
-        total += inner
-    return float(total ** (1.0 / spec.tau))
-
-
-def _orlicz_slice_norm(spec: OrliczSlice, field: SampledField) -> float:
-    grid = field.grid
-    pts = grid.points
-    w = grid.weights
-    a = np.abs(field.values)
-    if not np.any(a > 0):
-        return 0.0
-    ball = unit_ball_volume(grid.dimension) * spec.t**grid.dimension
-
-    def denom_modular(lam):
-        return ball * spec.phi(1.0 / lam)
-
-    denom = float(_luxemburg(denom_modular, np.array([1.0]))[0])
-    tree = cKDTree(pts)
-    ratios = np.zeros(len(pts))
-    for start in range(0, len(pts), 256):
-        block = slice(start, min(start + 256, len(pts)))
-        # each center's ball as flat (row, column) index pairs
-        idx_lists = tree.query_ball_point(pts[block], spec.t)
-        lengths = np.fromiter(map(len, idx_lists), dtype=np.intp,
-                              count=len(idx_lists))
-        rows = np.repeat(np.arange(len(idx_lists)), lengths)
-        cols = np.fromiter(itertools.chain.from_iterable(idx_lists),
-                           dtype=np.intp, count=int(lengths.sum()))
-        a_ball = a[cols]
-        w_ball = w[cols]
-        lam0 = np.where(np.bincount(rows, weights=w_ball * (a_ball > 0),
-                                    minlength=len(idx_lists)) > 0,
-                        a.max(), 0.0)
-
-        def modular(lam):
-            with np.errstate(divide="ignore"):
-                scaled = spec.phi(a_ball / lam[rows])
-            return np.bincount(rows, weights=w_ball * scaled,
-                               minlength=len(idx_lists))
-
-        ratios[block] = _luxemburg(modular, lam0) / denom
-    return float(np.sum(w * ratios**spec.r) ** (1.0 / spec.r))
-
-
-def norm(spec: SpaceSpec, field: SampledField) -> float:
-    """Dispatch the discrete norm of `field` for the given space."""
-    _check_finite(field)
-    w = field.grid.weights
-    vals = field.values
-    if isinstance(spec, Lebesgue):
-        return _lebesgue_norm(spec.q, w, vals)
-    if isinstance(spec, WeightedLebesgue):
-        wx = spec.weight(field.grid.points)
-        return _lebesgue_norm(spec.q, w * wx, vals)
-    if isinstance(spec, Lorentz):
-        return _lorentz_norm(spec, field)
-    if isinstance(spec, OrliczSpace):
-        return _orlicz_norm(spec.phi, w, vals)
-    if isinstance(spec, Morrey):
-        return _morrey_norm(spec, field)
-    if isinstance(spec, VariableLebesgue):
-        return _variable_norm(spec, field)
-    if isinstance(spec, MixedLebesgue):
-        return _mixed_norm(spec, field)
-    if isinstance(spec, HerzLocal):
-        return _herz_local_norm(spec, field)
-    if isinstance(spec, HerzGlobal):
-        return _herz_global_norm(spec, field)
-    if isinstance(spec, BesovBourgainMorrey):
-        return _bbmorrey_norm(spec, field)
-    if isinstance(spec, OrliczSlice):
-        return _orlicz_slice_norm(spec, field)
-    raise TypeError(f"unknown space spec {type(spec)!r}")
-
-
 # ---------------------------------------------------------------------------
 # Convexification, Muckenhoupt constants, Hoelder defect
 
@@ -709,17 +704,13 @@ def convexify(spec: SpaceSpec, p: float):
     """
     if p <= 0:
         raise ValueError("convexification exponent must be positive")
-    if isinstance(spec, Lebesgue):
-        if spec.q / p < 1:
-            raise ValueError("q/p leaves the Banach range [1, inf)")
-        return Lebesgue(spec.q / p)
-    if isinstance(spec, WeightedLebesgue):
-        if spec.q / p < 1:
-            raise ValueError("q/p leaves the Banach range [1, inf)")
-        return WeightedLebesgue(spec.q / p, spec.weight)
-    raise NotImplementedError(
-        "convexification implemented for (weighted) Lebesgue specs"
-    )
+    if spec.kind not in ("lebesgue", "weighted"):
+        raise NotImplementedError(
+            "convexification implemented for (weighted) Lebesgue specs"
+        )
+    if spec.q / p < 1:
+        raise ValueError("q/p leaves the Banach range [1, inf)")
+    return replace(spec, q=spec.q / p)
 
 
 def _power_segment_integral(b: float, lo: float, hi: float,

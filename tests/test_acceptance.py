@@ -134,7 +134,7 @@ def test_ac4_gagliardo_limit_and_route():
         nu = 1.0 - s
         direct = gagliardo_functional(f, 2.0, s, Lebesgue(2.0))
         converted = bbm_functional(
-            f, EnergyParams(2.0, family, nu, domain), Lebesgue(2.0)
+            f, EnergyParams(2.0, family, nu), Lebesgue(2.0)
         ) * (2.0 * R) ** nu / 2.0**0.5
         route_worst = max(route_worst, abs(direct - converted) / direct)
     ok = err <= 0.03 and route_worst <= 1e-8

@@ -1,12 +1,14 @@
+import csv
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from bbmlab.cli import ConfigError, main, parse_config
+from bbmlab.cli import ConfigError, main, parse_config, run_experiment
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
 MEMBER_CFG = """
 # 1-d linear field, bump kernel
@@ -214,6 +216,25 @@ class TestSweep:
         plain = json.loads((run_out / "report.json").read_text())
         assert single == plain
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_failing_case_is_recorded(self, tmp_path, capsys, jobs):
+        out = tmp_path / "sweep"
+        code = main(["sweep", "--config",
+                     str(CONFIG_DIR / "bbm_1d_linear.cfg"),
+                     "--out", str(out), "--set", "p=2,0.5", "--jobs", jobs])
+        assert code == 1
+        with open(out / "summary.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [row["run"] for row in rows] == ["run_000", "run_001"]
+        assert [row["status"] for row in rows] == ["ok", "failed"]
+        assert rows[0]["verdict"] == "member"
+        assert rows[0]["error"] == ""
+        assert "'p'" in rows[1]["error"]
+        assert rows[1]["verdict"] == ""
+        assert all(float(row["wall_s"]) >= 0.0 for row in rows)
+        assert (out / "run_000" / "report.json").exists()
+        assert "run_001 failed" in capsys.readouterr().err
+
     def test_unknown_override_key(self, member_config, tmp_path, capsys):
         code = main(["sweep", "--config", str(member_config),
                      "--out", str(tmp_path / "s"), "--set", "nope=1,2"])
@@ -236,6 +257,15 @@ class TestBundledConfigs:
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert report["verdict"] == "non-member"
         assert report["extrapolated_limit"] == "diverging"
+
+
+@pytest.mark.parametrize("name", ["bbm_1d_linear", "gagliardo_1d_linear",
+                                  "indicator_divergence"])
+def test_bundled_config_report_bytes(tmp_path, name):
+    """report.json of each bundled config is pinned byte for byte."""
+    run_experiment(parse_config(CONFIG_DIR / f"{name}.cfg"), tmp_path)
+    assert (tmp_path / "report.json").read_bytes() == \
+        (GOLDEN_DIR / f"{name}.report.json").read_bytes()
 
 
 class TestOracleCommand:

@@ -41,7 +41,7 @@ class TestDense1d:
         grid = sample_quadrature(domain, 1e-3)
         f = sample(linear((1.0,)), grid)
         engine = bbm_functional(
-            f, EnergyParams(2.0, bump_family(1), 0.1, domain), Lebesgue(2.0))
+            f, EnergyParams(2.0, bump_family(1), 0.1), Lebesgue(2.0))
         dense = dense_1d_functional(linear((1.0,)), domain, 2.0, 2.0, 0.1,
                                     1e-4, family_kind="bump")
         assert engine == pytest.approx(dense, rel=0.01)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
+from bbmlab.cli import ConfigError, build_space
 from bbmlab.field import SampledField
 from bbmlab.geometry import (
     Box,
@@ -15,9 +16,11 @@ from bbmlab.geometry import (
     sample_quadrature,
 )
 from bbmlab.spaces import (
+    SPACES,
     BesovBourgainMorrey,
     PowerLogOrlicz,
     ConstantWeight,
+    HerzGlobal,
     HerzLocal,
     Lebesgue,
     Lorentz,
@@ -28,6 +31,8 @@ from bbmlab.spaces import (
     PowerOrlicz,
     PowerWeight,
     TableOrlicz,
+    VariableLebesgue,
+    WeightedLebesgue,
     ap_constant,
     convexify,
     decreasing_rearrangement,
@@ -204,6 +209,41 @@ class TestBesovBourgainMorrey:
         # each shrinking geometrically like 2^(j n (1/q - 1/p))
         assert b >= a
         assert (b - a) / a < 0.05
+
+
+class TestMorreyBallSums:
+    @staticmethod
+    def _list_sum_norm(spec, field):
+        """The Morrey norm with each ball summed as its own index list."""
+        from bbmlab.spaces import _morrey_radii, unit_ball_volume
+
+        grid = field.grid
+        pts, n = grid.points, grid.dimension
+        power = np.abs(field.values) ** spec.r * grid.weights
+        tree = cKDTree(pts)
+        best = 0.0
+        for rho in _morrey_radii(grid):
+            vol_factor = (unit_ball_volume(n) * rho**n) ** (
+                1.0 / spec.alpha - 1.0 / spec.r)
+            for idx in tree.query_ball_point(pts, rho):
+                best = max(best,
+                           vol_factor * power[idx].sum() ** (1.0 / spec.r))
+        return best
+
+    @pytest.mark.parametrize("domain, h", [
+        (Interval(0.0, 1.0), 1.0 / 64),
+        (Box((0.0, 0.0), (1.0, 1.0)), 0.05),
+        (Disk((0.0, 0.0), 1.0), 0.1),
+    ])
+    @pytest.mark.parametrize("alpha, r", [(3.0, 2.0), (4.0, 1.5), (2.0, 2.0)])
+    def test_bincount_matches_list_sums(self, rng, domain, h, alpha, r):
+        grid = sample_quadrature(domain, h)
+        values = rng.normal(size=len(grid))
+        values[rng.random(len(grid)) < 0.3] = 0.0
+        spec = Morrey(alpha, r)
+        f = field_on(grid, values)
+        assert norm(spec, f) == pytest.approx(self._list_sum_norm(spec, f),
+                                              rel=1e-12)
 
 
 class TestOrliczSlice:
@@ -434,3 +474,79 @@ def test_rearrangement_preserves_l2_mass(values):
     lhs = float(np.sum(step.levels**2 * widths))
     rhs = float(np.sum(grid.weights * values**2))
     assert lhs == pytest.approx(rhs, abs=1e-10)
+
+
+# one config record per kind, the spec it must build (None where the spec
+# holds a callable and has no equality) and the report label it carries
+SPEC_RECORDS = [
+    ({"kind": "lebesgue", "q": 2}, Lebesgue(2), "lebesgue(q=2)"),
+    ({"kind": "weighted", "q": 3, "weight": "power", "weight_a": 0.5},
+     WeightedLebesgue(3, PowerWeight(0.5)), "weighted(q=3, PowerWeight)"),
+    ({"kind": "lorentz", "r": 2, "tau": 3}, Lorentz(2, 3),
+     "lorentz(r=2, tau=3)"),
+    ({"kind": "orlicz", "phi": "plog", "phi_q": 1.5},
+     OrliczSpace(PowerLogOrlicz(1.5)), "orlicz(PowerLogOrlicz)"),
+    ({"kind": "morrey", "alpha": 3, "r": 2}, Morrey(3, 2),
+     "morrey(alpha=3, r=2)"),
+    ({"kind": "variable", "base": 2.5, "slope": 0.5}, None, "variable"),
+    ({"kind": "mixed", "rvec": [1.5, 2]}, MixedLebesgue((1.5, 2.0)),
+     "mixed(1.5, 2.0)"),
+    ({"kind": "herz_local", "p": 2, "q": 3},
+     HerzLocal(2, 3, 0.0, (0.0, 0.0)), "herz_local(p=2, q=3, a=0)"),
+    ({"kind": "herz_global", "p": 2, "q": 3, "a": -0.5},
+     HerzGlobal(2, 3, -0.5), "herz_global(p=2, q=3, a=-0.5)"),
+    ({"kind": "bbmorrey", "q": 1, "p": 2, "r": 3, "tau": 1.5, "j_max": 4},
+     BesovBourgainMorrey(1, 2, 3, 1.5, j_max=4),
+     "bbmorrey(q=1, p=2, r=3, tau=1.5)"),
+    ({"kind": "orlicz_slice", "r": 2, "t": 0.25},
+     OrliczSlice(PowerOrlicz(2.0), 2, 0.25), "orlicz_slice(r=2, t=0.25)"),
+]
+
+REQUIRED_KEYS = [
+    ("lebesgue", "q"), ("weighted", "q"), ("weighted", "weight_a"),
+    ("lorentz", "r"), ("lorentz", "tau"), ("morrey", "alpha"),
+    ("morrey", "r"), ("mixed", "rvec"), ("herz_local", "p"),
+    ("herz_local", "q"), ("herz_global", "p"), ("herz_global", "q"),
+    ("bbmorrey", "q"), ("bbmorrey", "p"), ("bbmorrey", "r"),
+    ("bbmorrey", "tau"), ("orlicz_slice", "r"), ("orlicz_slice", "t"),
+]
+
+
+class TestSpecContract:
+    def test_registry_covers_every_kind(self):
+        kinds = [record["kind"] for record, _, _ in SPEC_RECORDS]
+        assert sorted(SPACES) == sorted(kinds)
+        assert all(cls.kind == kind for kind, cls in SPACES.items())
+
+    @pytest.mark.parametrize("record, expected, label", SPEC_RECORDS,
+                             ids=[r["kind"] for r, _, _ in SPEC_RECORDS])
+    def test_built_from_record_with_label(self, record, expected, label):
+        spec = build_space(dict(record), 2)
+        assert type(spec) is SPACES[record["kind"]]
+        assert spec.label == label
+        if expected is not None:
+            assert spec == expected
+            assert expected.label == label
+
+    def test_variable_exponent_from_base_and_slope(self):
+        spec = build_space(
+            {"kind": "variable", "base": 2.5, "slope": 0.5}, 2)
+        pts = np.array([[0.0, 0.0], [1.0, 3.0]])
+        assert np.array_equal(spec.exponents(pts), [2.5, 3.0])
+        constant = build_space({"kind": "variable"}, 2)
+        assert constant.exponent == 2.0
+        assert isinstance(constant, VariableLebesgue)
+
+    def test_only_morrey_and_global_herz_are_not_absolutely_continuous(self):
+        for record, _, _ in SPEC_RECORDS:
+            spec = build_space(dict(record), 2)
+            assert spec.absolutely_continuous == (
+                record["kind"] not in ("morrey", "herz_global"))
+
+    @pytest.mark.parametrize("kind, key", REQUIRED_KEYS)
+    def test_missing_key_names_the_field(self, kind, key):
+        record = next(dict(r) for r, _, _ in SPEC_RECORDS if r["kind"] == kind)
+        record.pop(key)
+        with pytest.raises(ConfigError) as info:
+            build_space(record, 2)
+        assert info.value.field == f"space.{key}"
