@@ -14,6 +14,7 @@ import csv
 import dataclasses
 import itertools
 import json
+import math
 import os
 import sys
 import time
@@ -26,6 +27,7 @@ from . import checks, oracle
 from .bbm import CSV_HEADER, ConvergenceReport, convergence_study
 from .field import function_from_record, sample
 from .geometry import (
+    SCHEMES,
     Box,
     Disk,
     Interval,
@@ -53,6 +55,34 @@ class ConfigError(ValueError):
     def __init__(self, field: str, message: str):
         super().__init__(f"config error in {field!r}: {message}")
         self.field = field
+        self.message = message
+
+    def __reduce__(self):
+        # rebuild from both arguments, so the error crosses process pools
+        return type(self), (self.field, self.message)
+
+
+def _positive_number(value, field: str) -> float:
+    """`value` as a finite float > 0, else a ConfigError naming `field`."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        number = math.nan
+    if isinstance(value, bool) or not 0.0 < number < math.inf:
+        raise ConfigError(field, f"must be a positive number, got {value!r}")
+    return number
+
+
+def _count(value, field: str) -> int:
+    """`value` as an integer >= 1, else a ConfigError naming `field`."""
+    try:
+        number = int(value)
+        valid = number >= 1 and number == float(value)
+    except (TypeError, ValueError, OverflowError):
+        valid = False
+    if isinstance(value, bool) or not valid:
+        raise ConfigError(field, f"must be an integer >= 1, got {value!r}")
+    return number
 
 
 def _parse_atom(text: str):
@@ -223,11 +253,18 @@ def run_experiment(config: dict, out_dir) -> ConvergenceReport:
     mode = config.get("mode", "rdati")
     spec = build_space(config["space"], n)
     schedule = build_schedule(config["schedule"])
-    h = float(config["h"])
-    stride = int(config.get("stride", 1))
+    h = _positive_number(config["h"], "h")
+    stride = _count(config.get("stride", 1), "stride")
+    tolerance = _positive_number(config.get("tolerance", 0.05), "tolerance")
     scheme = config.get("scheme", "tensor-midpoint")
+    if scheme not in SCHEMES:
+        raise ConfigError("scheme", f"unknown scheme {scheme!r}; "
+                                    f"expected one of {', '.join(SCHEMES)}")
 
-    grid = sample_quadrature(domain, h, scheme)
+    try:
+        grid = sample_quadrature(domain, h, scheme)
+    except ValueError as exc:  # h too large or too coarse for the domain
+        raise ConfigError("h", str(exc))
     fn = function_from_record(config["function"], n)
     if fn.dimension != n:
         raise ConfigError("function", "function dimension does not match domain")
@@ -260,7 +297,7 @@ def run_experiment(config: dict, out_dir) -> ConvergenceReport:
 
     report = convergence_study(
         field_data, p, spec, family, schedule, mode=mode,
-        tolerance=float(config.get("tolerance", 0.05)), stride=stride,
+        tolerance=tolerance, stride=stride,
     )
 
     out = Path(out_dir)
@@ -377,6 +414,10 @@ SUMMARY_COLUMNS = ["status", "error", "wall_s", "verdict",
 
 def _cmd_sweep(args) -> int:
     try:
+        if args.jobs is not None:
+            jobs = _count(args.jobs, "--jobs")
+        else:
+            jobs = _count(os.environ.get("BBMLAB_JOBS", "1"), "BBMLAB_JOBS")
         base = parse_config(args.config)
         overrides = []
         for item in args.set or []:
@@ -403,8 +444,8 @@ def _cmd_sweep(args) -> int:
     except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
             cases = list(pool.map(_run_sweep_case, payloads))
     else:
         cases = [_run_sweep_case(p) for p in payloads]
@@ -479,10 +520,8 @@ def main(argv=None) -> int:
     p_sweep.add_argument("--config", required=True)
     p_sweep.add_argument("--out", default="sweep")
     p_sweep.add_argument("--set", action="append", metavar="KEY=V1,V2,...")
-    p_sweep.add_argument(
-        "--jobs", type=int,
-        default=int(os.environ.get("BBMLAB_JOBS", "1")),
-    )
+    p_sweep.add_argument("--jobs", help="worker processes, an integer >= 1 "
+                                        "(default: BBMLAB_JOBS, else 1)")
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_oracle = sub.add_parser("oracle", help="brute-force reference values")

@@ -35,6 +35,7 @@ __all__ = [
     "measure",
     "bounding_box",
     "sample_quadrature",
+    "SCHEMES",
     "estimate_uniformity",
     "uniformity_clauses",
 ]
@@ -323,6 +324,10 @@ def _axis_cells(lo: float, hi: float, h: float):
     mids = 0.5 * (edges[:-1] + edges[1:])
     widths = np.diff(edges)
     return mids, widths
+
+
+# the quadrature schemes `sample_quadrature` builds
+SCHEMES = ("tensor-midpoint", "quasi-random")
 
 
 def sample_quadrature(domain: Domain, h: float,

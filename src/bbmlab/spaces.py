@@ -7,7 +7,10 @@ discrete version of its norm.  Integrals become weighted sums over cells,
 suprema over balls or centers become maxima over a declared finite search
 family, Luxemburg-type norms are found by bisection on the scale
 parameter, and rearrangement-based norms sort values carrying their cell
-weights.  All engines depend on |f| only and are positively homogeneous.
+weights.  Ball sums come from closed balls, |x - y|^2 <= rho^2: Morrey's
+12-rung ladder masks one block of squared distances per block of
+centers, and Orlicz-slice's single small radius uses `cKDTree` ball
+lists.  All engines depend on |f| only and are positively homogeneous.
 `norm(spec, field)` is the checked entry point: it rejects non-finite
 values, then calls the spec's engine.
 """
@@ -335,19 +338,21 @@ class Morrey(SpaceSpec):
         """Max over balls centered at grid points, radii on a geometric
         ladder from 2h to the diameter (12 rungs).  The top rung covers the
         whole domain, so alpha = r collapses exactly to the Lebesgue
-        norm."""
+        norm.
+
+        Balls are closed, |x - y|^2 <= rho^2 (see `_ladder_ball_sums`),
+        which decides points at distance exactly rho (lattice ties) as the
+        `cKDTree` balls of Orlicz-slice do."""
         grid = field.grid
         n = grid.dimension
         power = np.abs(field.values) ** self.r * grid.weights
-        exponent = 1.0 / self.alpha - 1.0 / self.r
+        radii = _morrey_radii(grid)
+        vol_factors = (unit_ball_volume(n) * radii**n) ** (
+            1.0 / self.alpha - 1.0 / self.r)
         best = 0.0
-        for rho in _morrey_radii(grid):
-            vol_factor = (unit_ball_volume(n) * rho**n) ** exponent
-            for block, rows, cols in _ball_blocks(grid.points, rho):
-                sums = np.bincount(rows, weights=power[cols],
-                                   minlength=block.stop - block.start)
-                cand = vol_factor * sums ** (1.0 / self.r)
-                best = max(best, float(cand.max(initial=0.0)))
+        for sums in _ladder_ball_sums(grid.points, power, radii):
+            cand = vol_factors[:, None] * sums ** (1.0 / self.r)
+            best = max(best, float(cand.max(initial=0.0)))
         return best
 
 
@@ -644,7 +649,7 @@ def _luxemburg_sum(w: np.ndarray, vals: np.ndarray,
     return float(_luxemburg(modular, np.array([a.max()]))[0])
 
 
-# centers per block of ball lists (bounds their memory)
+# centers per block of ball lists or distance rows (bounds their memory)
 _BALL_BLOCK = 256
 
 
@@ -663,6 +668,21 @@ def _ball_blocks(pts: np.ndarray, radius: float):
         cols = np.fromiter(itertools.chain.from_iterable(idx_lists),
                            dtype=np.intp, count=int(lengths.sum()))
         yield block, rows, cols
+
+
+def _ladder_ball_sums(pts: np.ndarray, power: np.ndarray,
+                      radii: np.ndarray):
+    """Sums of `power` over the closed balls |x - y|^2 <= rho^2 around
+    every point, for every rho in `radii`: one (len(radii), block) array
+    per block of _BALL_BLOCK centers.  Each block computes its squared
+    distances to all points once, summed axis by axis as `cKDTree` sums
+    them, and every radius's sums are a masked product with that block."""
+    for start in range(0, len(pts), _BALL_BLOCK):
+        centers = pts[start:start + _BALL_BLOCK]
+        d2 = np.zeros((len(centers), len(pts)))
+        for j in range(pts.shape[1]):
+            d2 += (centers[:, j, None] - pts[None, :, j]) ** 2
+        yield np.stack([(d2 <= rho * rho) @ power for rho in radii])
 
 
 def _morrey_radii(grid: QuadratureGrid) -> np.ndarray:

@@ -1,5 +1,6 @@
 import csv
 import json
+import pickle
 from pathlib import Path
 
 import numpy as np
@@ -130,6 +131,40 @@ class TestRun:
         assert info.value.field == "p"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("field, value", [
+        ("h", 0), ("h", "fine"), ("stride", 2.5), ("stride", 0),
+        ("tolerance", -1), ("scheme", "bogus"),
+    ])
+    def test_bad_value_rejected_before_the_grid(self, member_config,
+                                                 tmp_path, monkeypatch,
+                                                 field, value):
+        from bbmlab import cli
+
+        def no_grid(*args, **kwargs):
+            raise AssertionError(f"grid built for {field} = {value!r}")
+
+        monkeypatch.setattr(cli, "sample_quadrature", no_grid)
+        config = parse_config(member_config)
+        config[field] = value
+        with pytest.raises(ConfigError) as info:
+            cli.run_experiment(config, tmp_path / "out")
+        assert info.value.field == field
+        assert repr(value) in str(info.value)
+
+    def test_h_beyond_the_domain_names_h(self, member_config, tmp_path):
+        config = parse_config(member_config)
+        config["h"] = 2.0
+        with pytest.raises(ConfigError) as info:
+            run_experiment(config, tmp_path / "out")
+        assert info.value.field == "h"
+
+    def test_config_error_pickles(self):
+        error = ConfigError("p", "bad")
+        again = pickle.loads(pickle.dumps(error))
+        assert type(again) is ConfigError
+        assert (again.field, again.message) == ("p", "bad")
+        assert str(again) == str(error)
+
     def test_missing_space_record(self, tmp_path, capsys):
         cfg = "\n".join(line for line in MEMBER_CFG.splitlines()
                         if not line.startswith("space."))
@@ -234,6 +269,32 @@ class TestSweep:
         assert all(float(row["wall_s"]) >= 0.0 for row in rows)
         assert (out / "run_000" / "report.json").exists()
         assert "run_001 failed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, env, name", [
+        (["--jobs", "-3"], None, "--jobs"),
+        (["--jobs", "2.5"], None, "--jobs"),
+        ([], "two", "BBMLAB_JOBS"),
+        ([], "0", "BBMLAB_JOBS"),
+    ])
+    def test_bad_jobs_value_named(self, member_config, tmp_path, capsys,
+                                  monkeypatch, flag, env, name):
+        if env is not None:
+            monkeypatch.setenv("BBMLAB_JOBS", env)
+        out = tmp_path / "sweep"
+        code = main(["sweep", "--config", str(member_config),
+                     "--out", str(out), *flag])
+        assert code == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and repr(name) in err[0]
+        assert not out.exists()
+
+    def test_jobs_environment_read_by_sweep_only(self, member_config,
+                                                 tmp_path, monkeypatch):
+        monkeypatch.setenv("BBMLAB_JOBS", "two")
+        assert main(["run", "--config", str(member_config),
+                     "--out", str(tmp_path / "out")]) == 0
+        assert main(["sweep", "--config", str(member_config),
+                     "--out", str(tmp_path / "sweep"), "--jobs", "1"]) == 0
 
     def test_unknown_override_key(self, member_config, tmp_path, capsys):
         code = main(["sweep", "--config", str(member_config),

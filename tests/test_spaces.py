@@ -12,6 +12,7 @@ from bbmlab.geometry import (
     Box,
     Disk,
     Interval,
+    Polygon,
     QuadratureGrid,
     sample_quadrature,
 )
@@ -230,20 +231,54 @@ class TestMorreyBallSums:
                            vol_factor * power[idx].sum() ** (1.0 / spec.r))
         return best
 
-    @pytest.mark.parametrize("domain, h", [
-        (Interval(0.0, 1.0), 1.0 / 64),
-        (Box((0.0, 0.0), (1.0, 1.0)), 0.05),
-        (Disk((0.0, 0.0), 1.0), 0.1),
-    ])
+    # explicit ids keep the tensor-grid cases' names from before the
+    # point-cloud cases were added
+    @pytest.mark.parametrize("domain, h, scheme", [
+        (Interval(0.0, 1.0), 1.0 / 64, "tensor-midpoint"),
+        (Box((0.0, 0.0), (1.0, 1.0)), 0.05, "tensor-midpoint"),
+        (Disk((0.0, 0.0), 1.0), 0.1, "tensor-midpoint"),
+        (Disk((0.0, 0.0), 1.0), 0.1, "quasi-random"),
+        (Polygon(((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.3, 0.8))), 0.05,
+         "tensor-midpoint"),
+    ], ids=["domain0-0.015625", "domain1-0.05", "domain2-0.1",
+            "quasi_random_disk-0.1", "polygon-0.05"])
     @pytest.mark.parametrize("alpha, r", [(3.0, 2.0), (4.0, 1.5), (2.0, 2.0)])
-    def test_bincount_matches_list_sums(self, rng, domain, h, alpha, r):
-        grid = sample_quadrature(domain, h)
+    def test_bincount_matches_list_sums(self, rng, domain, h, scheme,
+                                        alpha, r):
+        """The engine's ball sums against one index-list sum per ball."""
+        grid = sample_quadrature(domain, h, scheme)
         values = rng.normal(size=len(grid))
         values[rng.random(len(grid)) < 0.3] = 0.0
         spec = Morrey(alpha, r)
         f = field_on(grid, values)
         assert norm(spec, f) == pytest.approx(self._list_sum_norm(spec, f),
                                               rel=1e-12)
+
+    def test_ties_decided_as_the_tree_balls(self, rng):
+        """On the h = 0.1 lattice many pairs lie at distance exactly rho;
+        each rung's ball sums must keep them as Orlicz-slice's tree balls
+        do (at rho = 0.2 the tree keeps 1,064 pairs, a strict rule 904)."""
+        from bbmlab.spaces import _ball_blocks, _ladder_ball_sums
+
+        def ladder(weights):
+            return np.concatenate(
+                list(_ladder_ball_sums(pts, weights, radii)), axis=1)
+
+        pts = sample_quadrature(Box((0.0, 0.0), (1.0, 1.0)), 0.1).points
+        radii = np.array([0.2, 0.3, 0.5])
+        power = rng.random(len(pts))
+        power[rng.random(len(pts)) < 0.3] = 0.0
+        pair_counts, sums = ladder(np.ones(len(pts))), ladder(power)
+        assert pair_counts[0].sum() == 1064
+        for rung, rho in enumerate(radii):
+            tree_counts, tree_sums = np.zeros(len(pts)), np.zeros(len(pts))
+            for block, rows, cols in _ball_blocks(pts, rho):
+                centers = block.stop - block.start
+                tree_counts[block] = np.bincount(rows, minlength=centers)
+                tree_sums[block] = np.bincount(rows, weights=power[cols],
+                                               minlength=centers)
+            assert np.array_equal(pair_counts[rung], tree_counts)
+            assert sums[rung] == pytest.approx(tree_sums, rel=1e-12, abs=0.0)
 
 
 class TestOrliczSlice:
