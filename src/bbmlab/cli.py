@@ -225,7 +225,7 @@ def build_space(record: dict, dimension: int):
         return SPACES[kind](**args)
     except ConfigError:
         raise
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:  # e.g. q <= 0, or q = 'two'
         raise ConfigError("space", str(exc))
 
 
@@ -236,8 +236,8 @@ def build_schedule(record: dict) -> list:
                                    else [values])]
     start = _require(record, "nu_start", "schedule")
     ratio = _require(record, "ratio", "schedule")
-    count = _require(record, "count", "schedule")
-    return [float(start) * float(ratio) ** k for k in range(int(count))]
+    count = _count(_require(record, "count", "schedule"), "schedule.count")
+    return [float(start) * float(ratio) ** k for k in range(count)]
 
 
 def run_experiment(config: dict, out_dir) -> ConvergenceReport:
@@ -247,12 +247,15 @@ def run_experiment(config: dict, out_dir) -> ConvergenceReport:
             raise ConfigError(field, "missing required field")
     domain = build_domain(config["domain"])
     n = domain.dimension
-    p = float(config["p"])
-    if not p >= 1.0:
+    p = _positive_number(config["p"], "p")
+    if p < 1.0:
         raise ConfigError("p", f"must be >= 1, got {p:g}")
     mode = config.get("mode", "rdati")
     spec = build_space(config["space"], n)
     schedule = build_schedule(config["schedule"])
+    if len(schedule) < 4:  # the limit fit needs four scales
+        raise ConfigError("schedule", f"needs at least 4 points, "
+                                      f"got {len(schedule)}")
     h = _positive_number(config["h"], "h")
     stride = _count(config.get("stride", 1), "stride")
     tolerance = _positive_number(config.get("tolerance", 0.05), "tolerance")

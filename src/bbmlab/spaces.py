@@ -5,9 +5,10 @@ their config kinds to them) that carries its own behaviour: its report
 label, whether its norm is absolutely continuous, and `norm(field)`, the
 discrete version of its norm.  Integrals become weighted sums over cells,
 suprema over balls or centers become maxima over a declared finite search
-family, Luxemburg-type norms are found by bisection on the scale
-parameter, and rearrangement-based norms sort values carrying their cell
-weights.  Ball sums come from closed balls, |x - y|^2 <= rho^2: Morrey's
+family, Luxemburg-type norms are found by a bracketed root solve on the
+scale parameter (a bracket from the Orlicz types, closed by Illinois
+regula falsi), and rearrangement-based norms sort values carrying their
+cell weights.  Ball sums come from closed balls, |x - y|^2 <= rho^2: Morrey's
 12-rung ladder masks one block of squared distances per block of
 centers, and Orlicz-slice's single small radius uses `cKDTree` ball
 lists.  All engines depend on |f| only and are positively homogeneous.
@@ -92,6 +93,10 @@ class PowerLogOrlicz:
 
     q: float
 
+    def __post_init__(self):
+        if not self.q > 0:
+            raise ValueError("power-log Orlicz function needs q > 0")
+
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
         return t**self.q * np.log(math.e + t)
@@ -127,6 +132,8 @@ class TableOrlicz:
         if vals[-1] <= vals[-2]:
             raise ValueError("table must keep growing at its upper end "
                              "(an Orlicz function is unbounded)")
+        if not 0 < self.declared_lower_type <= self.declared_upper_type:
+            raise ValueError("table types need 0 < lower <= upper")
         object.__setattr__(self, "ts", tuple(ts))
         object.__setattr__(self, "values", tuple(vals))
 
@@ -316,7 +323,8 @@ class OrliczSpace(SpaceSpec):
     phi: OrliczFunction
 
     def norm(self, field: SampledField) -> float:
-        return _luxemburg_sum(field.grid.weights, field.values, self.phi)
+        return _luxemburg_sum(field.grid.weights, field.values, self.phi,
+                              self.phi.lower_type, self.phi.upper_type)
 
 
 @dataclass(frozen=True)
@@ -376,7 +384,7 @@ class VariableLebesgue(SpaceSpec):
     def norm(self, field: SampledField) -> float:
         r = self.exponents(field.grid.points)
         return _luxemburg_sum(field.grid.weights, field.values,
-                              lambda x: x ** r[None, :])
+                              lambda x: x ** r[None, :], r.min(), r.max())
 
 
 @dataclass(frozen=True)
@@ -519,7 +527,8 @@ class OrliczSlice(SpaceSpec):
         def denom_modular(lam):
             return ball * self.phi(1.0 / lam)
 
-        denom = float(_luxemburg(denom_modular, np.array([1.0]))[0])
+        types = (self.phi.lower_type, self.phi.upper_type)
+        denom = float(_luxemburg(denom_modular, np.array([1.0]), *types)[0])
         ratios = np.zeros(len(a))
         for block, rows, cols in _ball_blocks(grid.points, self.t):
             centers = block.stop - block.start
@@ -535,7 +544,7 @@ class OrliczSlice(SpaceSpec):
                 return np.bincount(rows, weights=w_ball * scaled,
                                    minlength=centers)
 
-            ratios[block] = _luxemburg(modular, lam0) / denom
+            ratios[block] = _luxemburg(modular, lam0, *types) / denom
         return float(np.sum(w * ratios**self.r) ** (1.0 / self.r))
 
 
@@ -587,43 +596,70 @@ def decreasing_rearrangement(field: SampledField) -> StepFunction:
 
 
 # ---------------------------------------------------------------------------
-# Luxemburg bisection
+# Luxemburg solve
 
-_BISECT_MAX_ITER = 200
+# relative bracket width at which a Luxemburg solve stops
+_LUXEMBURG_RTOL = 1e-15
 
 
 def _luxemburg(modular: Callable[[np.ndarray], np.ndarray],
-               lam0: np.ndarray) -> np.ndarray:
+               lam0: np.ndarray, lower_type: float = 1.0,
+               upper_type: float = math.inf) -> np.ndarray:
     """Vectorized inf{lam > 0 : modular(lam) <= 1} for non-increasing
     modulars.  lam0 is a positive starting scale per component (zero marks
-    a zero norm)."""
+    a zero norm).  The types bound how the modular scales:
+    s^lower_type <= M(lam / s) / M(lam) <= s^upper_type for s >= 1.
+
+    By the types, the root lies in lam0 * m0^[1/upper_type, 1/lower_type]
+    with m0 = M(lam0).  Declared types are not verified, so the bracket is
+    widened by two ulps, checked, and doubled or halved until
+    M(hi) <= 1 < M(lo).  Illinois regula falsi (Dowell & Jarratt, BIT 11,
+    1971) then closes it to hi - lo <= 1e-15 hi, interpolating in
+    (log lam, log M), which is exact for power modulars.  The bracket stays
+    in lam: past lam ~ e^8 the spacing of log lam exceeds 1e-15 relative,
+    so a bracket in log lam could not close."""
     lam0 = np.atleast_1d(np.asarray(lam0, dtype=float))
     out = np.zeros_like(lam0)
     active = lam0 > 0
     if not np.any(active):
         return out
-    hi = lam0.copy()
-    hi[~active] = 1.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(_BISECT_MAX_ITER):
-            bad = active & (modular(hi) > 1.0)
-            if not np.any(bad):
-                break
-            hi[bad] *= 2.0
-        lo = hi / 2.0
-        for _ in range(_BISECT_MAX_ITER):
-            move = active & (modular(lo) <= 1.0)
-            if not np.any(move):
-                break
-            hi[move] = lo[move]
-            lo[move] /= 2.0
-        for _ in range(_BISECT_MAX_ITER):
-            if np.all(hi[active] - lo[active] <= 1e-15 * hi[active]):
-                break
-            mid = 0.5 * (lo + hi)
-            le = modular(mid) <= 1.0
-            hi = np.where(active & le, mid, hi)
-            lo = np.where(active & ~le, mid, lo)
+    start = np.where(active, lam0, 1.0)
+    ulp = np.finfo(float).eps
+    with np.errstate(all="ignore"):
+        m0 = modular(start)
+        ends = start * m0 ** (1.0 / np.array([[upper_type], [lower_type]]))
+        ends = np.where(np.isfinite(ends) & (ends > 0), ends, start)
+        lo = ends.min(axis=0) * (1.0 - 2.0 * ulp)
+        hi = ends.max(axis=0) * (1.0 + 2.0 * ulp)
+        m_lo, m_hi = modular(lo), modular(hi)
+        while np.any(grow := active & (m_hi > 1.0)):
+            lo, m_lo = np.where(grow, hi, lo), np.where(grow, m_hi, m_lo)
+            hi = np.where(grow, 2.0 * hi, hi)
+            m_hi = np.where(grow, modular(hi), m_hi)
+        while np.any(shrink := active & ~(m_lo > 1.0) & (lo > 0)):
+            hi, m_hi = np.where(shrink, lo, hi), np.where(shrink, m_lo, m_hi)
+            lo = np.where(shrink, 0.5 * lo, lo)
+            m_lo = np.where(shrink, modular(lo), m_lo)
+        y_lo, y_hi = np.log(m_lo), np.log(m_hi)
+        moved = np.zeros(len(lo))  # +1: hi moved last step, -1: lo moved
+        while np.any(open_ := active & (hi - lo > _LUXEMBURG_RTOL * hi)):
+            x_lo, x_hi = np.log(lo), np.log(hi)
+            lam = np.exp(x_hi - y_hi * (x_hi - x_lo) / (y_hi - y_lo))
+            # bisect where an end's log is infinite or undefined
+            lam = np.where(np.isfinite(x_lo + y_lo + y_hi), lam,
+                           0.5 * (lo + hi))
+            tol = 0.5 * _LUXEMBURG_RTOL * hi
+            lam = np.clip(lam, lo + tol, hi - tol)
+            m = modular(np.where(open_, lam, hi))
+            below = open_ & (m <= 1.0)
+            above = open_ & ~below
+            # Illinois: an end kept twice in a row has its residual halved
+            y_lo = np.where(below & (moved > 0), 0.5 * y_lo, y_lo)
+            y_hi = np.where(above & (moved < 0), 0.5 * y_hi, y_hi)
+            y_m = np.log(m)
+            hi, y_hi = np.where(below, lam, hi), np.where(below, y_m, y_hi)
+            lo, y_lo = np.where(above, lam, lo), np.where(above, y_m, y_lo)
+            moved = np.where(below, 1.0, np.where(above, -1.0, moved))
     out[active] = 0.5 * (lo[active] + hi[active])
     return out
 
@@ -636,9 +672,10 @@ def _lebesgue_norm(q: float, w: np.ndarray, vals: np.ndarray) -> float:
 
 
 def _luxemburg_sum(w: np.ndarray, vals: np.ndarray,
-                   phi: Callable[[np.ndarray], np.ndarray]) -> float:
+                   phi: Callable[[np.ndarray], np.ndarray],
+                   lower_type: float, upper_type: float) -> float:
     """inf{lam > 0 : sum w phi(|f| / lam) <= 1}; phi acts elementwise on
-    the (scales, points) array of |f| / lam."""
+    the (scales, points) array of |f| / lam and has the given types."""
     a = np.abs(vals)
     if not np.any(a > 0):
         return 0.0
@@ -646,7 +683,8 @@ def _luxemburg_sum(w: np.ndarray, vals: np.ndarray,
     def modular(lam):
         return np.sum(w[None, :] * phi(a[None, :] / lam[:, None]), axis=1)
 
-    return float(_luxemburg(modular, np.array([a.max()]))[0])
+    return float(_luxemburg(modular, np.array([a.max()]), lower_type,
+                            upper_type)[0])
 
 
 # centers per block of ball lists or distance rows (bounds their memory)

@@ -133,7 +133,7 @@ class TestRun:
 
     @pytest.mark.parametrize("field, value", [
         ("h", 0), ("h", "fine"), ("stride", 2.5), ("stride", 0),
-        ("tolerance", -1), ("scheme", "bogus"),
+        ("tolerance", -1), ("scheme", "bogus"), ("p", "two"),
     ])
     def test_bad_value_rejected_before_the_grid(self, member_config,
                                                  tmp_path, monkeypatch,
@@ -150,6 +150,39 @@ class TestRun:
             cli.run_experiment(config, tmp_path / "out")
         assert info.value.field == field
         assert repr(value) in str(info.value)
+
+    @pytest.mark.parametrize("count", [4.9, 2.7])
+    def test_fractional_schedule_count_named(self, member_config, tmp_path,
+                                             monkeypatch, count):
+        from bbmlab import cli
+
+        def no_grid(*args, **kwargs):
+            raise AssertionError(f"grid built for count = {count!r}")
+
+        monkeypatch.setattr(cli, "sample_quadrature", no_grid)
+        config = parse_config(member_config)
+        config["schedule"]["count"] = count
+        with pytest.raises(ConfigError) as info:
+            cli.run_experiment(config, tmp_path / "out")
+        assert info.value.field == "schedule.count"
+        assert repr(count) in str(info.value)
+
+    @pytest.mark.parametrize("record", [{"count": 2},
+                                        {"values": [0.2, 0.1, 0.05]}])
+    def test_short_schedule_named(self, member_config, tmp_path,
+                                  monkeypatch, record):
+        from bbmlab import cli
+
+        def no_grid(*args, **kwargs):
+            raise AssertionError("grid built for a short schedule")
+
+        monkeypatch.setattr(cli, "sample_quadrature", no_grid)
+        config = parse_config(member_config)
+        config["schedule"].update(record)  # `values` overrides the rest
+        with pytest.raises(ConfigError) as info:
+            cli.run_experiment(config, tmp_path / "out")
+        assert info.value.field == "schedule"
+        assert "at least 4" in str(info.value)
 
     def test_h_beyond_the_domain_names_h(self, member_config, tmp_path):
         config = parse_config(member_config)

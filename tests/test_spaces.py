@@ -117,6 +117,147 @@ class TestOrlicz:
         with pytest.raises(ValueError):
             TableOrlicz((1.0, 2.0, 3.0), (1.0, 4.0, 4.0))
 
+    @pytest.mark.parametrize("q", [0.0, -1.0, math.nan])
+    def test_power_log_needs_positive_q(self, q):
+        with pytest.raises(ValueError, match="q > 0"):
+            PowerLogOrlicz(q)
+
+    @pytest.mark.parametrize("lower, upper", [
+        (0.0, 2.0), (-1.0, 2.0), (0.0, -1.0), (3.0, 2.0), (math.nan, 2.0),
+    ])
+    def test_table_types_need_positive_ordered_types(self, tmp_path,
+                                                     lower, upper):
+        with pytest.raises(ValueError, match="types"):
+            TableOrlicz((1.0, 2.0), (1.0, 4.0), lower, upper)
+        path = tmp_path / "phi.csv"
+        path.write_text("1,1\n2,4\n")
+        with pytest.raises(ValueError, match="types"):
+            orlicz_from_csv(path, lower, upper)
+
+    @pytest.mark.parametrize("phi, phi_q", [("plog", 0), ("plog", -1),
+                                            ("power", 0), ("plog", "two")])
+    def test_bad_phi_from_config_names_space(self, phi, phi_q):
+        record = {"kind": "orlicz", "phi": phi, "phi_q": phi_q}
+        with pytest.raises(ConfigError) as info:
+            build_space(record, 1)
+        assert info.value.field == "space"
+
+
+def _bisection_luxemburg(modular, lam0, lower_type=1.0,
+                         upper_type=math.inf):
+    """The Luxemburg solve the bracketed one replaced, as a reference: it
+    ignores the types and doubles, halves, then bisects to 1e-15."""
+    lam0 = np.atleast_1d(np.asarray(lam0, dtype=float))
+    out = np.zeros_like(lam0)
+    active = lam0 > 0
+    if not np.any(active):
+        return out
+    hi = lam0.copy()
+    hi[~active] = 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(200):
+            bad = active & (modular(hi) > 1.0)
+            if not np.any(bad):
+                break
+            hi[bad] *= 2.0
+        lo = hi / 2.0
+        for _ in range(200):
+            move = active & (modular(lo) <= 1.0)
+            if not np.any(move):
+                break
+            hi[move] = lo[move]
+            lo[move] /= 2.0
+        for _ in range(200):
+            if np.all(hi[active] - lo[active] <= 1e-15 * hi[active]):
+                break
+            mid = 0.5 * (lo + hi)
+            le = modular(mid) <= 1.0
+            hi = np.where(active & le, mid, hi)
+            lo = np.where(active & ~le, mid, lo)
+    out[active] = 0.5 * (lo[active] + hi[active])
+    return out
+
+
+_T2_TABLE = (tuple(np.geomspace(1e-3, 1e3, 41)),
+             tuple(np.geomspace(1e-3, 1e3, 41) ** 2))
+
+
+class TestLuxemburgSolve:
+    LUXEMBURG_SPECS = {
+        "power-1.2": OrliczSpace(PowerOrlicz(1.2)),
+        "power-2.5": OrliczSpace(PowerOrlicz(2.5)),
+        "power-log": OrliczSpace(PowerLogOrlicz(1.5)),
+        "table": OrliczSpace(TableOrlicz(*_T2_TABLE)),
+        "table-types-3-3": OrliczSpace(TableOrlicz(*_T2_TABLE, 3.0, 3.0)),
+        "table-types-5-8": OrliczSpace(TableOrlicz(*_T2_TABLE, 5.0, 8.0)),
+        "variable": VariableLebesgue(lambda pts: 2.0 + 0.5 * pts[:, 0]),
+        "slice": OrliczSlice(PowerLogOrlicz(1.0), 2.0, 0.15),
+    }
+
+    @pytest.mark.parametrize("domain, h", [
+        (Interval(0.0, 1.0), 1.0 / 64),
+        (Box((0.0, 0.0), (1.0, 1.0)), 0.1),
+        (Disk((0.0, 0.0), 1.0), 0.15),
+    ], ids=["interval", "box", "disk"])
+    @pytest.mark.parametrize("name", list(LUXEMBURG_SPECS))
+    def test_matches_bisection(self, monkeypatch, rng, name, domain, h):
+        import bbmlab.spaces as spaces
+
+        spec = self.LUXEMBURG_SPECS[name]
+        grid = sample_quadrature(domain, h)
+        bracketed = spaces._luxemburg
+        for scale in (1e-6, 1e-2, 1.0, 1e3, 1e6):
+            for zeros in (0.0, 0.3, 0.9):
+                values = scale * rng.normal(size=len(grid))
+                values[rng.random(len(grid)) < zeros] = 0.0
+                f = field_on(grid, values)
+                monkeypatch.setattr(spaces, "_luxemburg", bracketed)
+                got = norm(spec, f)
+                monkeypatch.setattr(spaces, "_luxemburg",
+                                    _bisection_luxemburg)
+                want = norm(spec, f)
+                assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("lower, upper", [
+        (3.0, 3.0), (0.5, 0.5), (5.0, 8.0), (1.0, 1.5)])
+    def test_wrong_declared_types_still_solve(self, unit_interval_grid, rng,
+                                              lower, upper):
+        spec = OrliczSpace(TableOrlicz(*_T2_TABLE, lower, upper))
+        for scale in (1e-6, 1.0, 1e6):
+            f = field_on(unit_interval_grid,
+                         scale * rng.normal(size=len(unit_interval_grid)))
+            assert norm(spec, f) == pytest.approx(norm(Lebesgue(2.0), f),
+                                                  rel=1e-13)
+
+    def test_median_evaluations_per_solve(self, monkeypatch):
+        import bbmlab.spaces as spaces
+        from bbmlab.checks import engine_catalog
+
+        solve = spaces._luxemburg
+        evaluations = []
+
+        def counting(modular, *args):
+            calls = 0
+
+            def counted(lam):
+                nonlocal calls
+                calls += 1
+                return modular(lam)
+
+            out = solve(counted, *args)
+            evaluations.append(calls)
+            return out
+
+        monkeypatch.setattr(spaces, "_luxemburg", counting)
+        rng = np.random.default_rng(7)
+        for name, spec, grid in engine_catalog():
+            if name in ("orlicz", "variable", "orlicz_slice"):
+                for _ in range(10):
+                    norm(spec, field_on(grid, rng.normal(scale=2.0,
+                                                         size=len(grid))))
+        assert len(evaluations) >= 30
+        assert np.median(evaluations) <= 12
+
 
 class TestMorrey:
     def test_alpha_equals_r_collapse(self, unit_interval_grid, rng):
