@@ -12,7 +12,7 @@ from scipy.special import gammaln
 from scipy.stats import kendalltau
 
 from .field import SampledField, gradient_magnitude_field
-from .mollifiers import RdatiFamily
+from .mollifiers import RdatiFamily, check_p
 from .nonlocal_energy import bbm_functional_schedule, gagliardo_functional
 from .spaces import SpaceSpec, norm
 
@@ -175,6 +175,7 @@ def convergence_study(field: SampledField, p: float, spec: SpaceSpec,
     mode "gagliardo": schedule lists s values increasing to 1; internally
     the sweep runs over scales nu = 1 - s.
     """
+    check_p(p)
     schedule = [float(v) for v in schedule]
     if len(schedule) < 4:
         raise ValueError("schedule needs at least 4 points")

@@ -287,6 +287,10 @@ class QuadratureGrid:
     axes : per-axis (coords, weights) tuples for tensor grids, else None;
         mixed-norm engines require this structure
     domain : the domain the grid discretizes, when known
+    lattice : (N, n) integer index of each point on the lattice of spacing
+        h, for grids whose every point is the midpoint of a full h^n cell
+        of that lattice, else None; the energy pass sums over its integer
+        offsets
     """
 
     points: np.ndarray
@@ -294,6 +298,7 @@ class QuadratureGrid:
     h: float
     axes: Optional[tuple] = None
     domain: Optional["Domain"] = None
+    lattice: Optional[np.ndarray] = None
 
     def __post_init__(self):
         pts = np.atleast_2d(np.asarray(self.points, dtype=float))
@@ -306,6 +311,12 @@ class QuadratureGrid:
         w.setflags(write=False)
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "weights", w)
+        if self.lattice is not None:
+            idx = np.asarray(self.lattice, dtype=np.int64)
+            if idx.shape != pts.shape:
+                raise ValueError("lattice indices must match the points")
+            idx.setflags(write=False)
+            object.__setattr__(self, "lattice", idx)
 
     @property
     def dimension(self) -> int:
@@ -326,6 +337,17 @@ def _axis_cells(lo: float, hi: float, h: float):
     return mids, widths
 
 
+# a last cell narrower than h by more than this share is clipped
+_FULL_CELL_TOL = 1e-9
+
+
+def _lattice_indices(counts) -> np.ndarray:
+    """(prod counts, n) integer indices of a full lattice, raveled in C
+    order like the meshgrids of `sample_quadrature`."""
+    mesh = np.meshgrid(*[np.arange(c) for c in counts], indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=-1)
+
+
 # the quadrature schemes `sample_quadrature` builds
 SCHEMES = ("tensor-midpoint", "quasi-random")
 
@@ -337,6 +359,8 @@ def sample_quadrature(domain: Domain, h: float,
     tensor-midpoint: per-axis midpoint cells; boxes/intervals clip the last
     cell so the weight sum is exact, disks/polygons keep full h^n cells
     whose centers pass the membership test (first-order boundary error).
+    These grids carry the integer `lattice` index of each point, except
+    boxes with a clipped cell, whose last midpoints leave the lattice.
     quasi-random: Halton points in the bounding box, constant weight
     |box|/N, points outside the domain discarded.
     """
@@ -355,17 +379,21 @@ def sample_quadrature(domain: Domain, h: float,
             w = np.ones(pts.shape[0])
             for wm in wmesh:
                 w = w * wm.ravel()
-            return QuadratureGrid(pts, w, h, axes=axes, domain=domain)
-        coords = [lo[i] + h * (np.arange(int(math.ceil((hi[i] - lo[i]) / h))) + 0.5)
-                  for i in range(n)]
-        mesh = np.meshgrid(*coords, indexing="ij")
-        pts = np.stack([m.ravel() for m in mesh], axis=-1)
+            full = all(abs(a[1][-1] - h) <= _FULL_CELL_TOL * h for a in axes)
+            lattice = _lattice_indices([len(a[0]) for a in axes]) \
+                if full else None
+            return QuadratureGrid(pts, w, h, axes=axes, domain=domain,
+                                  lattice=lattice)
+        counts = [int(math.ceil((hi[i] - lo[i]) / h)) for i in range(n)]
+        lattice = _lattice_indices(counts)
+        pts = lo + h * (lattice + 0.5)
         keep = contains_many(domain, pts)
-        pts = pts[keep]
+        pts, lattice = pts[keep], lattice[keep]
         if len(pts) == 0:
             raise ValueError("no cell centers fall inside the domain; "
                              "decrease h")
-        return QuadratureGrid(pts, np.full(pts.shape[0], h**n), h, domain=domain)
+        return QuadratureGrid(pts, np.full(pts.shape[0], h**n), h,
+                              domain=domain, lattice=lattice)
     if scheme == "quasi-random":
         box_vol = float(np.prod(hi - lo))
         total = max(8, int(round(box_vol / h**n)))

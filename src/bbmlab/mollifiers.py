@@ -21,6 +21,7 @@ import numpy as np
 from scipy import integrate
 
 __all__ = [
+    "check_p",
     "PowerKernel",
     "RdatiFamily",
     "fractional_family",
@@ -29,6 +30,15 @@ __all__ = [
     "normalization_defect",
     "tail_mass",
 ]
+
+
+def check_p(p) -> float:
+    """`p` as a float, if it is a finite exponent >= 1; every energy
+    pass and kernel family needs one."""
+    p = float(p)
+    if not 1.0 <= p < math.inf:
+        raise ValueError(f"p must be a finite number >= 1, got {p!r}")
+    return p
 
 
 @dataclass(frozen=True)
@@ -119,9 +129,10 @@ class RdatiFamily:
 
 def fractional_family(p: float, R: float, n: int) -> RdatiFamily:
     """The kernel driving the Gagliardo-seminorm limit, cut off at 2R."""
-    if p < 1 or R <= 0:
-        raise ValueError("fractional family needs p >= 1 and R > 0")
-    return RdatiFamily("fractional", n, p=float(p), R=float(R))
+    p = check_p(p)
+    if not 0.0 < R < math.inf:
+        raise ValueError(f"fractional family needs a finite R > 0, got {R!r}")
+    return RdatiFamily("fractional", n, p=p, R=float(R))
 
 
 def bump_family(n: int) -> RdatiFamily:

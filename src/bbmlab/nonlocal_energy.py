@@ -5,29 +5,35 @@ field's own grid.  Every shipped kernel (bump, fractional, Gagliardo) is a
 `mollifiers.PowerKernel`, a power law A r^e cut off at some radius, so two
 quadrature refinements come in closed form: far cells use the radial
 average of the kernel across the cell width instead of a midpoint value,
-and the near field inside roughly two grid spacings is re-integrated in
-polar coordinates with the difference quotient frozen at its grid average.
-This keeps the total quadrature error O(h) uniformly over admissible
-scales.
+and the near field, the cells at 0 < r < NEAR_FIELD_FACTOR * h, is
+re-integrated in polar coordinates with the difference quotient frozen at
+its grid average.  This keeps the total quadrature error O(h) uniformly
+over admissible scales.
 
 One pass serves every kernel of a schedule, and every entry point (the
-functionals, `energy_half_field` and `pointwise_energy`) runs it.  Its
-pairs come from one of two sources, both as flat (row, column, distance)
-arrays in blocks of at most _PAIR_BUDGET pairs, feeding the same near/far
-accumulation:
+functionals, `energy_half_field` and `pointwise_energy`) runs it.  It has
+two sources, chosen by the grid:
 
-* all pairs, when every pair of points lies within the kernels' reach
-  (Gagliardo kernels, whose cut is infinite, and the fractional family
-  whenever its cut 2R spans the grid);
-* otherwise a k-d tree neighbour list of the pairs within the reach,
-  max(largest cut + half the widest cell, NEAR_FIELD_FACTOR * h).
+* lattice grids, whose points carry integer `lattice` indices
+  (tensor-midpoint intervals and boxes whose cells are all full, disks and
+  polygons).  A pair's distance is |o| h for its integer offset o, so each
+  kernel is evaluated once per offset, c_k(o) = cell_average(|o| h, h) /
+  (|o| h)^p, and the sum over the offsets within the reach is one
+  (kernels x offsets) @ (offsets x rows) product of those weights with the
+  differences D_o(x) = |f(x+o) - f(x)|^p w(x+o).  The grid sits in its
+  bounding lattice with zero weight outside the domain.  An offset is near
+  iff |o|^2 < NEAR_FIELD_FACTOR^2, an exact integer test;
+* point clouds (quasi-random grids, boxes with a clipped last cell, grids
+  read from CSV): a k-d tree neighbour list of the pairs within the reach,
+  max(largest cut + half the widest cell, NEAR_FIELD_FACTOR * h), with
+  distances from the coordinates.  A pair is near iff
+  r < NEAR_FIELD_FACTOR * h * (1 - _NEAR_MARGIN), so that round-off in the
+  coordinates never decides the pairs at exactly two spacings.
 
-The choice is exact: the tree counts the pairs within the reach, and the
-all-pairs source is taken only when that count is every pair.  A far
-pair whose distance exceeds a kernel's cut by half its cell width has a
-zero cell-averaged kernel, so each kernel accumulates only the far pairs
-inside its own cut; both sources give the same sums up to the order of
-floating-point additions.
+Both sources work in blocks of at most _PAIR_BUDGET pair entries and leave
+out only pairs whose cell lies beyond every kernel's cut, which add
+exactly zero.  The offset source multiplies fixed tiles of _ROW_TILE rows,
+so a row's sums do not depend on how the rows are blocked.
 """
 
 from __future__ import annotations
@@ -41,7 +47,7 @@ from scipy.spatial import cKDTree
 
 from .field import SampledField
 from .geometry import QuadratureGrid
-from .mollifiers import RdatiFamily, gagliardo_kernel
+from .mollifiers import RdatiFamily, check_p, gagliardo_kernel
 from .spaces import SpaceSpec, norm, unit_ball_volume
 
 __all__ = [
@@ -55,8 +61,16 @@ __all__ = [
 
 # cells closer than NEAR_FIELD_FACTOR * h are handled analytically
 NEAR_FIELD_FACTOR = 2.0
-# pair entries one block of the pass holds at once (bounds its memory)
-_PAIR_BUDGET = 4_000_000
+# relative margin that gives the near rule r < NEAR_FIELD_FACTOR * h its
+# exact-arithmetic reading on point-cloud distances: far above their
+# round-off, far below h
+_NEAR_MARGIN = 1e-9
+# pair entries one block of the pass holds at once: bounds its memory, and
+# blocks that stay in cache run about twice as fast as larger ones
+_PAIR_BUDGET = 1 << 20
+# evaluated rows per product of the offset pass; fixed, so that a row's
+# sums do not depend on how the rows are blocked
+_ROW_TILE = 8
 
 
 @dataclass(frozen=True)
@@ -68,41 +82,19 @@ class EnergyParams:
     nu: float
 
     def __post_init__(self):
-        if self.p < 1:
-            raise ValueError("p must be >= 1")
+        check_p(self.p)
         self.family._check_nu(self.nu)
-
-
-def _distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Euclidean distances between broadcast point arrays (last axis)."""
-    diff = x - y
-    return np.sqrt(np.einsum("...i,...i->...", diff, diff))
-
-
-def _all_pair_blocks(pts: np.ndarray, eval_idx: np.ndarray):
-    """Every (row, column) pair, in blocks of whole rows."""
-    n_pts = len(pts)
-    block = max(1, _PAIR_BUDGET // max(n_pts, 1))
-    for start in range(0, len(eval_idx), block):
-        sel = eval_idx[start:start + block]
-        # built inline so that the consumer holds the only references
-        yield (slice(start, start + len(sel)),
-               np.repeat(np.arange(len(sel)), n_pts),
-               np.tile(np.arange(n_pts), len(sel)),
-               _distances(pts[sel][:, None, :], pts[None, :, :]).ravel())
 
 
 def _neighbour_pairs(tree: cKDTree, pts: np.ndarray, sel: np.ndarray,
                      reach: float):
     """(rows, cols, dist) of the pairs within `reach` of the points
-    pts[sel], ordered by row then column."""
-    n_pts = len(pts)
+    pts[sel], ordered by row then column, so that each row sums its pairs
+    in the same order whatever block it falls in."""
     found = cKDTree(pts[sel]).sparse_distance_matrix(
         tree, reach, output_type="ndarray")
-    rows, cols = np.divmod(np.sort(found["i"] * n_pts + found["j"]), n_pts)
-    del found
-    # recomputed as in the all-pairs source, so both agree bit for bit
-    return rows, cols, _distances(pts[sel][rows], pts[cols])
+    found = found[np.argsort(found["i"] * len(pts) + found["j"])]
+    return found["i"], found["j"], found["v"]
 
 
 def _neighbour_blocks(tree: cKDTree, pts: np.ndarray, eval_idx: np.ndarray,
@@ -120,56 +112,38 @@ def _neighbour_blocks(tree: cKDTree, pts: np.ndarray, eval_idx: np.ndarray,
         start = stop
 
 
-def _pair_blocks(pts: np.ndarray, eval_idx: np.ndarray, reach: float):
-    """Blocks of (block, rows, cols, dist) covering every pair within
-    `reach`: all pairs when every pair lies within it, else a neighbour
-    list.  `block` slices eval_idx, rows index eval_idx[block] and cols
-    index pts."""
-    tree = cKDTree(pts)
-    counts = tree.query_ball_point(pts[eval_idx], reach, return_length=True)
-    if int(counts.sum()) == len(eval_idx) * len(pts):
-        return _all_pair_blocks(pts, eval_idx)
-    return _neighbour_blocks(tree, pts, eval_idx, reach, counts)
-
-
-def _energy_values(field: SampledField, kernels, p: float,
-                   eval_idx: np.ndarray) -> np.ndarray:
-    """Pointwise energies for several kernels sharing one pair pass.
-
-    Returns an array of shape (len(kernels), len(eval_idx)).
-    """
+def _tree_sums(field: SampledField, kernels, p: float,
+               eval_idx: np.ndarray):
+    """(far, near_num, near_mass) over a k-d tree neighbour list, for
+    point clouds; see `_energy_values`."""
     grid = field.grid
     pts = grid.points
     w = grid.weights
     vals = field.values
-    n = grid.dimension
-    near_radius = NEAR_FIELD_FACTOR * grid.h
-    sigma = 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
-    cn = unit_ball_volume(n)
-    cell_width = w ** (1.0 / n)
-    # pairs beyond every kernel's cut by half a cell add exactly zero; the
-    # margin covers the last bits the tree's distances may differ in
+    near_radius = NEAR_FIELD_FACTOR * grid.h * (1.0 - _NEAR_MARGIN)
+    cell_width = w ** (1.0 / grid.dimension)
+    # pairs beyond every kernel's cut by half a cell add exactly zero
     reach = max(max(k.cut for k in kernels) + cell_width.max() / 2.0,
-                near_radius) * (1.0 + 1e-12)
+                NEAR_FIELD_FACTOR * grid.h)
     by_cut = sorted(range(len(kernels)), key=lambda ki: -kernels[ki].cut)
-    out = np.zeros((len(kernels), len(eval_idx)))
-    for block, rows, cols, dist in _pair_blocks(pts, eval_idx, reach):
+    far_sums = np.zeros((len(kernels), len(eval_idx)))
+    near_num = np.zeros(len(eval_idx))
+    near_mass = np.zeros(len(eval_idx))
+    tree = cKDTree(pts)
+    counts = tree.query_ball_point(pts[eval_idx], reach, return_length=True)
+    for block, rows, cols, dist in _neighbour_blocks(tree, pts, eval_idx,
+                                                     reach, counts):
         sel = eval_idx[block]
         vals_sel = vals[sel]
-        # frozen difference quotient: cell-weighted p-th power average
         near = (dist > 0.0) & (dist < near_radius)
         near_rows, near_cols = rows[near], cols[near]
         near_w = w[near_cols]
         quot = (np.abs(vals_sel[near_rows] - vals[near_cols]) ** p
                 / dist[near] ** p)
-        near_mass = np.bincount(near_rows, weights=near_w,
-                                minlength=len(sel))
-        qbar = np.divide(
-            np.bincount(near_rows, weights=quot * near_w, minlength=len(sel)),
-            near_mass, out=np.zeros_like(near_mass), where=near_mass > 0,
-        )
-        # radius of the ball carrying the excluded cells' measure
-        r_eff = ((near_mass + w[sel]) / cn) ** (1.0 / n)
+        near_mass[block] = np.bincount(near_rows, weights=near_w,
+                                       minlength=len(sel))
+        near_num[block] = np.bincount(near_rows, weights=quot * near_w,
+                                      minlength=len(sel))
         far = dist >= near_radius
         rows, cols, dist = rows[far], cols[far], dist[far]
         width = cell_width[cols]
@@ -187,16 +161,130 @@ def _energy_values(field: SampledField, kernels, p: float,
                 rows, dist, width, quot_w, lo = (
                     a[inside] for a in (rows, dist, width, quot_w, lo))
             rho_bar = kernel.cell_average(dist, width)
-            far_term = np.bincount(rows, weights=quot_w * rho_bar,
-                                   minlength=len(sel))
-            near_term = qbar * sigma * kernel.mass_below(r_eff)
-            out[ki, block] = far_term + near_term
+            far_sums[ki, block] = np.bincount(rows, weights=quot_w * rho_bar,
+                                              minlength=len(sel))
+    return far_sums, near_num, near_mass
+
+
+def _lattice_offsets(grid: QuadratureGrid, kernels, p: float):
+    """The integer offsets of the pass, near ones first, and their weights.
+
+    Returns (offsets, n_near, coef): coef[0] holds 1 / (|o| h)^p on the
+    near offsets, 0 < |o| < NEAR_FIELD_FACTOR, and coef[1 + k] the weight
+    c_k(o) = cell_average_k(|o| h, h) / (|o| h)^p of kernel k on the far
+    ones.  Far offsets whose cell lies beyond every cut carry only zero
+    weights and are left out.
+    """
+    h = grid.h
+    extent = grid.lattice.max(axis=0) - grid.lattice.min(axis=0)
+    max_cut = max(k.cut for k in kernels)
+    # no offset beyond ceil(cut / h) + 1 cells along an axis reaches a cut
+    cells = math.ceil(max_cut / h) + 1 if math.isfinite(max_cut) else math.inf
+    spans = [int(min(e, cells)) for e in extent]
+    offsets = np.stack([m.ravel() for m in np.meshgrid(
+        *[np.arange(-s, s + 1) for s in spans], indexing="ij")], axis=-1)
+    sq = np.einsum("ij,ij->i", offsets, offsets)
+    near = (sq > 0) & (sq < NEAR_FIELD_FACTOR ** 2)
+    far = sq >= NEAR_FIELD_FACTOR ** 2
+    r_near = np.sqrt(sq[near]) * h
+    r_far = np.sqrt(sq[far]) * h
+    c_far = np.stack([k.cell_average(r_far, h) for k in kernels]) / r_far**p
+    reached = np.any(c_far > 0.0, axis=0)
+    n_near, n_far = len(r_near), int(reached.sum())
+    coef = np.zeros((1 + len(kernels), n_near + n_far))
+    coef[0, :n_near] = r_near ** -p
+    coef[1:, n_near:] = c_far[:, reached]
+    return (np.concatenate([offsets[near], offsets[far][reached]]), n_near,
+            coef)
+
+
+def _offset_blocks(n_tiles: int, n_offsets: int, n_near: int):
+    """(tiles, offsets) slices of the offset pass's blocks.  A block holds
+    whole tiles and at most _PAIR_BUDGET entries; the offsets are split
+    only once one tile of all of them exceeds the budget, and the near
+    offsets, which come first, always stay in the first block."""
+    o_step = max(n_near, _PAIR_BUDGET // _ROW_TILE)
+    t_step = max(1, _PAIR_BUDGET // (max(1, min(n_offsets, o_step))
+                                     * _ROW_TILE))
+    for t0 in range(0, n_tiles, t_step):
+        for o0 in range(0, n_offsets, o_step):
+            yield slice(t0, t0 + t_step), slice(o0, o0 + o_step)
+
+
+def _offset_sums(field: SampledField, kernels, p: float,
+                 eval_idx: np.ndarray):
+    """(far, near_num, near_mass) as sums over the integer offsets of a
+    lattice grid; see `_energy_values`."""
+    grid = field.grid
+    offsets, n_near, coef = _lattice_offsets(grid, kernels, p)
+    # the grid in a box of its lattice padded by the largest offset, with
+    # zero weight wherever the lattice has no grid point
+    pad = np.abs(offsets).max(axis=0, initial=0)
+    idx = grid.lattice - grid.lattice.min(axis=0) + pad
+    shape = tuple(int(d) for d in idx.max(axis=0) + pad + 1)
+    pos = np.ravel_multi_index(tuple(idx.T), shape)
+    vals_pad = np.zeros(math.prod(shape))
+    vals_pad[pos] = field.values
+    w_pad = np.zeros(math.prod(shape))
+    w_pad[pos] = grid.weights
+    shifts = np.ravel_multi_index(tuple((offsets + pad).T), shape) \
+        - np.ravel_multi_index(tuple(pad), shape)
+    # rows in tiles of _ROW_TILE, the last one filled up with repeated rows
+    n_rows = len(eval_idx)
+    n_tiles = -(-n_rows // _ROW_TILE)
+    rows = pos[np.resize(eval_idx, n_tiles * _ROW_TILE)].reshape(
+        n_tiles, _ROW_TILE)
+    sums = np.zeros((n_tiles, len(coef), _ROW_TILE))
+    near_mass = np.zeros((n_tiles, _ROW_TILE))
+    for tile_block, off_block in _offset_blocks(n_tiles, len(shifts),
+                                                n_near):
+        tiles = rows[tile_block]
+        at = shifts[off_block, None] + tiles[:, None, :]
+        if off_block.start == 0:
+            near_mass[tile_block] = w_pad[at[:, :n_near]].sum(axis=1)
+        # D_o(x) = |f(x + o) - f(x)|^p w(x + o), one (O x tile) per tile
+        diff = vals_pad[at]
+        diff -= vals_pad[tiles][:, None, :]
+        np.abs(diff, out=diff)
+        diff **= p
+        diff *= w_pad[at]
+        del at
+        sums[tile_block] += np.matmul(coef[:, off_block], diff)
+    sums = sums.transpose(1, 0, 2).reshape(len(coef), -1)[:, :n_rows]
+    return sums[1:], sums[0], near_mass.ravel()[:n_rows]
+
+
+def _energy_values(field: SampledField, kernels, p: float,
+                   eval_idx: np.ndarray) -> np.ndarray:
+    """Pointwise energies for several kernels sharing one pass.
+
+    Returns an array of shape (len(kernels), len(eval_idx)).  The source
+    returns, per evaluated row, each kernel's far sum, the near sum
+    sum |f(y) - f(x)|^p / |y - x|^p w(y) and the near cells' measure.
+    """
+    grid = field.grid
+    n = grid.dimension
+    source = _tree_sums if grid.lattice is None else _offset_sums
+    out, near_num, near_mass = source(field, kernels, p, eval_idx)
+    sigma = 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
+    cn = unit_ball_volume(n)
+    # frozen difference quotient: cell-weighted p-th power average
+    qbar = np.divide(near_num, near_mass, out=np.zeros_like(near_mass),
+                     where=near_mass > 0)
+    # radius of the ball carrying the excluded cells' measure
+    r_eff = ((near_mass + grid.weights[eval_idx]) / cn) ** (1.0 / n)
+    for ki, kernel in enumerate(kernels):
+        out[ki] += qbar * sigma * kernel.mass_below(r_eff)
     return out
 
 
 def pointwise_energy(field: SampledField, x_index: int,
                      params: EnergyParams) -> float:
     """Energy density at one grid point (same path as the functionals)."""
+    if isinstance(x_index, bool) or not isinstance(x_index, (int, np.integer)) \
+            or not 0 <= x_index < len(field.grid):
+        raise ValueError(f"x_index must be an integer in [0, "
+                         f"{len(field.grid)}), got {x_index!r}")
     kernel = params.family.kernel(params.nu, params.p)
     value = _energy_values(field, [kernel], params.p,
                            np.asarray([x_index]))[0, 0]
@@ -239,8 +327,9 @@ def _strided_grid(grid: QuadratureGrid, stride: int):
 def _half_fields(field: SampledField, kernels, p: float,
                  stride: int) -> list:
     """The fields x -> E(x)^(1/p), one per kernel, on the strided grid."""
-    if stride < 1:
-        raise ValueError("stride must be >= 1")
+    if isinstance(stride, bool) or not isinstance(stride, (int, np.integer)) \
+            or stride < 1:
+        raise ValueError(f"stride must be an integer >= 1, got {stride!r}")
     eval_idx, out_grid = _strided_grid(field.grid, stride)
     energies = _energy_values(field, kernels, p, eval_idx)
     return [SampledField(out_grid, row ** (1.0 / p)) for row in energies]
@@ -273,7 +362,8 @@ def bbm_functional(field: SampledField, params: EnergyParams,
 def bbm_functional_schedule(field: SampledField, p: float,
                             family: RdatiFamily, nus, spec: SpaceSpec,
                             stride: int = 1) -> np.ndarray:
-    """Functional values over a scale schedule, sharing one distance pass."""
+    """Functional values over a scale schedule, sharing one energy pass."""
+    check_p(p)
     kernels = [family.kernel(nu, p) for nu in nus]
     for nu in nus:
         _warn_scale(nu, field.grid.h, p)
@@ -289,6 +379,7 @@ def gagliardo_functional(field: SampledField, p: float, s: float,
     family at nu = 1 - s the two routes differ by the exact factor
     p^(1/p) (2R)^(-nu).
     """
+    check_p(p)
     if not 0.0 < s < 1.0:
         raise ValueError("s must lie in (0, 1)")
     _warn_scale(1.0 - s, field.grid.h, p)

@@ -292,7 +292,7 @@ def test_ac11_upper_bound_ratio():
 def test_ac11_growth_clause_rejects_step():
     # negative control: a jump across x = 0.5 makes the continuum ratio grow
     # like nu^(-1/2); its gradient is still taken from the smooth part, so
-    # the bounded clause alone (max ratio 5.53 < 8.86) would not catch it
+    # the bounded clause alone (max ratio 5.93 < 8.86) would not catch it
     grid = ac11_grid()
     smooth = sample(product_sine(2), grid)
     jump = (grid.points[:, 0] > 0.5).astype(float)

@@ -136,6 +136,23 @@ class TestConvergenceStudy:
             convergence_study(f, 2.0, Lebesgue(2.0), bump_family(1),
                               [0.05, 0.1, 0.2, 0.4])
 
+    @pytest.mark.parametrize("mode, family", [("gagliardo", None),
+                                              ("rdati", bump_family(1))])
+    @pytest.mark.parametrize("p", [0.5, math.nan, math.inf])
+    def test_bad_p_fails_before_any_pass(self, monkeypatch, line_setup, mode,
+                                         family, p):
+        import bbmlab.nonlocal_energy as nonlocal_energy
+
+        def fail(*args):
+            raise AssertionError("an energy pass ran")
+
+        monkeypatch.setattr(nonlocal_energy, "_energy_values", fail)
+        _, _, f = line_setup
+        with pytest.raises(ValueError, match="p must be a finite number"):
+            convergence_study(f, p, Lebesgue(2.0), family,
+                              [0.8, 0.9, 0.95, 0.975] if family is None
+                              else [0.2, 0.1, 0.05, 0.025], mode=mode)
+
     def test_gagliardo_mode(self, line_setup):
         _, _, f = line_setup
         report = convergence_study(f, 2.0, Lebesgue(2.0), None,

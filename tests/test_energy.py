@@ -8,6 +8,7 @@ from bbmlab.field import (
     SampledField,
     indicator_halfspace,
     linear,
+    load_field_csv,
     product_sine,
     sample,
 )
@@ -15,10 +16,11 @@ from bbmlab.geometry import (
     Box,
     Disk,
     Interval,
+    Polygon,
     enclosing_radius,
     sample_quadrature,
 )
-from bbmlab.mollifiers import bump_family, fractional_family
+from bbmlab.mollifiers import bump_family, fractional_family, gagliardo_kernel
 from bbmlab.nonlocal_energy import (
     EnergyParams,
     bbm_functional,
@@ -27,7 +29,7 @@ from bbmlab.nonlocal_energy import (
     gagliardo_functional,
     pointwise_energy,
 )
-from bbmlab.spaces import Lebesgue, MixedLebesgue, norm
+from bbmlab.spaces import Lebesgue, MixedLebesgue, norm, unit_ball_volume
 
 
 @pytest.fixture(scope="module")
@@ -181,13 +183,68 @@ class TestGagliardoRoute:
 
 
 BUMP_SCHEDULE = [0.2 * 0.5**k for k in range(7)]
+# the reference's near rule: r < NEAR_FIELD_FACTOR * h in exact arithmetic
+NEAR_MARGIN = 1e-9
+TRIANGLE = Polygon([(0.0, 0.0), (1.0, 0.0), (0.3, 0.8)])
+
+
+def _all_pairs_reference(field, kernels, p, eval_idx):
+    """The all-pairs pass the offset pass replaced, as a reference: every
+    (row, column) pair, distances and cell widths from the coordinates and
+    the weights, near iff 0 < r < NEAR_FIELD_FACTOR h (1 - NEAR_MARGIN)."""
+    grid = field.grid
+    pts, w, vals = grid.points, grid.weights, field.values
+    n = grid.dimension
+    near_radius = nonlocal_energy.NEAR_FIELD_FACTOR * grid.h \
+        * (1.0 - NEAR_MARGIN)
+    sigma = 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
+    cn = unit_ball_volume(n)
+    cell_width = w ** (1.0 / n)
+    out = np.zeros((len(kernels), len(eval_idx)))
+    for start in range(0, len(eval_idx), 256):
+        sel = eval_idx[start:start + 256]
+        diff = pts[sel][:, None, :] - pts[None, :, :]
+        dist = np.sqrt(np.einsum("...i,...i->...", diff, diff))
+        near = (dist > 0.0) & (dist < near_radius)
+        far = dist >= near_radius
+        with np.errstate(divide="ignore", invalid="ignore"):
+            quot_w = np.abs(vals[sel][:, None] - vals[None, :]) ** p \
+                / dist**p * w
+        near_mass = np.where(near, w, 0.0).sum(axis=1)
+        qbar = np.divide(np.where(near, quot_w, 0.0).sum(axis=1), near_mass,
+                         out=np.zeros(len(sel)), where=near_mass > 0)
+        r_eff = ((near_mass + w[sel]) / cn) ** (1.0 / n)
+        for ki, kernel in enumerate(kernels):
+            rho_bar = kernel.cell_average(np.where(far, dist, 1.0),
+                                          cell_width)
+            far_term = np.where(far, quot_w * rho_bar, 0.0).sum(axis=1)
+            out[ki, start:start + len(sel)] = (
+                far_term + qbar * sigma * kernel.mass_below(r_eff))
+    return out
+
+
+def _kernels(kind, nus, p, n):
+    if kind == "bump":
+        return [bump_family(n).kernel(nu, p) for nu in nus]
+    if kind == "fractional":
+        return [fractional_family(p, 0.4, n).kernel(nu, p) for nu in nus]
+    return [gagliardo_kernel(s, p, n) for s in nus]
+
+
+def _energies(field, kernels, p, stride):
+    eval_idx, _ = nonlocal_energy._strided_grid(field.grid, stride)
+    return nonlocal_energy._energy_values(field, kernels, p, eval_idx)
+
+
+def _reference(field, kernels, p, stride):
+    eval_idx, _ = nonlocal_energy._strided_grid(field.grid, stride)
+    return _all_pairs_reference(field, kernels, p, eval_idx)
 
 
 def _spy_sources(monkeypatch):
-    """Record which pair source each energy pass takes."""
+    """Record which source each energy pass takes."""
     taken = []
-    for name, label in (("_all_pair_blocks", "all"),
-                        ("_neighbour_blocks", "neighbour")):
+    for name, label in (("_offset_sums", "offset"), ("_tree_sums", "tree")):
         original = getattr(nonlocal_energy, name)
 
         def spy(*args, _original=original, _label=label):
@@ -198,22 +255,39 @@ def _spy_sources(monkeypatch):
     return taken
 
 
-def _energies(field, kernels, stride):
-    eval_idx, _ = nonlocal_energy._strided_grid(field.grid, stride)
-    return nonlocal_energy._energy_values(field, kernels, 2.0, eval_idx)
+UNIT_SQUARE = Box((0.0, 0.0), (1.0, 1.0))
+UNIT_CUBE = Box((0.0, 0.0, 0.0), (1.0, 1.0, 1.0))
+UNIT_DISK = Disk((0.0, 0.0), 1.0)
 
-
-def _all_pairs_energies(field, kernels, stride):
-    """Energies with the all-pairs source forced on every input."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(nonlocal_energy, "_pair_blocks",
-                   lambda pts, eval_idx, reach:
-                   nonlocal_energy._all_pair_blocks(pts, eval_idx))
-        return _energies(field, kernels, stride)
+# beside the lattice cases of test_neighbour_list_matches_all_pairs
+LATTICE_CASES = [
+    (Interval(0.0, 1.0), 2e-3, product_sine(1), "gagliardo", [0.9], 1.5, 1),
+    (UNIT_SQUARE, 0.05, product_sine(2), "gagliardo", [0.95], 2.0, 1),
+    (UNIT_DISK, 0.08, linear((0.6, 0.8)), "bump", BUMP_SCHEDULE, 3.0, 2),
+    (TRIANGLE, 0.03, linear((0.6, 0.8)), "bump", BUMP_SCHEDULE, 2.0, 1),
+    (TRIANGLE, 0.04, product_sine(2), "gagliardo", [0.8, 0.9], 2.0, 2),
+    (UNIT_CUBE, 0.1, product_sine(3), "bump", [0.4, 0.2], 2.0, 1),
+    (UNIT_CUBE, 0.1, product_sine(3), "fractional", [0.3], 2.0, 2),
+    (UNIT_CUBE, 0.125, product_sine(3), "gagliardo", [0.9], 2.0, 1),
+]
 
 
 class TestPairSources:
-    """The neighbour list must reproduce the all-pairs pass."""
+    """Lattice grids take the offset pass, point clouds the k-d tree, and
+    both reproduce the all-pairs reference."""
+
+    @pytest.mark.parametrize(
+        "domain, h, fn, kind, nus, p, stride", LATTICE_CASES)
+    def test_offset_pass_matches_all_pairs(self, monkeypatch, domain, h, fn,
+                                           kind, nus, p, stride):
+        field = sample(fn, sample_quadrature(domain, h))
+        kernels = _kernels(kind, nus, p, domain.dimension)
+        dense = _reference(field, kernels, p, stride)
+        taken = _spy_sources(monkeypatch)
+        got = _energies(field, kernels, p, stride)
+        assert taken == ["offset"]
+        assert np.all(dense > 0)
+        assert np.max(np.abs(got - dense) / dense) <= 1e-12
 
     @pytest.mark.parametrize("domain, h, scheme, fn, family, nus, stride", [
         (Interval(0.0, 1.0), 2e-3, "tensor-midpoint", linear((1.0,)),
@@ -230,38 +304,127 @@ class TestPairSources:
          fractional_family(2.0, 0.3, 2), [0.2, 0.5], 1),
         (Box((0.0, 0.0), (1.0, 1.0)), 0.05, "quasi-random", product_sine(2),
          fractional_family(2.0, 0.3, 2), [0.2, 0.5], 2),
+        # 34 cells per side, the last one clipped to 0.01
+        (UNIT_SQUARE, 0.03, "tensor-midpoint", product_sine(2),
+         bump_family(2), BUMP_SCHEDULE, 1),
     ])
     def test_neighbour_list_matches_all_pairs(self, monkeypatch, domain, h,
                                               scheme, fn, family, nus,
                                               stride):
-        field = sample(fn, sample_quadrature(domain, h, scheme))
+        """Through the source its grid takes: the neighbour list on point
+        clouds, the offset pass on lattice grids."""
+        grid = sample_quadrature(domain, h, scheme)
+        field = sample(fn, grid)
         kernels = [family.kernel(nu, 2.0) for nu in nus]
-        dense = _all_pairs_energies(field, kernels, stride)
+        dense = _reference(field, kernels, 2.0, stride)
         taken = _spy_sources(monkeypatch)
-        sparse = _energies(field, kernels, stride)
-        assert taken == ["neighbour"]
+        got = _energies(field, kernels, 2.0, stride)
+        assert taken == ["tree" if grid.lattice is None else "offset"]
         assert np.all(dense > 0)
-        assert np.max(np.abs(sparse - dense) / dense) <= 1e-12
+        assert np.max(np.abs(got - dense) / dense) <= 1e-12
 
-    def test_full_support_takes_all_pairs(self, monkeypatch):
-        domain = Box((0.0, 0.0), (1.0, 1.0))
-        field = sample(product_sine(2), sample_quadrature(domain, 0.1))
+    @pytest.mark.parametrize("domain, h, scheme", [
+        (Interval(0.0, 1.0), 2e-3, "quasi-random"),
+        (UNIT_DISK, 0.06, "quasi-random"),
+        (UNIT_SQUARE, 0.03, "tensor-midpoint"),
+        (Box((0.0, 0.0, 0.0), (1.0, 1.0, 0.5)), 0.15, "tensor-midpoint"),
+    ])
+    def test_point_clouds_take_the_tree(self, monkeypatch, domain, h,
+                                        scheme):
+        grid = sample_quadrature(domain, h, scheme)
+        assert grid.lattice is None
+        field = sample(product_sine(domain.dimension), grid)
+        # a Gagliardo kernel reaches every pair of the cloud
+        kernels = [gagliardo_kernel(0.9, 2.0, domain.dimension)]
+        eval_idx = np.arange(0, len(grid), 7)
+        dense = _all_pairs_reference(field, kernels, 2.0, eval_idx)
+        taken = _spy_sources(monkeypatch)
+        got = nonlocal_energy._energy_values(field, kernels, 2.0, eval_idx)
+        assert taken == ["tree"]
+        assert np.max(np.abs(got - dense) / dense) <= 1e-12
+
+    def test_csv_import_takes_the_tree(self, monkeypatch, tmp_path):
+        grid = sample_quadrature(UNIT_DISK, 0.08)
+        path = tmp_path / "field.csv"
+        np.savetxt(path, np.column_stack([grid.points, grid.weights,
+                                          product_sine(2)(grid.points)]),
+                   delimiter=",", fmt="%.17g")
+        field = load_field_csv(path, 2)
+        assert field.grid.lattice is None
+        kernels = _kernels("bump", BUMP_SCHEDULE, 2.0, 2)
+        dense = _reference(field, kernels, 2.0, 1)
+        taken = _spy_sources(monkeypatch)
+        got = _energies(field, kernels, 2.0, 1)
+        assert taken == ["tree"]
+        assert np.max(np.abs(got - dense) / dense) <= 1e-12
+        # the same points on their lattice give the same energies
+        on_lattice = _energies(sample(product_sine(2), grid), kernels, 2.0, 1)
+        assert np.max(np.abs(got - on_lattice) / on_lattice) <= 1e-12
+
+    def test_public_entry_points_take_the_offset_pass(self, monkeypatch):
+        field = sample(product_sine(2), sample_quadrature(UNIT_SQUARE, 0.1))
         taken = _spy_sources(monkeypatch)
         gagliardo_functional(field, 2.0, 0.9, Lebesgue(2.0))
-        # the CLI's fractional family: cut 2R covers the domain's diameter
-        family = fractional_family(2.0, enclosing_radius(domain), 2)
+        family = fractional_family(2.0, enclosing_radius(UNIT_SQUARE), 2)
         bbm_functional_schedule(field, 2.0, family, [0.5, 0.2],
                                 Lebesgue(2.0), stride=2)
-        assert taken == ["all", "all"]
-        bbm_functional_schedule(field, 2.0, bump_family(2), [0.3, 0.2],
-                                Lebesgue(2.0))
-        assert taken[-1] == "neighbour"
+        pointwise_energy(field, 3, EnergyParams(2.0, bump_family(2), 0.3))
+        assert taken == ["offset"] * 3
+
+    def _record_blocks(self, monkeypatch, budget):
+        blocks = []
+        original = nonlocal_energy._offset_blocks
+
+        def recording(n_tiles, n_offsets, n_near):
+            for tiles, offsets in original(n_tiles, n_offsets, n_near):
+                blocks.append((len(range(n_tiles)[tiles])
+                               * len(range(n_offsets)[offsets])
+                               * nonlocal_energy._ROW_TILE))
+                yield tiles, offsets
+
+        monkeypatch.setattr(nonlocal_energy, "_PAIR_BUDGET", budget)
+        monkeypatch.setattr(nonlocal_energy, "_offset_blocks", recording)
+        return blocks
+
+    @pytest.mark.parametrize("domain, h, fn, kind, nus", [
+        (Interval(0.0, 1.0), 2e-3, product_sine(1), "bump", BUMP_SCHEDULE),
+        (UNIT_DISK, 0.1, product_sine(2), "fractional", [0.2, 0.5]),
+    ])
+    def test_offset_blocks_respect_the_pair_budget(self, monkeypatch, domain,
+                                                   h, fn, kind, nus):
+        field = sample(fn, sample_quadrature(domain, h))
+        kernels = _kernels(kind, nus, 2.0, domain.dimension)
+        with pytest.MonkeyPatch.context() as mp:
+            whole_blocks = self._record_blocks(mp, 10**9)
+            whole = _energies(field, kernels, 2.0, 1)
+        assert len(whole_blocks) == 1
+        # a budget of a few tiles of every offset: blocks of whole tiles
+        per_tile = whole_blocks[0] // -(-len(field.grid)
+                                         // nonlocal_energy._ROW_TILE)
+        budget = 3 * per_tile + 1
+        blocks = self._record_blocks(monkeypatch, budget)
+        split = _energies(field, kernels, 2.0, 1)
+        assert len(blocks) > 1
+        assert max(blocks) <= budget
+        assert np.array_equal(split, whole)
+
+    def test_offsets_split_past_one_tile_of_all(self, monkeypatch):
+        field = sample(product_sine(1),
+                       sample_quadrature(Interval(0.0, 1.0), 2e-3))
+        kernels = _kernels("bump", BUMP_SCHEDULE, 2.0, 1)
+        whole = _energies(field, kernels, 2.0, 1)
+        blocks = self._record_blocks(monkeypatch, 800)
+        split = _energies(field, kernels, 2.0, 1)
+        assert max(blocks) <= 800
+        assert np.max(np.abs(split - whole) / whole) <= 1e-14
 
     def test_blocks_respect_the_pair_budget(self, monkeypatch):
+        """The neighbour list's blocks."""
         domain = Interval(0.0, 1.0)
-        field = sample(product_sine(1), sample_quadrature(domain, 2e-3))
-        kernels = [bump_family(1).kernel(nu, 2.0) for nu in BUMP_SCHEDULE]
-        whole = _energies(field, kernels, 1)
+        field = sample(product_sine(1),
+                       sample_quadrature(domain, 2e-3, "quasi-random"))
+        kernels = _kernels("bump", BUMP_SCHEDULE, 2.0, 1)
+        whole = _energies(field, kernels, 2.0, 1)
         blocks = []
         original = nonlocal_energy._neighbour_blocks
 
@@ -272,10 +435,75 @@ class TestPairSources:
 
         monkeypatch.setattr(nonlocal_energy, "_PAIR_BUDGET", 5_000)
         monkeypatch.setattr(nonlocal_energy, "_neighbour_blocks", recording)
-        split = _energies(field, kernels, 1)
+        split = _energies(field, kernels, 2.0, 1)
         assert len(blocks) > 1
         assert max(blocks) <= 5_000
         assert np.array_equal(split, whole)
+
+
+class TestTranslation:
+    """Moving the domain and the field together moves no energy: whether
+    a pair at exactly two spacings is near must not depend on round-off
+    in the coordinates."""
+
+    @pytest.mark.parametrize("domain, moved, h", [
+        (Interval(0.0, 1.0), Interval(0.3, 1.3), 2e-3),
+        (UNIT_SQUARE, Box((0.3, 0.17), (1.3, 1.17)), 0.02),
+        (UNIT_DISK, Disk((0.3, 0.17), 1.0), 0.05),
+    ], ids=["interval", "square", "disk"])
+    @pytest.mark.parametrize("kind, nus", [
+        ("bump", BUMP_SCHEDULE), ("fractional", [0.2, 0.45]),
+        ("gagliardo", [0.9]),
+    ], ids=["bump", "fractional", "gagliardo"])
+    def test_energies_move_with_the_domain(self, domain, moved, h, kind,
+                                           nus):
+        grid = sample_quadrature(domain, h)
+        moved_grid = sample_quadrature(moved, h)
+        assert len(moved_grid) == len(grid)
+        # the field moves with the domain: the same value at each cell
+        values = product_sine(domain.dimension)(grid.points) + 0.5 \
+            * grid.points[:, 0]
+        kernels = _kernels(kind, nus, 2.0, domain.dimension)
+        eval_idx = np.arange(len(grid))
+        here = nonlocal_energy._energy_values(
+            SampledField(grid, values), kernels, 2.0, eval_idx)
+        there = nonlocal_energy._energy_values(
+            SampledField(moved_grid, values), kernels, 2.0, eval_idx)
+        assert np.all(here > 0)
+        assert np.max(np.abs(there - here) / here) <= 1e-12
+
+
+class TestInputChecks:
+    """Inputs no energy pass can honour fail before any pass runs."""
+
+    @pytest.fixture
+    def no_pass(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("an energy pass ran")
+
+        monkeypatch.setattr(nonlocal_energy, "_energy_values", fail)
+
+    @pytest.mark.parametrize("p", [0.5, -2.0, math.nan, math.inf])
+    def test_functionals_reject_p(self, line_field, no_pass, p):
+        with pytest.raises(ValueError, match="p must be a finite number"):
+            gagliardo_functional(line_field, p, 0.9, Lebesgue(2.0))
+        with pytest.raises(ValueError, match="p must be a finite number"):
+            bbm_functional_schedule(line_field, p, bump_family(1),
+                                    BUMP_SCHEDULE, Lebesgue(2.0))
+        with pytest.raises(ValueError, match="p must be a finite number"):
+            EnergyParams(p, bump_family(1), 0.1)
+
+    @pytest.mark.parametrize("index", [-1, 500, 2.5, True])
+    def test_pointwise_energy_rejects_index(self, line_field, no_pass, index):
+        params = EnergyParams(2.0, bump_family(1), 0.1)
+        with pytest.raises(ValueError, match="x_index must be an integer"):
+            pointwise_energy(line_field, index, params)
+
+    @pytest.mark.parametrize("stride", [0, 2.5, 2.0])
+    def test_half_field_rejects_stride(self, line_field, no_pass, stride):
+        params = EnergyParams(2.0, bump_family(1), 0.1)
+        with pytest.raises(ValueError, match="stride must be an integer"):
+            energy_half_field(line_field, params, stride=stride)
 
 
 class TestStride:

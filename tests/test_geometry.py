@@ -8,7 +8,9 @@ from bbmlab.geometry import (
     Disk,
     Interval,
     Polygon,
+    QuadratureGrid,
     boundary_distance,
+    bounding_box,
     contains,
     contains_many,
     diameter,
@@ -108,6 +110,31 @@ class TestQuadrature:
         grid = sample_quadrature(box, 0.15)
         assert grid.weights.sum() == pytest.approx(0.28, abs=1e-14)
         assert contains_many(box, grid.points).all()
+
+    @pytest.mark.parametrize("domain, h", [
+        (Interval(0.0, 1.0), 1e-3), (UNIT_SQUARE, 0.02), (UNIT_DISK, 0.07),
+        (L_SHAPE, 0.1), (Box((0.0, 0.0, 0.0), (1.0, 0.5, 0.25)), 0.125)])
+    def test_lattice_indices_of_full_cells(self, domain, h):
+        grid = sample_quadrature(domain, h)
+        lo, _ = bounding_box(domain)
+        assert grid.lattice.dtype == np.int64
+        assert grid.lattice.min() >= 0
+        assert np.allclose(grid.points, lo + h * (grid.lattice + 0.5),
+                           rtol=0.0, atol=1e-12)
+        assert len(np.unique(grid.lattice, axis=0)) == len(grid)
+
+    @pytest.mark.parametrize("domain, h, scheme", [
+        (UNIT_SQUARE, 0.03, "tensor-midpoint"),
+        (Box((0.0,), (1.0,)), 0.3, "tensor-midpoint"),
+        (UNIT_DISK, 0.07, "quasi-random")])
+    def test_no_lattice_for_point_clouds(self, domain, h, scheme):
+        # a clipped last cell leaves the lattice; Halton points never sit on it
+        assert sample_quadrature(domain, h, scheme).lattice is None
+
+    def test_lattice_must_match_the_points(self):
+        with pytest.raises(ValueError, match="lattice indices"):
+            QuadratureGrid(np.zeros((3, 2)), np.ones(3), 1.0,
+                           lattice=np.zeros((3, 1), dtype=int))
 
     def test_quasi_random_converges_to_measure(self):
         grid = sample_quadrature(UNIT_DISK, 0.02, "quasi-random")

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -33,6 +35,13 @@ class TestFractionalFamily:
     def test_support_cutoff(self):
         fam = fractional_family(2.0, 1.0, 1)
         assert fam.rho(0.25, 2.1) == 0.0
+
+    @pytest.mark.parametrize("p, R", [(0.5, 1.0), (math.nan, 1.0),
+                                      (math.inf, 1.0), (2.0, 0.0),
+                                      (2.0, math.inf)])
+    def test_rejects_bad_p_and_radius(self, p, R):
+        with pytest.raises(ValueError, match="p must be|R > 0"):
+            fractional_family(p, R, 1)
 
     def test_nu_out_of_range(self):
         fam = fractional_family(2.0, 1.0, 1)
