@@ -470,26 +470,31 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    if args.op == "sphere-moment":
-        value = oracle.mc_sphere_moment(args.p, args.n, args.samples,
-                                        args.seed)
-        print(repr(value))
-        return 0
-    if args.op == "dense-1d":
-        fn = function_from_record({"kind": args.function}, 1)
-        value = oracle.dense_1d_functional(
-            fn, Interval(args.a, args.b), args.p, args.q, args.scale,
-            args.resolution, family_kind=args.family, mode=args.mode,
-        )
-        print(repr(value))
-        return 0
-    if args.op == "rearrangement":
-        data = np.loadtxt(args.input, delimiter=",", ndmin=2)
-        step = oracle.rearrangement_oracle(data[:, 0], data[:, 1])
-        ts = np.cumsum(data[:, 1])
-        for t_left, t_right in zip(np.concatenate([[0.0], ts[:-1]]), ts):
-            print(f"{t_left!r},{t_right!r},{step(0.5 * (t_left + t_right))!r}")
-        return 0
+    try:
+        if args.op == "sphere-moment":
+            value = oracle.mc_sphere_moment(args.p, args.n, args.samples,
+                                            args.seed)
+            print(repr(value))
+            return 0
+        if args.op == "dense-1d":
+            fn = function_from_record({"kind": args.function}, 1)
+            value = oracle.dense_1d_functional(
+                fn, Interval(args.a, args.b), args.p, args.q, args.scale,
+                args.resolution, family_kind=args.family, mode=args.mode,
+            )
+            print(repr(value))
+            return 0
+        if args.op == "rearrangement":
+            data = np.loadtxt(args.input, delimiter=",", ndmin=2)
+            step = oracle.rearrangement_oracle(data[:, 0], data[:, 1])
+            ts = np.cumsum(data[:, 1])
+            for t_left, t_right in zip(np.concatenate([[0.0], ts[:-1]]), ts):
+                level = step(0.5 * (t_left + t_right))
+                print(f"{t_left!r},{t_right!r},{level!r}")
+            return 0
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     print(f"unknown oracle op {args.op!r}", file=sys.stderr)
     return 1
 

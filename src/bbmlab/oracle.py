@@ -2,9 +2,9 @@
 
 Nothing here imports kernels or norm engines from the modules it checks:
 the sphere moment is plain Monte Carlo, the one-dimensional functional is
-a direct double Riemann sum with its own inline kernel formulas, and the
-rearrangement follows the distribution-function definition without
-sorting.
+a sum over the grid's integer offsets, each pair's distance from its
+coordinates, with its own inline kernel formulas, and the rearrangement
+follows the distribution-function definition without sorting.
 """
 
 from __future__ import annotations
@@ -50,31 +50,48 @@ def dense_1d_functional(fn: TestFunction, domain: Interval, p: float,
                         q: float, scale: float, resolution: float,
                         family_kind: str = "bump",
                         mode: str = "rdati") -> float:
-    """Direct double Riemann sum of the 1-d functional at fine resolution.
+    """The 1-d functional at fine resolution as a sum over the grid's
+    integer offsets, each pair's distance from its coordinates.
 
     Reimplements the kernel formulas and the analytic near-field rule
     inline, so it shares no code with the main engine.  `scale` is nu for
-    mode "rdati" and s for mode "gagliardo".
+    mode "rdati" and s for mode "gagliardo".  Offset k pairs x_i with
+    x_{i+k} at r = |x_{i+k} - x_i|, so the kernel's cut and the near rule
+    r < 2h split the pairs that sit on them exactly as a loop over all
+    pairs would.  Every term is symmetric in the pair and is added to both
+    of its points.  The loop stops at the first offset whose every distance
+    exceeds both the kernel's cut and 2h.
     """
     if not isinstance(domain, Interval):
         raise ValueError("the dense oracle is one-dimensional")
     h = float(resolution)
+    if not (math.isfinite(h) and h > 0.0):
+        raise ValueError(f"resolution must be a finite number > 0, got {h!r}")
+    if not (math.isfinite(p) and p >= 1.0):
+        raise ValueError(f"p must be a finite number >= 1, got {p!r}")
+    if not (math.isfinite(q) and q > 0.0):
+        raise ValueError(f"q must be a finite number > 0, got {q!r}")
     a, b = domain.a, domain.b
-    m = int(math.ceil((b - a) / h))
-    x = a + (b - a) * (np.arange(m) + 0.5) / m
-    h = (b - a) / m
-    f = fn(x.reshape(-1, 1))
 
     if mode == "rdati":
         nu = float(scale)
         if family_kind == "bump":
+            if not 0.0 < nu < 1.0:
+                raise ValueError(f"bump nu must lie in (0, 1), got {nu!r}")
+            cut = nu
+
             def rho(r):
                 return np.where((r > 0) & (r <= nu), 1.0 / nu, 0.0)
 
             def mass_below(t):
                 return min(t, nu) / nu
         elif family_kind == "fractional":
+            nu_max = min(1.0 / p, 1.0)
+            if not 0.0 < nu < nu_max:
+                raise ValueError(
+                    f"fractional nu must lie in (0, {nu_max!r}), got {nu!r}")
             R = 2.0 * max(abs(a), abs(b))
+            cut = 2.0 * R
             np_exp = nu * p
 
             def rho(r):
@@ -88,6 +105,9 @@ def dense_1d_functional(fn: TestFunction, domain: Interval, p: float,
         prefactor = 1.0
     elif mode == "gagliardo":
         s = float(scale)
+        if not 0.0 < s < 1.0:
+            raise ValueError(f"gagliardo s must lie in (0, 1), got {s!r}")
+        cut = math.inf
 
         # rho / r^p must equal the Gagliardo kernel r^(-n - s p), n = 1
         def rho(r):
@@ -100,27 +120,38 @@ def dense_1d_functional(fn: TestFunction, domain: Interval, p: float,
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
+    m = int(math.ceil((b - a) / h))
+    x = a + (b - a) * (np.arange(m) + 0.5) / m
+    h = (b - a) / m
+    f = fn(x.reshape(-1, 1))
     near_radius = 2.0 * h
-    energies = np.zeros(m)
-    block = max(1, 4_000_000 // m)
-    for start in range(0, m, block):
-        xi = x[start:start + block]
-        fi = f[start:start + block]
-        r = np.abs(xi[:, None] - x[None, :])
-        df = np.abs(fi[:, None] - f[None, :])
-        far = r >= near_radius
-        with np.errstate(divide="ignore", invalid="ignore"):
-            far_term = np.where(far, df**p / r**p * rho(r) * h, 0.0)
-        near = (r > 0) & (r < near_radius)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            quot = np.where(near, (df / r) ** p, 0.0)
-        counts = near.sum(axis=1)
-        qbar = np.divide(quot.sum(axis=1), counts,
-                         out=np.zeros(len(xi)), where=counts > 0)
-        r_eff = (counts + 1) * h / 2.0
-        near_term = qbar * 2.0 * np.array([mass_below(t) for t in r_eff])
-        energies[start:start + len(xi)] = \
-            np.nansum(far_term, axis=1) + near_term
+    far_sum = np.zeros(m)
+    quot_sum = np.zeros(m)
+    counts = np.zeros(m, dtype=np.int64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k in range(1, m):
+            r = np.abs(x[k:] - x[:-k])
+            r_min = r.min()
+            if r_min > cut and r_min > near_radius:
+                break
+            df = np.abs(f[k:] - f[:-k])
+            far_term = df**p / r**p * rho(r) * h
+            if r_min < near_radius:
+                below = r < near_radius
+                far_term[below] = 0.0
+                near = (r > 0) & below
+                quot = np.where(near, (df / r) ** p, 0.0)
+                quot_sum[:-k] += quot
+                quot_sum[k:] += quot
+                counts[:-k] += near
+                counts[k:] += near
+            far_term[np.isnan(far_term)] = 0.0
+            far_sum[:-k] += far_term
+            far_sum[k:] += far_term
+    qbar = np.divide(quot_sum, counts, out=np.zeros(m), where=counts > 0)
+    r_eff = (counts + 1) * h / 2.0
+    near_term = qbar * 2.0 * np.array([mass_below(t) for t in r_eff])
+    energies = far_sum + near_term
     value = float(np.sum(h * energies ** (q / p)) ** (1.0 / q))
     return prefactor * value
 

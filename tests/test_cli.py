@@ -387,6 +387,21 @@ class TestOracleCommand:
         value = float(capsys.readouterr().out.strip())
         assert value == pytest.approx(np.sqrt(2.0 - 0.1), rel=0.02)
 
+    @pytest.mark.parametrize("argv, named", [
+        (["dense-1d", "--mode", "gagliardo", "--scale", "1.5"], "s must"),
+        (["dense-1d", "--resolution", "0"], "resolution"),
+        (["rearrangement", "--input", "missing.csv"], "missing.csv"),
+    ])
+    def test_bad_input_is_one_error_line(self, tmp_path, monkeypatch,
+                                         capsys, argv, named):
+        monkeypatch.chdir(tmp_path)
+        assert main(["oracle", *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: ") and named in lines[0]
+
 
 class TestDomainRecords:
     def test_polygon_run(self, tmp_path):

@@ -1,8 +1,11 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from bbmlab import oracle
 from bbmlab.field import linear, sample, indicator_halfspace
 from bbmlab.geometry import Interval, sample_quadrature
 from bbmlab.mollifiers import bump_family
@@ -66,6 +69,173 @@ class TestDense1d:
                                     1e-3, mode="gagliardo")
         # analytic continuum value is (1 + 2 nu)^(-1/2) at nu = 1 - s
         assert value == pytest.approx((1.0 + 0.2) ** -0.5, rel=0.01)
+
+    @pytest.mark.parametrize("change, message", [
+        ({"resolution": 0.0}, "^resolution"),
+        ({"resolution": -1e-3}, "^resolution"),
+        ({"resolution": math.nan}, "^resolution"),
+        ({"resolution": math.inf}, "^resolution"),
+        ({"p": 0.5}, "^p must"),
+        ({"p": math.nan}, "^p must"),
+        ({"p": math.inf}, "^p must"),
+        ({"q": 0.0}, "^q must"),
+        ({"q": math.nan}, "^q must"),
+        ({"scale": 0.0}, "^bump nu"),
+        ({"scale": -0.1}, "^bump nu"),
+        ({"scale": 1.0}, "^bump nu"),
+        ({"scale": math.nan}, "^bump nu"),
+        ({"family_kind": "fractional", "scale": 0.5}, "^fractional nu"),
+        ({"family_kind": "fractional", "scale": 0.0}, "^fractional nu"),
+        ({"mode": "gagliardo", "scale": 1.0}, "^gagliardo s"),
+        ({"mode": "gagliardo", "scale": 1.5}, "^gagliardo s"),
+        ({"mode": "gagliardo", "scale": 0.0}, "^gagliardo s"),
+    ])
+    def test_bad_input_is_named(self, change, message):
+        call = {"fn": linear((1.0,)), "domain": Interval(0.0, 1.0),
+                "p": 2.0, "q": 2.0, "scale": 0.1, "resolution": 1e-2,
+                "family_kind": "bump", "mode": "rdati", **change}
+        with pytest.raises(ValueError, match=message):
+            dense_1d_functional(**call)
+
+
+def _dense_reference(fn, domain, p, q, scale, resolution,
+                     family_kind="bump", mode="rdati"):
+    """The blocked double loop the offset loop replaced, as a reference:
+    (block x m) arrays over every ordered pair, rows summed by np.nansum."""
+    h = float(resolution)
+    a, b = domain.a, domain.b
+    m = int(math.ceil((b - a) / h))
+    x = a + (b - a) * (np.arange(m) + 0.5) / m
+    h = (b - a) / m
+    f = fn(x.reshape(-1, 1))
+    if mode == "rdati":
+        nu = float(scale)
+        if family_kind == "bump":
+            def rho(r):
+                return np.where((r > 0) & (r <= nu), 1.0 / nu, 0.0)
+
+            def mass_below(t):
+                return min(t, nu) / nu
+        else:
+            R = 2.0 * max(abs(a), abs(b))
+            np_exp = nu * p
+
+            def rho(r):
+                out = np_exp * (2.0 * R) ** (-np_exp) * r ** (np_exp - 1.0)
+                return np.where((r > 0) & (r <= 2.0 * R), out, 0.0)
+
+            def mass_below(t):
+                return (min(t, 2.0 * R) / (2.0 * R)) ** np_exp
+        prefactor = 1.0
+    else:
+        s = float(scale)
+
+        def rho(r):
+            return r ** (p - 1.0 - s * p)
+
+        def mass_below(t):
+            return t ** ((1.0 - s) * p) / ((1.0 - s) * p)
+
+        prefactor = (1.0 - s) ** (1.0 / p)
+    near_radius = 2.0 * h
+    energies = np.zeros(m)
+    block = max(1, 4_000_000 // m)
+    for start in range(0, m, block):
+        xi = x[start:start + block]
+        fi = f[start:start + block]
+        r = np.abs(xi[:, None] - x[None, :])
+        df = np.abs(fi[:, None] - f[None, :])
+        far = r >= near_radius
+        with np.errstate(divide="ignore", invalid="ignore"):
+            far_term = np.where(far, df**p / r**p * rho(r) * h, 0.0)
+        near = (r > 0) & (r < near_radius)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            quot = np.where(near, (df / r) ** p, 0.0)
+        counts = near.sum(axis=1)
+        qbar = np.divide(quot.sum(axis=1), counts,
+                         out=np.zeros(len(xi)), where=counts > 0)
+        r_eff = (counts + 1) * h / 2.0
+        near_term = qbar * 2.0 * np.array([mass_below(t) for t in r_eff])
+        energies[start:start + len(xi)] = \
+            np.nansum(far_term, axis=1) + near_term
+    value = float(np.sum(h * energies ** (q / p)) ** (1.0 / q))
+    return prefactor * value
+
+
+TIE_RESOLUTION = 1e-3
+DOMAINS = [(0.0, 1.0), (-1.0, 1.0)]
+EXPONENTS = [(1.5, 1.5), (2.0, 2.0), (3.0, 3.0), (2.0, 1.5)]
+BUMP_NUS = (0.05, 0.1)
+KERNELS = [("rdati", "bump", nu) for nu in BUMP_NUS] + [
+    ("rdati", "fractional", 0.3), ("gagliardo", "bump", 0.9)]
+# every (domain, field) setting meets every kernel; the exponents run
+# through a Latin square, so each setting and each kernel sees all four
+SETTINGS = [(dom, field) for dom in DOMAINS
+            for field in ("linear", "indicator")]
+EQUIVALENCE_CASES = [
+    (dom, field, kernel, EXPONENTS[(i + j) % len(EXPONENTS)])
+    for i, (dom, field) in enumerate(SETTINGS)
+    for j, kernel in enumerate(KERNELS)
+]
+EQUIVALENCE_IDS = [
+    f"({a:g},{b:g})-{field}-{family if mode == 'rdati' else mode}{scale:g}"
+    f"-p{p:g}q{q:g}"
+    for (a, b), field, (mode, family, scale), (p, q) in EQUIVALENCE_CASES
+]
+
+
+def _oracle_grid(a, b, resolution):
+    """The oracle's grid: m cell midpoints of (a, b) and their spacing."""
+    m = int(math.ceil((b - a) / resolution))
+    return a + (b - a) * (np.arange(m) + 0.5) / m, (b - a) / m
+
+
+class TestOffsetLoop:
+    @pytest.mark.parametrize("dom, field, kernel, exponents",
+                             EQUIVALENCE_CASES, ids=EQUIVALENCE_IDS)
+    def test_matches_dense_reference(self, dom, field, kernel, exponents):
+        domain = Interval(*dom)
+        fn = linear((1.0,)) if field == "linear" else \
+            indicator_halfspace((1.0,), 0.5 * (domain.a + domain.b))
+        mode, family, scale = kernel
+        p, q = exponents
+        args = (fn, domain, p, q, scale, TIE_RESOLUTION)
+        got = dense_1d_functional(*args, family_kind=family, mode=mode)
+        want = _dense_reference(*args, family_kind=family, mode=mode)
+        assert want > 0.0
+        assert abs(got - want) <= 1e-13 * want
+
+    @pytest.mark.parametrize("a, b", DOMAINS)
+    def test_bump_cases_split_ties(self, a, b):
+        """The pairs at r = nu and at r = 2h are split by round-off on
+        these grids, so the equivalence cases pin each pair's own rule."""
+        x, h = _oracle_grid(a, b, TIE_RESOLUTION)
+        for nu in BUMP_NUS:
+            k = round(nu / h)
+            kept = np.count_nonzero(np.abs(x[k:] - x[:-k]) <= nu)
+            assert 0 < kept < len(x) - k
+        near = np.count_nonzero(np.abs(x[2:] - x[:-2]) < 2.0 * h)
+        assert 0 < near < len(x) - 2
+
+
+def test_oracle_imports_no_engine_code():
+    """The oracle stays code-independent of the engine it checks."""
+    tree = ast.parse(Path(oracle.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            if node.level == 0:
+                imported.add(node.module)
+            elif node.module:
+                imported.add(f"bbmlab.{node.module}")
+            else:
+                imported.update(f"bbmlab.{alias.name}"
+                                for alias in node.names)
+    # a compiler directive, not code
+    imported.discard("__future__")
+    assert imported <= {"math", "numpy", "bbmlab.field", "bbmlab.geometry"}
 
 
 class TestRearrangementOracle:
