@@ -27,11 +27,7 @@ from .geometry import (
     Interval,
     Polygon,
     QuadratureGrid,
-    boundary_distance,
-    contains,
-    enclosing_radius,
     estimate_uniformity,
-    measure,
     sample_quadrature,
 )
 from .mollifiers import (

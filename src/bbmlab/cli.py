@@ -32,7 +32,6 @@ from .geometry import (
     Disk,
     Interval,
     Polygon,
-    enclosing_radius,
     sample_quadrature,
 )
 from .mollifiers import bump_family, fractional_family
@@ -282,7 +281,7 @@ def run_experiment(config: dict, out_dir) -> ConvergenceReport:
         if fam_kind == "bump":
             family = bump_family(n)
         elif fam_kind == "fractional":
-            family = fractional_family(p, enclosing_radius(domain), n)
+            family = fractional_family(p, domain.enclosing_radius(), n)
         else:
             raise ConfigError("family.kind", f"unknown kind {fam_kind!r}")
         nu_max = family.nu_max

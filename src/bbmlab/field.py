@@ -10,7 +10,7 @@ from typing import Optional
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .geometry import Domain, QuadratureGrid, _boundary_distance_many, contains_many
+from .geometry import Domain, QuadratureGrid
 
 __all__ = [
     "TestFunction",
@@ -180,6 +180,20 @@ def sample(fn: TestFunction, grid: QuadratureGrid) -> SampledField:
     return SampledField(grid, values, grads, fn)
 
 
+def _field_domain(field: SampledField, domain: Optional[Domain], use: str,
+                  *grids: QuadratureGrid) -> Domain:
+    """`domain`, else the field grid's own; its dimension must match the
+    field's grid and each of `grids`."""
+    domain = field.grid.domain if domain is None else domain
+    if domain is None:
+        raise ValueError(f"no domain available for {use}")
+    for grid in (field.grid, *grids):
+        if grid.dimension != domain.dimension:
+            raise ValueError(f"a {domain.dimension}-d domain does not match "
+                             f"a {grid.dimension}-d grid")
+    return domain
+
+
 def fd_gradient(field: SampledField, step: float,
                 domain: Optional[Domain] = None) -> SampledField:
     """Finite-difference gradients for a field sampled from a catalog function.
@@ -191,20 +205,17 @@ def fd_gradient(field: SampledField, step: float,
         raise ValueError("step must be positive")
     if field.fn is None:
         raise ValueError("fd_gradient needs a field sampled from a catalog function")
-    if domain is None:
-        domain = field.grid.domain
-    if domain is None:
-        raise ValueError("no domain available for boundary handling")
+    domain = _field_domain(field, domain, "boundary handling")
     fn = field.fn
     pts = field.grid.points
     n = pts.shape[1]
-    bdist = _boundary_distance_many(domain, pts)
+    bdist = domain.boundary_distance_many(pts)
     central = bdist > step
     grads = np.empty_like(pts)
     for j in range(n):
         e = np.zeros(n)
         e[j] = step
-        fwd_ok = contains_many(domain, pts + e)
+        fwd_ok = domain.contains_many(pts + e)
         grads[:, j] = np.where(
             fwd_ok,
             (fn(pts + e) - fn(pts)) / step,
@@ -225,17 +236,14 @@ def zero_extension(field: SampledField, outer_grid: QuadratureGrid,
     half a cell); everything else is zero, mirroring the zero-extension
     that realises the restrictive norm.
     """
-    if domain is None:
-        domain = field.grid.domain
-    if domain is None:
-        raise ValueError("no domain available for the membership test")
+    domain = _field_domain(field, domain, "the membership test", outer_grid)
     lo_o = outer_grid.points.min(axis=0)
     hi_o = outer_grid.points.max(axis=0)
     lo_d, hi_d = field.grid.points.min(axis=0), field.grid.points.max(axis=0)
     if np.any(lo_o > lo_d) or np.any(hi_o < hi_d):
         raise ValueError("outer grid does not cover the field's bounding box")
     values = np.zeros(len(outer_grid))
-    inside = contains_many(domain, outer_grid.points)
+    inside = domain.contains_many(outer_grid.points)
     if np.any(inside):
         tree = cKDTree(field.grid.points)
         dist, idx = tree.query(outer_grid.points[inside])

@@ -1,9 +1,10 @@
 """Bounded uniform domains and their quadrature grids.
 
-The domain catalog is closed: open intervals, open boxes, open disks, and
-simple polygons (all connected, all bounded).  Every shape answers strict
-membership, exact boundary distance, and an enclosing radius R such that
-the domain fits inside B(0, R/2).  Grids are midpoint-rule point clouds
+The domain catalog is closed: open boxes (an interval is the 1-d box),
+open disks, and simple polygons (all connected, all bounded).  Each shape
+answers, as its own methods, strict membership, exact boundary distance,
+diameter, measure, bounding box, and an enclosing radius R such that the
+domain fits inside B(0, R/2).  Grids are midpoint-rule point clouds
 with nonnegative cell weights; an empirical uniformity probe estimates the
 cigar-condition constant on the grid graph.
 """
@@ -12,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 from scipy import sparse
@@ -27,13 +28,6 @@ __all__ = [
     "Polygon",
     "Domain",
     "QuadratureGrid",
-    "contains",
-    "contains_many",
-    "boundary_distance",
-    "enclosing_radius",
-    "diameter",
-    "measure",
-    "bounding_box",
     "sample_quadrature",
     "SCHEMES",
     "estimate_uniformity",
@@ -43,24 +37,38 @@ __all__ = [
 _EDGE_TOL = 1e-12
 
 
+class Domain:
+    """A bounded open domain of dimension `dimension`.
+
+    Each shape implements `contains_many` and `boundary_distance_many` on
+    an (N, n) array of points, plus `enclosing_radius`, `diameter`,
+    `measure` and `bounding_box`; the scalar queries here are shared.
+    """
+
+    def _check_dim(self, x) -> np.ndarray:
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        if x.shape[-1] != self.dimension:
+            raise ValueError(
+                f"point of dimension {x.shape[-1]} on a "
+                f"{self.dimension}-d domain"
+            )
+        return x
+
+    def contains(self, x) -> bool:
+        """Strict membership test (boundary points count as outside)."""
+        x = self._check_dim(x)
+        return bool(self.contains_many(x.reshape(1, -1))[0])
+
+    def boundary_distance(self, x) -> float:
+        """Distance from an interior point to the boundary of the domain."""
+        x = self._check_dim(x)
+        if not self.contains(x):
+            raise ValueError(f"point {x.tolist()} is not inside the domain")
+        return float(self.boundary_distance_many(x.reshape(1, -1))[0])
+
+
 @dataclass(frozen=True)
-class Interval:
-    """Open interval (a, b) on the line."""
-
-    a: float
-    b: float
-
-    def __post_init__(self):
-        if not self.a < self.b:
-            raise ValueError("interval requires a < b")
-
-    @property
-    def dimension(self) -> int:
-        return 1
-
-
-@dataclass(frozen=True)
-class Box:
+class Box(Domain):
     """Open axis-aligned box prod_i (lo_i, hi_i), dimension 1..3."""
 
     lo: tuple
@@ -78,9 +86,53 @@ class Box:
     def dimension(self) -> int:
         return len(self.lo)
 
+    def contains_many(self, pts: np.ndarray) -> np.ndarray:
+        """Vectorized strict membership for an (N, n) array of points."""
+        pts = np.asarray(pts, dtype=float)
+        return np.all((pts > np.asarray(self.lo)) & (pts < np.asarray(self.hi)),
+                      axis=1)
+
+    def boundary_distance_many(self, pts: np.ndarray) -> np.ndarray:
+        return np.minimum(pts - np.asarray(self.lo),
+                          np.asarray(self.hi) - pts).min(axis=1)
+
+    def enclosing_radius(self) -> float:
+        """Smallest R such that the domain sits inside the ball B(0, R/2)."""
+        corners = np.array(
+            np.meshgrid(*zip(self.lo, self.hi), indexing="ij")
+        ).reshape(self.dimension, -1).T
+        return 2.0 * float(np.linalg.norm(corners, axis=1).max())
+
+    def diameter(self) -> float:
+        return float(np.linalg.norm(np.asarray(self.hi) - np.asarray(self.lo)))
+
+    def measure(self) -> float:
+        return float(np.prod(np.asarray(self.hi) - np.asarray(self.lo)))
+
+    def bounding_box(self):
+        """Axis-aligned closed bounding box as (lo, hi) arrays."""
+        return np.asarray(self.lo, float), np.asarray(self.hi, float)
+
+
+class Interval(Box):
+    """Open interval (a, b) on the line: the 1-d box."""
+
+    def __init__(self, a: float, b: float):
+        if not a < b:
+            raise ValueError("interval requires a < b")
+        super().__init__((a,), (b,))
+
+    @property
+    def a(self) -> float:
+        return self.lo[0]
+
+    @property
+    def b(self) -> float:
+        return self.hi[0]
+
 
 @dataclass(frozen=True)
-class Disk:
+class Disk(Domain):
     """Open disk in the plane."""
 
     center: tuple
@@ -95,9 +147,30 @@ class Disk:
     def dimension(self) -> int:
         return 2
 
+    def contains_many(self, pts: np.ndarray) -> np.ndarray:
+        d = np.asarray(pts, dtype=float) - np.asarray(self.center)
+        return np.einsum("ij,ij->i", d, d) < self.radius**2
+
+    def boundary_distance_many(self, pts: np.ndarray) -> np.ndarray:
+        d = pts - np.asarray(self.center)
+        return self.radius - np.sqrt(np.einsum("ij,ij->i", d, d))
+
+    def enclosing_radius(self) -> float:
+        return 2.0 * (float(np.linalg.norm(self.center)) + self.radius)
+
+    def diameter(self) -> float:
+        return 2.0 * self.radius
+
+    def measure(self) -> float:
+        return math.pi * self.radius**2
+
+    def bounding_box(self):
+        c = np.asarray(self.center, float)
+        return c - self.radius, c + self.radius
+
 
 @dataclass(frozen=True)
-class Polygon:
+class Polygon(Domain):
     """Open simple polygon; vertices stored counter-clockwise."""
 
     vertices: tuple
@@ -114,53 +187,50 @@ class Polygon:
     def dimension(self) -> int:
         return 2
 
+    def _edges(self):
+        v = np.asarray(self.vertices, dtype=float)
+        return v, np.roll(v, -1, axis=0)
 
-Domain = Union[Interval, Box, Disk, Polygon]
+    def contains_many(self, pts: np.ndarray) -> np.ndarray:
+        pts = np.asarray(pts, dtype=float)
+        a, b = self._edges()
+        # points within _EDGE_TOL of an edge are treated as outside (open set)
+        near_edge = _segment_distance(pts, a, b).min(axis=1) <= _EDGE_TOL
+        # even-odd ray crossing, ray going in +x
+        x, y = pts[:, 0][:, None], pts[:, 1][:, None]
+        ya, yb = a[:, 1][None, :], b[:, 1][None, :]
+        xa, xb = a[:, 0][None, :], b[:, 0][None, :]
+        straddle = (ya <= y) != (yb <= y)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            xcross = xa + (y - ya) * (xb - xa) / (yb - ya)
+        hits = straddle & (xcross > x)
+        inside = np.sum(hits, axis=1) % 2 == 1
+        return inside & ~near_edge
+
+    def boundary_distance_many(self, pts: np.ndarray) -> np.ndarray:
+        return _segment_distance(pts, *self._edges()).min(axis=1)
+
+    def enclosing_radius(self) -> float:
+        v = np.asarray(self.vertices)
+        return 2.0 * float(np.linalg.norm(v, axis=1).max())
+
+    def diameter(self) -> float:
+        v = np.asarray(self.vertices)
+        d = v[:, None, :] - v[None, :, :]
+        return float(np.sqrt(np.einsum("ijk,ijk->ij", d, d)).max())
+
+    def measure(self) -> float:
+        return abs(_shoelace(self.vertices))
+
+    def bounding_box(self):
+        v = np.asarray(self.vertices, float)
+        return v.min(axis=0), v.max(axis=0)
 
 
 def _shoelace(verts) -> float:
     v = np.asarray(verts, dtype=float)
     x, y = v[:, 0], v[:, 1]
     return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
-
-
-def _check_dim(domain: Domain, x) -> np.ndarray:
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.shape[-1] != domain.dimension:
-        raise ValueError(
-            f"point of dimension {x.shape[-1]} on a "
-            f"{domain.dimension}-d domain"
-        )
-    return x
-
-
-def contains(domain: Domain, x) -> bool:
-    """Strict membership test (boundary points count as outside)."""
-    x = _check_dim(domain, x)
-    return bool(contains_many(domain, x.reshape(1, -1))[0])
-
-
-def contains_many(domain: Domain, pts: np.ndarray) -> np.ndarray:
-    """Vectorized strict membership for an (N, n) array of points."""
-    pts = np.asarray(pts, dtype=float)
-    if isinstance(domain, Interval):
-        x = pts[:, 0]
-        return (x > domain.a) & (x < domain.b)
-    if isinstance(domain, Box):
-        lo = np.asarray(domain.lo)
-        hi = np.asarray(domain.hi)
-        return np.all((pts > lo) & (pts < hi), axis=1)
-    if isinstance(domain, Disk):
-        d = pts - np.asarray(domain.center)
-        return np.einsum("ij,ij->i", d, d) < domain.radius**2
-    if isinstance(domain, Polygon):
-        return _polygon_contains(domain, pts)
-    raise TypeError(f"unknown domain {type(domain)!r}")
-
-
-def _polygon_edges(poly: Polygon):
-    v = np.asarray(poly.vertices, dtype=float)
-    return v, np.roll(v, -1, axis=0)
 
 
 def _segment_distance(pts: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -172,107 +242,6 @@ def _segment_distance(pts: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarr
     proj = a[None, :, :] + t[:, :, None] * ab[None, :, :]
     d = pts[:, None, :] - proj
     return np.sqrt(np.einsum("nkj,nkj->nk", d, d))
-
-
-def _polygon_contains(poly: Polygon, pts: np.ndarray) -> np.ndarray:
-    a, b = _polygon_edges(poly)
-    # points within _EDGE_TOL of an edge are treated as outside (open set)
-    near_edge = _segment_distance(pts, a, b).min(axis=1) <= _EDGE_TOL
-    # even-odd ray crossing, ray going in +x
-    x, y = pts[:, 0][:, None], pts[:, 1][:, None]
-    ya, yb = a[:, 1][None, :], b[:, 1][None, :]
-    xa, xb = a[:, 0][None, :], b[:, 0][None, :]
-    straddle = (ya <= y) != (yb <= y)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        xcross = xa + (y - ya) * (xb - xa) / (yb - ya)
-    hits = straddle & (xcross > x)
-    inside = np.sum(hits, axis=1) % 2 == 1
-    return inside & ~near_edge
-
-
-def boundary_distance(domain: Domain, x) -> float:
-    """Distance from an interior point to the boundary of the domain."""
-    x = _check_dim(domain, x)
-    if not contains(domain, x):
-        raise ValueError(f"point {x.tolist()} is not inside the domain")
-    return float(_boundary_distance_many(domain, x.reshape(1, -1))[0])
-
-
-def _boundary_distance_many(domain: Domain, pts: np.ndarray) -> np.ndarray:
-    if isinstance(domain, Interval):
-        x = pts[:, 0]
-        return np.minimum(x - domain.a, domain.b - x)
-    if isinstance(domain, Box):
-        lo = np.asarray(domain.lo)
-        hi = np.asarray(domain.hi)
-        return np.minimum(pts - lo, hi - pts).min(axis=1)
-    if isinstance(domain, Disk):
-        d = pts - np.asarray(domain.center)
-        return domain.radius - np.sqrt(np.einsum("ij,ij->i", d, d))
-    if isinstance(domain, Polygon):
-        a, b = _polygon_edges(domain)
-        return _segment_distance(pts, a, b).min(axis=1)
-    raise TypeError(f"unknown domain {type(domain)!r}")
-
-
-def enclosing_radius(domain: Domain) -> float:
-    """Smallest R such that the domain sits inside the ball B(0, R/2)."""
-    if isinstance(domain, Interval):
-        return 2.0 * max(abs(domain.a), abs(domain.b))
-    if isinstance(domain, Box):
-        corners = np.array(
-            np.meshgrid(*[(l, h) for l, h in zip(domain.lo, domain.hi)],
-                        indexing="ij")
-        ).reshape(domain.dimension, -1).T
-        return 2.0 * float(np.linalg.norm(corners, axis=1).max())
-    if isinstance(domain, Disk):
-        return 2.0 * (float(np.linalg.norm(domain.center)) + domain.radius)
-    if isinstance(domain, Polygon):
-        v = np.asarray(domain.vertices)
-        return 2.0 * float(np.linalg.norm(v, axis=1).max())
-    raise TypeError(f"unknown domain {type(domain)!r}")
-
-
-def diameter(domain: Domain) -> float:
-    if isinstance(domain, Interval):
-        return domain.b - domain.a
-    if isinstance(domain, Box):
-        return float(np.linalg.norm(np.asarray(domain.hi) - np.asarray(domain.lo)))
-    if isinstance(domain, Disk):
-        return 2.0 * domain.radius
-    if isinstance(domain, Polygon):
-        v = np.asarray(domain.vertices)
-        d = v[:, None, :] - v[None, :, :]
-        return float(np.sqrt(np.einsum("ijk,ijk->ij", d, d)).max())
-    raise TypeError(f"unknown domain {type(domain)!r}")
-
-
-def measure(domain: Domain) -> float:
-    """Lebesgue measure of the domain (exact per shape)."""
-    if isinstance(domain, Interval):
-        return domain.b - domain.a
-    if isinstance(domain, Box):
-        return float(np.prod(np.asarray(domain.hi) - np.asarray(domain.lo)))
-    if isinstance(domain, Disk):
-        return math.pi * domain.radius**2
-    if isinstance(domain, Polygon):
-        return abs(_shoelace(domain.vertices))
-    raise TypeError(f"unknown domain {type(domain)!r}")
-
-
-def bounding_box(domain: Domain):
-    """Axis-aligned closed bounding box as (lo, hi) arrays."""
-    if isinstance(domain, Interval):
-        return np.array([domain.a]), np.array([domain.b])
-    if isinstance(domain, Box):
-        return np.asarray(domain.lo, float), np.asarray(domain.hi, float)
-    if isinstance(domain, Disk):
-        c = np.asarray(domain.center, float)
-        return c - domain.radius, c + domain.radius
-    if isinstance(domain, Polygon):
-        v = np.asarray(domain.vertices, float)
-        return v.min(axis=0), v.max(axis=0)
-    raise TypeError(f"unknown domain {type(domain)!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -366,12 +335,12 @@ def sample_quadrature(domain: Domain, h: float,
     """
     if h <= 0:
         raise ValueError("h must be positive")
-    if h > diameter(domain):
+    if h > domain.diameter():
         raise ValueError("h exceeds the domain diameter")
-    lo, hi = bounding_box(domain)
+    lo, hi = domain.bounding_box()
     n = domain.dimension
     if scheme == "tensor-midpoint":
-        if isinstance(domain, (Interval, Box)):
+        if isinstance(domain, Box):
             axes = tuple(_axis_cells(lo[i], hi[i], h) for i in range(n))
             mesh = np.meshgrid(*[a[0] for a in axes], indexing="ij")
             pts = np.stack([m.ravel() for m in mesh], axis=-1)
@@ -387,7 +356,7 @@ def sample_quadrature(domain: Domain, h: float,
         counts = [int(math.ceil((hi[i] - lo[i]) / h)) for i in range(n)]
         lattice = _lattice_indices(counts)
         pts = lo + h * (lattice + 0.5)
-        keep = contains_many(domain, pts)
+        keep = domain.contains_many(pts)
         pts, lattice = pts[keep], lattice[keep]
         if len(pts) == 0:
             raise ValueError("no cell centers fall inside the domain; "
@@ -399,7 +368,7 @@ def sample_quadrature(domain: Domain, h: float,
         total = max(8, int(round(box_vol / h**n)))
         sampler = qmc.Halton(d=n, scramble=False)
         raw = lo + sampler.random(total) * (hi - lo)
-        keep = contains_many(domain, raw)
+        keep = domain.contains_many(raw)
         pts = raw[keep]
         if len(pts) == 0:
             raise ValueError("no sample points fall inside the domain; "
@@ -423,10 +392,10 @@ def _grid_graph(domain: Domain, h: float):
     """
     grid = sample_quadrature(domain, h, "tensor-midpoint")
     pts = grid.points
-    bdist = _boundary_distance_many(domain, pts)
+    bdist = domain.boundary_distance_many(pts)
     keep = bdist >= h / 2.0
     pts, bdist = pts[keep], bdist[keep]
-    lo, _ = bounding_box(domain)
+    lo, _ = domain.bounding_box()
     n = domain.dimension
     idx = np.round((pts - lo) / h - 0.5).astype(np.int64)
     key = {tuple(row): i for i, row in enumerate(idx)}
@@ -476,7 +445,7 @@ def uniformity_clauses(domain: Domain, pts: np.ndarray, adj,
     if not interior:
         return length_clause, math.inf
     z = pts[interior]
-    dz = _boundary_distance_many(domain, z)
+    dz = domain.boundary_distance_many(z)
     dx = np.linalg.norm(z - x, axis=1)
     dy = np.linalg.norm(z - y, axis=1)
     cigar = float(np.min(dz * sep / (dx * dy)))
@@ -499,13 +468,13 @@ def estimate_uniformity(domain: Domain, trials: int, grid_h: float,
         raise ValueError("trials must be >= 1")
     pts, adj = _grid_graph(domain, grid_h)
     tree = cKDTree(pts)
-    lo, hi = bounding_box(domain)
+    lo, hi = domain.bounding_box()
     rng = np.random.default_rng(seed)
     best = math.inf
     done = 0
     while done < trials:
         raw = lo + rng.random((2, domain.dimension)) * (hi - lo)
-        if not contains_many(domain, raw).all():
+        if not domain.contains_many(raw).all():
             continue
         i, j = tree.query(raw)[1]
         if i == j:

@@ -28,7 +28,12 @@ def mc_sphere_moment(p: float, n: int, samples: int, seed: int = 0) -> float:
 
     Isotropic directions come from normalized Gaussian vectors; the mean of
     |omega_1|^p is scaled by the sphere surface 2 pi^(n/2) / Gamma(n/2).
+    The moment converges for p > -1.
     """
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValueError(f"n must be an integer >= 1, got {n!r}")
+    if not (math.isfinite(p) and p > -1.0):
+        raise ValueError(f"p must be a finite number > -1, got {p!r}")
     if samples < 1:
         raise ValueError("samples must be >= 1")
     rng = np.random.default_rng(seed)

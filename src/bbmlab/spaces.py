@@ -191,6 +191,16 @@ class ConstantWeight:
     def __call__(self, pts: np.ndarray) -> np.ndarray:
         return np.full(np.atleast_2d(pts).shape[0], self.c)
 
+    def cube_integral(self, power: float, lo: np.ndarray, hi: np.ndarray,
+                      eps: float) -> float:
+        """int_Q omega^power over the cube Q = [lo, hi)."""
+        return self.c**power * float(np.prod(hi - lo))
+
+    def cube_supremum_inverse(self, lo: np.ndarray, hi: np.ndarray,
+                              eps: float) -> float:
+        """esssup of 1/omega on the cube (for the A_1 bracket)."""
+        return 1.0 / self.c
+
 
 @dataclass(frozen=True)
 class PowerWeight:
@@ -203,6 +213,22 @@ class PowerWeight:
         r = np.linalg.norm(pts, axis=1)
         with np.errstate(divide="ignore"):
             return r**self.a
+
+    def cube_integral(self, power: float, lo: np.ndarray, hi: np.ndarray,
+                      eps: float) -> float:
+        """Truncated at the ball of radius eps when divergent."""
+        return _power_cube_integral(self.a * power, lo, hi, eps)
+
+    def cube_supremum_inverse(self, lo: np.ndarray, hi: np.ndarray,
+                              eps: float) -> float:
+        if self.a >= 0:
+            nearest = np.linalg.norm(np.clip(0.0, lo, hi))
+            return max(nearest, eps) ** (-self.a)
+        farthest = max(
+            np.linalg.norm(np.where(np.asarray(corner) == 0, lo, hi))
+            for corner in np.ndindex(*([2] * len(lo)))
+        )
+        return farthest ** (-self.a)
 
 
 @dataclass(frozen=True, eq=False)
@@ -226,6 +252,23 @@ class GridWeight:
         tree = cKDTree(self.points)
         _, idx = tree.query(np.atleast_2d(pts))
         return self.values[idx]
+
+    def _values_in(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        inside = np.all((self.points >= lo) & (self.points < hi), axis=1)
+        return self.values[inside]
+
+    def cube_integral(self, power: float, lo: np.ndarray, hi: np.ndarray,
+                      eps: float) -> float:
+        """Sample mean of omega^power times |Q|; 0 on a cube without samples."""
+        vals = self._values_in(lo, hi)
+        if not len(vals):
+            return 0.0
+        return float(np.mean(vals**power) * np.prod(hi - lo))
+
+    def cube_supremum_inverse(self, lo: np.ndarray, hi: np.ndarray,
+                              eps: float) -> float:
+        vals = self._values_in(lo, hi)
+        return float(np.max(1.0 / vals)) if len(vals) else 0.0
 
 
 Weight = Union[ConstantWeight, PowerWeight, GridWeight]
@@ -836,44 +879,6 @@ def _power_cube_integral(b: float, lo: np.ndarray, hi: np.ndarray,
     return total
 
 
-def _weight_cube_integral(weight: Weight, power: float, lo: np.ndarray,
-                          hi: np.ndarray, eps: float) -> float:
-    vol = float(np.prod(hi - lo))
-    if isinstance(weight, ConstantWeight):
-        return weight.c**power * vol
-    if isinstance(weight, PowerWeight):
-        return _power_cube_integral(weight.a * power, lo, hi, eps)
-    if isinstance(weight, GridWeight):
-        inside = np.all((weight.points >= lo) & (weight.points < hi), axis=1)
-        if not np.any(inside):
-            return 0.0
-        return float(np.mean(weight.values[inside] ** power) * vol)
-    raise TypeError(f"unknown weight {type(weight)!r}")
-
-
-def _weight_cube_supremum_inverse(weight: Weight, lo: np.ndarray,
-                                  hi: np.ndarray, eps: float) -> float:
-    """esssup of 1/omega on the cube (for the A_1 bracket)."""
-    if isinstance(weight, ConstantWeight):
-        return 1.0 / weight.c
-    if isinstance(weight, PowerWeight):
-        nearest = np.linalg.norm(np.clip(0.0, lo, hi))
-        farthest = max(
-            np.linalg.norm(c) for c in
-            (np.where(np.asarray(corner) == 0, lo, hi)
-             for corner in np.ndindex(*([2] * len(lo))))
-        )
-        if weight.a >= 0:
-            return max(nearest, eps) ** (-weight.a)
-        return farthest ** (-weight.a)
-    if isinstance(weight, GridWeight):
-        inside = np.all((weight.points >= lo) & (weight.points < hi), axis=1)
-        if not np.any(inside):
-            return 0.0
-        return float(np.max(1.0 / weight.values[inside]))
-    raise TypeError(f"unknown weight {type(weight)!r}")
-
-
 def ap_constant(weight: Weight, p: float, box, depth: int) -> float:
     """Muckenhoupt constant estimate over the dyadic cubes of a box.
 
@@ -899,14 +904,12 @@ def ap_constant(weight: Weight, p: float, box, depth: int) -> float:
             clo = lo + np.asarray(index) * steps
             chi = clo + steps
             vol = float(np.prod(steps))
-            mean_w = _weight_cube_integral(weight, 1.0, clo, chi, eps) / vol
+            mean_w = weight.cube_integral(1.0, clo, chi, eps) / vol
             if p == 1:
-                bracket = mean_w * _weight_cube_supremum_inverse(
-                    weight, clo, chi, eps)
+                bracket = mean_w * weight.cube_supremum_inverse(clo, chi, eps)
             else:
                 pprime = p / (p - 1.0)
-                dual = _weight_cube_integral(
-                    weight, 1.0 - pprime, clo, chi, eps) / vol
+                dual = weight.cube_integral(1.0 - pprime, clo, chi, eps) / vol
                 if not math.isfinite(dual):
                     raise ValueError(
                         "non-integrable dual weight power on a cube; "

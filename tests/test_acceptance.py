@@ -29,7 +29,6 @@ from bbmlab.geometry import (
     Box,
     Disk,
     Interval,
-    enclosing_radius,
     sample_quadrature,
 )
 from bbmlab.mollifiers import (
@@ -127,7 +126,7 @@ def test_ac4_gagliardo_limit_and_route():
     rep = convergence_study(f, 2.0, Lebesgue(2.0), None, svals,
                             mode="gagliardo", tolerance=0.03)
     err = abs(rep.extrapolated_limit - 1.0)
-    R = enclosing_radius(domain)
+    R = domain.enclosing_radius()
     family = fractional_family(2.0, R, 1)
     route_worst = 0.0
     for s in svals:
@@ -148,7 +147,7 @@ def test_ac5_divergence_direction():
     domain = Interval(-1.0, 1.0)
     grid = sample_quadrature(domain, 1e-3)
     f = sample(indicator_halfspace((1.0,), 0.0), grid)
-    family = fractional_family(2.0, enclosing_radius(domain), 1)
+    family = fractional_family(2.0, domain.enclosing_radius(), 1)
     schedule = [0.4 * 0.5**k for k in range(6)]
     rep = convergence_study(f, 2.0, Lebesgue(2.0), family, schedule)
     growth = rep.functional_values[-1] / rep.functional_values[0]

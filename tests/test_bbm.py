@@ -13,7 +13,7 @@ from bbmlab.bbm import (
     sobolev_target,
 )
 from bbmlab.field import SampledField, indicator_halfspace, linear, sample
-from bbmlab.geometry import Disk, Interval, enclosing_radius, sample_quadrature
+from bbmlab.geometry import Disk, Interval, sample_quadrature
 from bbmlab.mollifiers import bump_family, fractional_family
 from bbmlab.oracle import mc_sphere_moment
 from bbmlab.spaces import Lebesgue, Morrey
@@ -110,7 +110,7 @@ class TestConvergenceStudy:
         domain = Interval(-1.0, 1.0)
         grid = sample_quadrature(domain, 1e-3)
         f = sample(indicator_halfspace((1.0,), 0.0), grid)
-        family = fractional_family(2.0, enclosing_radius(domain), 1)
+        family = fractional_family(2.0, domain.enclosing_radius(), 1)
         schedule = [0.4 * 0.5**k for k in range(6)]
         report = convergence_study(f, 2.0, Lebesgue(2.0), family, schedule)
         assert report.verdict == "non-member"

@@ -391,6 +391,7 @@ class TestOracleCommand:
         (["dense-1d", "--mode", "gagliardo", "--scale", "1.5"], "s must"),
         (["dense-1d", "--resolution", "0"], "resolution"),
         (["rearrangement", "--input", "missing.csv"], "missing.csv"),
+        (["sphere-moment", "--n", "0", "--samples", "10"], "n must"),
     ])
     def test_bad_input_is_one_error_line(self, tmp_path, monkeypatch,
                                          capsys, argv, named):

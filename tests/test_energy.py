@@ -17,7 +17,6 @@ from bbmlab.geometry import (
     Disk,
     Interval,
     Polygon,
-    enclosing_radius,
     sample_quadrature,
 )
 from bbmlab.mollifiers import bump_family, fractional_family, gagliardo_kernel
@@ -114,7 +113,7 @@ class TestBbmFunctional:
         domain = Interval(-1.0, 1.0)
         grid = sample_quadrature(domain, 2e-3)
         f = sample(indicator_halfspace((1.0,), 0.0), grid)
-        family = fractional_family(2.0, enclosing_radius(domain), 1)
+        family = fractional_family(2.0, domain.enclosing_radius(), 1)
         values = bbm_functional_schedule(f, 2.0, family, [0.1, 0.05],
                                          Lebesgue(2.0))
         assert values[1] > values[0]
@@ -162,7 +161,7 @@ class TestGagliardoRoute:
     @pytest.mark.parametrize("s", [0.8, 0.9, 0.95])
     def test_route_consistency(self, line_field, s):
         domain = Interval(0.0, 1.0)
-        R = enclosing_radius(domain)
+        R = domain.enclosing_radius()
         nu = 1.0 - s
         p = 2.0
         family = fractional_family(p, R, 1)
@@ -365,7 +364,7 @@ class TestPairSources:
         field = sample(product_sine(2), sample_quadrature(UNIT_SQUARE, 0.1))
         taken = _spy_sources(monkeypatch)
         gagliardo_functional(field, 2.0, 0.9, Lebesgue(2.0))
-        family = fractional_family(2.0, enclosing_radius(UNIT_SQUARE), 2)
+        family = fractional_family(2.0, UNIT_SQUARE.enclosing_radius(), 2)
         bbm_functional_schedule(field, 2.0, family, [0.5, 0.2],
                                 Lebesgue(2.0), stride=2)
         pointwise_energy(field, 3, EnergyParams(2.0, bump_family(2), 0.3))

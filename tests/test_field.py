@@ -12,7 +12,7 @@ from bbmlab.field import (
     sample,
     zero_extension,
 )
-from bbmlab.geometry import Box, Disk, Interval, contains_many, sample_quadrature
+from bbmlab.geometry import Box, Disk, Interval, sample_quadrature
 from bbmlab.spaces import Lebesgue, PowerWeight, WeightedLebesgue, norm
 
 
@@ -85,7 +85,7 @@ class TestZeroExtension:
         ones = type(ones)(inner, np.ones(len(inner)), None, None)
         outer = sample_quadrature(Box((-2.0, -2.0), (2.0, 2.0)), h)
         ext = zero_extension(ones, outer, disk)
-        inside = contains_many(disk, outer.points)
+        inside = disk.contains_many(outer.points)
         assert np.array_equal(ext.values[inside], np.ones(inside.sum()))
         assert np.all(ext.values[~inside] == 0.0)
 
@@ -108,6 +108,37 @@ class TestZeroExtension:
         for spec in (Lebesgue(2.0), WeightedLebesgue(2.0, PowerWeight(0.5))):
             assert norm(spec, ext) == pytest.approx(norm(spec, field),
                                                     abs=1e-10)
+
+
+class TestDomainDimension:
+    # a domain of another dimension than the grid would broadcast against
+    # its points and handle the boundary of the wrong shape
+    @pytest.mark.parametrize("grid_domain, domain", [
+        (Interval(0.2, 0.8), Disk((0.0, 0.0), 0.3)),
+        (Disk((0.0, 0.0), 0.5), Interval(-1.0, 1.0)),
+    ])
+    def test_fd_gradient(self, grid_domain, domain):
+        grid = sample_quadrature(grid_domain, 0.05)
+        field = sample(linear((1.0,) * grid.dimension), grid)
+        with pytest.raises(ValueError, match=f"a {domain.dimension}-d domain "
+                           f"does not match a {grid.dimension}-d grid"):
+            fd_gradient(field, 0.01, domain)
+
+    @pytest.mark.parametrize("grid_domain, domain, outer_box, bad", [
+        (Interval(0.2, 0.8), Disk((0.0, 0.0), 0.3),
+         Box((-1.0,), (1.0,)), 1),
+        (Disk((0.0, 0.0), 0.5), Interval(-1.0, 1.0),
+         Box((-1.0, -1.0), (1.0, 1.0)), 2),
+        (Interval(0.2, 0.8), Interval(0.2, 0.8),
+         Box((-1.0, -1.0), (1.0, 1.0)), 2),
+    ])
+    def test_zero_extension(self, grid_domain, domain, outer_box, bad):
+        grid = sample_quadrature(grid_domain, 0.05)
+        field = sample(linear((1.0,) * grid.dimension), grid)
+        outer = sample_quadrature(outer_box, 0.05)
+        with pytest.raises(ValueError, match=f"a {domain.dimension}-d domain "
+                           f"does not match a {bad}-d grid"):
+            zero_extension(field, outer, domain)
 
 
 def test_sample_rejects_dimension_mismatch(unit_square_grid):

@@ -3,20 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from bbmlab.cli import ConfigError, run_experiment
 from bbmlab.geometry import (
     Box,
     Disk,
     Interval,
     Polygon,
     QuadratureGrid,
-    boundary_distance,
-    bounding_box,
-    contains,
-    contains_many,
-    diameter,
-    enclosing_radius,
     estimate_uniformity,
-    measure,
     sample_quadrature,
     _grid_graph,
     uniformity_clauses,
@@ -29,55 +23,55 @@ L_SHAPE = Polygon(((0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)))
 
 class TestContains:
     def test_disk_center(self):
-        assert contains(UNIT_DISK, (0.0, 0.0))
+        assert UNIT_DISK.contains((0.0, 0.0))
 
     def test_disk_exterior(self):
-        assert not contains(UNIT_DISK, (2.0, 0.0))
+        assert not UNIT_DISK.contains((2.0, 0.0))
 
     def test_disk_boundary_excluded(self):
-        assert not contains(UNIT_DISK, (1.0, 0.0))
+        assert not UNIT_DISK.contains((1.0, 0.0))
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            contains(UNIT_DISK, (0.0, 0.0, 0.0))
+            UNIT_DISK.contains((0.0, 0.0, 0.0))
 
     def test_polygon_membership(self):
-        assert contains(L_SHAPE, (0.5, 0.5))
-        assert contains(L_SHAPE, (1.5, 0.5))
-        assert not contains(L_SHAPE, (1.5, 1.5))
+        assert L_SHAPE.contains((0.5, 0.5))
+        assert L_SHAPE.contains((1.5, 0.5))
+        assert not L_SHAPE.contains((1.5, 1.5))
         # points on an edge count as outside
-        assert not contains(L_SHAPE, (1.0, 1.5))
+        assert not L_SHAPE.contains((1.0, 1.5))
 
 
 class TestBoundaryDistance:
     def test_interval(self):
-        assert boundary_distance(Interval(0, 1), (0.3,)) == pytest.approx(0.3)
+        assert Interval(0, 1).boundary_distance((0.3,)) == pytest.approx(0.3)
 
     def test_disk(self):
-        assert boundary_distance(UNIT_DISK, (0.5, 0.0)) == pytest.approx(0.5)
+        assert UNIT_DISK.boundary_distance((0.5, 0.0)) == pytest.approx(0.5)
 
     def test_square(self):
-        assert boundary_distance(UNIT_SQUARE, (0.2, 0.7)) == pytest.approx(0.2)
+        assert UNIT_SQUARE.boundary_distance((0.2, 0.7)) == pytest.approx(0.2)
 
     def test_polygon_edge_distance(self):
-        assert boundary_distance(L_SHAPE, (0.5, 0.5)) == pytest.approx(0.5)
-        assert boundary_distance(L_SHAPE, (0.9, 1.8)) == pytest.approx(0.1)
+        assert L_SHAPE.boundary_distance((0.5, 0.5)) == pytest.approx(0.5)
+        assert L_SHAPE.boundary_distance((0.9, 1.8)) == pytest.approx(0.1)
 
     def test_outside_raises(self):
         with pytest.raises(ValueError):
-            boundary_distance(UNIT_DISK, (3.0, 0.0))
+            UNIT_DISK.boundary_distance((3.0, 0.0))
 
 
 class TestEnclosingRadius:
     def test_unit_disk(self):
-        assert enclosing_radius(UNIT_DISK) == pytest.approx(2.0)
+        assert UNIT_DISK.enclosing_radius() == pytest.approx(2.0)
 
     def test_unit_interval(self):
-        assert enclosing_radius(Interval(0, 1)) == pytest.approx(2.0)
+        assert Interval(0, 1).enclosing_radius() == pytest.approx(2.0)
 
     def test_symmetric_box(self):
         box = Box((-1.0, -1.0), (1.0, 1.0))
-        assert enclosing_radius(box) == pytest.approx(2.0 * math.sqrt(2.0))
+        assert box.enclosing_radius() == pytest.approx(2.0 * math.sqrt(2.0))
 
 
 class TestQuadrature:
@@ -103,20 +97,20 @@ class TestQuadrature:
     def test_all_points_inside(self):
         for domain in (UNIT_DISK, L_SHAPE, UNIT_SQUARE):
             grid = sample_quadrature(domain, 0.11)
-            assert contains_many(domain, grid.points).all()
+            assert domain.contains_many(grid.points).all()
 
     def test_3d_box_weight_sum_exact(self):
         box = Box((0.0, 0.0, 0.0), (1.0, 0.7, 0.4))
         grid = sample_quadrature(box, 0.15)
         assert grid.weights.sum() == pytest.approx(0.28, abs=1e-14)
-        assert contains_many(box, grid.points).all()
+        assert box.contains_many(grid.points).all()
 
     @pytest.mark.parametrize("domain, h", [
         (Interval(0.0, 1.0), 1e-3), (UNIT_SQUARE, 0.02), (UNIT_DISK, 0.07),
         (L_SHAPE, 0.1), (Box((0.0, 0.0, 0.0), (1.0, 0.5, 0.25)), 0.125)])
     def test_lattice_indices_of_full_cells(self, domain, h):
         grid = sample_quadrature(domain, h)
-        lo, _ = bounding_box(domain)
+        lo, _ = domain.bounding_box()
         assert grid.lattice.dtype == np.int64
         assert grid.lattice.min() >= 0
         assert np.allclose(grid.points, lo + h * (grid.lattice + 0.5),
@@ -151,18 +145,82 @@ class TestQuadrature:
 
     def test_boundary_distance_below_enclosing_radius(self):
         grid = sample_quadrature(UNIT_DISK, 0.07)
-        radius = enclosing_radius(UNIT_DISK)
+        radius = UNIT_DISK.enclosing_radius()
         for point in grid.points[::17]:
-            assert boundary_distance(UNIT_DISK, point) <= radius
+            assert UNIT_DISK.boundary_distance(point) <= radius
 
 
 class TestMeasure:
     def test_polygon_area(self):
-        assert measure(L_SHAPE) == pytest.approx(3.0)
+        assert L_SHAPE.measure() == pytest.approx(3.0)
 
     def test_diameter(self):
-        assert diameter(UNIT_DISK) == pytest.approx(2.0)
-        assert diameter(L_SHAPE) == pytest.approx(math.hypot(2, 2))
+        assert UNIT_DISK.diameter() == pytest.approx(2.0)
+        assert L_SHAPE.diameter() == pytest.approx(math.hypot(2, 2))
+
+
+def _assert_same_grid(got, want):
+    assert np.array_equal(got.points, want.points)
+    assert np.array_equal(got.weights, want.weights)
+    assert got.h == want.h
+    for a, b in ((got.lattice, want.lattice), (got.axes, want.axes)):
+        assert (a is None) == (b is None)
+    if want.lattice is not None:
+        assert np.array_equal(got.lattice, want.lattice)
+    for (coords, widths), (want_coords, want_widths) in zip(
+            got.axes or (), want.axes or ()):
+        assert np.array_equal(coords, want_coords)
+        assert np.array_equal(widths, want_widths)
+
+
+class TestIntervalIsTheUnitBox:
+    @pytest.mark.parametrize("a, b", [(0, 1), (-1, 1), (-0.7, 2.3)])
+    def test_interval_matches_the_1d_box(self, a, b):
+        interval, box = Interval(a, b), Box((a,), (b,))
+        assert (interval.a, interval.b) == (a, b)
+        assert interval.dimension == box.dimension == 1
+        x = np.concatenate([np.linspace(a - 0.5, b + 0.5, 41), [a, b]])
+        pts = x[:, None]
+        assert np.array_equal(interval.contains_many(pts),
+                              box.contains_many(pts))
+        # the closed forms of the former interval branches
+        assert np.array_equal(interval.contains_many(pts), (x > a) & (x < b))
+        inner = pts[(x > a) & (x < b)]
+        assert np.array_equal(interval.boundary_distance_many(inner),
+                              box.boundary_distance_many(inner))
+        assert np.array_equal(interval.boundary_distance_many(inner),
+                              np.minimum(inner[:, 0] - a, b - inner[:, 0]))
+        for point in inner[::7]:
+            assert interval.contains(point) and box.contains(point)
+            assert interval.boundary_distance(point) == \
+                box.boundary_distance(point)
+        assert interval.enclosing_radius() == box.enclosing_radius() == \
+            2.0 * max(abs(a), abs(b))
+        assert interval.diameter() == box.diameter() == b - a
+        assert interval.measure() == box.measure() == b - a
+        for got, want in zip(interval.bounding_box(), box.bounding_box()):
+            assert np.array_equal(got, want)
+        assert np.array_equal(interval.bounding_box()[0], [a])
+        assert np.array_equal(interval.bounding_box()[1], [b])
+        for scheme in ("tensor-midpoint", "quasi-random"):
+            _assert_same_grid(sample_quadrature(interval, 0.05, scheme),
+                              sample_quadrature(box, 0.05, scheme))
+
+    def test_reversed_interval_is_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="interval requires a < b"):
+            Interval(1, 0)
+        config = {
+            "domain": {"kind": "interval", "a": 1, "b": 0},
+            "function": {"kind": "linear", "v": 1},
+            "space": {"kind": "lebesgue", "q": 2},
+            "family": {"kind": "bump"},
+            "schedule": {"nu_start": 0.2, "ratio": 0.5, "count": 4},
+            "p": 2, "h": 0.01,
+        }
+        with pytest.raises(ConfigError, match="interval requires a < b") \
+                as info:
+            run_experiment(config, tmp_path)
+        assert info.value.field == "domain"
 
 
 class TestUniformity:

@@ -37,6 +37,25 @@ class TestSphereMoment:
         b = mc_sphere_moment(1.5, 2, 50_000, seed=9)
         assert a == b
 
+    @pytest.mark.parametrize("change, message", [
+        ({"n": 0}, "^n must"),
+        ({"n": -1}, "^n must"),
+        ({"n": 2.5}, "^n must"),
+        ({"n": True}, "^n must"),
+        ({"p": -1.0}, "^p must"),
+        ({"p": -2.0}, "^p must"),
+        ({"p": math.nan}, "^p must"),
+        ({"p": math.inf}, "^p must"),
+    ])
+    def test_bad_input_is_named(self, change, message):
+        call = {"p": 2.0, "n": 2, "samples": 100, **change}
+        with pytest.raises(ValueError, match=message):
+            mc_sphere_moment(**call)
+
+    def test_integrable_negative_exponent(self):
+        # int |omega_1|^p over the circle is finite for every p > -1
+        assert math.isfinite(mc_sphere_moment(-0.5, 2, 1000, seed=0))
+
 
 class TestDense1d:
     def test_linear_agrees_with_engine(self):

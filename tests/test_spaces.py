@@ -21,6 +21,7 @@ from bbmlab.spaces import (
     BesovBourgainMorrey,
     PowerLogOrlicz,
     ConstantWeight,
+    GridWeight,
     HerzGlobal,
     HerzLocal,
     Lebesgue,
@@ -577,6 +578,17 @@ class TestApConstant:
         got = ap_constant(ConstantWeight(1.0), 2.0,
                           (np.array([0.0, 0.0]), np.array([1.0, 1.0])),
                           depth=2)
+        assert got == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("p", [1.0, 2.0])
+    def test_constant_grid_weight_matches_constant_weight(self, p):
+        # 16 x 16 cell midpoints: every cube down to depth 3 holds samples
+        box = (np.array([0.0, 0.0]), np.array([1.0, 1.0]))
+        points = sample_quadrature(Box(*box), 1.0 / 16).points
+        grid_weight = GridWeight(points, np.full(len(points), 2.5))
+        got = ap_constant(grid_weight, p, box, depth=3)
+        want = ap_constant(ConstantWeight(2.5), p, box, depth=3)
+        assert got == pytest.approx(want, abs=1e-12)
         assert got == pytest.approx(1.0, abs=1e-12)
 
     def test_2d_power_cube_integral_polynomial(self):
