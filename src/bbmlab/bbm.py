@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional, Union
 
 import numpy as np
@@ -112,39 +112,16 @@ class ConvergenceReport:
     tolerance: float
 
     def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "p": self.p,
-            "spec": self.spec_label,
-            "schedule": list(self.schedule),
-            "scales": list(self.scales),
-            "functional_values": list(self.functional_values),
-            "target": self.target,
-            "extrapolated_limit": self.extrapolated_limit,
-            "relative_error": self.relative_error,
-            "verdict": self.verdict,
-            "fitted_beta": self.fitted_beta,
-            "fit_residual": self.fit_residual,
-            "tolerance": self.tolerance,
-        }
+        data = asdict(self)
+        data["spec"] = data.pop("spec_label")
+        return data
 
     @classmethod
     def from_dict(cls, data: dict) -> "ConvergenceReport":
-        return cls(
-            mode=data["mode"],
-            p=data["p"],
-            spec_label=data["spec"],
-            schedule=tuple(data["schedule"]),
-            scales=tuple(data["scales"]),
-            functional_values=tuple(data["functional_values"]),
-            target=data["target"],
-            extrapolated_limit=data["extrapolated_limit"],
-            relative_error=data["relative_error"],
-            verdict=data["verdict"],
-            fitted_beta=data["fitted_beta"],
-            fit_residual=data["fit_residual"],
-            tolerance=data["tolerance"],
-        )
+        data = {key: tuple(value) if isinstance(value, list) else value
+                for key, value in data.items()}
+        data["spec_label"] = data.pop("spec")
+        return cls(**data)
 
     def csv_rows(self):
         rows = []

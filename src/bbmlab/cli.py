@@ -25,7 +25,15 @@ import numpy as np
 
 from . import checks, oracle
 from .bbm import CSV_HEADER, ConvergenceReport, convergence_study
-from .field import function_from_record, sample
+from .field import (
+    indicator_halfspace,
+    linear,
+    product_sine,
+    quadratic,
+    radial_bump,
+    read_csv_table,
+    sample,
+)
 from .geometry import (
     SCHEMES,
     Box,
@@ -150,93 +158,122 @@ def _require(record: dict, field: str, context: str):
     return record[field]
 
 
-def build_domain(record: dict):
-    kind = _require(record, "kind", "domain")
+def _build(table: dict, kind, field: str, *args):
+    """`table[kind](*args)`.  An unknown kind is a ConfigError naming
+    `field`, the key that chose it; a KeyError names the missing key of
+    the record (`field` up to its dot), and any other TypeError or
+    ValueError the record.  A nested ConfigError passes unchanged."""
+    if not isinstance(kind, str) or kind not in table:
+        raise ConfigError(field, f"unknown kind {kind!r}; expected one of "
+                                 f"{', '.join(table)}")
+    record = field.split(".")[0]
     try:
-        if kind == "interval":
-            return Interval(record["a"], record["b"])
-        if kind == "box":
-            lo, hi = record["lo"], record["hi"]
-            lo = lo if isinstance(lo, list) else [lo]
-            hi = hi if isinstance(hi, list) else [hi]
-            return Box(tuple(lo), tuple(hi))
-        if kind == "disk":
-            return Disk(tuple(record["center"]), record["radius"])
-        if kind == "polygon":
-            return Polygon(tuple(tuple(v) for v in record["vertices"]))
+        return table[kind](*args)
+    except ConfigError:
+        raise
     except KeyError as exc:
-        raise ConfigError(f"domain.{exc.args[0]}", "missing required field")
-    except ValueError as exc:
-        raise ConfigError("domain", str(exc))
-    raise ConfigError("domain.kind", f"unknown kind {kind!r}")
+        raise ConfigError(f"{record}.{exc.args[0]}",
+                          "missing required field") from None
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(record, str(exc)) from None
 
 
-def _build_orlicz(record):
-    kind = record.get("phi", "power")
-    if kind == "power":
-        return PowerOrlicz(record.get("phi_q", 2.0))
-    if kind == "plog":
-        return PowerLogOrlicz(record.get("phi_q", 2.0))
-    if kind == "table":
-        return orlicz_from_csv(_require(record, "phi_table", "space"))
-    raise ConfigError("space.phi", f"unknown Orlicz kind {kind!r}")
+def _build_kind(table: dict, record: dict, name: str, *args):
+    """Record `name` built by the entry of `table` its `kind` names."""
+    return _build(table, _require(record, "kind", name), f"{name}.kind",
+                  record, *args)
 
 
-def _build_weight(record, dimension: int):
-    kind = record.get("weight", "constant")
-    if kind == "constant":
-        return ConstantWeight(record.get("weight_c", 1.0))
-    if kind == "power":
-        return PowerWeight(_require(record, "weight_a", "space"))
-    if kind == "table":
-        return weight_from_csv(_require(record, "weight_table", "space"),
-                               dimension)
-    raise ConfigError("space.weight", f"unknown weight kind {kind!r}")
+def _listed(value) -> list:
+    return value if isinstance(value, list) else [value]
 
 
-def build_space(record: dict, dimension: int):
+# kind -> constructor for each config record; a constructor reads the
+# record's keys with their defaults and leaves error reporting to _build
+_DOMAINS = {
+    "interval": lambda rec: Interval(rec["a"], rec["b"]),
+    "box": lambda rec: Box(tuple(_listed(rec["lo"])),
+                           tuple(_listed(rec["hi"]))),
+    "disk": lambda rec: Disk(tuple(rec["center"]), rec["radius"]),
+    "polygon": lambda rec: Polygon(tuple(tuple(v) for v in rec["vertices"])),
+}
+
+_FUNCTIONS = {
+    "linear": lambda rec, n: linear(rec.get("v", [1.0] * n)),
+    "quadratic": lambda rec, n: quadratic(n),
+    "product-sine": lambda rec, n: product_sine(n),
+    "indicator-halfspace": lambda rec, n: indicator_halfspace(
+        rec.get("normal", [1.0] * n), rec.get("offset", 0.0)),
+    "radial-bump": lambda rec, n: radial_bump(
+        rec.get("center", [0.0] * n), rec.get("radius", 1.0)),
+}
+
+_FAMILIES = {
+    "bump": lambda rec, p, domain: bump_family(domain.dimension),
+    "fractional": lambda rec, p, domain: fractional_family(
+        p, domain.enclosing_radius(), domain.dimension),
+}
+
+_ORLICZ = {
+    "power": lambda rec: PowerOrlicz(rec.get("phi_q", 2.0)),
+    "plog": lambda rec: PowerLogOrlicz(rec.get("phi_q", 2.0)),
+    "table": lambda rec: orlicz_from_csv(rec["phi_table"]),
+}
+
+_WEIGHTS = {
+    "constant": lambda rec, n: ConstantWeight(rec.get("weight_c", 1.0)),
+    "power": lambda rec, n: PowerWeight(rec["weight_a"]),
+    "table": lambda rec, n: weight_from_csv(rec["weight_table"], n),
+}
+
+# an explicit list of values, else a geometric nu_start * ratio**k
+_SCHEDULES = {
+    "values": lambda rec: [float(v) for v in _listed(rec["values"])],
+    "geometric": lambda rec: [
+        float(rec["nu_start"]) * float(rec["ratio"]) ** k
+        for k in range(_count(rec["count"], "schedule.count"))],
+}
+
+
+def _spec(record: dict, dimension: int):
     """The spec named by `space.kind`; its other keys are the spec's
     dataclass fields, except that `phi`, `weight` and the variable
     exponent are built from keys of their own."""
-    kind = _require(record, "kind", "space")
-    if kind not in SPACES:
-        raise ConfigError("space.kind", f"unknown kind {kind!r}")
+    cls = SPACES[record["kind"]]
     # Herz specs default to the unweighted norm around the origin
     values = {"a": 0.0, "xi": [0.0] * dimension, **record}
     args = {}
-    try:
-        for fld in dataclasses.fields(SPACES[kind]):
-            name = fld.name
-            if name == "phi":
-                args[name] = _build_orlicz(record)
-            elif name == "weight":
-                args[name] = _build_weight(record, dimension)
-            elif name == "exponent":  # r(x) = base + slope * x_1
-                base = record.get("base", 2.0)
-                slope = record.get("slope", 0.0)
-                args[name] = float(base) if slope == 0.0 else (
-                    lambda pts: base + slope * pts[:, 0])
-            elif name in values:
-                args[name] = values[name]
-            elif fld.default is dataclasses.MISSING and \
-                    fld.default_factory is dataclasses.MISSING:
-                raise ConfigError(f"space.{name}", "missing required field")
-        return SPACES[kind](**args)
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:  # e.g. q <= 0, or q = 'two'
-        raise ConfigError("space", str(exc))
+    for fld in dataclasses.fields(cls):
+        name = fld.name
+        if name == "phi":
+            args[name] = _build(_ORLICZ, record.get("phi", "power"),
+                                "space.phi", record)
+        elif name == "weight":
+            args[name] = _build(_WEIGHTS, record.get("weight", "constant"),
+                                "space.weight", record, dimension)
+        elif name == "exponent":  # r(x) = base + slope * x_1
+            base = record.get("base", 2.0)
+            slope = record.get("slope", 0.0)
+            args[name] = float(base) if slope == 0.0 else (
+                lambda pts: base + slope * pts[:, 0])
+        elif name in values or (fld.default is dataclasses.MISSING and
+                                fld.default_factory is dataclasses.MISSING):
+            args[name] = values[name]  # a KeyError names the missing key
+    return cls(**args)
+
+
+# every space kind is built from its spec class's dataclass fields
+_SPACE_KINDS = dict.fromkeys(SPACES, _spec)
+
+
+def build_space(record: dict, dimension: int):
+    """The spec of a `space` record (see `_spec`)."""
+    return _build_kind(_SPACE_KINDS, record, "space", dimension)
 
 
 def build_schedule(record: dict) -> list:
-    if "values" in record:
-        values = record["values"]
-        return [float(v) for v in (values if isinstance(values, list)
-                                   else [values])]
-    start = _require(record, "nu_start", "schedule")
-    ratio = _require(record, "ratio", "schedule")
-    count = _count(_require(record, "count", "schedule"), "schedule.count")
-    return [float(start) * float(ratio) ** k for k in range(count)]
+    kind = "values" if "values" in record else "geometric"
+    return _build(_SCHEDULES, kind, "schedule", record)
 
 
 def run_experiment(config: dict, out_dir) -> ConvergenceReport:
@@ -244,7 +281,11 @@ def run_experiment(config: dict, out_dir) -> ConvergenceReport:
     for field in ("domain", "function", "space", "schedule", "p", "h"):
         if field not in config:
             raise ConfigError(field, "missing required field")
-    domain = build_domain(config["domain"])
+    for name in ("domain", "function", "space", "schedule", "family"):
+        if not isinstance(config.get(name, {}), dict):
+            raise ConfigError(name, f"expected {name}.* keys, "
+                                    f"got {config[name]!r}")
+    domain = _build_kind(_DOMAINS, config["domain"], "domain")
     n = domain.dimension
     p = _positive_number(config["p"], "p")
     if p < 1.0:
@@ -262,28 +303,14 @@ def run_experiment(config: dict, out_dir) -> ConvergenceReport:
     if scheme not in SCHEMES:
         raise ConfigError("scheme", f"unknown scheme {scheme!r}; "
                                     f"expected one of {', '.join(SCHEMES)}")
-
-    try:
-        grid = sample_quadrature(domain, h, scheme)
-    except ValueError as exc:  # h too large or too coarse for the domain
-        raise ConfigError("h", str(exc))
-    fn = function_from_record(config["function"], n)
+    fn = _build_kind(_FUNCTIONS, config["function"], "function", n)
     if fn.dimension != n:
         raise ConfigError("function", "function dimension does not match domain")
-    field_data = sample(fn, grid)
 
     family = None
     if mode == "rdati":
-        fam_record = config.get("family")
-        if fam_record is None:
-            raise ConfigError("family", "missing required field")
-        fam_kind = _require(fam_record, "kind", "family")
-        if fam_kind == "bump":
-            family = bump_family(n)
-        elif fam_kind == "fractional":
-            family = fractional_family(p, domain.enclosing_radius(), n)
-        else:
-            raise ConfigError("family.kind", f"unknown kind {fam_kind!r}")
+        family = _build_kind(_FAMILIES, config.get("family", {}), "family",
+                             p, domain)
         nu_max = family.nu_max
         if any(not 0.0 < nu < nu_max for nu in schedule):
             raise ConfigError(
@@ -296,6 +323,12 @@ def run_experiment(config: dict, out_dir) -> ConvergenceReport:
             raise ConfigError("schedule", "s values must lie in (0, 1)")
     else:
         raise ConfigError("mode", f"unknown mode {mode!r}")
+
+    try:
+        grid = sample_quadrature(domain, h, scheme)
+    except ValueError as exc:  # h too large or too coarse for the domain
+        raise ConfigError("h", str(exc))
+    field_data = sample(fn, grid)
 
     report = convergence_study(
         field_data, p, spec, family, schedule, mode=mode,
@@ -376,10 +409,7 @@ def _write_plot_svg(path: Path, report: ConvergenceReport,
 def _cmd_run(args) -> int:
     try:
         config = parse_config(args.config)
-        if args.stride is not None:
-            config["stride"] = args.stride
-        out_dir = args.out
-        report = run_experiment(config, out_dir)
+        report = run_experiment(config, args.out)
     except ConfigError as exc:
         print(exc, file=sys.stderr)
         return 1
@@ -476,7 +506,7 @@ def _cmd_oracle(args) -> int:
             print(repr(value))
             return 0
         if args.op == "dense-1d":
-            fn = function_from_record({"kind": args.function}, 1)
+            fn = _build(_FUNCTIONS, args.function, "--function", {}, 1)
             value = oracle.dense_1d_functional(
                 fn, Interval(args.a, args.b), args.p, args.q, args.scale,
                 args.resolution, family_kind=args.family, mode=args.mode,
@@ -484,7 +514,9 @@ def _cmd_oracle(args) -> int:
             print(repr(value))
             return 0
         if args.op == "rearrangement":
-            data = np.loadtxt(args.input, delimiter=",", ndmin=2)
+            if args.input is None:
+                raise ValueError("rearrangement needs --input")
+            data = read_csv_table(args.input, 2, "value, weight")
             step = oracle.rearrangement_oracle(data[:, 0], data[:, 1])
             ts = np.cumsum(data[:, 1])
             for t_left, t_right in zip(np.concatenate([[0.0], ts[:-1]]), ts):
@@ -520,7 +552,6 @@ def main(argv=None) -> int:
     p_run = sub.add_parser("run", help="run one experiment config")
     p_run.add_argument("--config", required=True)
     p_run.add_argument("--out", default="out")
-    p_run.add_argument("--stride", type=int, default=None)
     p_run.set_defaults(func=_cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="Cartesian product of overrides")

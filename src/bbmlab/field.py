@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 from dataclasses import dataclass
 from typing import Optional
 
@@ -25,7 +26,7 @@ __all__ = [
     "zero_extension",
     "gradient_magnitude_field",
     "load_field_csv",
-    "function_from_record",
+    "read_csv_table",
 ]
 
 
@@ -115,33 +116,18 @@ def product_sine(dimension: int) -> TestFunction:
 
 def indicator_halfspace(normal, offset: float = 0.0) -> TestFunction:
     normal = tuple(float(c) for c in np.atleast_1d(normal))
+    if not any(normal):
+        raise ValueError("indicator-halfspace needs a nonzero normal")
     return TestFunction("indicator-halfspace", len(normal), (normal, float(offset)))
 
 
 def radial_bump(center, radius: float = 1.0) -> TestFunction:
     center = tuple(float(c) for c in np.atleast_1d(center))
-    return TestFunction("radial-bump", len(center), (center, float(radius)))
-
-
-_CATALOG_BUILDERS = {
-    "linear": lambda rec, n: linear(rec.get("v", [1.0] * n)),
-    "quadratic": lambda rec, n: quadratic(n),
-    "product-sine": lambda rec, n: product_sine(n),
-    "indicator-halfspace": lambda rec, n: indicator_halfspace(
-        rec.get("normal", [1.0] * n), rec.get("offset", 0.0)
-    ),
-    "radial-bump": lambda rec, n: radial_bump(
-        rec.get("center", [0.0] * n), rec.get("radius", 1.0)
-    ),
-}
-
-
-def function_from_record(record: dict, dimension: int) -> TestFunction:
-    """Build a catalog function from a config record (kind + parameters)."""
-    kind = record.get("kind")
-    if kind not in _CATALOG_BUILDERS:
-        raise ValueError(f"function.kind {kind!r} not in catalog")
-    return _CATALOG_BUILDERS[kind](record, dimension)
+    radius = float(radius)
+    if not 0.0 < radius < math.inf:
+        raise ValueError(f"radial-bump radius must be a finite number > 0, "
+                         f"got {radius!r}")
+    return TestFunction("radial-bump", len(center), (center, radius))
 
 
 @dataclass(frozen=True, eq=False)
@@ -261,27 +247,41 @@ def gradient_magnitude_field(field: SampledField) -> SampledField:
     return SampledField(field.grid, mags)
 
 
+def read_csv_table(path, columns: int, layout: str) -> np.ndarray:
+    """The numeric rows of a CSV file as a (rows, columns) float array.
+
+    Blank rows and rows starting with '#' are skipped.  A row that is not
+    `columns` finite numbers raises a ValueError naming the file and line;
+    `layout` names the columns.
+    """
+    rows = []
+    # fspath refuses an integer, which open() would take as a descriptor
+    with open(os.fspath(path), newline="") as fh:
+        reader = csv.reader(fh)
+        for row in reader:
+            if not "".join(row).strip() or row[0].lstrip().startswith("#"):
+                continue
+            try:
+                nums = [float(cell) for cell in row]
+            except ValueError:
+                nums = [math.nan]
+            if len(nums) != columns or not all(map(math.isfinite, nums)):
+                raise ValueError(f"{path}, line {reader.line_num}: expected "
+                                 f"{columns} finite numbers ({layout}), "
+                                 f"got {row!r}")
+            rows.append(nums)
+    return np.array(rows, dtype=float).reshape(-1, columns)
+
+
 def load_field_csv(path, dimension: int) -> SampledField:
     """Read a user field from CSV columns x1..xn, weight, value."""
-    pts, weights, values = [], [], []
-    with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            if not row or row[0].lstrip().startswith("#"):
-                continue
-            nums = [float(c) for c in row]
-            if len(nums) != dimension + 2:
-                raise ValueError(
-                    f"expected {dimension + 2} columns (x1..xn, weight, value)"
-                )
-            pts.append(nums[:dimension])
-            weights.append(nums[dimension])
-            values.append(nums[dimension + 1])
-    pts = np.asarray(pts, dtype=float)
+    table = read_csv_table(path, dimension + 2, "x1..xn, weight, value")
+    pts = table[:, :dimension]
     if len(pts) < 2:
         h = 1.0
     else:
         tree = cKDTree(pts)
         dist, _ = tree.query(pts, k=2)
         h = float(np.median(dist[:, 1]))
-    grid = QuadratureGrid(pts, np.asarray(weights), h)
-    return SampledField(grid, np.asarray(values))
+    grid = QuadratureGrid(pts, table[:, dimension], h)
+    return SampledField(grid, table[:, dimension + 1])

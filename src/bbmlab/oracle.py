@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .field import TestFunction
-from .geometry import Interval
+from .geometry import Box
 
 __all__ = [
     "mc_sphere_moment",
@@ -34,8 +34,9 @@ def mc_sphere_moment(p: float, n: int, samples: int, seed: int = 0) -> float:
         raise ValueError(f"n must be an integer >= 1, got {n!r}")
     if not (math.isfinite(p) and p > -1.0):
         raise ValueError(f"p must be a finite number > -1, got {p!r}")
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
+    if isinstance(samples, bool) or \
+            not isinstance(samples, (int, np.integer)) or samples < 1:
+        raise ValueError(f"samples must be an integer >= 1, got {samples!r}")
     rng = np.random.default_rng(seed)
     surface = 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
     total = 0.0
@@ -51,7 +52,7 @@ def mc_sphere_moment(p: float, n: int, samples: int, seed: int = 0) -> float:
     return surface * total / samples
 
 
-def dense_1d_functional(fn: TestFunction, domain: Interval, p: float,
+def dense_1d_functional(fn: TestFunction, domain: Box, p: float,
                         q: float, scale: float, resolution: float,
                         family_kind: str = "bump",
                         mode: str = "rdati") -> float:
@@ -67,8 +68,8 @@ def dense_1d_functional(fn: TestFunction, domain: Interval, p: float,
     of its points.  The loop stops at the first offset whose every distance
     exceeds both the kernel's cut and 2h.
     """
-    if not isinstance(domain, Interval):
-        raise ValueError("the dense oracle is one-dimensional")
+    if not (isinstance(domain, Box) and domain.dimension == 1):
+        raise ValueError("the dense oracle needs a 1-d box or interval")
     h = float(resolution)
     if not (math.isfinite(h) and h > 0.0):
         raise ValueError(f"resolution must be a finite number > 0, got {h!r}")
@@ -76,7 +77,7 @@ def dense_1d_functional(fn: TestFunction, domain: Interval, p: float,
         raise ValueError(f"p must be a finite number >= 1, got {p!r}")
     if not (math.isfinite(q) and q > 0.0):
         raise ValueError(f"q must be a finite number > 0, got {q!r}")
-    a, b = domain.a, domain.b
+    (a,), (b,) = domain.lo, domain.hi
 
     if mode == "rdati":
         nu = float(scale)

@@ -18,7 +18,6 @@ values, then calls the spec's engine.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import math
 from dataclasses import dataclass, field as dc_field, replace
@@ -27,7 +26,7 @@ from typing import Callable, ClassVar, Union
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .field import SampledField
+from .field import SampledField, read_csv_table
 from .geometry import QuadratureGrid
 
 __all__ = [
@@ -127,7 +126,7 @@ class TableOrlicz:
         if np.any(np.diff(ts) <= 0) or np.any(np.diff(vals) < 0):
             raise ValueError("table must be strictly increasing in t, "
                              "non-decreasing in Phi")
-        if np.any(ts <= 0) or np.any(vals < 0):
+        if not (np.all(ts > 0) and np.all(vals >= 0)):  # NaN fails too
             raise ValueError("table entries must be positive")
         if vals[-1] <= vals[-2]:
             raise ValueError("table must keep growing at its upper end "
@@ -167,14 +166,8 @@ OrliczFunction = Union[PowerOrlicz, PowerLogOrlicz, TableOrlicz]
 def orlicz_from_csv(path, lower_type: float = 1.0,
                     upper_type: float = math.inf) -> TableOrlicz:
     """Read an Orlicz table from CSV rows t, Phi(t)."""
-    ts, vals = [], []
-    with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            if not row or row[0].lstrip().startswith("#"):
-                continue
-            ts.append(float(row[0]))
-            vals.append(float(row[1]))
-    return TableOrlicz(tuple(ts), tuple(vals), lower_type, upper_type)
+    table = read_csv_table(path, 2, "t, Phi(t)")
+    return TableOrlicz(table[:, 0], table[:, 1], lower_type, upper_type)
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +236,7 @@ class GridWeight:
         vals = np.asarray(self.values, dtype=float)
         if pts.shape[0] != vals.shape[0]:
             raise ValueError("points and values must match")
-        if np.any(vals <= 0):
+        if not np.all(vals > 0):  # NaN fails too
             raise ValueError("weight must be positive")
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "values", vals)
@@ -276,15 +269,8 @@ Weight = Union[ConstantWeight, PowerWeight, GridWeight]
 
 def weight_from_csv(path, dimension: int) -> GridWeight:
     """Read a grid weight from CSV rows x1..xn, omega."""
-    pts, vals = [], []
-    with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            if not row or row[0].lstrip().startswith("#"):
-                continue
-            nums = [float(c) for c in row]
-            pts.append(nums[:dimension])
-            vals.append(nums[dimension])
-    return GridWeight(np.asarray(pts), np.asarray(vals))
+    table = read_csv_table(path, dimension + 1, "x1..xn, omega")
+    return GridWeight(table[:, :dimension], table[:, dimension])
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,16 @@ import numpy as np
 import pytest
 
 from bbmlab.cli import ConfigError, main, parse_config, run_experiment
+from bbmlab.field import indicator_halfspace, linear, radial_bump
+from bbmlab.geometry import Box, Disk, Interval
+from bbmlab.mollifiers import fractional_family
+from bbmlab.spaces import (
+    ConstantWeight,
+    HerzLocal,
+    OrliczSpace,
+    PowerOrlicz,
+    WeightedLebesgue,
+)
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
@@ -231,6 +241,124 @@ class TestRun:
         assert code == 1
 
 
+INTERVAL = "domain.kind = interval\ndomain.a = 0\ndomain.b = 1\n"
+DISK = "domain.kind = disk\ndomain.center = 0, 0\ndomain.radius = 1\n"
+LINEAR = "function.kind = linear\nfunction.v = 1\n"
+LEBESGUE = "space.kind = lebesgue\nspace.q = 2\n"
+GEOMETRIC = ("schedule.nu_start = 0.2\nschedule.ratio = 0.5\n"
+             "schedule.count = 5\n")
+WEIGHT_TABLE = ("space.kind = weighted\nspace.q = 2\nspace.weight = table\n"
+                "space.weight_table = {tmp}/w.csv\n")
+
+# (id, text of MEMBER_CFG, its replacement, the field the error names);
+# {tmp} is a directory holding w.csv and phi.csv, each with a short row
+CONFIG_ERRORS = [
+    ("disk-radius", INTERVAL, DISK.replace("= 1", "= two"), "domain"),
+    ("disk-center", INTERVAL, DISK.replace("0, 0", "0"), "domain"),
+    ("interval-a", "domain.a = 0", "domain.a = two", "domain"),
+    ("polygon-vertices", INTERVAL,
+     "domain.kind = polygon\ndomain.vertices = 1\n", "domain"),
+    ("function-plain", LINEAR, "function = linear\n", "function"),
+    ("schedule-plain", GEOMETRIC, "schedule = 0.2\n", "schedule"),
+    ("function-kind", "= linear", "= cubic", "function.kind"),
+    ("domain-kind-list", "= interval", "= interval, box", "domain.kind"),
+    ("space-kind-list", "= lebesgue", "= lebesgue, lorentz", "space.kind"),
+    ("function-v", "function.v = 1", "function.v = two", "function"),
+    ("nu-start", "nu_start = 0.2", "nu_start = two", "schedule"),
+    ("schedule-values", GEOMETRIC, "schedule.values = 0.2, 0.1, x, 0.02\n",
+     "schedule"),
+    ("bump-radius-negative", LINEAR,
+     "function.kind = radial-bump\nfunction.radius = -1\n", "function"),
+    ("bump-radius-zero", LINEAR,
+     "function.kind = radial-bump\nfunction.radius = 0\n", "function"),
+    ("halfspace-zero-normal", LINEAR,
+     "function.kind = indicator-halfspace\nfunction.normal = 0\n",
+     "function"),
+    ("weight-table-short-row", LEBESGUE, WEIGHT_TABLE, "space"),
+    ("orlicz-table-short-row", LEBESGUE,
+     "space.kind = orlicz\nspace.phi = table\n"
+     "space.phi_table = {tmp}/phi.csv\n", "space"),
+    ("orlicz-table-number", LEBESGUE,
+     "space.kind = orlicz\nspace.phi = table\nspace.phi_table = 0\n",
+     "space"),
+]
+
+
+class TestConfigErrors:
+    @pytest.mark.parametrize("old, new, field",
+                             [case[1:] for case in CONFIG_ERRORS],
+                             ids=[case[0] for case in CONFIG_ERRORS])
+    def test_one_named_line(self, tmp_path, capsys, old, new, field):
+        (tmp_path / "w.csv").write_text("0.25,1\n0.75\n")
+        (tmp_path / "phi.csv").write_text("1,1\n2\n")
+        assert old in MEMBER_CFG
+        path = tmp_path / "bad.cfg"
+        path.write_text(MEMBER_CFG.replace(old, new.format(tmp=tmp_path)))
+        code = main(["run", "--config", str(path),
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"config error in {field!r}")
+
+    def test_table_error_names_file_and_line(self, tmp_path, capsys):
+        (tmp_path / "w.csv").write_text("0.25,1\n0.75\n")
+        path = tmp_path / "bad.cfg"
+        path.write_text(MEMBER_CFG.replace(LEBESGUE, WEIGHT_TABLE)
+                        .format(tmp=tmp_path))
+        assert main(["run", "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == 1
+        assert f"{tmp_path}/w.csv, line 2" in capsys.readouterr().err
+
+
+# records as the README documents them, defaults left out, and the objects
+# they must build
+RECORDS = [
+    ({}, "domain", Interval(0.0, 1.0)),
+    ({"domain": {"kind": "box", "lo": 0, "hi": 1}},
+     "domain", Box((0.0,), (1.0,))),
+    ({"domain": {"kind": "box", "lo": [0, 0], "hi": [1, 2]},
+      "function": {"kind": "quadratic"}},
+     "domain", Box((0.0, 0.0), (1.0, 2.0))),
+    ({"domain": {"kind": "disk", "center": [0, 0], "radius": 1},
+      "function": {"kind": "product-sine"}},
+     "domain", Disk((0.0, 0.0), 1)),
+    ({"domain": {"kind": "polygon", "vertices": [[0, 0], [1, 0], [0, 1]]},
+      "function": {"kind": "linear"}},
+     "fn", linear((1.0, 1.0))),
+    ({"function": {"kind": "linear"}}, "fn", linear((1.0,))),
+    ({"function": {"kind": "indicator-halfspace"}},
+     "fn", indicator_halfspace((1.0,), 0.0)),
+    ({"function": {"kind": "radial-bump"}}, "fn", radial_bump((0.0,), 1.0)),
+    ({"family": {"kind": "fractional"}},
+     "family", fractional_family(2.0, 2.0, 1)),
+    ({"space": {"kind": "weighted", "q": 2}},
+     "spec", WeightedLebesgue(2, ConstantWeight(1.0))),
+    ({"space": {"kind": "orlicz"}}, "spec", OrliczSpace(PowerOrlicz(2.0))),
+    ({"space": {"kind": "herz_local", "p": 2, "q": 2}},
+     "spec", HerzLocal(2, 2, 0.0, (0.0,))),
+]
+
+
+@pytest.mark.parametrize("change, part, expected", RECORDS)
+def test_record_builds_the_documented_object(member_config, monkeypatch,
+                                             tmp_path, change, part,
+                                             expected):
+    from bbmlab import cli
+
+    def capture(field, p, spec, family, schedule, **kwargs):
+        raise LookupError({"domain": field.grid.domain, "fn": field.fn,
+                           "family": family, "spec": spec})
+
+    monkeypatch.setattr(cli, "convergence_study", capture)
+    config = {**parse_config(member_config), **change, "h": 0.1}
+    with pytest.raises(LookupError) as info:
+        run_experiment(config, tmp_path / "out")
+    assert info.value.args[0][part] == expected
+
+
 class TestSweep:
     def test_sweep_over_p(self, member_config, tmp_path):
         out = tmp_path / "sweep"
@@ -392,10 +520,14 @@ class TestOracleCommand:
         (["dense-1d", "--resolution", "0"], "resolution"),
         (["rearrangement", "--input", "missing.csv"], "missing.csv"),
         (["sphere-moment", "--n", "0", "--samples", "10"], "n must"),
+        (["dense-1d", "--function", "cubic"], "cubic"),
+        (["rearrangement"], "--input"),
+        (["rearrangement", "--input", "short.csv"], "short.csv, line 2"),
     ])
     def test_bad_input_is_one_error_line(self, tmp_path, monkeypatch,
                                          capsys, argv, named):
         monkeypatch.chdir(tmp_path)
+        (tmp_path / "short.csv").write_text("3.0,1.0\n1.0\n")
         assert main(["oracle", *argv]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -160,3 +162,37 @@ def test_load_field_csv(tmp_path):
     assert np.allclose(field.grid.points.ravel(), [0.25, 0.75])
     assert np.allclose(field.grid.weights, [0.5, 0.5])
     assert np.allclose(field.values, [1.0, 2.0])
+
+
+def test_load_field_csv_skips_blank_and_comment_rows(tmp_path):
+    path = tmp_path / "field.csv"
+    path.write_text("# x, weight, value\n0.25,0.5,1.0\n\n  # note\n"
+                    "0.75,0.5,2.0\n")
+    field = load_field_csv(path, dimension=1)
+    assert np.array_equal(field.values, [1.0, 2.0])
+
+
+@pytest.mark.parametrize("row, message", [
+    ("0.75,0.5", "expected 3 finite numbers"),
+    ("0.75,0.5,2.0,4.0", "expected 3 finite numbers"),
+    ("0.75,half,2.0", "expected 3 finite numbers"),
+    ("0.75,nan,2.0", "expected 3 finite numbers"),
+])
+def test_load_field_csv_names_file_and_line(tmp_path, row, message):
+    path = tmp_path / "field.csv"
+    path.write_text(f"# x, weight, value\n0.25,0.5,1.0\n{row}\n")
+    with pytest.raises(ValueError, match=message) as info:
+        load_field_csv(path, dimension=1)
+    assert str(info.value).startswith(f"{path}, line 3: ")
+
+
+@pytest.mark.parametrize("radius", [0.0, -1.0, math.nan, math.inf])
+def test_radial_bump_needs_positive_finite_radius(radius):
+    with pytest.raises(ValueError, match="radius must be"):
+        radial_bump((0.0,), radius)
+
+
+@pytest.mark.parametrize("normal", [(0.0,), (0.0, 0.0)])
+def test_indicator_halfspace_needs_nonzero_normal(normal):
+    with pytest.raises(ValueError, match="nonzero normal"):
+        indicator_halfspace(normal, 0.5)

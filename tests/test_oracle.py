@@ -7,7 +7,7 @@ import pytest
 
 from bbmlab import oracle
 from bbmlab.field import linear, sample, indicator_halfspace
-from bbmlab.geometry import Interval, sample_quadrature
+from bbmlab.geometry import Box, Interval, sample_quadrature
 from bbmlab.mollifiers import bump_family
 from bbmlab.nonlocal_energy import EnergyParams, bbm_functional
 from bbmlab.oracle import (
@@ -46,6 +46,10 @@ class TestSphereMoment:
         ({"p": -2.0}, "^p must"),
         ({"p": math.nan}, "^p must"),
         ({"p": math.inf}, "^p must"),
+        ({"samples": 0}, "^samples must"),
+        ({"samples": math.nan}, "^samples must"),
+        ({"samples": 100.0}, "^samples must"),
+        ({"samples": True}, "^samples must"),
     ])
     def test_bad_input_is_named(self, change, message):
         call = {"p": 2.0, "n": 2, "samples": 100, **change}
@@ -67,6 +71,15 @@ class TestDense1d:
         dense = dense_1d_functional(linear((1.0,)), domain, 2.0, 2.0, 0.1,
                                     1e-4, family_kind="bump")
         assert engine == pytest.approx(dense, rel=0.01)
+
+    @pytest.mark.parametrize("mode, family, scale", [
+        ("rdati", "bump", 0.1), ("gagliardo", "bump", 0.9)])
+    def test_one_dimensional_box_is_the_interval(self, mode, family, scale):
+        values = [dense_1d_functional(linear((1.0,)), domain, 2.0, 2.0,
+                                      scale, 1e-3, family_kind=family,
+                                      mode=mode)
+                  for domain in (Box((0.0,), (1.0,)), Interval(0.0, 1.0))]
+        assert values[0] == values[1]
 
     def test_constant_zero(self):
         dense = dense_1d_functional(linear((0.0,)), Interval(0.0, 1.0), 2.0,
@@ -108,6 +121,7 @@ class TestDense1d:
         ({"mode": "gagliardo", "scale": 1.0}, "^gagliardo s"),
         ({"mode": "gagliardo", "scale": 1.5}, "^gagliardo s"),
         ({"mode": "gagliardo", "scale": 0.0}, "^gagliardo s"),
+        ({"domain": Box((0.0, 0.0), (1.0, 1.0))}, "^the dense oracle needs"),
     ])
     def test_bad_input_is_named(self, change, message):
         call = {"fn": linear((1.0,)), "domain": Interval(0.0, 1.0),

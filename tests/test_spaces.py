@@ -135,6 +135,14 @@ class TestOrlicz:
         with pytest.raises(ValueError, match="types"):
             orlicz_from_csv(path, lower, upper)
 
+    @pytest.mark.parametrize("ts, values", [
+        ((1.0, math.nan, 3.0), (1.0, 4.0, 9.0)),
+        ((1.0, 2.0, 3.0), (1.0, math.nan, 9.0)),
+    ])
+    def test_table_rejects_nan(self, ts, values):
+        with pytest.raises(ValueError, match="positive"):
+            TableOrlicz(ts, values)
+
     @pytest.mark.parametrize("phi, phi_q", [("plog", 0), ("plog", -1),
                                             ("power", 0), ("plog", "two")])
     def test_bad_phi_from_config_names_space(self, phi, phi_q):
@@ -648,6 +656,26 @@ class TestCsvInterfaces:
         weight = weight_from_csv(path, 1)
         got = weight(unit_interval_grid.points)
         assert np.allclose(got, 1.0 + unit_interval_grid.points[:, 0])
+
+    def test_grid_weight_rejects_nan(self):
+        with pytest.raises(ValueError, match="positive"):
+            GridWeight(np.array([[0.25], [0.75]]), np.array([1.0, math.nan]))
+
+    @pytest.mark.parametrize("load", [orlicz_from_csv,
+                                      lambda path: weight_from_csv(path, 1)],
+                             ids=["orlicz", "weight"])
+    @pytest.mark.parametrize("row, message", [
+        ("3", "expected 2 finite numbers"),
+        ("3,9,27", "expected 2 finite numbers"),
+        ("3,nine", "expected 2 finite numbers"),
+        ("3,inf", "expected 2 finite numbers"),
+    ])
+    def test_bad_row_names_file_and_line(self, tmp_path, load, row, message):
+        path = tmp_path / "table.csv"
+        path.write_text(f"1,1\n\n2,4\n{row}\n")
+        with pytest.raises(ValueError, match=message) as info:
+            load(path)
+        assert str(info.value).startswith(f"{path}, line 4: ")
 
 
 @settings(max_examples=60, deadline=None)
