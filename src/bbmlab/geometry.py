@@ -37,6 +37,17 @@ __all__ = [
 _EDGE_TOL = 1e-12
 
 
+def _finite(value, name: str) -> float:
+    """`value` as a finite float; a ValueError naming `name` otherwise."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        number = math.nan
+    if not math.isfinite(number):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    return number
+
+
 class Domain:
     """A bounded open domain of dimension `dimension`.
 
@@ -75,8 +86,10 @@ class Box(Domain):
     hi: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "lo", tuple(float(v) for v in self.lo))
-        object.__setattr__(self, "hi", tuple(float(v) for v in self.hi))
+        object.__setattr__(self, "lo", tuple(_finite(v, "lo")
+                                             for v in self.lo))
+        object.__setattr__(self, "hi", tuple(_finite(v, "hi")
+                                             for v in self.hi))
         if len(self.lo) != len(self.hi) or not 1 <= len(self.lo) <= 3:
             raise ValueError("box needs matching lo/hi of dimension 1..3")
         if not all(l < h for l, h in zip(self.lo, self.hi)):
@@ -118,6 +131,7 @@ class Interval(Box):
     """Open interval (a, b) on the line: the 1-d box."""
 
     def __init__(self, a: float, b: float):
+        a, b = _finite(a, "a"), _finite(b, "b")
         if not a < b:
             raise ValueError("interval requires a < b")
         super().__init__((a,), (b,))
@@ -139,9 +153,14 @@ class Disk(Domain):
     radius: float
 
     def __post_init__(self):
-        object.__setattr__(self, "center", tuple(float(v) for v in self.center))
-        if len(self.center) != 2 or self.radius <= 0:
-            raise ValueError("disk needs a 2-d center and positive radius")
+        object.__setattr__(self, "center", tuple(_finite(v, "center")
+                                                 for v in self.center))
+        if len(self.center) != 2:
+            raise ValueError("disk needs a 2-d center")
+        radius = _finite(self.radius, "radius")
+        if not radius > 0:
+            raise ValueError(f"radius must be > 0, got {self.radius!r}")
+        object.__setattr__(self, "radius", radius)
 
     @property
     def dimension(self) -> int:

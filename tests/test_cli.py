@@ -1,11 +1,13 @@
 import csv
 import json
+import math
 import pickle
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from bbmlab import nonlocal_energy
 from bbmlab.cli import ConfigError, main, parse_config, run_experiment
 from bbmlab.field import indicator_halfspace, linear, radial_bump
 from bbmlab.geometry import Box, Disk, Interval
@@ -250,12 +252,25 @@ GEOMETRIC = ("schedule.nu_start = 0.2\nschedule.ratio = 0.5\n"
 WEIGHT_TABLE = ("space.kind = weighted\nspace.q = 2\nspace.weight = table\n"
                 "space.weight_table = {tmp}/w.csv\n")
 
+# (id, text of MEMBER_CFG, its replacement, the argument the error names)
+# for domain records, whose errors name the record 'domain'
+DOMAIN_ERRORS = [
+    ("disk-radius", INTERVAL, DISK.replace("= 1", "= two"), "radius"),
+    ("disk-radius-inf", INTERVAL, DISK.replace("= 1", "= inf"), "radius"),
+    ("disk-radius-nan", INTERVAL, DISK.replace("= 1", "= nan"), "radius"),
+    ("disk-radius-zero", INTERVAL, DISK.replace("= 1", "= 0"), "radius"),
+    ("disk-center-inf", INTERVAL, DISK.replace("0, 0", "0, inf"), "center"),
+    ("interval-a", "domain.a = 0", "domain.a = two", "a"),
+    ("interval-b-inf", "domain.b = 1", "domain.b = inf", "b"),
+    ("box-lo-nan", INTERVAL, "domain.kind = box\ndomain.lo = nan\n"
+     "domain.hi = 1\n", "lo"),
+]
+
 # (id, text of MEMBER_CFG, its replacement, the field the error names);
 # {tmp} is a directory holding w.csv and phi.csv, each with a short row
 CONFIG_ERRORS = [
-    ("disk-radius", INTERVAL, DISK.replace("= 1", "= two"), "domain"),
+    *[(name, old, new, "domain") for name, old, new, _ in DOMAIN_ERRORS],
     ("disk-center", INTERVAL, DISK.replace("0, 0", "0"), "domain"),
-    ("interval-a", "domain.a = 0", "domain.a = two", "domain"),
     ("polygon-vertices", INTERVAL,
      "domain.kind = polygon\ndomain.vertices = 1\n", "domain"),
     ("function-plain", LINEAR, "function = linear\n", "function"),
@@ -284,24 +299,38 @@ CONFIG_ERRORS = [
 ]
 
 
+def _error_line(tmp_path, capsys, old, new):
+    """The one stderr line of a run of MEMBER_CFG with `old` replaced."""
+    (tmp_path / "w.csv").write_text("0.25,1\n0.75\n")
+    (tmp_path / "phi.csv").write_text("1,1\n2\n")
+    assert old in MEMBER_CFG
+    path = tmp_path / "bad.cfg"
+    path.write_text(MEMBER_CFG.replace(old, new.format(tmp=tmp_path)))
+    code = main(["run", "--config", str(path),
+                 "--out", str(tmp_path / "out")])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1
+    return lines[0]
+
+
 class TestConfigErrors:
     @pytest.mark.parametrize("old, new, field",
                              [case[1:] for case in CONFIG_ERRORS],
                              ids=[case[0] for case in CONFIG_ERRORS])
     def test_one_named_line(self, tmp_path, capsys, old, new, field):
-        (tmp_path / "w.csv").write_text("0.25,1\n0.75\n")
-        (tmp_path / "phi.csv").write_text("1,1\n2\n")
-        assert old in MEMBER_CFG
-        path = tmp_path / "bad.cfg"
-        path.write_text(MEMBER_CFG.replace(old, new.format(tmp=tmp_path)))
-        code = main(["run", "--config", str(path),
-                     "--out", str(tmp_path / "out")])
-        assert code == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        lines = captured.err.strip().splitlines()
-        assert len(lines) == 1
-        assert lines[0].startswith(f"config error in {field!r}")
+        line = _error_line(tmp_path, capsys, old, new)
+        assert line.startswith(f"config error in {field!r}")
+
+    @pytest.mark.parametrize("old, new, key",
+                             [case[1:] for case in DOMAIN_ERRORS],
+                             ids=[case[0] for case in DOMAIN_ERRORS])
+    def test_domain_line_names_the_argument(self, tmp_path, capsys, old,
+                                            new, key):
+        line = _error_line(tmp_path, capsys, old, new)
+        assert line.startswith(f"config error in 'domain': {key} must ")
 
     def test_table_error_names_file_and_line(self, tmp_path, capsys):
         (tmp_path / "w.csv").write_text("0.25,1\n0.75\n")
@@ -488,6 +517,23 @@ def test_bundled_config_report_bytes(tmp_path, name):
     run_experiment(parse_config(CONFIG_DIR / f"{name}.cfg"), tmp_path)
     assert (tmp_path / "report.json").read_bytes() == \
         (GOLDEN_DIR / f"{name}.report.json").read_bytes()
+
+
+def test_indicator_divergence_golden_is_the_offset_pass(tmp_path,
+                                                        monkeypatch):
+    """The indicator_divergence golden takes the FFT far field; with every
+    offset on the offset pass the report differs only in
+    functional_values, by round-off."""
+    monkeypatch.setattr(nonlocal_energy, "_FFT_COST", math.inf)
+    run_experiment(parse_config(CONFIG_DIR / "indicator_divergence.cfg"),
+                   tmp_path)
+    got = json.loads((tmp_path / "report.json").read_text())
+    golden = json.loads(
+        (GOLDEN_DIR / "indicator_divergence.report.json").read_text())
+    values, golden_values = (r.pop("functional_values")
+                             for r in (got, golden))
+    assert got == golden
+    assert np.allclose(values, golden_values, rtol=1e-12, atol=0.0)
 
 
 class TestOracleCommand:

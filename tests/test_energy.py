@@ -393,6 +393,8 @@ class TestPairSources:
                                                    h, fn, kind, nus):
         field = sample(fn, sample_quadrature(domain, h))
         kernels = _kernels(kind, nus, 2.0, domain.dimension)
+        # every offset on the offset pass, in one pass over the rows
+        monkeypatch.setattr(nonlocal_energy, "_FFT_COST", math.inf)
         with pytest.MonkeyPatch.context() as mp:
             whole_blocks = self._record_blocks(mp, 10**9)
             whole = _energies(field, kernels, 2.0, 1)
@@ -404,6 +406,34 @@ class TestPairSources:
         blocks = self._record_blocks(monkeypatch, budget)
         split = _energies(field, kernels, 2.0, 1)
         assert len(blocks) > 1
+        assert max(blocks) <= budget
+        assert np.array_equal(split, whole)
+
+    @pytest.mark.parametrize("domain, h, fn, kind, nus", [
+        (Interval(0.0, 1.0), 2e-3, product_sine(1), "bump", BUMP_SCHEDULE),
+        (UNIT_DISK, 0.1, product_sine(2), "fractional", [0.2, 0.5]),
+    ])
+    def test_fft_pass_blocks_respect_the_pair_budget(self, monkeypatch,
+                                                     domain, h, fn, kind,
+                                                     nus):
+        """The twin with the FFT far field on: its offset passes, the
+        short offsets and the rows that fall back, keep to the budget, and
+        no sum depends on it."""
+        field = sample(fn, sample_quadrature(domain, h))
+        kernels = _kernels(kind, nus, 2.0, domain.dimension)
+        monkeypatch.setattr(nonlocal_energy, "_FFT_COST", 0.0)
+        ran = _spy_fft(monkeypatch)
+        with pytest.MonkeyPatch.context() as mp:
+            whole_blocks = self._record_blocks(mp, 10**9)
+            whole = _energies(field, kernels, 2.0, 1)
+        # a few tiles of every offset: blocks of whole tiles and offsets
+        offsets, _, _ = nonlocal_energy._lattice_offsets(field.grid, kernels,
+                                                         2.0)
+        budget = 3 * nonlocal_energy._ROW_TILE * len(offsets) + 1
+        blocks = self._record_blocks(monkeypatch, budget)
+        split = _energies(field, kernels, 2.0, 1)
+        assert len(ran) == 2
+        assert len(blocks) > len(whole_blocks)
         assert max(blocks) <= budget
         assert np.array_equal(split, whole)
 
@@ -470,6 +500,142 @@ class TestTranslation:
             SampledField(moved_grid, values), kernels, 2.0, eval_idx)
         assert np.all(here > 0)
         assert np.max(np.abs(there - here) / here) <= 1e-12
+
+
+def _spy_fft(monkeypatch):
+    """Record each run of the FFT far field."""
+    ran = []
+    original = nonlocal_energy._fft_far_sums
+
+    def spy(*args):
+        ran.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(nonlocal_energy, "_fft_far_sums", spy)
+    return ran
+
+
+def _offset_pass(field, kernels, eval_idx):
+    """The p = 2 energies with every offset on the offset pass."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nonlocal_energy, "_FFT_COST", math.inf)
+        return nonlocal_energy._energy_values(field, kernels, 2.0, eval_idx)
+
+
+# (domain, h, a bump scale reaching past the split)
+FFT_GRIDS = [
+    (Interval(0.0, 1.0), 0.01, 0.2),
+    (UNIT_SQUARE, 0.04, 0.4),
+    (UNIT_DISK, 0.06, 0.6),
+    (UNIT_CUBE, 0.1, 0.9),
+]
+
+
+def _fft_kernels(kind, domain, h, nu_far):
+    n = domain.dimension
+    if kind == "bump":
+        # the second reaches 4 cells: no weight beyond the split
+        return [bump_family(n).kernel(nu, 2.0) for nu in (nu_far, 4 * h)]
+    if kind == "fractional":
+        family = fractional_family(2.0, domain.enclosing_radius(), n)
+        return [family.kernel(nu, 2.0) for nu in (0.3, 0.1)]
+    return [gagliardo_kernel(0.9, 2.0, n)]
+
+
+def _fft_field(kind, n):
+    if kind == "linear":
+        return linear((0.6, 0.8, 0.5)[:n] if n > 1 else (1.0,))
+    if kind == "sine":
+        return product_sine(n)
+    return indicator_halfspace((1.0,) * n, 0.3)
+
+
+class TestFftFarField:
+    """At p = 2 on lattice grids the offsets beyond _FFT_SPLIT cells may be
+    summed by FFT.  Forced on small grids, it must agree with the offset
+    pass pointwise; the largest deviation measured over this matrix is
+    2.4e-14 relative (cube, Gagliardo, indicator)."""
+
+    @pytest.mark.parametrize("field_kind", ["linear", "sine", "indicator"])
+    @pytest.mark.parametrize("kind", ["bump", "fractional", "gagliardo"])
+    @pytest.mark.parametrize("domain, h, nu_far", FFT_GRIDS,
+                             ids=["interval", "square", "disk", "cube"])
+    def test_matches_the_offset_pass(self, monkeypatch, domain, h, nu_far,
+                                     kind, field_kind):
+        grid = sample_quadrature(domain, h)
+        field = sample(_fft_field(field_kind, domain.dimension), grid)
+        kernels = _fft_kernels(kind, domain, h, nu_far)
+        eval_idx = np.arange(len(grid))
+        reference = _offset_pass(field, kernels, eval_idx)
+        monkeypatch.setattr(nonlocal_energy, "_FFT_COST", 0.0)
+        ran = _spy_fft(monkeypatch)
+        got = nonlocal_energy._energy_values(field, kernels, 2.0, eval_idx)
+        assert len(ran) == 1
+        assert np.all(np.abs(got - reference) <= 1e-12 * reference)
+
+    def test_fallback_rows_keep_the_offset_pass_bits(self, monkeypatch):
+        """Rows the guard sends back hold the offset pass's values bit for
+        bit; the others take the FFT."""
+        domain = Interval(0.0, 1.0)
+        grid = sample_quadrature(domain, 0.01)
+        field = sample(_fft_field("indicator", 1), grid)
+        kernels = _fft_kernels("fractional", domain, 0.01, None)
+        eval_idx = np.arange(len(grid))
+        reference = _offset_pass(field, kernels, eval_idx)
+        monkeypatch.setattr(nonlocal_energy, "_FFT_COST", 0.0)
+        passes = []
+        original = nonlocal_energy._tile_sums
+
+        def spy(vals_pad, w_pad, at, *args):
+            passes.append(at)
+            return original(vals_pad, w_pad, at, *args)
+
+        monkeypatch.setattr(nonlocal_energy, "_tile_sums", spy)
+        got = nonlocal_energy._energy_values(field, kernels, 2.0, eval_idx)
+        rows, back = passes
+        fell_back = np.isin(rows, back)
+        assert 0 < fell_back.sum() < len(grid)
+        assert np.array_equal(got[:, fell_back], reference[:, fell_back])
+        assert np.all(np.abs(got - reference) <= 1e-12 * reference)
+
+    @pytest.mark.parametrize("domain, h, nu_far", FFT_GRIDS,
+                             ids=["interval", "square", "disk", "cube"])
+    def test_constant_field_is_exactly_zero(self, monkeypatch, domain, h,
+                                            nu_far):
+        grid = sample_quadrature(domain, h)
+        field = SampledField(grid, np.full(len(grid), 3.7))
+        kernels = _fft_kernels("fractional", domain, h, nu_far) \
+            + _fft_kernels("gagliardo", domain, h, nu_far)
+        monkeypatch.setattr(nonlocal_energy, "_FFT_COST", 0.0)
+        ran = _spy_fft(monkeypatch)
+        got = nonlocal_energy._energy_values(field, kernels, 2.0,
+                                             np.arange(len(grid)))
+        assert len(ran) == 1
+        assert np.all(got == 0.0)
+
+    def test_other_p_and_point_clouds_keep_the_offsets(self, monkeypatch):
+        monkeypatch.setattr(nonlocal_energy, "_FFT_COST", 0.0)
+        ran = _spy_fft(monkeypatch)
+        square = sample(product_sine(2), sample_quadrature(UNIT_SQUARE, 0.04))
+        cloud = sample(product_sine(2),
+                       sample_quadrature(UNIT_SQUARE, 0.04, "quasi-random"))
+        for field, p in ((square, 1.5), (square, 3.0), (cloud, 2.0)):
+            nonlocal_energy._energy_values(
+                field, [gagliardo_kernel(0.9, p, 2)], p,
+                np.arange(len(field.grid)))
+        assert ran == []
+
+    def test_cost_rule_keeps_a_single_row_on_the_offsets(self, monkeypatch):
+        """At the calibrated constant a one-row pass is never worth three
+        transforms of the whole lattice, and a full 2-D Gagliardo pass is."""
+        field = sample(product_sine(2), sample_quadrature(UNIT_SQUARE, 0.02))
+        kernels = [gagliardo_kernel(0.9, 2.0, 2)]
+        ran = _spy_fft(monkeypatch)
+        nonlocal_energy._energy_values(field, kernels, 2.0, np.asarray([7]))
+        assert ran == []
+        nonlocal_energy._energy_values(field, kernels, 2.0,
+                                       np.arange(len(field.grid)))
+        assert len(ran) == 1
 
 
 class TestInputChecks:

@@ -269,3 +269,30 @@ class TestUniformity:
         right = int(np.argmin(np.linalg.norm(pts - [2.5, 0.5], axis=1)))
         with pytest.raises(RuntimeError, match="disconnected"):
             uniformity_clauses(dumbbell, pts, adj, left, right)
+
+
+class TestDomainArguments:
+    @pytest.mark.parametrize("build, name", [
+        (lambda: Interval("two", 1), "a"),
+        (lambda: Interval(0, math.inf), "b"),
+        (lambda: Interval(math.nan, 1), "a"),
+        (lambda: Box((0.0, -math.inf), (1.0, 1.0)), "lo"),
+        (lambda: Box((0.0, 0.0), (1.0, None)), "hi"),
+        (lambda: Disk((0.0, 0.0), "two"), "radius"),
+        (lambda: Disk((0.0, 0.0), math.inf), "radius"),
+        (lambda: Disk((0.0, 0.0), math.nan), "radius"),
+        (lambda: Disk((0.0, 0.0), 0.0), "radius"),
+        (lambda: Disk((0.0, 0.0), -1.0), "radius"),
+        (lambda: Disk((math.nan, 0.0), 1.0), "center"),
+    ])
+    def test_bad_argument_is_named(self, build, name):
+        """Arguments are converted and checked before any comparison, so
+        the error names the argument, never an operator."""
+        with pytest.raises(ValueError, match=f"^{name} must be "):
+            build()
+
+    def test_arguments_become_floats(self):
+        disk = Disk((0, 1), 2)
+        assert disk.radius == 2.0 and isinstance(disk.radius, float)
+        assert all(isinstance(c, float) for c in disk.center)
+        assert Interval("0", "1.5").b == 1.5
