@@ -27,7 +27,6 @@ from .geometry import (
     Interval,
     Polygon,
     QuadratureGrid,
-    estimate_uniformity,
     sample_quadrature,
 )
 from .mollifiers import (

@@ -9,7 +9,6 @@ from typing import Optional, Union
 import numpy as np
 from scipy.optimize import minimize_scalar
 from scipy.special import gammaln
-from scipy.stats import kendalltau
 
 from .field import SampledField, gradient_magnitude_field
 from .mollifiers import RdatiFamily, check_p
@@ -223,17 +222,9 @@ def convergence_study(field: SampledField, p: float, spec: SpaceSpec,
 def upper_bound_diagnostics(field: SampledField, p: float, spec: SpaceSpec,
                             family: RdatiFamily, schedule,
                             stride: int = 1):
-    """Ratios functional / |grad f|-norm over a schedule plus their
-    Kendall tau against 1/nu.
-
-    The tau is a monotonicity statistic, not a growth detector: a ratio
-    that converges to its limit from below as nu shrinks (the usual case on
-    a bounded domain, where the boundary-layer deficit shrinks with nu)
-    gives a positive tau just as a growing ratio does.  To tell the two
-    apart, compare the successive increments of the ratios."""
+    """Ratios functional / |grad f|-norm over a schedule; judge their
+    growth from successive increments."""
     denom = norm(spec, gradient_magnitude_field(field))
     values = bbm_functional_schedule(field, p, family, schedule, spec,
                                      stride=stride)
-    ratios = values / denom
-    tau = kendalltau(1.0 / np.asarray(schedule), ratios).statistic
-    return ratios, float(tau)
+    return values / denom

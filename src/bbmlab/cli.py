@@ -328,6 +328,10 @@ def run_experiment(config: dict, out_dir) -> ConvergenceReport:
         grid = sample_quadrature(domain, h, scheme)
     except ValueError as exc:  # h too large or too coarse for the domain
         raise ConfigError("h", str(exc))
+    try:
+        spec.check_grid(grid)
+    except ValueError as exc:  # e.g. a mixed norm off a tensor grid
+        raise ConfigError("space", str(exc))
     field_data = sample(fn, grid)
 
     report = convergence_study(
@@ -352,8 +356,11 @@ def _write_series_csv(path: Path, report: ConvergenceReport) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _write_plot_svg(path: Path, report: ConvergenceReport,
-                    width: int = 640, height: int = 420) -> None:
+# pixel size of plot.svg
+_PLOT_WIDTH, _PLOT_HEIGHT = 640, 420
+
+
+def _write_plot_svg(path: Path, report: ConvergenceReport) -> None:
     """Hand-rolled SVG: functional values and target vs scale, log x."""
     xs = np.log10(np.asarray(report.scales, dtype=float))
     ys = np.asarray(report.functional_values, dtype=float)
@@ -367,16 +374,17 @@ def _write_plot_svg(path: Path, report: ConvergenceReport,
         x_hi = x_lo + 1.0
 
     def sx(x):
-        return pad + (x - x_lo) / (x_hi - x_lo) * (width - 2 * pad)
+        return pad + (x - x_lo) / (x_hi - x_lo) * (_PLOT_WIDTH - 2 * pad)
 
     def sy(y):
-        return height - pad - (y - y_lo) / (y_hi - y_lo) * (height - 2 * pad)
+        return _PLOT_HEIGHT - pad - (y - y_lo) / (y_hi - y_lo) \
+            * (_PLOT_HEIGHT - 2 * pad)
 
     pts = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(xs, ys))
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_PLOT_WIDTH}" '
+        f'height="{_PLOT_HEIGHT}">',
+        f'<rect width="{_PLOT_WIDTH}" height="{_PLOT_HEIGHT}" fill="white"/>',
         f'<polyline points="{pts}" fill="none" stroke="#1f77b4" '
         'stroke-width="2"/>',
     ]
@@ -386,20 +394,21 @@ def _write_plot_svg(path: Path, report: ConvergenceReport,
     if report.target:
         ty = sy(report.target)
         parts.append(
-            f'<line x1="{pad}" y1="{ty:.2f}" x2="{width - pad}" '
+            f'<line x1="{pad}" y1="{ty:.2f}" x2="{_PLOT_WIDTH - pad}" '
             f'y2="{ty:.2f}" stroke="#d62728" stroke-dasharray="6,4"/>'
         )
     parts.append(
-        f'<text x="{width / 2:.0f}" y="{height - 12}" text-anchor="middle" '
+        f'<text x="{_PLOT_WIDTH / 2:.0f}" y="{_PLOT_HEIGHT - 12}" '
+        'text-anchor="middle" '
         f'font-size="13">log10 scale (mode={report.mode})</text>'
     )
     parts.append(
-        f'<text x="16" y="{height / 2:.0f}" font-size="13" '
-        f'transform="rotate(-90 16 {height / 2:.0f})" '
+        f'<text x="16" y="{_PLOT_HEIGHT / 2:.0f}" font-size="13" '
+        f'transform="rotate(-90 16 {_PLOT_HEIGHT / 2:.0f})" '
         'text-anchor="middle">functional value</text>'
     )
     parts.append(
-        f'<text x="{width / 2:.0f}" y="24" text-anchor="middle" '
+        f'<text x="{_PLOT_WIDTH / 2:.0f}" y="24" text-anchor="middle" '
         f'font-size="13">{report.spec_label}, verdict {report.verdict}</text>'
     )
     parts.append("</svg>")

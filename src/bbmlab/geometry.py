@@ -5,8 +5,7 @@ open disks, and simple polygons (all connected, all bounded).  Each shape
 answers, as its own methods, strict membership, exact boundary distance,
 diameter, measure, bounding box, and an enclosing radius R such that the
 domain fits inside B(0, R/2).  Grids are midpoint-rule point clouds
-with nonnegative cell weights; an empirical uniformity probe estimates the
-cigar-condition constant on the grid graph.
+with nonnegative cell weights.
 """
 
 from __future__ import annotations
@@ -16,9 +15,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse import csgraph
-from scipy.spatial import cKDTree
 from scipy.stats import qmc
 
 __all__ = [
@@ -30,8 +26,6 @@ __all__ = [
     "QuadratureGrid",
     "sample_quadrature",
     "SCHEMES",
-    "estimate_uniformity",
-    "uniformity_clauses",
 ]
 
 _EDGE_TOL = 1e-12
@@ -195,12 +189,22 @@ class Polygon(Domain):
     vertices: tuple
 
     def __post_init__(self):
-        verts = tuple((float(x), float(y)) for x, y in self.vertices)
+        verts = []
+        for vertex in self.vertices:
+            try:
+                x, y = vertex
+            except (TypeError, ValueError):
+                raise ValueError(f"vertices must be pairs of numbers, "
+                                 f"got {vertex!r}") from None
+            verts.append((_finite(x, "vertices"), _finite(y, "vertices")))
         if len(verts) < 3:
-            raise ValueError("polygon needs at least 3 vertices")
-        if _shoelace(verts) < 0:
-            verts = verts[::-1]
-        object.__setattr__(self, "vertices", verts)
+            raise ValueError(f"vertices must be at least 3 pairs, "
+                             f"got {len(verts)}")
+        area = _shoelace(verts)
+        if area == 0:
+            raise ValueError("vertices must be the corners of a nonzero area")
+        object.__setattr__(self, "vertices",
+                           tuple(verts if area > 0 else verts[::-1]))
 
     @property
     def dimension(self) -> int:
@@ -396,109 +400,3 @@ def sample_quadrature(domain: Domain, h: float,
                               domain=domain)
     raise ValueError(f"unknown scheme {scheme!r}")
 
-
-def _grid_graph(domain: Domain, h: float):
-    """Interior lattice nodes plus the 3^n-1 neighbour adjacency.
-
-    Nodes closer than h/2 to the boundary are dropped: their cells are not
-    resolved at spacing h and would feed sub-resolution boundary distances
-    into the cigar clause.  Edges are weighted by the quasihyperbolic
-    length (Euclidean length divided by the boundary distance, trapezoid
-    rule), whose geodesics are the canonical curves witnessing uniformity;
-    plain Euclidean shortest paths hug the boundary and make the estimate
-    collapse as the grid refines.  Both clauses are still evaluated with
-    Euclidean geometry along the selected path.
-    """
-    grid = sample_quadrature(domain, h, "tensor-midpoint")
-    pts = grid.points
-    bdist = domain.boundary_distance_many(pts)
-    keep = bdist >= h / 2.0
-    pts, bdist = pts[keep], bdist[keep]
-    lo, _ = domain.bounding_box()
-    n = domain.dimension
-    idx = np.round((pts - lo) / h - 0.5).astype(np.int64)
-    key = {tuple(row): i for i, row in enumerate(idx)}
-    offsets = [off for off in np.ndindex(*([3] * n))
-               if any(o != 1 for o in off)]
-    rows, cols, vals = [], [], []
-    for off in offsets:
-        shift = np.asarray(off) - 1
-        for i, row in enumerate(idx):
-            j = key.get(tuple(row + shift))
-            if j is not None and j > i:
-                d = float(np.linalg.norm(pts[i] - pts[j]))
-                qh = d * 0.5 * (1.0 / bdist[i] + 1.0 / bdist[j])
-                rows.append(i)
-                cols.append(j)
-                vals.append(qh)
-    adj = sparse.csr_matrix(
-        (vals + vals, (rows + cols, cols + rows)), shape=(len(pts), len(pts))
-    )
-    return pts, adj
-
-
-def uniformity_clauses(domain: Domain, pts: np.ndarray, adj,
-                       i: int, j: int):
-    """Length and cigar clause values for the shortest grid path i -> j.
-
-    Returns (length_clause, cigar_clause); the cigar clause is +inf when
-    the path has no interior node.  Raises if the grid graph does not
-    connect the endpoints.
-    """
-    dist, pred = csgraph.dijkstra(adj, indices=i, return_predecessors=True)
-    if not np.isfinite(dist[j]):
-        raise RuntimeError(
-            "grid graph disconnected between sample points; "
-            "resolution too coarse"
-        )
-    path = [j]
-    while path[-1] != i:
-        path.append(int(pred[path[-1]]))
-    path = path[::-1]
-    x, y = pts[i], pts[j]
-    sep = float(np.linalg.norm(x - y))
-    hops = np.diff(pts[path], axis=0)
-    euclid_length = float(np.sum(np.linalg.norm(hops, axis=1)))
-    length_clause = sep / euclid_length
-    interior = path[1:-1]
-    if not interior:
-        return length_clause, math.inf
-    z = pts[interior]
-    dz = domain.boundary_distance_many(z)
-    dx = np.linalg.norm(z - x, axis=1)
-    dy = np.linalg.norm(z - y, axis=1)
-    cigar = float(np.min(dz * sep / (dx * dy)))
-    return length_clause, cigar
-
-
-def estimate_uniformity(domain: Domain, trials: int, grid_h: float,
-                        seed: int = 0) -> float:
-    """Empirical lower estimate of the cigar-condition constant.
-
-    Random interior pairs are snapped to the grid graph; the shortest path
-    between them is scored by the worse of the length clause |x-y|/len(path)
-    and the cigar clause min_z dist(z, boundary)|x-y| / (|x-z||y-z|).  The
-    infimum over trials, clamped into (0, 1], is a lower estimate of the
-    best admissible constant at this resolution.  For a fixed seed the
-    trial stream is a deterministic prefix sequence, so more trials can
-    only lower the estimate.
-    """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    pts, adj = _grid_graph(domain, grid_h)
-    tree = cKDTree(pts)
-    lo, hi = domain.bounding_box()
-    rng = np.random.default_rng(seed)
-    best = math.inf
-    done = 0
-    while done < trials:
-        raw = lo + rng.random((2, domain.dimension)) * (hi - lo)
-        if not domain.contains_many(raw).all():
-            continue
-        i, j = tree.query(raw)[1]
-        if i == j:
-            continue
-        length_clause, cigar = uniformity_clauses(domain, pts, adj, int(i), int(j))
-        best = min(best, length_clause, cigar)
-        done += 1
-    return float(min(best, 1.0))

@@ -13,13 +13,14 @@ cell weights.  Ball sums come from closed balls, |x - y|^2 <= rho^2: Morrey's
 centers, and Orlicz-slice's single small radius uses `cKDTree` ball
 lists.  All engines depend on |f| only and are positively homogeneous.
 `norm(spec, field)` is the checked entry point: it rejects non-finite
-values, then calls the spec's engine.
+values and grids the spec cannot measure on, then calls the spec's engine.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field as dc_field, replace
 from typing import Callable, ClassVar, Union
 
@@ -282,10 +283,14 @@ class SpaceSpec:
     in `SPACES`; `label` names them in reports; `absolutely_continuous` is
     False where exact limit claims must be disabled (Morrey, global Herz:
     only two-sided bounds hold); `norm` is the engine behind
-    `spaces.norm`, which first rejects non-finite values."""
+    `spaces.norm`, which first rejects non-finite values and grids the
+    spec cannot measure on (`check_grid`)."""
 
     kind: ClassVar[str]
     absolutely_continuous: ClassVar[bool] = True
+
+    def check_grid(self, grid: QuadratureGrid) -> None:
+        """Raise a ValueError if `norm` cannot run on `grid`."""
 
     def norm(self, field: SampledField) -> float:
         raise NotImplementedError
@@ -403,12 +408,12 @@ class VariableLebesgue(SpaceSpec):
 
     def exponents(self, pts: np.ndarray) -> np.ndarray:
         if callable(self.exponent):
-            r = np.asarray(self.exponent(pts), dtype=float)
-        else:
-            r = np.full(np.atleast_2d(pts).shape[0], float(self.exponent))
-        if np.any(r <= 1):
+            return np.asarray(self.exponent(pts), dtype=float)
+        return np.full(np.atleast_2d(pts).shape[0], float(self.exponent))
+
+    def check_grid(self, grid: QuadratureGrid) -> None:
+        if np.any(self.exponents(grid.points) <= 1):
             raise ValueError("variable exponent must stay above 1")
-        return r
 
     def norm(self, field: SampledField) -> float:
         r = self.exponents(field.grid.points)
@@ -428,12 +433,14 @@ class MixedLebesgue(SpaceSpec):
         if any(r < 1 for r in self.rvec):
             raise ValueError("mixed exponents must lie in [1, inf)")
 
+    def check_grid(self, grid: QuadratureGrid) -> None:
+        if grid.axes is None:
+            raise ValueError("mixed norm requires a tensor-product grid")
+        if len(self.rvec) != len(grid.axes):
+            raise ValueError("mixed exponent count must match the dimension")
+
     def norm(self, field: SampledField) -> float:
         axes = field.grid.axes
-        if axes is None:
-            raise ValueError("mixed norm requires a tensor-product grid")
-        if len(self.rvec) != len(axes):
-            raise ValueError("mixed exponent count must match the dimension")
         shape = tuple(len(ax[0]) for ax in axes)
         a = np.abs(field.values).reshape(shape)
         for (coords, w), r in zip(axes, self.rvec):
@@ -458,6 +465,10 @@ class HerzLocal(SpaceSpec):
             float(c) for c in np.atleast_1d(self.xi)))
         if not (self.p > 1 and self.q > 1):
             raise ValueError("Herz space needs p, q in (1, inf)")
+
+    def check_grid(self, grid: QuadratureGrid) -> None:
+        if len(self.xi) != grid.dimension:
+            raise ValueError("Herz center dimension mismatch")
 
     def norm(self, field: SampledField) -> float:
         return _herz_norm(self, field, np.asarray(self.xi, dtype=float))
@@ -511,6 +522,14 @@ class BesovBourgainMorrey(SpaceSpec):
             raise ValueError("Besov-Bourgain-Morrey needs q <= p <= r")
         if self.tau < 1:
             raise ValueError("tau must be >= 1")
+        for name in ("j_min", "j_max"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value,
+                                                         numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if self.j_min > self.j_max:
+            raise ValueError(f"j_min must be <= j_max, got "
+                             f"{self.j_min} > {self.j_max}")
 
     def norm(self, field: SampledField) -> float:
         grid = field.grid
@@ -588,6 +607,7 @@ def norm(spec: SpaceSpec, field: SampledField) -> float:
     """The discrete norm of `field` in the space `spec`."""
     if not np.all(np.isfinite(field.values)):
         raise ValueError("field has non-finite values")
+    spec.check_grid(field.grid)
     return spec.norm(field)
 
 
@@ -763,8 +783,6 @@ def _morrey_radii(grid: QuadratureGrid) -> np.ndarray:
 def _herz_norm(spec, field: SampledField, xi: np.ndarray) -> float:
     """Herz sum of `spec` (p, q, a) over the dyadic annuli around xi."""
     grid = field.grid
-    if xi.shape != (grid.dimension,):
-        raise ValueError("Herz center dimension mismatch")
     d = np.linalg.norm(grid.points - xi, axis=1)
     keep = d > 0
     if not np.any(keep):

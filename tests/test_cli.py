@@ -249,6 +249,9 @@ LINEAR = "function.kind = linear\nfunction.v = 1\n"
 LEBESGUE = "space.kind = lebesgue\nspace.q = 2\n"
 GEOMETRIC = ("schedule.nu_start = 0.2\nschedule.ratio = 0.5\n"
              "schedule.count = 5\n")
+POLYGON = "domain.kind = polygon\ndomain.vertices = {}\n"
+BBMORREY = ("space.kind = bbmorrey\nspace.q = 2\nspace.p = 2\n"
+            "space.r = 2\nspace.tau = 2\n")
 WEIGHT_TABLE = ("space.kind = weighted\nspace.q = 2\nspace.weight = table\n"
                 "space.weight_table = {tmp}/w.csv\n")
 
@@ -264,6 +267,14 @@ DOMAIN_ERRORS = [
     ("interval-b-inf", "domain.b = 1", "domain.b = inf", "b"),
     ("box-lo-nan", INTERVAL, "domain.kind = box\ndomain.lo = nan\n"
      "domain.hi = 1\n", "lo"),
+    ("polygon-vertex-inf", INTERVAL, POLYGON.format("0, 0; 1, 0; inf, 1"),
+     "vertices"),
+    ("polygon-vertex-nan", INTERVAL, POLYGON.format("0, 0; 1, 0; nan, 1"),
+     "vertices"),
+    ("polygon-collinear", INTERVAL, POLYGON.format("0, 0; 1, 0; 2, 0"),
+     "vertices"),
+    ("polygon-vertex-3d", INTERVAL, POLYGON.format("0, 0, 0; 1, 0; 0, 1"),
+     "vertices"),
 ]
 
 # (id, text of MEMBER_CFG, its replacement, the field the error names);
@@ -296,6 +307,22 @@ CONFIG_ERRORS = [
     ("orlicz-table-number", LEBESGUE,
      "space.kind = orlicz\nspace.phi = table\nspace.phi_table = 0\n",
      "space"),
+    ("bbmorrey-j-float", LEBESGUE, BBMORREY + "space.j_min = 1.5\n", "space"),
+    ("bbmorrey-j-reversed", LEBESGUE,
+     BBMORREY + "space.j_min = 5\nspace.j_max = -5\n", "space"),
+    # specs that cannot measure on the grid the config builds
+    ("mixed-disk", INTERVAL + LINEAR + LEBESGUE,
+     DISK + "function.kind = linear\nspace.kind = mixed\n"
+     "space.rvec = 2, 2\n", "space"),
+    ("mixed-quasi-random", LEBESGUE,
+     "space.kind = mixed\nspace.rvec = 2\nscheme = quasi-random\n", "space"),
+    ("mixed-rvec-length", LEBESGUE, "space.kind = mixed\nspace.rvec = 2, 2\n",
+     "space"),
+    ("variable-exponent-one", LEBESGUE,
+     "space.kind = variable\nspace.base = 1\n", "space"),
+    ("herz-xi-dimension", LEBESGUE,
+     "space.kind = herz_local\nspace.p = 2\nspace.q = 2\nspace.xi = 0, 0\n",
+     "space"),
 ]
 
 
@@ -321,6 +348,20 @@ class TestConfigErrors:
                              [case[1:] for case in CONFIG_ERRORS],
                              ids=[case[0] for case in CONFIG_ERRORS])
     def test_one_named_line(self, tmp_path, capsys, old, new, field):
+        line = _error_line(tmp_path, capsys, old, new)
+        assert line.startswith(f"config error in {field!r}")
+
+    @pytest.mark.parametrize("old, new, field",
+                             [case[1:] for case in CONFIG_ERRORS],
+                             ids=[case[0] for case in CONFIG_ERRORS])
+    def test_fails_before_the_energy_pass(self, tmp_path, capsys,
+                                          monkeypatch, old, new, field):
+        from bbmlab import cli
+
+        def energy_pass(*args, **kwargs):
+            raise AssertionError("the energy pass ran")
+
+        monkeypatch.setattr(cli, "convergence_study", energy_pass)
         line = _error_line(tmp_path, capsys, old, new)
         assert line.startswith(f"config error in {field!r}")
 

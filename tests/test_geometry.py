@@ -10,10 +10,7 @@ from bbmlab.geometry import (
     Interval,
     Polygon,
     QuadratureGrid,
-    estimate_uniformity,
     sample_quadrature,
-    _grid_graph,
-    uniformity_clauses,
 )
 
 UNIT_DISK = Disk((0.0, 0.0), 1.0)
@@ -223,54 +220,6 @@ class TestIntervalIsTheUnitBox:
         assert info.value.field == "domain"
 
 
-class TestUniformity:
-    def test_interval_length_clause_exact(self):
-        domain = Interval(0.0, 1.0)
-        pts, adj = _grid_graph(domain, 0.01)
-        length_clause, _ = uniformity_clauses(domain, pts, adj, 5, 60)
-        assert length_clause == pytest.approx(1.0)
-
-    def test_interval_estimate_at_most_one(self):
-        value = estimate_uniformity(Interval(0, 1), trials=20, grid_h=0.02)
-        assert 0.0 < value <= 1.0
-
-    def test_disk_range(self):
-        value = estimate_uniformity(UNIT_DISK, trials=50, grid_h=0.05, seed=3)
-        assert 0.0 < value <= 1.0
-
-    def test_disk_stabilizes_above_threshold(self):
-        coarse = estimate_uniformity(UNIT_DISK, trials=200, grid_h=0.04, seed=7)
-        fine = estimate_uniformity(UNIT_DISK, trials=200, grid_h=0.02, seed=7)
-        assert coarse >= 0.2
-        assert fine >= 0.2
-
-    def test_antitone_in_trials(self):
-        few = estimate_uniformity(UNIT_DISK, trials=30, grid_h=0.05, seed=11)
-        many = estimate_uniformity(UNIT_DISK, trials=120, grid_h=0.05, seed=11)
-        assert many <= few
-
-    def test_trials_must_be_positive(self):
-        with pytest.raises(ValueError):
-            estimate_uniformity(UNIT_DISK, trials=0, grid_h=0.05)
-
-    def test_3d_box_smoke(self):
-        box = Box((0.0, 0.0, 0.0), (1.0, 1.0, 1.0))
-        value = estimate_uniformity(box, trials=10, grid_h=0.25, seed=2)
-        assert 0.0 < value <= 1.0
-
-    def test_disconnected_graph_detected(self):
-        # two blocks joined by a corridor thinner than the grid spacing
-        dumbbell = Polygon((
-            (0, 0), (1, 0), (1, 0.45), (2, 0.45), (2, 0),
-            (3, 0), (3, 1), (2, 1), (2, 0.55), (1, 0.55), (1, 1), (0, 1),
-        ))
-        pts, adj = _grid_graph(dumbbell, 0.3)
-        left = int(np.argmin(np.linalg.norm(pts - [0.5, 0.5], axis=1)))
-        right = int(np.argmin(np.linalg.norm(pts - [2.5, 0.5], axis=1)))
-        with pytest.raises(RuntimeError, match="disconnected"):
-            uniformity_clauses(dumbbell, pts, adj, left, right)
-
-
 class TestDomainArguments:
     @pytest.mark.parametrize("build, name", [
         (lambda: Interval("two", 1), "a"),
@@ -284,6 +233,12 @@ class TestDomainArguments:
         (lambda: Disk((0.0, 0.0), 0.0), "radius"),
         (lambda: Disk((0.0, 0.0), -1.0), "radius"),
         (lambda: Disk((math.nan, 0.0), 1.0), "center"),
+        (lambda: Polygon(((0, 0), (1, 0), (math.inf, 1))), "vertices"),
+        (lambda: Polygon(((0, 0), (1, 0), (math.nan, 1))), "vertices"),
+        (lambda: Polygon(((0, 0), (1, 0), (2, 0))), "vertices"),
+        (lambda: Polygon(((0, 0, 0), (1, 0), (0, 1))), "vertices"),
+        (lambda: Polygon(((0, 0), 1, (0, 1))), "vertices"),
+        (lambda: Polygon(((0, 0), (1, 0))), "vertices"),
     ])
     def test_bad_argument_is_named(self, build, name):
         """Arguments are converted and checked before any comparison, so
@@ -296,3 +251,5 @@ class TestDomainArguments:
         assert disk.radius == 2.0 and isinstance(disk.radius, float)
         assert all(isinstance(c, float) for c in disk.center)
         assert Interval("0", "1.5").b == 1.5
+        clockwise = Polygon(((0, 0), ("0", 1), (1, 0)))
+        assert clockwise.vertices == ((1.0, 0.0), (0.0, 1.0), (0.0, 0.0))

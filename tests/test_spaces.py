@@ -296,8 +296,12 @@ class TestMixed:
     def test_requires_tensor_grid(self):
         pts = np.array([[0.2, 0.2], [0.5, 0.6]])
         grid = QuadratureGrid(pts, np.array([0.5, 0.5]), 0.5)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="tensor-product"):
             norm(MixedLebesgue((2.0, 2.0)), field_on(grid, [1.0, 1.0]))
+
+    def test_exponent_count_must_match(self, unit_square_grid):
+        with pytest.raises(ValueError, match="exponent count"):
+            MixedLebesgue((2.0,)).check_grid(unit_square_grid)
 
     def test_reduces_to_lebesgue(self, unit_square_grid, rng):
         f = field_on(unit_square_grid, rng.normal(size=len(unit_square_grid)))
@@ -334,6 +338,11 @@ class TestHerz:
         got = norm(HerzLocal(2.0, 2.0, 0.5, (0.0,)), f)
         assert got == pytest.approx(math.sqrt(0.5 + 2.0), rel=1e-12)
 
+    def test_center_dimension_must_match(self, unit_interval_grid):
+        f = field_on(unit_interval_grid, np.ones(len(unit_interval_grid)))
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            norm(HerzLocal(2.0, 2.0, 0.0, (0.0, 0.0)), f)
+
 
 class TestBesovBourgainMorrey:
     def test_single_scale_unit(self):
@@ -360,6 +369,16 @@ class TestBesovBourgainMorrey:
         # each shrinking geometrically like 2^(j n (1/q - 1/p))
         assert b >= a
         assert (b - a) / a < 0.05
+
+    @pytest.mark.parametrize("j_min, j_max, message", [
+        (1.5, 8, "j_min must be an integer"),
+        (0, 2.0, "j_max must be an integer"),
+        (True, 8, "j_min must be an integer"),
+        (5, -5, "j_min must be <= j_max"),
+    ])
+    def test_scale_range_checked(self, j_min, j_max, message):
+        with pytest.raises(ValueError, match=message):
+            BesovBourgainMorrey(2.0, 2.0, 2.0, 2.0, j_min=j_min, j_max=j_max)
 
 
 class TestMorreyBallSums:
@@ -752,6 +771,11 @@ class TestSpecContract:
         constant = build_space({"kind": "variable"}, 2)
         assert constant.exponent == 2.0
         assert isinstance(constant, VariableLebesgue)
+
+    def test_variable_exponent_must_stay_above_one(self, unit_interval_grid):
+        f = field_on(unit_interval_grid, np.ones(len(unit_interval_grid)))
+        with pytest.raises(ValueError, match="above 1"):
+            norm(VariableLebesgue(lambda pts: 0.5 + pts[:, 0]), f)
 
     def test_only_morrey_and_global_herz_are_not_absolutely_continuous(self):
         for record, _, _ in SPEC_RECORDS:
