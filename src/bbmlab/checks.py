@@ -9,6 +9,7 @@ engine against the Lebesgue norm it must collapse to.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -149,8 +150,16 @@ def reduction_pairs():
     ]
 
 
+def _check_cases(cases) -> None:
+    """An audit of no cases checks nothing, so it may not report a pass."""
+    if isinstance(cases, bool) or not isinstance(cases, numbers.Integral) \
+            or cases < 1:
+        raise ValueError(f"cases must be an integer >= 1, got {cases!r}")
+
+
 def run_axiom_suites(cases: int = 1000, seed: int = 0):
     """Run all four audits per engine; returns CheckResult rows."""
+    _check_cases(cases)
     results = []
     suites = [
         ("lattice", lattice_violation, LATTICE_SLACK),
@@ -173,6 +182,7 @@ def run_axiom_suites(cases: int = 1000, seed: int = 0):
 
 
 def run_reduction_suite(cases: int = 100, seed: int = 0):
+    _check_cases(cases)
     results = []
     for name, spec, ref, grid in reduction_pairs():
         rng = np.random.default_rng(seed)

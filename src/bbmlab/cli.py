@@ -540,8 +540,13 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_check_spaces(args) -> int:
-    results = checks.run_axiom_suites(cases=args.cases, seed=args.seed)
-    results += checks.run_reduction_suite(cases=min(args.cases, 100),
+    try:
+        cases = _count(args.cases, "--cases")
+    except ConfigError as exc:
+        print(exc, file=sys.stderr)
+        return 1
+    results = checks.run_axiom_suites(cases=cases, seed=args.seed)
+    results += checks.run_reduction_suite(cases=min(cases, 100),
                                           seed=args.seed)
     failed = 0
     for res in results:
@@ -591,7 +596,8 @@ def main(argv=None) -> int:
     p_oracle.set_defaults(func=_cmd_oracle)
 
     p_check = sub.add_parser("check-spaces", help="randomized norm audits")
-    p_check.add_argument("--cases", type=int, default=200)
+    p_check.add_argument("--cases", default=200,
+                         help="random fields per audit, an integer >= 1")
     p_check.add_argument("--seed", type=int, default=0)
     p_check.set_defaults(func=_cmd_check_spaces)
 

@@ -203,6 +203,9 @@ class Polygon(Domain):
         area = _shoelace(verts)
         if area == 0:
             raise ValueError("vertices must be the corners of a nonzero area")
+        if _edges_cross(verts):
+            raise ValueError("vertices must be the corners of a simple "
+                             "polygon (two edges cross)")
         object.__setattr__(self, "vertices",
                            tuple(verts if area > 0 else verts[::-1]))
 
@@ -254,6 +257,29 @@ def _shoelace(verts) -> float:
     v = np.asarray(verts, dtype=float)
     x, y = v[:, 0], v[:, 1]
     return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+
+
+def _edges_cross(verts) -> bool:
+    """True if two non-adjacent edges of the closed polygon share a point:
+    each edge's ends lie on both sides of (or on) the other edge's line,
+    and their bounding boxes meet (which decides collinear edges)."""
+    a = np.asarray(verts, dtype=float)
+    b = np.roll(a, -1, axis=0)
+    m = len(a)
+    i, j = np.triu_indices(m, k=2)
+    keep = (i > 0) | (j < m - 1)  # edges 0 and m - 1 meet at vertex 0
+    i, j = i[keep], j[keep]
+
+    def side(p, q, r):
+        u, v = q - p, r - p
+        return np.sign(u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0])
+
+    straddle = (side(a[i], b[i], a[j]) * side(a[i], b[i], b[j]) <= 0) \
+        & (side(a[j], b[j], a[i]) * side(a[j], b[j], b[i]) <= 0)
+    boxes_meet = np.all(
+        (np.minimum(a[i], b[i]) <= np.maximum(a[j], b[j]))
+        & (np.minimum(a[j], b[j]) <= np.maximum(a[i], b[i])), axis=1)
+    return bool(np.any(straddle & boxes_meet))
 
 
 def _segment_distance(pts: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:

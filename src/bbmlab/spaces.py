@@ -11,13 +11,19 @@ regula falsi), and rearrangement-based norms sort values carrying their
 cell weights.  Ball sums come from closed balls, |x - y|^2 <= rho^2: Morrey's
 12-rung ladder masks one block of squared distances per block of
 centers, and Orlicz-slice's single small radius uses `cKDTree` ball
-lists.  All engines depend on |f| only and are positively homogeneous.
+lists.  Work that depends only on the grid is one array pass per call:
+Besov-Bourgain-Morrey labels every point's dyadic cube at every level and
+sums all the cubes with one `bincount`, the Herz norms sum the annuli of
+a block of centers with one `bincount`, and Orlicz-slice solves its |B_t|
+denominator once per (phi, t, dimension).  All engines depend on |f|
+only and are positively homogeneous.
 `norm(spec, field)` is the checked entry point: it rejects non-finite
 values and grids the spec cannot measure on, then calls the spec's engine.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import numbers
@@ -471,7 +477,7 @@ class HerzLocal(SpaceSpec):
             raise ValueError("Herz center dimension mismatch")
 
     def norm(self, field: SampledField) -> float:
-        return _herz_norm(self, field, np.asarray(self.xi, dtype=float))
+        return float(_herz_norms(self, field, np.array([self.xi]))[0])
 
 
 @dataclass(frozen=True)
@@ -500,7 +506,7 @@ class HerzGlobal(SpaceSpec):
                 for j in range(grid.dimension)]
         mesh = np.meshgrid(*axes, indexing="ij")
         centers = np.stack([m.ravel() for m in mesh], axis=-1)
-        return max(_herz_norm(self, field, c) for c in centers)
+        return float(_herz_norms(self, field, centers).max())
 
 
 @dataclass(frozen=True)
@@ -532,23 +538,28 @@ class BesovBourgainMorrey(SpaceSpec):
                              f"{self.j_min} > {self.j_max}")
 
     def norm(self, field: SampledField) -> float:
+        """All levels' cube sums come from one `bincount` over the labels
+        of `_dyadic_cube_labels`; a level's terms keep the lexicographic
+        order of its cubes."""
         grid = field.grid
         n = grid.dimension
         # cubes finer than the grid spacing carry no information
         j_hi = min(self.j_max, int(math.floor(-math.log2(grid.h))))
         j_hi = max(j_hi, self.j_min)
+        levels = np.arange(self.j_min, j_hi + 1)
+        labels, level_of = _dyadic_cube_labels(grid.points, levels)
         aq = np.abs(field.values) ** self.q * grid.weights
-        total = 0.0
-        for j in range(self.j_min, j_hi + 1):
-            cube_idx = np.floor(grid.points * 2.0**j).astype(np.int64)
-            _, inverse = np.unique(cube_idx, axis=0, return_inverse=True)
-            sums = np.bincount(inverse, weights=aq)
-            vol = 2.0 ** (-j * n)
-            terms = vol ** (1.0 / self.p - 1.0 / self.q) \
-                * sums ** (1.0 / self.q)
-            inner = np.sum(terms**self.r) ** (self.tau / self.r)
-            total += inner
-        return float(total ** (1.0 / self.tau))
+        sums = np.bincount(labels.ravel(), weights=np.tile(aq, len(levels)),
+                           minlength=len(level_of))
+        # empty cubes drop out, as they never appear in a partition
+        occupied = np.bincount(labels.ravel(), minlength=len(level_of)) > 0
+        level_of = level_of[occupied]
+        vol = 2.0 ** (-levels * n)
+        terms = vol[level_of] ** (1.0 / self.p - 1.0 / self.q) \
+            * sums[occupied] ** (1.0 / self.q)
+        inner = np.bincount(level_of, weights=terms**self.r,
+                            minlength=len(levels)) ** (self.tau / self.r)
+        return float(np.sum(inner) ** (1.0 / self.tau))
 
 
 @dataclass(frozen=True)
@@ -570,13 +581,8 @@ class OrliczSlice(SpaceSpec):
         a = np.abs(field.values)
         if not np.any(a > 0):
             return 0.0
-        ball = unit_ball_volume(grid.dimension) * self.t**grid.dimension
-
-        def denom_modular(lam):
-            return ball * self.phi(1.0 / lam)
-
         types = (self.phi.lower_type, self.phi.upper_type)
-        denom = float(_luxemburg(denom_modular, np.array([1.0]), *types)[0])
+        denom = _slice_denominator(self.phi, self.t, grid.dimension)
         ratios = np.zeros(len(a))
         for block, rows, cols in _ball_blocks(grid.points, self.t):
             centers = block.stop - block.start
@@ -765,11 +771,17 @@ def _ladder_ball_sums(pts: np.ndarray, power: np.ndarray,
     distances to all points once, summed axis by axis as `cKDTree` sums
     them, and every radius's sums are a masked product with that block."""
     for start in range(0, len(pts), _BALL_BLOCK):
-        centers = pts[start:start + _BALL_BLOCK]
-        d2 = np.zeros((len(centers), len(pts)))
-        for j in range(pts.shape[1]):
-            d2 += (centers[:, j, None] - pts[None, :, j]) ** 2
+        d2 = _squared_distances(pts[start:start + _BALL_BLOCK], pts)
         yield np.stack([(d2 <= rho * rho) @ power for rho in radii])
+
+
+def _squared_distances(centers: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """The (centers, points) block of squared distances, summed axis by
+    axis as `cKDTree` sums them."""
+    d2 = np.zeros((len(centers), len(pts)))
+    for j in range(pts.shape[1]):
+        d2 += (centers[:, j, None] - pts[None, :, j]) ** 2
+    return d2
 
 
 def _morrey_radii(grid: QuadratureGrid) -> np.ndarray:
@@ -780,22 +792,62 @@ def _morrey_radii(grid: QuadratureGrid) -> np.ndarray:
     return np.geomspace(lo, diam, 12)
 
 
-def _herz_norm(spec, field: SampledField, xi: np.ndarray) -> float:
-    """Herz sum of `spec` (p, q, a) over the dyadic annuli around xi."""
+def _herz_norms(spec, field: SampledField, centers: np.ndarray) -> np.ndarray:
+    """Herz sums of `spec` (p, q, a) over the dyadic annuli around each
+    row of `centers`.  Per block of _BALL_BLOCK centers, one offset
+    `bincount` sums every (center, annulus) pair; a point at a center
+    lies in no annulus, so it adds zero where it is labelled."""
     grid = field.grid
-    d = np.linalg.norm(grid.points - xi, axis=1)
-    keep = d > 0
-    if not np.any(keep):
-        return 0.0
-    k = np.floor(np.log2(d[keep])).astype(int) + 1
-    s = np.abs(field.values[keep]) ** spec.p * grid.weights[keep]
-    k_shift = k - k.min()
-    sums = np.bincount(k_shift, weights=s)
-    ks = np.arange(k.min(), k.min() + len(sums))
-    nonzero = sums > 0
-    terms = (2.0 ** (ks[nonzero] * spec.a)) ** spec.q \
-        * sums[nonzero] ** (spec.q / spec.p)
-    return float(np.sum(terms) ** (1.0 / spec.q))
+    s = np.abs(field.values) ** spec.p * grid.weights
+    out = np.zeros(len(centers))
+    for start in range(0, len(centers), _BALL_BLOCK):
+        block = centers[start:start + _BALL_BLOCK]
+        d = np.sqrt(_squared_distances(block, grid.points))
+        away = d > 0
+        d[~away] = 1.0
+        # annulus k holds 2^(k-1) <= |x - xi| < 2^k; the arrays are
+        # reused in place so a block stays near Morrey's in memory
+        k = np.floor(np.log2(d, out=d), out=d).astype(np.int64) + 1
+        k_min = k.min()
+        width = k.max() - k_min + 1
+        k += np.arange(len(block))[:, None] * width - k_min
+        sums = np.bincount(k.ravel(), weights=(away * s).ravel(),
+                           minlength=len(block) * width)
+        sums = sums.reshape(len(block), width)
+        ks = np.arange(k_min, k_min + width)
+        terms = np.where(sums > 0, (2.0 ** (ks * spec.a)) ** spec.q
+                         * sums ** (spec.q / spec.p), 0.0)
+        out[start:start + len(block)] = np.sum(terms, axis=1) ** (1.0 / spec.q)
+    return out
+
+
+def _dyadic_cube_labels(pts: np.ndarray, levels: np.ndarray):
+    """Label the dyadic cube floor(x 2^j) of every point at every level j
+    in `levels`: (labels, level_of), where labels[l, i] is point i's cube
+    at level l and level_of[c] the level of label c.  Each level's cube
+    indices are shifted to start at 0 per axis, raveled in C order (so
+    labels sort as the index rows sort lexicographically) and offset past
+    the previous levels' label ranges."""
+    idx = np.floor(pts[None, :, :] * (2.0 ** levels)[:, None, None]) \
+        .astype(np.int64)
+    idx -= idx.min(axis=1, keepdims=True)
+    extents = idx.max(axis=1) + 1
+    labels = idx[:, :, 0]
+    for axis in range(1, idx.shape[2]):
+        labels = labels * extents[:, axis, None] + idx[:, :, axis]
+    sizes = np.prod(extents, axis=1)
+    offsets = np.cumsum(sizes) - sizes
+    return labels + offsets[:, None], np.repeat(np.arange(len(levels)), sizes)
+
+
+@functools.cache
+def _slice_denominator(phi: OrliczFunction, t: float, n: int) -> float:
+    """The Luxemburg norm of the indicator of an n-ball of radius t, the
+    Orlicz-slice denominator; it depends on (phi, t, n) alone."""
+    ball = unit_ball_volume(n) * t**n
+    return float(_luxemburg(lambda lam: ball * phi(1.0 / lam),
+                            np.array([1.0]), phi.lower_type,
+                            phi.upper_type)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -275,6 +275,8 @@ DOMAIN_ERRORS = [
      "vertices"),
     ("polygon-vertex-3d", INTERVAL, POLYGON.format("0, 0, 0; 1, 0; 0, 1"),
      "vertices"),
+    ("polygon-self-intersecting", INTERVAL,
+     POLYGON.format("0, 0; 2, 2; 2, 0; 0, 1"), "vertices"),
 ]
 
 # (id, text of MEMBER_CFG, its replacement, the field the error names);
@@ -654,3 +656,23 @@ def test_check_spaces_smoke(capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "PASS lattice:lebesgue" in out
+
+
+@pytest.mark.parametrize("cases", ["0", "-3", "1.5"])
+def test_check_spaces_needs_a_case(capsys, cases):
+    """An audit of no cases would report PASS after checking nothing."""
+    code = main(["check-spaces", "--cases", cases])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and repr("--cases") in lines[0]
+
+
+@pytest.mark.parametrize("suite", ["run_axiom_suites", "run_reduction_suite"])
+@pytest.mark.parametrize("cases", [0, -3, 1.5, True])
+def test_audit_suites_need_a_case(suite, cases):
+    from bbmlab import checks
+
+    with pytest.raises(ValueError, match="cases must be an integer >= 1"):
+        getattr(checks, suite)(cases=cases)

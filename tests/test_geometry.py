@@ -239,6 +239,7 @@ class TestDomainArguments:
         (lambda: Polygon(((0, 0, 0), (1, 0), (0, 1))), "vertices"),
         (lambda: Polygon(((0, 0), 1, (0, 1))), "vertices"),
         (lambda: Polygon(((0, 0), (1, 0))), "vertices"),
+        (lambda: Polygon(((0, 0), (2, 2), (2, 0), (0, 1))), "vertices"),
     ])
     def test_bad_argument_is_named(self, build, name):
         """Arguments are converted and checked before any comparison, so
@@ -253,3 +254,23 @@ class TestDomainArguments:
         assert Interval("0", "1.5").b == 1.5
         clockwise = Polygon(((0, 0), ("0", 1), (1, 0)))
         assert clockwise.vertices == ((1.0, 0.0), (0.0, 1.0), (0.0, 0.0))
+
+    @pytest.mark.parametrize("vertices", [
+        ((0, 0), (4, 0), (4, 4), (2, 0), (0, 4)),     # a vertex on an edge
+        ((0, 0), (2, 0), (1, 0), (1, 1)),             # an edge doubles back
+        # a slot cut through the base crosses it twice
+        ((0, 0), (3, 0), (3, 3), (2, 3), (2, -1), (1, -1), (1, 3), (0, 3)),
+    ])
+    def test_polygon_must_be_simple(self, vertices):
+        """A self-intersecting outline has a shoelace area that is not the
+        area its grid covers, so it is refused by name."""
+        with pytest.raises(ValueError, match="simple polygon"):
+            Polygon(vertices)
+
+    @pytest.mark.parametrize("vertices", [
+        L_SHAPE.vertices,
+        ((0, 0), (1, 0), (2, 0), (2, 1), (0, 1)),     # collinear vertices
+        ((0, 0), (2, 0), (2, 2), (1, 0.5), (0, 2)),   # a notch, not a touch
+    ])
+    def test_simple_polygons_accepted(self, vertices):
+        assert Polygon(vertices).measure() > 0

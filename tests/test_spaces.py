@@ -41,6 +41,7 @@ from bbmlab.spaces import (
     holder_defect,
     norm,
     orlicz_from_csv,
+    unit_ball_volume,
     weight_from_csv,
 )
 
@@ -509,6 +510,177 @@ class TestOrliczSlice:
         f = field_on(grid, values)
         assert norm(spec, f) == pytest.approx(self._dense_mask_norm(spec, f),
                                               rel=1e-12)
+
+
+class TestSliceDenominator:
+    @pytest.mark.parametrize("phi", [
+        PowerOrlicz(2.0), PowerOrlicz(1.5), PowerLogOrlicz(1.0),
+        TableOrlicz((0.5, 1.0, 2.0, 4.0), (0.1, 1.0, 5.0, 30.0), 1.0, 4.0),
+    ], ids=["power2", "power1.5", "powerlog1", "table"])
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("t", [0.05, 0.15, 0.5])
+    def test_cached_equals_a_fresh_solve(self, phi, n, t):
+        """The |B_t| Luxemburg norm is solved once per (phi, t, n) and
+        reused bit for bit."""
+        from bbmlab.spaces import _luxemburg, _slice_denominator
+
+        ball = unit_ball_volume(n) * t**n
+        fresh = float(_luxemburg(lambda lam: ball * phi(1.0 / lam),
+                                 np.array([1.0]), phi.lower_type,
+                                 phi.upper_type)[0])
+        first = _slice_denominator(phi, t, n)
+        hits = _slice_denominator.cache_info().hits
+        assert first == fresh
+        assert _slice_denominator(phi, t, n) == fresh
+        assert _slice_denominator.cache_info().hits == hits + 1
+
+
+# The engines that `BesovBourgainMorrey.norm` and `_herz_norms` replaced,
+# kept as references: one `np.unique` partition per level, and one Herz
+# center at a time.
+
+def _unique_partition_bbmorrey(spec, field):
+    grid = field.grid
+    n = grid.dimension
+    j_hi = max(min(spec.j_max, int(math.floor(-math.log2(grid.h)))),
+               spec.j_min)
+    aq = np.abs(field.values) ** spec.q * grid.weights
+    total = 0.0
+    for j in range(spec.j_min, j_hi + 1):
+        cube_idx = np.floor(grid.points * 2.0**j).astype(np.int64)
+        _, inverse = np.unique(cube_idx, axis=0, return_inverse=True)
+        sums = np.bincount(inverse.ravel(), weights=aq)
+        vol = 2.0 ** (-j * n)
+        terms = vol ** (1.0 / spec.p - 1.0 / spec.q) * sums ** (1.0 / spec.q)
+        total += np.sum(terms**spec.r) ** (spec.tau / spec.r)
+    return float(total ** (1.0 / spec.tau))
+
+
+def _herz_one_center(spec, field, xi):
+    grid = field.grid
+    d = np.linalg.norm(grid.points - xi, axis=1)
+    keep = d > 0
+    if not np.any(keep):
+        return 0.0
+    k = np.floor(np.log2(d[keep])).astype(int) + 1
+    s = np.abs(field.values[keep]) ** spec.p * grid.weights[keep]
+    sums = np.bincount(k - k.min(), weights=s)
+    ks = np.arange(k.min(), k.min() + len(sums))
+    nonzero = sums > 0
+    terms = (2.0 ** (ks[nonzero] * spec.a)) ** spec.q \
+        * sums[nonzero] ** (spec.q / spec.p)
+    return float(np.sum(terms) ** (1.0 / spec.q))
+
+
+def _herz_lattice(grid):
+    """The centers `HerzGlobal` searches: a bounding-box lattice."""
+    lo, hi = grid.points.min(axis=0), grid.points.max(axis=0)
+    step = max(grid.h, float(np.max(hi - lo)) / 12.0)
+    axes = [np.arange(lo[j], hi[j] + step / 2, step)
+            for j in range(grid.dimension)]
+    return np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")],
+                    axis=-1)
+
+
+def _herz_global_by_center(spec, field):
+    return max(_herz_one_center(spec, field, c)
+               for c in _herz_lattice(field.grid))
+
+
+# the array engines sum a level's (or a center's) terms in another order
+# than the references; nothing else differs
+ENGINE_RTOL = 1e-15
+
+ENGINE_GRIDS = pytest.mark.parametrize("domain, h, scheme", [
+    (Interval(0.0, 1.0), 1.0 / 24, "tensor-midpoint"),
+    (Box((0.0, 0.0), (1.0, 1.0)), 1.0 / 6, "tensor-midpoint"),
+    (Disk((0.0, 0.0), 1.0), 0.1, "tensor-midpoint"),
+    (Box((0.0, 0.0, 0.0), (1.0, 1.0, 1.0)), 0.125, "tensor-midpoint"),
+    (Disk((0.2, -0.3), 1.0), 0.1, "quasi-random"),
+], ids=["interval-24", "box-6x6", "disk", "box-3d", "quasi-random-disk"])
+
+BBMORREY_SPECS = [
+    BesovBourgainMorrey(1.5, 2.0, 2.5, 2.0),
+    BesovBourgainMorrey(1.0, 2.0, 3.0, 1.5, j_min=-3, j_max=2),
+    BesovBourgainMorrey(2.0, 2.0, 2.0, 2.0, j_min=-12, j_max=-1),
+]
+HERZ_SPECS = [HerzGlobal(2.0, 2.0, -0.1), HerzGlobal(1.5, 3.0, 0.4)]
+
+
+def _fields_with_zeros(grid, rng, count=4):
+    for _ in range(count):
+        values = rng.normal(scale=2.0, size=len(grid))
+        values[rng.random(len(grid)) < 0.3] = 0.0
+        yield field_on(grid, values)
+
+
+class TestArrayEngines:
+    @ENGINE_GRIDS
+    @pytest.mark.parametrize("spec", BBMORREY_SPECS,
+                             ids=["audit", "window-3..2", "negative-levels"])
+    def test_bbmorrey_matches_unique_partitions(self, rng, domain, h, scheme,
+                                                spec):
+        grid = sample_quadrature(domain, h, scheme)
+        for f in _fields_with_zeros(grid, rng):
+            assert norm(spec, f) == pytest.approx(
+                _unique_partition_bbmorrey(spec, f), rel=ENGINE_RTOL, abs=0.0)
+
+    @ENGINE_GRIDS
+    @pytest.mark.parametrize("spec", HERZ_SPECS, ids=["audit", "p1.5q3"])
+    def test_herz_global_matches_center_loop(self, rng, domain, h, scheme,
+                                             spec):
+        grid = sample_quadrature(domain, h, scheme)
+        for f in _fields_with_zeros(grid, rng):
+            assert norm(spec, f) == pytest.approx(
+                _herz_global_by_center(spec, f), rel=ENGINE_RTOL, abs=0.0)
+
+    @ENGINE_GRIDS
+    def test_herz_local_matches_one_center(self, rng, domain, h, scheme):
+        """Around a grid point, whose own cell lies in no annulus, and
+        around a point off the grid."""
+        grid = sample_quadrature(domain, h, scheme)
+        for xi in (grid.points[3], grid.points[0] - 0.1):
+            spec = HerzLocal(2.5, 1.5, 0.3, tuple(xi))
+            for f in _fields_with_zeros(grid, rng, count=2):
+                assert norm(spec, f) == pytest.approx(
+                    _herz_one_center(spec, f, xi), rel=ENGINE_RTOL, abs=0.0)
+
+    @ENGINE_GRIDS
+    def test_zero_field_is_exactly_zero(self, domain, h, scheme):
+        grid = sample_quadrature(domain, h, scheme)
+        zero = field_on(grid, np.zeros(len(grid)))
+        xi = tuple(grid.points[0])
+        for spec in [*BBMORREY_SPECS, *HERZ_SPECS, HerzLocal(2.0, 2.0, 0.3, xi)]:
+            assert norm(spec, zero) == 0.0
+
+
+class TestHerzGlobal:
+    @pytest.mark.parametrize("a, expected", [
+        (0.5, 2.0), (-0.5, math.sqrt(2.5)),
+    ])
+    def test_two_point_hand_computation(self, a, expected):
+        """Points 0 and 1 (weights 1/2, values 1 and 2), p = q = 2: the
+        lattice step is max(h, 1/12) = 1/2, so the centers are 0, 1/2, 1.
+        Around 0 only the value 2 lies in an annulus (k = 1, distance 1),
+        norm (2^(2a) * 2)^(1/2); around 1/2 both lie in k = 0, norm
+        sqrt(2.5); around 1 only the value 1, norm (2^(2a) / 2)^(1/2)."""
+        grid = QuadratureGrid(np.array([[0.0], [1.0]]), np.array([0.5, 0.5]),
+                              0.5)
+        f = field_on(grid, [1.0, 2.0])
+        assert norm(HerzGlobal(2.0, 2.0, a), f) == pytest.approx(expected,
+                                                                  rel=1e-15)
+
+    def test_lattice_larger_than_a_block(self, rng):
+        """2,197 centers on a 14^3 grid: the blocks of _BALL_BLOCK centers
+        together must give the per-center maximum."""
+        from bbmlab.spaces import _BALL_BLOCK
+
+        grid = sample_quadrature(Box((0.0,) * 3, (1.0,) * 3), 1.0 / 14)
+        assert len(_herz_lattice(grid)) == 13**3 > _BALL_BLOCK
+        spec = HerzGlobal(2.0, 2.0, -0.1)
+        f = next(_fields_with_zeros(grid, rng, count=1))
+        assert norm(spec, f) == pytest.approx(
+            _herz_global_by_center(spec, f), rel=ENGINE_RTOL, abs=0.0)
 
 
 class TestRearrangement:
