@@ -200,6 +200,10 @@ class Polygon(Domain):
         if len(verts) < 3:
             raise ValueError(f"vertices must be at least 3 pairs, "
                              f"got {len(verts)}")
+        # a repeated vertex (a closing copy of the first, say) is no corner
+        # and would make a zero-length edge
+        verts = [v for k, v in enumerate(verts)
+                 if v != verts[(k + 1) % len(verts)]]
         area = _shoelace(verts)
         if area == 0:
             raise ValueError("vertices must be the corners of a nonzero area")

@@ -12,11 +12,11 @@ cell weights.  Ball sums come from closed balls, |x - y|^2 <= rho^2: Morrey's
 12-rung ladder masks one block of squared distances per block of
 centers, and Orlicz-slice's single small radius uses `cKDTree` ball
 lists.  Work that depends only on the grid is one array pass per call:
-Besov-Bourgain-Morrey labels every point's dyadic cube at every level and
-sums all the cubes with one `bincount`, the Herz norms sum the annuli of
-a block of centers with one `bincount`, and Orlicz-slice solves its |B_t|
-denominator once per (phi, t, dimension).  All engines depend on |f|
-only and are positively homogeneous.
+Besov-Bourgain-Morrey labels the occupied dyadic cubes of every level
+with one `lexsort` and sums them all with one `bincount`, the Herz norms
+sum the annuli of a block of centers with one `bincount`, and
+Orlicz-slice solves its |B_t| denominator once per (phi, t, dimension).
+All engines depend on |f| only and are positively homogeneous.
 `norm(spec, field)` is the checked entry point: it rejects non-finite
 values and grids the spec cannot measure on, then calls the spec's engine.
 """
@@ -547,16 +547,20 @@ class BesovBourgainMorrey(SpaceSpec):
         j_hi = min(self.j_max, int(math.floor(-math.log2(grid.h))))
         j_hi = max(j_hi, self.j_min)
         levels = np.arange(self.j_min, j_hi + 1)
-        labels, level_of = _dyadic_cube_labels(grid.points, levels)
+        # every level with 2^j max|x| < 1 parts the points by sign alone,
+        # so the levels below the finest such one reuse its cubes
+        sign_only = -math.frexp(float(np.max(np.abs(grid.points))))[1]
+        shared = min(max(sign_only - self.j_min, 0), len(levels) - 1)
+        labels, level_of = _dyadic_cube_labels(grid.points, levels[shared:])
         aq = np.abs(field.values) ** self.q * grid.weights
-        sums = np.bincount(labels.ravel(), weights=np.tile(aq, len(levels)),
-                           minlength=len(level_of))
-        # empty cubes drop out, as they never appear in a partition
-        occupied = np.bincount(labels.ravel(), minlength=len(level_of)) > 0
-        level_of = level_of[occupied]
+        sums = np.bincount(labels.ravel(), weights=np.tile(aq, len(labels)))
+        first = np.count_nonzero(level_of == 0)
+        level_of = np.concatenate([np.repeat(np.arange(shared + 1), first),
+                                   level_of[first:] + shared])
+        sums = np.concatenate([np.tile(sums[:first], shared + 1), sums[first:]])
         vol = 2.0 ** (-levels * n)
         terms = vol[level_of] ** (1.0 / self.p - 1.0 / self.q) \
-            * sums[occupied] ** (1.0 / self.q)
+            * sums ** (1.0 / self.q)
         inner = np.bincount(level_of, weights=terms**self.r,
                             minlength=len(levels)) ** (self.tau / self.r)
         return float(np.sum(inner) ** (1.0 / self.tau))
@@ -771,17 +775,11 @@ def _ladder_ball_sums(pts: np.ndarray, power: np.ndarray,
     distances to all points once, summed axis by axis as `cKDTree` sums
     them, and every radius's sums are a masked product with that block."""
     for start in range(0, len(pts), _BALL_BLOCK):
-        d2 = _squared_distances(pts[start:start + _BALL_BLOCK], pts)
+        centers = pts[start:start + _BALL_BLOCK]
+        d2 = np.zeros((len(centers), len(pts)))
+        for j in range(pts.shape[1]):
+            d2 += (centers[:, j, None] - pts[None, :, j]) ** 2
         yield np.stack([(d2 <= rho * rho) @ power for rho in radii])
-
-
-def _squared_distances(centers: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """The (centers, points) block of squared distances, summed axis by
-    axis as `cKDTree` sums them."""
-    d2 = np.zeros((len(centers), len(pts)))
-    for j in range(pts.shape[1]):
-        d2 += (centers[:, j, None] - pts[None, :, j]) ** 2
-    return d2
 
 
 def _morrey_radii(grid: QuadratureGrid) -> np.ndarray:
@@ -802,7 +800,11 @@ def _herz_norms(spec, field: SampledField, centers: np.ndarray) -> np.ndarray:
     out = np.zeros(len(centers))
     for start in range(0, len(centers), _BALL_BLOCK):
         block = centers[start:start + _BALL_BLOCK]
-        d = np.sqrt(_squared_distances(block, grid.points))
+        # squared distances summed axis by axis, as in `_ladder_ball_sums`
+        d = np.zeros((len(block), len(grid.points)))
+        for j in range(grid.dimension):
+            d += (block[:, j, None] - grid.points[None, :, j]) ** 2
+        d = np.sqrt(d, out=d)
         away = d > 0
         d[~away] = 1.0
         # annulus k holds 2^(k-1) <= |x - xi| < 2^k; the arrays are
@@ -814,30 +816,33 @@ def _herz_norms(spec, field: SampledField, centers: np.ndarray) -> np.ndarray:
         sums = np.bincount(k.ravel(), weights=(away * s).ravel(),
                            minlength=len(block) * width)
         sums = sums.reshape(len(block), width)
-        ks = np.arange(k_min, k_min + width)
-        terms = np.where(sums > 0, (2.0 ** (ks * spec.a)) ** spec.q
-                         * sums ** (spec.q / spec.p), 0.0)
-        out[start:start + len(block)] = np.sum(terms, axis=1) ** (1.0 / spec.q)
+        # only occupied annuli enter: an empty one's weight may overflow
+        rows, cols = np.nonzero(sums)
+        terms = (2.0 ** ((cols + k_min) * spec.a)) ** spec.q \
+            * sums[rows, cols] ** (spec.q / spec.p)
+        out[start:start + len(block)] = np.bincount(
+            rows, weights=terms, minlength=len(block)) ** (1.0 / spec.q)
     return out
 
 
 def _dyadic_cube_labels(pts: np.ndarray, levels: np.ndarray):
     """Label the dyadic cube floor(x 2^j) of every point at every level j
     in `levels`: (labels, level_of), where labels[l, i] is point i's cube
-    at level l and level_of[c] the level of label c.  Each level's cube
-    indices are shifted to start at 0 per axis, raveled in C order (so
-    labels sort as the index rows sort lexicographically) and offset past
-    the previous levels' label ranges."""
-    idx = np.floor(pts[None, :, :] * (2.0 ** levels)[:, None, None]) \
-        .astype(np.int64)
-    idx -= idx.min(axis=1, keepdims=True)
-    extents = idx.max(axis=1) + 1
-    labels = idx[:, :, 0]
-    for axis in range(1, idx.shape[2]):
-        labels = labels * extents[:, axis, None] + idx[:, :, axis]
-    sizes = np.prod(extents, axis=1)
-    offsets = np.cumsum(sizes) - sizes
-    return labels + offsets[:, None], np.repeat(np.arange(len(levels)), sizes)
+    at level l and level_of[c] the level index of cube c.  Only occupied
+    cubes get a label, numbered as one lexsort orders (level, cube index)
+    rows: by level, then lexicographically, as `np.unique(axis=0)` orders
+    a level's rows.  The indices stay floats: floor(x 2^j) is exact in
+    floating point, and no integer cast overflows at a fine level."""
+    idx = np.floor(pts[None, :, :] * (2.0 ** levels)[:, None, None])
+    rows = idx.reshape(-1, pts.shape[1])
+    level = np.repeat(np.arange(len(levels)), len(pts))
+    order = np.lexsort((*rows.T[::-1], level))
+    rows, level = rows[order], level[order]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = np.any(rows[1:] != rows[:-1], axis=1) | (level[1:] != level[:-1])
+    labels = np.empty(len(order), dtype=np.int64)
+    labels[order] = np.cumsum(new) - 1
+    return labels.reshape(len(levels), len(pts)), level[new]
 
 
 @functools.cache

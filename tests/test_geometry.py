@@ -240,6 +240,7 @@ class TestDomainArguments:
         (lambda: Polygon(((0, 0), 1, (0, 1))), "vertices"),
         (lambda: Polygon(((0, 0), (1, 0))), "vertices"),
         (lambda: Polygon(((0, 0), (2, 2), (2, 0), (0, 1))), "vertices"),
+        (lambda: Polygon(((0, 0), (1, 0), (0, 0))), "vertices"),
     ])
     def test_bad_argument_is_named(self, build, name):
         """Arguments are converted and checked before any comparison, so
@@ -271,6 +272,16 @@ class TestDomainArguments:
         L_SHAPE.vertices,
         ((0, 0), (1, 0), (2, 0), (2, 1), (0, 1)),     # collinear vertices
         ((0, 0), (2, 0), (2, 2), (1, 0.5), (0, 2)),   # a notch, not a touch
+        ((0, 0), (1, 0), (1, 1), (0, 1), (0, 0)),     # a closed ring
+        ((0, 0), (1, 0), (1, 0), (1, 1), (0, 1)),     # a repeated vertex
     ])
     def test_simple_polygons_accepted(self, vertices):
         assert Polygon(vertices).measure() > 0
+
+    def test_repeated_vertices_are_dropped(self):
+        """A closing copy of the first vertex makes no zero-length edge, so
+        the ring is the unit square and its boundary distances are finite."""
+        ring = Polygon(((0, 0), (1, 0), (1, 1), (1, 1), (0, 1), (0, 0)))
+        assert ring.vertices == ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0))
+        assert ring.boundary_distance_many(np.array([[0.5, 0.5], [0.1, 0.5]])) \
+            == pytest.approx([0.5, 0.1])

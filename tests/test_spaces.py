@@ -603,6 +603,10 @@ BBMORREY_SPECS = [
     BesovBourgainMorrey(1.5, 2.0, 2.5, 2.0),
     BesovBourgainMorrey(1.0, 2.0, 3.0, 1.5, j_min=-3, j_max=2),
     BesovBourgainMorrey(2.0, 2.0, 2.0, 2.0, j_min=-12, j_max=-1),
+    # levels below 2^j max|x| < 1 share one sign-only partition
+    BesovBourgainMorrey(1.5, 2.0, 2.5, 2.0, j_min=-60, j_max=3),
+    # a level finer than the grid spacing has about one point per cube
+    BesovBourgainMorrey(1.5, 2.0, 2.5, 2.0, j_min=14, j_max=14),
 ]
 HERZ_SPECS = [HerzGlobal(2.0, 2.0, -0.1), HerzGlobal(1.5, 3.0, 0.4)]
 
@@ -617,7 +621,8 @@ def _fields_with_zeros(grid, rng, count=4):
 class TestArrayEngines:
     @ENGINE_GRIDS
     @pytest.mark.parametrize("spec", BBMORREY_SPECS,
-                             ids=["audit", "window-3..2", "negative-levels"])
+                             ids=["audit", "window-3..2", "negative-levels",
+                                  "long-window", "above-grid-spacing"])
     def test_bbmorrey_matches_unique_partitions(self, rng, domain, h, scheme,
                                                 spec):
         grid = sample_quadrature(domain, h, scheme)
@@ -650,7 +655,11 @@ class TestArrayEngines:
         grid = sample_quadrature(domain, h, scheme)
         zero = field_on(grid, np.zeros(len(grid)))
         xi = tuple(grid.points[0])
-        for spec in [*BBMORREY_SPECS, *HERZ_SPECS, HerzLocal(2.0, 2.0, 0.3, xi)]:
+        # at |a| = 200 some annulus weights overflow to inf; empty annuli
+        # still add 0, not inf * 0
+        herz = [*HERZ_SPECS, HerzGlobal(2.0, 2.0, 200.0),
+                HerzGlobal(2.0, 2.0, -200.0), HerzLocal(2.0, 2.0, 0.3, xi)]
+        for spec in [*BBMORREY_SPECS, *herz]:
             assert norm(spec, zero) == 0.0
 
 
