@@ -150,16 +150,19 @@ def reduction_pairs():
     ]
 
 
-def _check_cases(cases) -> None:
-    """An audit of no cases checks nothing, so it may not report a pass."""
-    if isinstance(cases, bool) or not isinstance(cases, numbers.Integral) \
-            or cases < 1:
-        raise ValueError(f"cases must be an integer >= 1, got {cases!r}")
+def _check_audit(cases, seed) -> None:
+    """An audit of no cases checks nothing, so it may not report a pass;
+    numpy seeds are integers >= 0."""
+    for name, value, least in (("cases", cases, 1), ("seed", seed, 0)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) \
+                or value < least:
+            raise ValueError(f"{name} must be an integer >= {least}, "
+                             f"got {value!r}")
 
 
 def run_axiom_suites(cases: int = 1000, seed: int = 0):
     """Run all four audits per engine; returns CheckResult rows."""
-    _check_cases(cases)
+    _check_audit(cases, seed)
     results = []
     suites = [
         ("lattice", lattice_violation, LATTICE_SLACK),
@@ -182,7 +185,7 @@ def run_axiom_suites(cases: int = 1000, seed: int = 0):
 
 
 def run_reduction_suite(cases: int = 100, seed: int = 0):
-    _check_cases(cases)
+    _check_audit(cases, seed)
     results = []
     for name, spec, ref, grid in reduction_pairs():
         rng = np.random.default_rng(seed)

@@ -80,15 +80,18 @@ def _positive_number(value, field: str) -> float:
     return number
 
 
-def _count(value, field: str) -> int:
-    """`value` as an integer >= 1, else a ConfigError naming `field`."""
+def _count(value, field: str, least: int = 1) -> int:
+    """`value` as an integer >= `least`, else a ConfigError naming
+    `field`."""
     try:
         number = int(value)
-        valid = number >= 1 and number == float(value)
+        valid = number >= least and (isinstance(value, str)
+                                     or number == value)
     except (TypeError, ValueError, OverflowError):
         valid = False
     if isinstance(value, bool) or not valid:
-        raise ConfigError(field, f"must be an integer >= 1, got {value!r}")
+        raise ConfigError(field,
+                          f"must be an integer >= {least}, got {value!r}")
     return number
 
 
@@ -510,8 +513,8 @@ def _cmd_sweep(args) -> int:
 def _cmd_oracle(args) -> int:
     try:
         if args.op == "sphere-moment":
-            value = oracle.mc_sphere_moment(args.p, args.n, args.samples,
-                                            args.seed)
+            value = oracle.mc_sphere_moment(
+                args.p, args.n, args.samples, _count(args.seed, "--seed", 0))
             print(repr(value))
             return 0
         if args.op == "dense-1d":
@@ -542,12 +545,12 @@ def _cmd_oracle(args) -> int:
 def _cmd_check_spaces(args) -> int:
     try:
         cases = _count(args.cases, "--cases")
+        seed = _count(args.seed, "--seed", 0)
     except ConfigError as exc:
         print(exc, file=sys.stderr)
         return 1
-    results = checks.run_axiom_suites(cases=cases, seed=args.seed)
-    results += checks.run_reduction_suite(cases=min(cases, 100),
-                                          seed=args.seed)
+    results = checks.run_axiom_suites(cases=cases, seed=seed)
+    results += checks.run_reduction_suite(cases=min(cases, 100), seed=seed)
     failed = 0
     for res in results:
         status = "PASS" if res.passed else "FAIL"
@@ -582,7 +585,8 @@ def main(argv=None) -> int:
     p_oracle.add_argument("--p", type=float, default=2.0)
     p_oracle.add_argument("--n", type=int, default=2)
     p_oracle.add_argument("--samples", type=int, default=1_000_000)
-    p_oracle.add_argument("--seed", type=int, default=0)
+    p_oracle.add_argument("--seed", default=0,
+                          help="random seed, an integer >= 0")
     p_oracle.add_argument("--function", default="linear")
     p_oracle.add_argument("--a", type=float, default=0.0)
     p_oracle.add_argument("--b", type=float, default=1.0)
@@ -598,7 +602,8 @@ def main(argv=None) -> int:
     p_check = sub.add_parser("check-spaces", help="randomized norm audits")
     p_check.add_argument("--cases", default=200,
                          help="random fields per audit, an integer >= 1")
-    p_check.add_argument("--seed", type=int, default=0)
+    p_check.add_argument("--seed", default=0,
+                         help="random seed, an integer >= 0")
     p_check.set_defaults(func=_cmd_check_spaces)
 
     args = parser.parse_args(argv)

@@ -612,6 +612,7 @@ class TestOracleCommand:
         (["dense-1d", "--function", "cubic"], "cubic"),
         (["rearrangement"], "--input"),
         (["rearrangement", "--input", "short.csv"], "short.csv, line 2"),
+        (["sphere-moment", "--seed", "-1", "--samples", "10"], "'--seed'"),
     ])
     def test_bad_input_is_one_error_line(self, tmp_path, monkeypatch,
                                          capsys, argv, named):
@@ -676,3 +677,28 @@ def test_audit_suites_need_a_case(suite, cases):
 
     with pytest.raises(ValueError, match="cases must be an integer >= 1"):
         getattr(checks, suite)(cases=cases)
+
+
+@pytest.mark.parametrize("seed", ["-1", "1.5", "one"])
+def test_check_spaces_needs_a_seed(capsys, seed):
+    """numpy takes no negative seed; the flag is named before any audit."""
+    code = main(["check-spaces", "--cases", "1", "--seed", seed])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and repr("--seed") in lines[0]
+
+
+def test_check_spaces_takes_a_large_seed(capsys):
+    assert main(["check-spaces", "--cases", "1",
+                 "--seed", str(2**64 + 1)]) == 0
+
+
+@pytest.mark.parametrize("suite", ["run_axiom_suites", "run_reduction_suite"])
+@pytest.mark.parametrize("seed", [-1, 1.5, True, None])
+def test_audit_suites_need_a_seed(suite, seed):
+    from bbmlab import checks
+
+    with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+        getattr(checks, suite)(cases=1, seed=seed)

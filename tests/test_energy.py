@@ -470,16 +470,27 @@ class TestPairSources:
         assert np.array_equal(split, whole)
 
 
+# (domain, the domain moved by (0.3, 0.17), h) on lattice grids
+MOVES = [
+    pytest.param(Interval(0.0, 1.0), Interval(0.3, 1.3), 2e-3, id="interval"),
+    pytest.param(UNIT_SQUARE, Box((0.3, 0.17), (1.3, 1.17)), 0.02,
+                 id="square"),
+    pytest.param(UNIT_DISK, Disk((0.3, 0.17), 1.0), 0.05, id="disk"),
+]
+
+
+def _moved_values(grid):
+    """A field that moves with the domain: the same value at each cell."""
+    return product_sine(grid.dimension)(grid.points) + 0.5 \
+        * grid.points[:, 0]
+
+
 class TestTranslation:
     """Moving the domain and the field together moves no energy: whether
     a pair at exactly two spacings is near must not depend on round-off
     in the coordinates."""
 
-    @pytest.mark.parametrize("domain, moved, h", [
-        (Interval(0.0, 1.0), Interval(0.3, 1.3), 2e-3),
-        (UNIT_SQUARE, Box((0.3, 0.17), (1.3, 1.17)), 0.02),
-        (UNIT_DISK, Disk((0.3, 0.17), 1.0), 0.05),
-    ], ids=["interval", "square", "disk"])
+    @pytest.mark.parametrize("domain, moved, h", MOVES)
     @pytest.mark.parametrize("kind, nus", [
         ("bump", BUMP_SCHEDULE), ("fractional", [0.2, 0.45]),
         ("gagliardo", [0.9]),
@@ -489,9 +500,7 @@ class TestTranslation:
         grid = sample_quadrature(domain, h)
         moved_grid = sample_quadrature(moved, h)
         assert len(moved_grid) == len(grid)
-        # the field moves with the domain: the same value at each cell
-        values = product_sine(domain.dimension)(grid.points) + 0.5 \
-            * grid.points[:, 0]
+        values = _moved_values(grid)
         kernels = _kernels(kind, nus, 2.0, domain.dimension)
         eval_idx = np.arange(len(grid))
         here = nonlocal_energy._energy_values(
@@ -500,6 +509,41 @@ class TestTranslation:
             SampledField(moved_grid, values), kernels, 2.0, eval_idx)
         assert np.all(here > 0)
         assert np.max(np.abs(there - here) / here) <= 1e-12
+
+
+class TestMorreyTranslation:
+    """Moving the domain and the field together moves no Morrey norm: a
+    lattice ball holds its pairs at exactly rho by an integer test, in
+    both sources."""
+
+    @pytest.mark.parametrize("domain, moved, h", MOVES)
+    @pytest.mark.parametrize("source", ["fft", "block"])
+    @pytest.mark.parametrize("alpha, r", [(3.0, 2.0), (4.0, 1.5)])
+    def test_norm_moves_with_the_domain(self, monkeypatch, domain, moved, h,
+                                        source, alpha, r):
+        from bbmlab import spaces
+
+        grid = sample_quadrature(domain, h)
+        moved_grid = sample_quadrature(moved, h)
+        assert grid.lattice is not None and moved_grid.lattice is not None
+        values = _moved_values(grid)
+        ran = []
+        original = spaces._ladder_ball_sums
+
+        def spy(*args):
+            ran.append(args)
+            return original(*args)
+
+        # the cost rule is set aside so that each source serves every grid
+        monkeypatch.setattr(spaces, "_ladder_ball_sums", spy)
+        monkeypatch.setattr(spaces, "_BALL_FFT_COST",
+                            0.0 if source == "fft" else math.inf)
+        spec = spaces.Morrey(alpha, r)
+        here = norm(spec, SampledField(grid, values))
+        there = norm(spec, SampledField(moved_grid, values))
+        assert bool(ran) == (source == "block")
+        assert here > 0
+        assert abs(there - here) <= 1e-12 * here
 
 
 def _spy_fft(monkeypatch):

@@ -382,21 +382,35 @@ class TestBesovBourgainMorrey:
             BesovBourgainMorrey(2.0, 2.0, 2.0, 2.0, j_min=j_min, j_max=j_max)
 
 
+def _lattice_bounds(grid, radii):
+    """k_rho = floor((rho/h)^2) read in exact arithmetic: the lattice
+    balls' squared-offset bounds."""
+    return np.floor((radii / grid.h) ** 2 * (1.0 + 1e-9))
+
+
 class TestMorreyBallSums:
     @staticmethod
     def _list_sum_norm(spec, field):
-        """The Morrey norm with each ball summed as its own index list."""
-        from bbmlab.spaces import _morrey_radii, unit_ball_volume
+        """The Morrey norm with each ball summed as its own index list:
+        `cKDTree` balls of radius rho on point clouds, and on lattices
+        balls of radius sqrt(k_rho + 1/2) around the integer indices,
+        which hold exactly the offsets with |o|^2 <= k_rho."""
+        from bbmlab.spaces import _morrey_ladder, unit_ball_volume
 
         grid = field.grid
         pts, n = grid.points, grid.dimension
         power = np.abs(field.values) ** spec.r * grid.weights
-        tree = cKDTree(pts)
+        radii = _morrey_ladder(grid)[0]
+        if grid.lattice is None:
+            tree, reach = cKDTree(pts), radii
+        else:
+            tree = cKDTree(grid.lattice)
+            reach = np.sqrt(_lattice_bounds(grid, radii) + 0.5)
         best = 0.0
-        for rho in _morrey_radii(grid):
+        for rho, ball in zip(radii, reach):
             vol_factor = (unit_ball_volume(n) * rho**n) ** (
                 1.0 / spec.alpha - 1.0 / spec.r)
-            for idx in tree.query_ball_point(pts, rho):
+            for idx in tree.query_ball_point(tree.data, ball):
                 best = max(best,
                            vol_factor * power[idx].sum() ** (1.0 / spec.r))
         return best
@@ -425,20 +439,47 @@ class TestMorreyBallSums:
                                               rel=1e-12)
 
     def test_ties_decided_as_the_tree_balls(self, rng):
-        """On the h = 0.1 lattice many pairs lie at distance exactly rho;
-        each rung's ball sums must keep them as Orlicz-slice's tree balls
-        do (at rho = 0.2 the tree keeps 1,064 pairs, a strict rule 904)."""
-        from bbmlab.spaces import _ball_blocks, _ladder_ball_sums
+        """On the h = 0.1 lattice many pairs lie at distance exactly rho.
+        Lattice balls keep all of them by the integer test |o|^2 <= k_rho
+        (at rho = 0.2: 1,104 pairs, where the float test on the
+        coordinates keeps 1,064 and a strict rule 904), in both sources.
+        The float test, which point clouds keep, still decides them as
+        Orlicz-slice's `cKDTree` balls do."""
+        from bbmlab.spaces import (
+            _ball_blocks,
+            _fft_ball_sums,
+            _ladder_ball_sums,
+            _morrey_ladder,
+        )
 
-        def ladder(weights):
+        def ladder(pts, weights, bounds):
             return np.concatenate(
-                list(_ladder_ball_sums(pts, weights, radii)), axis=1)
+                list(_ladder_ball_sums(pts, weights, bounds)), axis=1)
 
-        pts = sample_quadrature(Box((0.0, 0.0), (1.0, 1.0)), 0.1).points
+        grid = sample_quadrature(Box((0.0, 0.0), (1.0, 1.0)), 0.1)
+        pts, lattice = grid.points, grid.lattice
         radii = np.array([0.2, 0.3, 0.5])
+        bounds = _lattice_bounds(grid, radii)
+        assert bounds.tolist() == [4.0, 9.0, 25.0]
         power = rng.random(len(pts))
         power[rng.random(len(pts)) < 0.3] = 0.0
-        pair_counts, sums = ladder(np.ones(len(pts))), ladder(power)
+        ones = np.ones(len(pts))
+        # every lattice pair at exactly rho is in the ball
+        d2 = ((lattice[:, None, :] - lattice[None, :, :]) ** 2).sum(axis=2)
+        exact = np.stack([(d2 <= k).sum(axis=1) for k in bounds])
+        pair_counts = ladder(lattice, ones, bounds)
+        assert pair_counts[0].sum() == 1104
+        assert np.array_equal(pair_counts, exact)
+        box = _morrey_ladder(grid)[3]
+        assert box == (20, 20)  # 2 E - 1 = 19 cells per axis, rounded up
+        fft_counts, _ = _fft_ball_sums(lattice, ones, bounds, box)
+        assert np.array_equal(np.rint(fft_counts), exact)
+        fft_sums, _ = _fft_ball_sums(lattice, power, bounds, box)
+        assert fft_sums == pytest.approx(ladder(lattice, power, bounds),
+                                         rel=1e-12, abs=1e-14)
+        # the float test on coordinates, as point clouds use it
+        pair_counts, sums = (ladder(pts, weights, radii**2)
+                             for weights in (ones, power))
         assert pair_counts[0].sum() == 1064
         for rung, rho in enumerate(radii):
             tree_counts, tree_sums = np.zeros(len(pts)), np.zeros(len(pts))
@@ -449,6 +490,167 @@ class TestMorreyBallSums:
                                                minlength=centers)
             assert np.array_equal(pair_counts[rung], tree_counts)
             assert sums[rung] == pytest.approx(tree_sums, rel=1e-12, abs=0.0)
+
+
+def _morrey_from_sums(spec, grid, sums):
+    """max over rungs and centers of |B|^(1/alpha - 1/r) (ball sum)^(1/r),
+    and the ball sum at the maximum."""
+    from bbmlab.spaces import _morrey_ladder, unit_ball_volume
+
+    radii = _morrey_ladder(grid)[0]
+    n = grid.dimension
+    vol = (unit_ball_volume(n) * radii**n) ** (1.0 / spec.alpha - 1.0 / spec.r)
+    cand = vol[:, None] * sums ** (1.0 / spec.r)
+    at = np.unravel_index(np.argmax(cand), cand.shape)
+    return float(cand[at]), float(sums[at])
+
+
+# lattice grids for the two Morrey sources: 1-d, 2-d and 3-d
+MORREY_LATTICES = [
+    pytest.param(Interval(0.0, 1.0), 1.0 / 64, id="interval"),
+    pytest.param(Box((0.0, 0.0), (1.0, 1.0)), 0.05, id="box"),
+    pytest.param(Disk((0.0, 0.0), 1.0), 0.1, id="disk"),
+    pytest.param(Polygon(((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.3, 0.8))),
+                 0.05, id="polygon"),
+    pytest.param(Box((0.0, 0.0, 0.0), (1.0, 1.0, 1.0)), 0.125, id="box-3d"),
+]
+
+
+def _morrey_test_field(grid, kind, rng):
+    """Normal values with 30% zeros, or a spike over small values."""
+    values = rng.normal(size=len(grid))
+    if kind == "zeros":
+        values[rng.random(len(grid)) < 0.3] = 0.0
+    else:
+        values *= 1e-3
+        values[rng.integers(len(grid))] = 10.0
+    return field_on(grid, values)
+
+
+class TestMorreyLatticeSources:
+    """On lattice grids the FFT correlations and the distance block on
+    integer indices give the same ball sums as a dense exact-integer
+    reference; point clouds keep the float rule bit for bit."""
+
+    @pytest.mark.parametrize("domain, h", MORREY_LATTICES)
+    @pytest.mark.parametrize("alpha, r", [(3.0, 2.0), (4.0, 1.5), (2.0, 2.0)])
+    @pytest.mark.parametrize("kind", ["zeros", "spike"])
+    def test_sources_match_dense_integer_balls(self, rng, domain, h, alpha,
+                                               r, kind):
+        from bbmlab.spaces import (
+            _BALL_FFT_GUARD,
+            _fft_ball_sums,
+            _ladder_ball_sums,
+            _morrey_ladder,
+        )
+
+        grid = sample_quadrature(domain, h)
+        assert grid.lattice is not None
+        spec = Morrey(alpha, r)
+        f = _morrey_test_field(grid, kind, rng)
+        power = np.abs(f.values) ** r * grid.weights
+        bounds = _lattice_bounds(grid, _morrey_ladder(grid)[0])
+        lattice = grid.lattice
+        d2 = ((lattice[:, None, :] - lattice[None, :, :]) ** 2).sum(axis=2)
+        dense = np.stack([(d2 <= k) @ power for k in bounds])
+        block = np.concatenate(
+            list(_ladder_ball_sums(lattice, power, bounds)), axis=1)
+        extent = lattice.max(axis=0) - lattice.min(axis=0) + 1
+        shape = tuple(int(2 * e - 1) for e in extent)
+        fft, error = _fft_ball_sums(lattice, power, bounds, shape)
+        assert np.all(fft >= 0.0)
+        assert np.abs(fft - dense).max() <= 1e-12 * dense.max()
+        expected, _ = _morrey_from_sums(spec, grid, dense)
+        got_block, _ = _morrey_from_sums(spec, grid, block)
+        got_fft, at_max = _morrey_from_sums(spec, grid, fft)
+        assert error <= _BALL_FFT_GUARD * at_max
+        assert got_block == pytest.approx(expected, rel=1e-12, abs=0.0)
+        assert got_fft == pytest.approx(expected, rel=1e-12, abs=0.0)
+        assert norm(spec, f) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("domain, h", MORREY_LATTICES)
+    def test_zero_field_is_exactly_zero(self, domain, h, monkeypatch):
+        grid = sample_quadrature(domain, h)
+        monkeypatch.setattr("bbmlab.spaces._BALL_FFT_COST", 0.0)
+        assert norm(Morrey(3.0, 2.0), field_on(grid, np.zeros(len(grid)))) \
+            == 0.0
+
+    def test_guard_sends_a_call_to_the_block(self, monkeypatch):
+        """A maximising ball sum too close to the FFT's round-off reruns
+        the call on the distance block: here a spike over ones, whose
+        smallest ball holds 2.6% of the total, under Morrey(50, 1.01)."""
+        from bbmlab import spaces
+
+        grid = sample_quadrature(Disk((0.0, 0.0), 1.0), 0.05)
+        values = np.ones(len(grid))
+        values[len(grid) // 2] = 20.0
+        f = field_on(grid, values)
+        ran = []
+        for name in ("_fft_ball_sums", "_ladder_ball_sums"):
+            def spy(*args, _original=getattr(spaces, name), _name=name):
+                ran.append(_name)
+                return _original(*args)
+
+            monkeypatch.setattr(spaces, name, spy)
+        got = norm(Morrey(50.0, 1.01), f)
+        assert ran == ["_fft_ball_sums", "_ladder_ball_sums"]
+        monkeypatch.setattr(spaces, "_BALL_FFT_COST", math.inf)
+        assert got == norm(Morrey(50.0, 1.01), f)
+
+    def test_cost_rule_keeps_the_audit_grids_on_the_block(self, rng,
+                                                          monkeypatch):
+        """The 24- and 36-point audit grids stay on the distance block;
+        the h = 0.05 disk of the ball-norm studies takes the FFT."""
+        from bbmlab import spaces
+        from bbmlab.checks import engine_catalog
+
+        ran = []
+        original = spaces._fft_ball_sums
+
+        def spy(*args):
+            ran.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(spaces, "_fft_ball_sums", spy)
+        grids = {len(grid): grid for _, _, grid in engine_catalog()}
+        assert sorted(grids) == [24, 36]
+        for grid in grids.values():
+            norm(Morrey(3.0, 2.0), field_on(grid, rng.normal(size=len(grid))))
+        assert not ran
+        disk = sample_quadrature(Disk((0.0, 0.0), 1.0), 0.05)
+        norm(Morrey(3.0, 2.0), field_on(disk, rng.normal(size=len(disk))))
+        assert len(ran) == 1
+
+    @pytest.mark.parametrize("domain, h, scheme", [
+        (Disk((0.0, 0.0), 1.0), 0.1, "quasi-random"),
+        (Box((0.0, 0.0), (1.0, 1.0)), 0.07, "tensor-midpoint"),
+    ], ids=["quasi-random-disk", "clipped-box"])
+    @pytest.mark.parametrize("alpha, r", [(3.0, 2.0), (4.0, 1.5), (2.0, 2.0)])
+    def test_point_clouds_bit_for_bit(self, rng, domain, h, scheme, alpha,
+                                      r):
+        """Point clouds keep the float rule |x - y|^2 <= rho^2, summed as
+        before the lattice sources came."""
+        from bbmlab.spaces import _BALL_BLOCK
+
+        grid = sample_quadrature(domain, h, scheme)
+        assert grid.lattice is None
+        f = _morrey_test_field(grid, "zeros", rng)
+        pts, n = grid.points, grid.dimension
+        power = np.abs(f.values) ** r * grid.weights
+        diam = float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0))) + h
+        radii = np.geomspace(min(2.0 * h, diam), diam, 12)
+        vol_factors = (unit_ball_volume(n) * radii**n) ** (
+            1.0 / alpha - 1.0 / r)
+        best = 0.0
+        for start in range(0, len(pts), _BALL_BLOCK):
+            centers = pts[start:start + _BALL_BLOCK]
+            d2 = np.zeros((len(centers), len(pts)))
+            for j in range(n):
+                d2 += (centers[:, j, None] - pts[None, :, j]) ** 2
+            sums = np.stack([(d2 <= rho * rho) @ power for rho in radii])
+            cand = vol_factors[:, None] * sums ** (1.0 / r)
+            best = max(best, float(cand.max(initial=0.0)))
+        assert norm(Morrey(alpha, r), f) == best
 
 
 class TestOrliczSlice:
