@@ -445,22 +445,23 @@ def _strided_grid(grid: QuadratureGrid, stride: int):
                                     axes=axes, domain=grid.domain)
 
 
-def _half_fields(field: SampledField, kernels, p: float,
-                 stride: int) -> list:
-    """The fields x -> E(x)^(1/p), one per kernel, on the strided grid."""
+def _half_fields(field: SampledField, kernels, p: float, stride: int):
+    """The fields x -> E(x)^(1/p), one per kernel, on the strided grid:
+    (grid, values) with one row of values per kernel."""
     if isinstance(stride, bool) or not isinstance(stride, (int, np.integer)) \
             or stride < 1:
         raise ValueError(f"stride must be an integer >= 1, got {stride!r}")
     eval_idx, out_grid = _strided_grid(field.grid, stride)
     energies = _energy_values(field, kernels, p, eval_idx)
-    return [SampledField(out_grid, row ** (1.0 / p)) for row in energies]
+    return out_grid, energies ** (1.0 / p)
 
 
 def energy_half_field(field: SampledField, params: EnergyParams,
                       stride: int = 1) -> SampledField:
     """The field x -> E(x)^(1/p) that the functional feeds into the norm."""
     kernel = params.family.kernel(params.nu, params.p)
-    return _half_fields(field, [kernel], params.p, stride)[0]
+    grid, halves = _half_fields(field, [kernel], params.p, stride)
+    return SampledField(grid, halves[0])
 
 
 def _warn_scale(nu: float, h: float, p: float) -> None:
@@ -483,13 +484,13 @@ def bbm_functional(field: SampledField, params: EnergyParams,
 def bbm_functional_schedule(field: SampledField, p: float,
                             family: RdatiFamily, nus, spec: SpaceSpec,
                             stride: int = 1) -> np.ndarray:
-    """Functional values over a scale schedule, sharing one energy pass."""
+    """Functional values over a scale schedule, sharing one energy pass
+    and one stacked norm call."""
     check_p(p)
     kernels = [family.kernel(nu, p) for nu in nus]
     for nu in nus:
         _warn_scale(nu, field.grid.h, p)
-    return np.asarray([norm(spec, half)
-                       for half in _half_fields(field, kernels, p, stride)])
+    return norm(spec, *_half_fields(field, kernels, p, stride))
 
 
 def gagliardo_functional(field: SampledField, p: float, s: float,
@@ -505,5 +506,5 @@ def gagliardo_functional(field: SampledField, p: float, s: float,
         raise ValueError("s must lie in (0, 1)")
     _warn_scale(1.0 - s, field.grid.h, p)
     kernel = gagliardo_kernel(s, p, field.grid.dimension)
-    raw = norm(spec, _half_fields(field, [kernel], p, stride)[0])
-    return float((1.0 - s) ** (1.0 / p) * raw)
+    grid, halves = _half_fields(field, [kernel], p, stride)
+    return float((1.0 - s) ** (1.0 / p) * norm(spec, grid, halves[0]))

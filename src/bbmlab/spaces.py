@@ -2,31 +2,35 @@
 
 Each space is a spec dataclass (`Lebesgue`, `Morrey`, ...; `SPACES` maps
 their config kinds to them) that carries its own behaviour: its report
-label, whether its norm is absolutely continuous, and `norm(field)`, the
-discrete version of its norm.  Integrals become weighted sums over cells,
-suprema over balls or centers become maxima over a declared finite search
-family, Luxemburg-type norms are found by a bracketed root solve on the
-scale parameter (a bracket from the Orlicz types, closed by Illinois
-regula falsi), and rearrangement-based norms sort values carrying their
-cell weights.  Ball sums come from closed balls.  On lattice grids
-Morrey's balls are integer ones, |o|^2 <= floor((rho/h)^2) for the
-integer offset o, so no pair at exactly rho is decided by round-off; each
-of its 12 rungs' sums is an FFT correlation of |f|^r w with the ball
-where that costs less than the distance block (the split of
-convolution-based nonlocal solvers; Jafarzadeh, Wang, Larios & Bobaru,
-CMAME 375 (2021) 113633), and otherwise every block of centers masks one
-block of integer squared distances per rung.  Point clouds keep the test
-|x - y|^2 <= rho^2 on their coordinates, and Orlicz-slice's single small
-radius uses `cKDTree` ball lists.  Morrey's ladder (radii, ball bounds,
-FFT box) is made once per grid.  Other work that depends only on the
-grid is one array pass per call: Besov-Bourgain-Morrey labels the
-occupied dyadic cubes of every level with one `lexsort` and sums them
-all with one `bincount`, the Herz norms sum the annuli of a block of
-centers with one `bincount`, and Orlicz-slice solves its |B_t|
-denominator once per (phi, t, dimension).
+label, whether its norm is absolutely continuous, and `norm(grid,
+values)`, the discrete version of its norm for a (B, N) stack of fields
+on one grid.  Work that depends only on the grid is done once per stack:
+ball lists, distances, annuli, cube labels, ball spectra, exponents.
+Integrals become weighted sums over cells, suprema over balls or centers
+become maxima over a declared finite search family, Luxemburg-type norms
+are found by a bracketed root solve on the scale parameter (a bracket
+from the Orlicz types, closed by Illinois regula falsi, every field and
+center of a stack in one solve), and rearrangement-based norms sort
+values carrying their cell weights.  Ball sums come from closed balls.
+On lattice grids Morrey's balls are integer ones, |o|^2 <=
+floor((rho/h)^2) for the integer offset o, so no pair at exactly rho is
+decided by round-off; each of its 12 rungs' sums is an FFT correlation of
+|f|^r w with the ball where that costs less than the distance block (the
+split of convolution-based nonlocal solvers; Jafarzadeh, Wang, Larios &
+Bobaru, CMAME 375 (2021) 113633), and otherwise every block of centers
+masks one block of integer squared distances per rung for all fields of
+the stack.  Point clouds keep the test |x - y|^2 <= rho^2 on their
+coordinates, and Orlicz-slice's single small radius uses `cKDTree` ball
+lists.  Morrey's ladder (radii, ball bounds, FFT box) is made once per
+grid.  Besov-Bourgain-Morrey labels the occupied dyadic cubes of every
+level with one `lexsort` and sums them all with one `bincount`, the Herz
+norms sum the annuli of a block of centers with one `bincount`, and
+Orlicz-slice solves its |B_t| denominator once per (phi, t, dimension).
 All engines depend on |f| only and are positively homogeneous.
-`norm(spec, field)` is the checked entry point: it rejects non-finite
-values and grids the spec cannot measure on, then calls the spec's engine.
+`norm(spec, field)` is the checked entry point, and `norm(spec, grid,
+values)` its stacked form: it rejects stacks of the wrong shape,
+non-finite values and grids the spec cannot measure on, then calls the
+spec's engine once.
 """
 
 from __future__ import annotations
@@ -298,9 +302,11 @@ class SpaceSpec:
     whose fields are the `space.*` config keys besides `kind`, their name
     in `SPACES`; `label` names them in reports; `absolutely_continuous` is
     False where exact limit claims must be disabled (Morrey, global Herz:
-    only two-sided bounds hold); `norm` is the engine behind
-    `spaces.norm`, which first rejects non-finite values and grids the
-    spec cannot measure on (`check_grid`)."""
+    only two-sided bounds hold); `norm(grid, values)` is the engine behind
+    `spaces.norm`: it takes a (B, N) stack of finite values on the N
+    points of `grid` and returns their B norms.  `spaces.norm` first
+    rejects bad stacks and grids the spec cannot measure on
+    (`check_grid`)."""
 
     kind: ClassVar[str]
     absolutely_continuous: ClassVar[bool] = True
@@ -308,7 +314,7 @@ class SpaceSpec:
     def check_grid(self, grid: QuadratureGrid) -> None:
         """Raise a ValueError if `norm` cannot run on `grid`."""
 
-    def norm(self, field: SampledField) -> float:
+    def norm(self, grid: QuadratureGrid, values: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
 
@@ -322,8 +328,8 @@ class Lebesgue(SpaceSpec):
         if self.q < 1:
             raise ValueError("Lebesgue exponent must be >= 1")
 
-    def norm(self, field: SampledField) -> float:
-        return _lebesgue_norm(self.q, field.grid.weights, field.values)
+    def norm(self, grid: QuadratureGrid, values: np.ndarray) -> np.ndarray:
+        return _lebesgue_norm(self.q, grid.weights, values)
 
 
 @dataclass(frozen=True)
@@ -338,10 +344,9 @@ class WeightedLebesgue(SpaceSpec):
         if self.q < 1:
             raise ValueError("weighted Lebesgue exponent must be >= 1")
 
-    def norm(self, field: SampledField) -> float:
-        grid = field.grid
+    def norm(self, grid: QuadratureGrid, values: np.ndarray) -> np.ndarray:
         return _lebesgue_norm(self.q, grid.weights * self.weight(grid.points),
-                              field.values)
+                              values)
 
 
 @dataclass(frozen=True)
@@ -355,15 +360,13 @@ class Lorentz(SpaceSpec):
         if not (self.r > 1 and self.tau > 0):
             raise ValueError("Lorentz space needs r > 1 and tau > 0")
 
-    def norm(self, field: SampledField) -> float:
-        step = decreasing_rearrangement(field)
-        if len(step.levels) == 0:
-            return 0.0
+    def norm(self, grid: QuadratureGrid, values: np.ndarray) -> np.ndarray:
+        levels, breaks = _rearranged(grid.weights, values)
         r, tau = self.r, self.tau
-        t = np.concatenate([[0.0], step.breakpoints])
-        incr = t[1:] ** (tau / r) - t[:-1] ** (tau / r)
-        total = np.sum(step.levels**tau * (r / tau) * incr)
-        return float(total ** (1.0 / tau))
+        t = np.concatenate([np.zeros((len(breaks), 1)), breaks], axis=1)
+        incr = t[:, 1:] ** (tau / r) - t[:, :-1] ** (tau / r)
+        total = np.sum(levels**tau * (r / tau) * incr, axis=1)
+        return total ** (1.0 / tau)
 
 
 @dataclass(frozen=True)
@@ -372,8 +375,8 @@ class OrliczSpace(SpaceSpec):
     label = property(lambda self: f"orlicz({type(self.phi).__name__})")
     phi: OrliczFunction
 
-    def norm(self, field: SampledField) -> float:
-        return _luxemburg_sum(field.grid.weights, field.values, self.phi,
+    def norm(self, grid: QuadratureGrid, values: np.ndarray) -> np.ndarray:
+        return _luxemburg_sum(grid.weights, values, self.phi,
                               self.phi.lower_type, self.phi.upper_type)
 
 
@@ -392,7 +395,7 @@ class Morrey(SpaceSpec):
         if not (1 < self.r <= self.alpha):
             raise ValueError("Morrey space needs 1 < r <= alpha")
 
-    def norm(self, field: SampledField) -> float:
+    def norm(self, grid: QuadratureGrid, values: np.ndarray) -> np.ndarray:
         """Max over balls centered at grid points, radii on a geometric
         ladder from 2h to the diameter (12 rungs).  The top rung covers the
         whole domain, so alpha = r collapses exactly to the Lebesgue
@@ -404,26 +407,34 @@ class Morrey(SpaceSpec):
         every pair at exactly rho and does not move under translation; the
         sums are FFT correlations where they cost less than the distance
         block (see _BALL_FFT_COST).  Point clouds test |x - y|^2 <= rho^2
-        on their coordinates."""
-        grid = field.grid
+        on their coordinates.  The FFT guard is decided per field, and the
+        fields it rejects share the distance blocks."""
         n = grid.dimension
-        power = np.abs(field.values) ** self.r * grid.weights
+        power = np.abs(values) ** self.r * grid.weights
         radii, coords, bounds, box = _morrey_ladder(grid)
         vol_factors = (unit_ball_volume(n) * radii**n) ** (
             1.0 / self.alpha - 1.0 / self.r)
+        out = np.zeros(len(values))
+        on_block = np.ones(len(values), dtype=bool)
         if box is not None and len(grid) ** 2 > _BALL_FFT_COST \
                 * math.prod(box) * math.log2(math.prod(box)):
-            sums, bound = _fft_ball_sums(coords, power, bounds, box)
-            cand = vol_factors[:, None] * sums ** (1.0 / self.r)
-            at = np.unravel_index(np.argmax(cand), cand.shape)
-            # the maximising sum must be far above the FFT's round-off
-            if bound <= _BALL_FFT_GUARD * sums[at]:
-                return float(cand[at])
-        best = 0.0
-        for sums in _ladder_ball_sums(coords, power, bounds):
-            cand = vol_factors[:, None] * sums ** (1.0 / self.r)
-            best = max(best, float(cand.max(initial=0.0)))
-        return best
+            for k, (sums, error) in enumerate(
+                    _fft_ball_sums(coords, power, bounds, box)):
+                cand = vol_factors[:, None] * sums ** (1.0 / self.r)
+                at = np.unravel_index(np.argmax(cand), cand.shape)
+                out[k] = cand[at]
+                # the maximising sum must be far above the FFT's round-off
+                on_block[k] = error > _BALL_FFT_GUARD * sums[at]
+        rows = np.flatnonzero(on_block)
+        step = max(1, _STACK_ENTRIES // min(len(grid), _BALL_BLOCK))
+        for first in range(0, len(rows), step):
+            group = rows[first:first + step]
+            best = np.zeros(len(group))
+            for rung, sums in _ladder_ball_sums(coords, power[group], bounds):
+                cand = vol_factors[rung] * sums ** (1.0 / self.r)
+                best = np.maximum(best, cand.max(axis=0, initial=0.0))
+            out[group] = best
+        return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -443,10 +454,10 @@ class VariableLebesgue(SpaceSpec):
         if np.any(self.exponents(grid.points) <= 1):
             raise ValueError("variable exponent must stay above 1")
 
-    def norm(self, field: SampledField) -> float:
-        r = self.exponents(field.grid.points)
-        return _luxemburg_sum(field.grid.weights, field.values,
-                              lambda x: x ** r[None, :], r.min(), r.max())
+    def norm(self, grid: QuadratureGrid, values: np.ndarray) -> np.ndarray:
+        r = self.exponents(grid.points)
+        return _luxemburg_sum(grid.weights, values, lambda x: x ** r,
+                              r.min(), r.max())
 
 
 @dataclass(frozen=True)
@@ -467,13 +478,13 @@ class MixedLebesgue(SpaceSpec):
         if len(self.rvec) != len(grid.axes):
             raise ValueError("mixed exponent count must match the dimension")
 
-    def norm(self, field: SampledField) -> float:
-        axes = field.grid.axes
+    def norm(self, grid: QuadratureGrid, values: np.ndarray) -> np.ndarray:
+        axes = grid.axes
         shape = tuple(len(ax[0]) for ax in axes)
-        a = np.abs(field.values).reshape(shape)
+        a = np.abs(values).reshape((len(values),) + shape)
         for (coords, w), r in zip(axes, self.rvec):
-            a = np.tensordot(w, a**r, axes=(0, 0)) ** (1.0 / r)
-        return float(a)
+            a = np.tensordot(w, a**r, axes=(0, 1)) ** (1.0 / r)
+        return a
 
 
 @dataclass(frozen=True)
@@ -498,8 +509,8 @@ class HerzLocal(SpaceSpec):
         if len(self.xi) != grid.dimension:
             raise ValueError("Herz center dimension mismatch")
 
-    def norm(self, field: SampledField) -> float:
-        return float(_herz_norms(self, field, np.array([self.xi]))[0])
+    def norm(self, grid: QuadratureGrid, values: np.ndarray) -> np.ndarray:
+        return _herz_norms(self, grid, values, np.array([self.xi]))[:, 0]
 
 
 @dataclass(frozen=True)
@@ -516,10 +527,9 @@ class HerzGlobal(SpaceSpec):
         if not (self.p > 1 and self.q > 1):
             raise ValueError("Herz space needs p, q in (1, inf)")
 
-    def norm(self, field: SampledField) -> float:
+    def norm(self, grid: QuadratureGrid, values: np.ndarray) -> np.ndarray:
         """Sup over centers sampled on a bounding-box lattice; a documented
         lower bound of the true supremum over all centers."""
-        grid = field.grid
         lo = grid.points.min(axis=0)
         hi = grid.points.max(axis=0)
         span = float(np.max(hi - lo))
@@ -528,7 +538,7 @@ class HerzGlobal(SpaceSpec):
                 for j in range(grid.dimension)]
         mesh = np.meshgrid(*axes, indexing="ij")
         centers = np.stack([m.ravel() for m in mesh], axis=-1)
-        return float(_herz_norms(self, field, centers).max())
+        return _herz_norms(self, grid, values, centers).max(axis=1)
 
 
 @dataclass(frozen=True)
@@ -559,11 +569,10 @@ class BesovBourgainMorrey(SpaceSpec):
             raise ValueError(f"j_min must be <= j_max, got "
                              f"{self.j_min} > {self.j_max}")
 
-    def norm(self, field: SampledField) -> float:
+    def norm(self, grid: QuadratureGrid, values: np.ndarray) -> np.ndarray:
         """All levels' cube sums come from one `bincount` over the labels
         of `_dyadic_cube_labels`; a level's terms keep the lexicographic
         order of its cubes."""
-        grid = field.grid
         n = grid.dimension
         # cubes finer than the grid spacing carry no information
         j_hi = min(self.j_max, int(math.floor(-math.log2(grid.h))))
@@ -574,18 +583,20 @@ class BesovBourgainMorrey(SpaceSpec):
         sign_only = -math.frexp(float(np.max(np.abs(grid.points))))[1]
         shared = min(max(sign_only - self.j_min, 0), len(levels) - 1)
         labels, level_of = _dyadic_cube_labels(grid.points, levels[shared:])
-        aq = np.abs(field.values) ** self.q * grid.weights
-        sums = np.bincount(labels.ravel(), weights=np.tile(aq, len(labels)))
+        aq = np.abs(values) ** self.q * grid.weights
+        sums = _stacked_bincount(labels.ravel(), np.tile(aq, len(labels)),
+                                 len(level_of))
         first = np.count_nonzero(level_of == 0)
         level_of = np.concatenate([np.repeat(np.arange(shared + 1), first),
                                    level_of[first:] + shared])
-        sums = np.concatenate([np.tile(sums[:first], shared + 1), sums[first:]])
+        sums = np.concatenate([np.tile(sums[:, :first], shared + 1),
+                               sums[:, first:]], axis=1)
         vol = 2.0 ** (-levels * n)
         terms = vol[level_of] ** (1.0 / self.p - 1.0 / self.q) \
             * sums ** (1.0 / self.q)
-        inner = np.bincount(level_of, weights=terms**self.r,
-                            minlength=len(levels)) ** (self.tau / self.r)
-        return float(np.sum(inner) ** (1.0 / self.tau))
+        inner = _stacked_bincount(level_of, terms**self.r,
+                                  len(levels)) ** (self.tau / self.r)
+        return np.sum(inner, axis=1) ** (1.0 / self.tau)
 
 
 @dataclass(frozen=True)
@@ -601,31 +612,49 @@ class OrliczSlice(SpaceSpec):
         if self.r < 1 or self.t <= 0:
             raise ValueError("Orlicz-slice needs r >= 1 and t > 0")
 
-    def norm(self, field: SampledField) -> float:
-        grid = field.grid
+    def norm(self, grid: QuadratureGrid, values: np.ndarray) -> np.ndarray:
+        """The ball lists are built once per stack; each block of centers
+        solves its balls for a group of fields at a time, all of them in
+        one Luxemburg solve."""
         w = grid.weights
-        a = np.abs(field.values)
-        if not np.any(a > 0):
-            return 0.0
-        types = (self.phi.lower_type, self.phi.upper_type)
+        a = np.abs(values)
         denom = _slice_denominator(self.phi, self.t, grid.dimension)
-        ratios = np.zeros(len(a))
+        ratios = np.zeros(a.shape)
         for block, rows, cols in _ball_blocks(grid.points, self.t):
-            centers = block.stop - block.start
-            a_ball = a[cols]
-            w_ball = w[cols]
-            lam0 = np.where(np.bincount(rows, weights=w_ball * (a_ball > 0),
-                                        minlength=centers) > 0,
-                            a.max(), 0.0)
+            step = max(1, _STACK_ENTRIES // len(rows))
+            for first in range(0, len(a), step):
+                fields = slice(first, first + step)
+                ratios[fields, block] = self._ball_norms(
+                    a[fields], w, rows, cols, block.stop - block.start)
+        ratios /= denom
+        return np.sum(w * ratios**self.r, axis=1) ** (1.0 / self.r)
 
-            def modular(lam):
-                with np.errstate(divide="ignore"):
-                    scaled = self.phi(a_ball / lam[rows])
-                return np.bincount(rows, weights=w_ball * scaled,
-                                   minlength=centers)
+    def _ball_norms(self, a, w, rows, cols, centers):
+        """The Luxemburg norms of each row of `a` on the balls (rows,
+        cols) around `centers` centers, as a (len(a), centers) array.
+        Component b * centers + c is field b's ball around center c, and
+        its pairs are one run of the flat (len(a), pairs) arrays."""
+        counts = np.bincount(rows, minlength=centers)
+        starts = (np.arange(len(a))[:, None] * len(rows)
+                  + np.cumsum(counts) - counts).ravel()
+        lengths = np.tile(counts, len(a))
+        a_ball = a[:, cols]
+        w_ball = np.tile(w[cols], len(a))
+        lam0 = np.where(_stacked_bincount(rows, w[cols] * (a_ball > 0),
+                                          centers) > 0,
+                        a.max(axis=1, initial=0.0)[:, None], 0.0)
+        a_ball = a_ball.ravel()
 
-            ratios[block] = _luxemburg(modular, lam0, *types) / denom
-        return float(np.sum(w * ratios**self.r) ** (1.0 / self.r))
+        def modular(lam, which):
+            pairs = _runs(starts[which], lengths[which])
+            at = np.repeat(np.arange(len(which)), lengths[which])
+            with np.errstate(divide="ignore"):
+                scaled = self.phi(a_ball[pairs] / lam[at])
+            return np.bincount(at, weights=w_ball[pairs] * scaled,
+                               minlength=len(which))
+
+        return _luxemburg(modular, lam0.ravel(), self.phi.lower_type,
+                          self.phi.upper_type).reshape(len(a), centers)
 
 
 SPACES = {cls.kind: cls for cls in (
@@ -635,12 +664,31 @@ SPACES = {cls.kind: cls for cls in (
 )}
 
 
-def norm(spec: SpaceSpec, field: SampledField) -> float:
-    """The discrete norm of `field` in the space `spec`."""
-    if not np.all(np.isfinite(field.values)):
+def norm(spec: SpaceSpec, field, values=None):
+    """The discrete norm of `field` in the space `spec`.
+
+    `norm(spec, grid, values)` measures a stack of fields on one grid:
+    for (B, N) values on the grid's N points it returns the B norms as an
+    array, and for one field's (N,) values its norm.  The grid is checked
+    once per stack, and a field is a stack of one."""
+    if values is None:
+        grid, values = field.grid, field.values
+    else:
+        grid = field
+    stack = np.asarray(values, dtype=float)
+    if stack.ndim > 2:
+        raise ValueError(f"values must be one field (N,) or a stack "
+                         f"(B, N), got shape {stack.shape}")
+    if stack.shape[-1:] != (len(grid),):
+        raise ValueError("values length must match the grid")
+    if not np.all(np.isfinite(stack)):
         raise ValueError("field has non-finite values")
-    spec.check_grid(field.grid)
-    return spec.norm(field)
+    spec.check_grid(grid)
+    if stack.ndim == 1:
+        return float(spec.norm(grid, stack[None, :])[0])
+    if not len(stack):
+        return np.zeros(0)  # engines take B >= 1 fields
+    return spec.norm(grid, stack)
 
 
 def unit_ball_volume(n: int) -> float:
@@ -666,14 +714,19 @@ class StepFunction:
 
 def decreasing_rearrangement(field: SampledField) -> StepFunction:
     """Sort |values| descending (stable), cumulate cell weights."""
-    w = field.grid.weights
+    levels, breaks = _rearranged(field.grid.weights, field.values[None, :])
+    return StepFunction(levels[0], breaks[0])
+
+
+def _rearranged(w: np.ndarray, values: np.ndarray):
+    """(levels, breakpoints) of the decreasing rearrangement of each row
+    of `values`: cells of zero weight dropped, |values| sorted descending
+    (stable), and their cell weights cumulated."""
     keep = w > 0
-    vals = np.abs(field.values[keep])
-    w = w[keep]
-    order = np.argsort(-vals, kind="stable")
-    levels = vals[order]
-    breaks = np.cumsum(w[order])
-    return StepFunction(levels, breaks)
+    vals = np.abs(values[:, keep])
+    order = np.argsort(-vals, axis=1, kind="stable")
+    return (np.take_along_axis(vals, order, axis=1),
+            np.cumsum(w[keep][order], axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -683,12 +736,16 @@ def decreasing_rearrangement(field: SampledField) -> StepFunction:
 _LUXEMBURG_RTOL = 1e-15
 
 
-def _luxemburg(modular: Callable[[np.ndarray], np.ndarray],
+def _luxemburg(modular: Callable[[np.ndarray, np.ndarray], np.ndarray],
                lam0: np.ndarray, lower_type: float = 1.0,
                upper_type: float = math.inf) -> np.ndarray:
-    """Vectorized inf{lam > 0 : modular(lam) <= 1} for non-increasing
-    modulars.  lam0 is a positive starting scale per component (zero marks
-    a zero norm).  The types bound how the modular scales:
+    """Vectorized inf{lam > 0 : M(lam) <= 1} for non-increasing modulars
+    M, one per component.  `modular(lam, which)` returns the modulars of
+    the components `which` (an index array) at the scales `lam`; the solve
+    asks only for components whose bracket is still open, so the slowest
+    component does not set the cost of the others.  lam0 is a positive
+    starting scale per component (zero marks a zero norm).  The types
+    bound how the modular scales:
     s^lower_type <= M(lam / s) / M(lam) <= s^upper_type for s >= 1.
 
     By the types, the root lies in lam0 * m0^[1/upper_type, 1/lower_type]
@@ -701,75 +758,98 @@ def _luxemburg(modular: Callable[[np.ndarray], np.ndarray],
     so a bracket in log lam could not close."""
     lam0 = np.atleast_1d(np.asarray(lam0, dtype=float))
     out = np.zeros_like(lam0)
-    active = lam0 > 0
-    if not np.any(active):
+    # the arrays below hold the active components only
+    active = np.flatnonzero(lam0 > 0)
+    if not len(active):
         return out
-    start = np.where(active, lam0, 1.0)
+    start = lam0[active]
     ulp = np.finfo(float).eps
     with np.errstate(all="ignore"):
-        m0 = modular(start)
+        m0 = modular(start, active)
         ends = start * m0 ** (1.0 / np.array([[upper_type], [lower_type]]))
         ends = np.where(np.isfinite(ends) & (ends > 0), ends, start)
         lo = ends.min(axis=0) * (1.0 - 2.0 * ulp)
         hi = ends.max(axis=0) * (1.0 + 2.0 * ulp)
-        m_lo, m_hi = modular(lo), modular(hi)
-        while np.any(grow := active & (m_hi > 1.0)):
-            lo, m_lo = np.where(grow, hi, lo), np.where(grow, m_hi, m_lo)
-            hi = np.where(grow, 2.0 * hi, hi)
-            m_hi = np.where(grow, modular(hi), m_hi)
-        while np.any(shrink := active & ~(m_lo > 1.0) & (lo > 0)):
-            hi, m_hi = np.where(shrink, lo, hi), np.where(shrink, m_lo, m_hi)
-            lo = np.where(shrink, 0.5 * lo, lo)
-            m_lo = np.where(shrink, modular(lo), m_lo)
+        m_lo, m_hi = modular(lo, active), modular(hi, active)
+        while len(grow := np.flatnonzero(m_hi > 1.0)):
+            lo[grow], m_lo[grow] = hi[grow], m_hi[grow]
+            hi[grow] *= 2.0
+            m_hi[grow] = modular(hi[grow], active[grow])
+        while len(shrink := np.flatnonzero(~(m_lo > 1.0) & (lo > 0))):
+            hi[shrink], m_hi[shrink] = lo[shrink], m_lo[shrink]
+            lo[shrink] *= 0.5
+            m_lo[shrink] = modular(lo[shrink], active[shrink])
         y_lo, y_hi = np.log(m_lo), np.log(m_hi)
         moved = np.zeros(len(lo))  # +1: hi moved last step, -1: lo moved
-        while np.any(open_ := active & (hi - lo > _LUXEMBURG_RTOL * hi)):
-            x_lo, x_hi = np.log(lo), np.log(hi)
-            lam = np.exp(x_hi - y_hi * (x_hi - x_lo) / (y_hi - y_lo))
+        while len(o := np.flatnonzero(hi - lo > _LUXEMBURG_RTOL * hi)):
+            lo_o, hi_o, yl, yh = lo[o], hi[o], y_lo[o], y_hi[o]
+            x_lo, x_hi = np.log(lo_o), np.log(hi_o)
+            lam = np.exp(x_hi - yh * (x_hi - x_lo) / (yh - yl))
             # bisect where an end's log is infinite or undefined
-            lam = np.where(np.isfinite(x_lo + y_lo + y_hi), lam,
-                           0.5 * (lo + hi))
-            tol = 0.5 * _LUXEMBURG_RTOL * hi
-            lam = np.clip(lam, lo + tol, hi - tol)
-            m = modular(np.where(open_, lam, hi))
-            below = open_ & (m <= 1.0)
-            above = open_ & ~below
+            lam = np.where(np.isfinite(x_lo + yl + yh), lam,
+                           0.5 * (lo_o + hi_o))
+            tol = 0.5 * _LUXEMBURG_RTOL * hi_o
+            lam = np.clip(lam, lo_o + tol, hi_o - tol)
+            m = modular(lam, active[o])
+            below = m <= 1.0
             # Illinois: an end kept twice in a row has its residual halved
-            y_lo = np.where(below & (moved > 0), 0.5 * y_lo, y_lo)
-            y_hi = np.where(above & (moved < 0), 0.5 * y_hi, y_hi)
+            yl = np.where(below & (moved[o] > 0), 0.5 * yl, yl)
+            yh = np.where(~below & (moved[o] < 0), 0.5 * yh, yh)
             y_m = np.log(m)
-            hi, y_hi = np.where(below, lam, hi), np.where(below, y_m, y_hi)
-            lo, y_lo = np.where(above, lam, lo), np.where(above, y_m, y_lo)
-            moved = np.where(below, 1.0, np.where(above, -1.0, moved))
-    out[active] = 0.5 * (lo[active] + hi[active])
+            hi[o] = np.where(below, lam, hi_o)
+            y_hi[o] = np.where(below, y_m, yh)
+            lo[o] = np.where(below, lo_o, lam)
+            y_lo[o] = np.where(below, yl, y_m)
+            moved[o] = np.where(below, 1.0, -1.0)
+    out[active] = 0.5 * (lo + hi)
     return out
 
 
 # ---------------------------------------------------------------------------
 # Shared engine pieces
 
-def _lebesgue_norm(q: float, w: np.ndarray, vals: np.ndarray) -> float:
-    return float(np.sum(w * np.abs(vals) ** q) ** (1.0 / q))
+def _lebesgue_norm(q: float, w: np.ndarray, vals: np.ndarray):
+    """(sum w |f|^q)^(1/q) of each field along the last axis of `vals`."""
+    return np.sum(w * np.abs(vals) ** q, axis=-1) ** (1.0 / q)
 
 
 def _luxemburg_sum(w: np.ndarray, vals: np.ndarray,
                    phi: Callable[[np.ndarray], np.ndarray],
-                   lower_type: float, upper_type: float) -> float:
-    """inf{lam > 0 : sum w phi(|f| / lam) <= 1}; phi acts elementwise on
-    the (scales, points) array of |f| / lam and has the given types."""
+                   lower_type: float, upper_type: float) -> np.ndarray:
+    """inf{lam > 0 : sum w phi(|f| / lam) <= 1} for each row f of `vals`,
+    all rows in one solve; phi acts elementwise on the (rows, points) array
+    of |f| / lam and has the given types."""
     a = np.abs(vals)
-    if not np.any(a > 0):
-        return 0.0
 
-    def modular(lam):
-        return np.sum(w[None, :] * phi(a[None, :] / lam[:, None]), axis=1)
+    def modular(lam, which):
+        return np.sum(w * phi(a[which] / lam[:, None]), axis=1)
 
-    return float(_luxemburg(modular, np.array([a.max()]), lower_type,
-                            upper_type)[0])
+    return _luxemburg(modular, a.max(axis=1, initial=0.0), lower_type,
+                      upper_type)
+
+
+def _stacked_bincount(labels: np.ndarray, weights: np.ndarray,
+                      size: int) -> np.ndarray:
+    """Per row of the (B, M) `weights`, its sums into `size` bins by the
+    M `labels`: a (B, size) array from one `bincount`, each bin summed in
+    label order as a row's own `bincount` sums it."""
+    offsets = np.arange(len(weights))[:, None] * size
+    return np.bincount((labels + offsets).ravel(), weights=weights.ravel(),
+                       minlength=len(weights) * size).reshape(-1, size)
+
+
+def _runs(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The indices start, ..., start + length - 1 of every run, in order."""
+    ends = np.cumsum(lengths)
+    return np.arange(ends[-1]) + np.repeat(starts - ends + lengths, lengths)
 
 
 # centers per block of ball lists or distance rows (bounds their memory)
 _BALL_BLOCK = 256
+# entries of the (fields x pairs) or (centers x fields) arrays a stacked
+# call works on at once; a larger stack is taken in groups of fields, so
+# that its memory stays near that of one field's call
+_STACK_ENTRIES = 2**14
 
 
 def _ball_blocks(pts: np.ndarray, radius: float):
@@ -791,18 +871,21 @@ def _ball_blocks(pts: np.ndarray, radius: float):
 
 def _ladder_ball_sums(pts: np.ndarray, power: np.ndarray,
                       bounds: np.ndarray):
-    """Sums of `power` over the closed balls |x - y|^2 <= bound around
-    every point, for every squared radius in `bounds`: one (len(bounds),
-    block) array per block of _BALL_BLOCK centers.  Each block computes
+    """Sums of each row of the (B, N) `power` over the closed balls
+    |x - y|^2 <= bound around every point: for each block of _BALL_BLOCK
+    centers, in order, and each rung k of `bounds`, (k, sums) with sums of
+    shape (block, B), or (block,) for one (N,) row.  Each block computes
     its squared distances to all points once, summed axis by axis as
-    `cKDTree` sums them, and every radius's sums are a masked product with
-    that block.  Integer `pts` (lattice indices) give exact distances."""
+    `cKDTree` sums them, and each rung's sums are one masked product with
+    that block for all fields.  Integer `pts` (lattice indices) give exact
+    distances."""
     for start in range(0, len(pts), _BALL_BLOCK):
         centers = pts[start:start + _BALL_BLOCK]
         d2 = np.zeros((len(centers), len(pts)))
         for j in range(pts.shape[1]):
             d2 += (centers[:, j, None] - pts[None, :, j]) ** 2
-        yield np.stack([(d2 <= bound) @ power for bound in bounds])
+        for rung, bound in enumerate(bounds):
+            yield rung, (d2 <= bound) @ power.T
 
 
 # relative margin that gives k_rho = floor((rho/h)^2) its exact-arithmetic
@@ -854,16 +937,16 @@ def _morrey_ladder(grid: QuadratureGrid):
 
 def _fft_ball_sums(lattice: np.ndarray, power: np.ndarray,
                    bounds: np.ndarray, box: tuple):
-    """Sums of `power` over the integer balls |o|^2 <= bound around every
-    lattice cell, for every bound, by FFT over `box`: (sums, error) with
-    sums of shape (len(bounds), N), clipped at zero, and error = eps
-    log2(B) times the sum of `power` for B cells of the box.  The balls
-    are symmetric, so each correlation is a convolution with a ball."""
+    """Sums of each row of the (K, N) `power` over the integer balls
+    |o|^2 <= bound around every lattice cell, for every bound, by FFT over
+    `box`: yields, row by row, (sums, error) with sums of shape
+    (len(bounds), N), clipped at zero, and error = eps log2(B) times the
+    row's sum for B cells of the box.  The ball spectra are made once, and
+    each row is transformed on its own against them.  The balls are
+    symmetric, so each correlation is a convolution with a ball."""
     low = lattice.min(axis=0)
     cells = tuple((lattice - low).T)
     extent = lattice.max(axis=0) - low + 1
-    placed = np.zeros(box)
-    placed[cells] = power
     # squared offsets of the box, each axis wrapped; an offset of E cells
     # or more along an axis pairs no two cells and stays out of every ball
     axis_sq = []
@@ -876,23 +959,30 @@ def _fft_ball_sums(lattice: np.ndarray, power: np.ndarray,
     axes = tuple(range(1, len(box) + 1))
     spectra = sp_fft.rfftn(balls, axes=axes)
     del balls
-    spectra *= sp_fft.rfftn(placed)
-    sums = sp_fft.irfftn(spectra, s=box, axes=axes)[(slice(None),) + cells]
-    np.maximum(sums, 0.0, out=sums)
-    error = np.finfo(float).eps * math.log2(math.prod(box)) * power.sum()
-    return sums, error
+    placed = np.zeros(box)
+    for row in power:
+        placed[cells] = row
+        transform = sp_fft.rfftn(placed)
+        # rung by rung, so that no product of all spectra is held
+        sums = np.stack([sp_fft.irfftn(ball * transform, s=box)[cells]
+                         for ball in spectra])
+        np.maximum(sums, 0.0, out=sums)
+        yield sums, np.finfo(float).eps * math.log2(math.prod(box)) * row.sum()
 
 
-def _herz_norms(spec, field: SampledField, centers: np.ndarray) -> np.ndarray:
+def _herz_norms(spec, grid: QuadratureGrid, values: np.ndarray,
+                centers: np.ndarray) -> np.ndarray:
     """Herz sums of `spec` (p, q, a) over the dyadic annuli around each
-    row of `centers`.  Per block of _BALL_BLOCK centers, one offset
-    `bincount` sums every (center, annulus) pair; a point at a center
-    lies in no annulus, so it adds zero where it is labelled."""
-    grid = field.grid
-    s = np.abs(field.values) ** spec.p * grid.weights
-    out = np.zeros(len(centers))
-    for start in range(0, len(centers), _BALL_BLOCK):
-        block = centers[start:start + _BALL_BLOCK]
+    row of `centers`, for each row of the (B, N) `values`: a (B, centers)
+    array.  Per block of centers (_BALL_BLOCK // B of them, at least
+    one), one offset `bincount` sums every (field, center, annulus)
+    triple; a point at a center lies in no annulus, so it adds zero where
+    it is labelled."""
+    s = np.abs(values) ** spec.p * grid.weights
+    out = np.zeros((len(values), len(centers)))
+    step = max(1, _BALL_BLOCK // len(values))
+    for start in range(0, len(centers), step):
+        block = centers[start:start + step]
         # squared distances summed axis by axis, as in `_ladder_ball_sums`
         d = np.zeros((len(block), len(grid.points)))
         for j in range(grid.dimension):
@@ -906,15 +996,16 @@ def _herz_norms(spec, field: SampledField, centers: np.ndarray) -> np.ndarray:
         k_min = k.min()
         width = k.max() - k_min + 1
         k += np.arange(len(block))[:, None] * width - k_min
-        sums = np.bincount(k.ravel(), weights=(away * s).ravel(),
-                           minlength=len(block) * width)
-        sums = sums.reshape(len(block), width)
+        sums = _stacked_bincount(
+            k.ravel(), (away * s[:, None, :]).reshape(len(values), -1),
+            len(block) * width)
         # only occupied annuli enter: an empty one's weight may overflow
-        rows, cols = np.nonzero(sums)
+        rows, cols = np.nonzero(sums.reshape(-1, width))
         terms = (2.0 ** ((cols + k_min) * spec.a)) ** spec.q \
-            * sums[rows, cols] ** (spec.q / spec.p)
-        out[start:start + len(block)] = np.bincount(
-            rows, weights=terms, minlength=len(block)) ** (1.0 / spec.q)
+            * sums.reshape(-1, width)[rows, cols] ** (spec.q / spec.p)
+        out[:, start:start + len(block)] = np.bincount(
+            rows, weights=terms, minlength=sums.size // width).reshape(
+                len(values), len(block)) ** (1.0 / spec.q)
     return out
 
 
@@ -943,7 +1034,7 @@ def _slice_denominator(phi: OrliczFunction, t: float, n: int) -> float:
     """The Luxemburg norm of the indicator of an n-ball of radius t, the
     Orlicz-slice denominator; it depends on (phi, t, n) alone."""
     ball = unit_ball_volume(n) * t**n
-    return float(_luxemburg(lambda lam: ball * phi(1.0 / lam),
+    return float(_luxemburg(lambda lam, which: ball * phi(1.0 / lam),
                             np.array([1.0]), phi.lower_type,
                             phi.upper_type)[0])
 
@@ -1084,5 +1175,6 @@ def holder_defect(f: SampledField, g: SampledField, q: float) -> float:
     w = f.grid.weights
     qprime = q / (q - 1.0)
     lhs = float(np.sum(w * np.abs(f.values * g.values)))
-    rhs = _lebesgue_norm(q, w, f.values) * _lebesgue_norm(qprime, w, g.values)
+    rhs = float(_lebesgue_norm(q, w, f.values)
+                * _lebesgue_norm(qprime, w, g.values))
     return lhs - rhs

@@ -156,23 +156,25 @@ class TestOrlicz:
 def _bisection_luxemburg(modular, lam0, lower_type=1.0,
                          upper_type=math.inf):
     """The Luxemburg solve the bracketed one replaced, as a reference: it
-    ignores the types and doubles, halves, then bisects to 1e-15."""
+    ignores the types and doubles, halves, then bisects to 1e-15,
+    evaluating every component's modular at every step."""
     lam0 = np.atleast_1d(np.asarray(lam0, dtype=float))
     out = np.zeros_like(lam0)
     active = lam0 > 0
     if not np.any(active):
         return out
+    every = np.arange(len(lam0))
     hi = lam0.copy()
     hi[~active] = 1.0
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(200):
-            bad = active & (modular(hi) > 1.0)
+            bad = active & (modular(hi, every) > 1.0)
             if not np.any(bad):
                 break
             hi[bad] *= 2.0
         lo = hi / 2.0
         for _ in range(200):
-            move = active & (modular(lo) <= 1.0)
+            move = active & (modular(lo, every) <= 1.0)
             if not np.any(move):
                 break
             hi[move] = lo[move]
@@ -181,7 +183,7 @@ def _bisection_luxemburg(modular, lam0, lower_type=1.0,
             if np.all(hi[active] - lo[active] <= 1e-15 * hi[active]):
                 break
             mid = 0.5 * (lo + hi)
-            le = modular(mid) <= 1.0
+            le = modular(mid, every) <= 1.0
             hi = np.where(active & le, mid, hi)
             lo = np.where(active & ~le, mid, lo)
     out[active] = 0.5 * (lo[active] + hi[active])
@@ -249,10 +251,10 @@ class TestLuxemburgSolve:
         def counting(modular, *args):
             calls = 0
 
-            def counted(lam):
+            def counted(lam, which):
                 nonlocal calls
                 calls += 1
-                return modular(lam)
+                return modular(lam, which)
 
             out = solve(counted, *args)
             evaluations.append(calls)
@@ -445,16 +447,9 @@ class TestMorreyBallSums:
         coordinates keeps 1,064 and a strict rule 904), in both sources.
         The float test, which point clouds keep, still decides them as
         Orlicz-slice's `cKDTree` balls do."""
-        from bbmlab.spaces import (
-            _ball_blocks,
-            _fft_ball_sums,
-            _ladder_ball_sums,
-            _morrey_ladder,
-        )
+        from bbmlab.spaces import _ball_blocks, _fft_ball_sums, _morrey_ladder
 
-        def ladder(pts, weights, bounds):
-            return np.concatenate(
-                list(_ladder_ball_sums(pts, weights, bounds)), axis=1)
+        ladder = _ladder_array
 
         grid = sample_quadrature(Box((0.0, 0.0), (1.0, 1.0)), 0.1)
         pts, lattice = grid.points, grid.lattice
@@ -472,9 +467,11 @@ class TestMorreyBallSums:
         assert np.array_equal(pair_counts, exact)
         box = _morrey_ladder(grid)[3]
         assert box == (20, 20)  # 2 E - 1 = 19 cells per axis, rounded up
-        fft_counts, _ = _fft_ball_sums(lattice, ones, bounds, box)
+        fft_counts, _ = next(_fft_ball_sums(lattice, ones[None], bounds,
+                                            box))
         assert np.array_equal(np.rint(fft_counts), exact)
-        fft_sums, _ = _fft_ball_sums(lattice, power, bounds, box)
+        fft_sums, _ = next(_fft_ball_sums(lattice, power[None], bounds,
+                                          box))
         assert fft_sums == pytest.approx(ladder(lattice, power, bounds),
                                          rel=1e-12, abs=1e-14)
         # the float test on coordinates, as point clouds use it
@@ -490,6 +487,17 @@ class TestMorreyBallSums:
                                                minlength=centers)
             assert np.array_equal(pair_counts[rung], tree_counts)
             assert sums[rung] == pytest.approx(tree_sums, rel=1e-12, abs=0.0)
+
+
+def _ladder_array(pts, power, bounds):
+    """The (len(bounds), N) ball sums of `_ladder_ball_sums`, block by
+    block."""
+    from bbmlab.spaces import _ladder_ball_sums
+
+    rungs = [[] for _ in bounds]
+    for rung, sums in _ladder_ball_sums(pts, power, bounds):
+        rungs[rung].append(sums)
+    return np.array([np.concatenate(blocks) for blocks in rungs])
 
 
 def _morrey_from_sums(spec, grid, sums):
@@ -540,7 +548,6 @@ class TestMorreyLatticeSources:
         from bbmlab.spaces import (
             _BALL_FFT_GUARD,
             _fft_ball_sums,
-            _ladder_ball_sums,
             _morrey_ladder,
         )
 
@@ -553,11 +560,11 @@ class TestMorreyLatticeSources:
         lattice = grid.lattice
         d2 = ((lattice[:, None, :] - lattice[None, :, :]) ** 2).sum(axis=2)
         dense = np.stack([(d2 <= k) @ power for k in bounds])
-        block = np.concatenate(
-            list(_ladder_ball_sums(lattice, power, bounds)), axis=1)
+        block = _ladder_array(lattice, power, bounds)
         extent = lattice.max(axis=0) - lattice.min(axis=0) + 1
         shape = tuple(int(2 * e - 1) for e in extent)
-        fft, error = _fft_ball_sums(lattice, power, bounds, shape)
+        fft, error = next(_fft_ball_sums(lattice, power[None], bounds,
+                                         shape))
         assert np.all(fft >= 0.0)
         assert np.abs(fft - dense).max() <= 1e-12 * dense.max()
         expected, _ = _morrey_from_sums(spec, grid, dense)
@@ -679,7 +686,7 @@ class TestOrliczSlice:
         a = np.abs(field.values)
         n = grid.dimension
         ball = unit_ball_volume(n) * spec.t**n
-        denom = _luxemburg(lambda lam: ball * spec.phi(1.0 / lam),
+        denom = _luxemburg(lambda lam, which: ball * spec.phi(1.0 / lam),
                            np.array([1.0]))[0]
         # balls from the tree, so ties at distance t fall as in the engine
         mask = np.zeros((len(pts), len(pts)))
@@ -688,10 +695,10 @@ class TestOrliczSlice:
             mask[row, idx] = w[idx]
         lam0 = np.where(mask @ (a > 0), a.max(), 0.0)
 
-        def modular(lam):
+        def modular(lam, which):
             with np.errstate(divide="ignore"):
-                return np.sum(mask * spec.phi(a[None, :] / lam[:, None]),
-                              axis=1)
+                return np.sum(mask[which]
+                              * spec.phi(a[None, :] / lam[:, None]), axis=1)
 
         ratios = _luxemburg(modular, lam0) / denom
         return float(np.sum(w * ratios**spec.r) ** (1.0 / spec.r))
@@ -727,7 +734,7 @@ class TestSliceDenominator:
         from bbmlab.spaces import _luxemburg, _slice_denominator
 
         ball = unit_ball_volume(n) * t**n
-        fresh = float(_luxemburg(lambda lam: ball * phi(1.0 / lam),
+        fresh = float(_luxemburg(lambda lam, which: ball * phi(1.0 / lam),
                                  np.array([1.0]), phi.lower_type,
                                  phi.upper_type)[0])
         first = _slice_denominator(phi, t, n)
