@@ -24,16 +24,18 @@ two sources, chosen by the grid:
   bounding lattice with zero weight outside the domain.  An offset is near
   iff |o|^2 < NEAR_FIELD_FACTOR^2, an exact integer test;
 * point clouds (quasi-random grids, boxes with a clipped last cell, grids
-  read from CSV): a k-d tree neighbour list of the pairs within the reach,
-  max(largest cut + half the widest cell, NEAR_FIELD_FACTOR * h), with
-  distances from the coordinates.  A pair is near iff
+  read from CSV): the pairs within the reach, max(largest cut + half the
+  widest cell, NEAR_FIELD_FACTOR * h), from `geometry._ball_pairs`, the
+  package's k-d tree neighbour list, with distances from the coordinates
+  (and without a tree where the reach spans the grid).  A pair is near iff
   r < NEAR_FIELD_FACTOR * h * (1 - _NEAR_MARGIN), so that round-off in the
   coordinates never decides the pairs at exactly two spacings.
 
-Both sources work in blocks of at most _PAIR_BUDGET pair entries and leave
-out only pairs whose cell lies beyond every kernel's cut, which add
-exactly zero.  The offset source multiplies fixed tiles of _ROW_TILE rows,
-so a row's sums do not depend on how the rows are blocked.
+Both sources work in blocks of at most `geometry._PAIR_BUDGET` pair
+entries and leave out only pairs whose cell lies beyond every kernel's
+cut, which add exactly zero.  The offset source multiplies fixed tiles of
+_ROW_TILE rows, so a row's sums do not depend on how the rows are
+blocked.
 
 At p = 2 on lattice grids the offsets with |o| >= _FFT_SPLIT cells may
 instead be summed as correlations (the split of convolution-based
@@ -61,8 +63,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import fft as sp_fft
-from scipy.spatial import cKDTree
 
+from . import geometry
 from .field import SampledField
 from .geometry import QuadratureGrid
 from .mollifiers import RdatiFamily, check_p, gagliardo_kernel
@@ -83,9 +85,6 @@ NEAR_FIELD_FACTOR = 2.0
 # exact-arithmetic reading on point-cloud distances: far above their
 # round-off, far below h
 _NEAR_MARGIN = 1e-9
-# pair entries one block of the pass holds at once: bounds its memory, and
-# blocks that stay in cache run about twice as fast as larger ones
-_PAIR_BUDGET = 1 << 20
 # evaluated rows per product of the offset pass; fixed, so that a row's
 # sums do not depend on how the rows are blocked
 _ROW_TILE = 8
@@ -117,32 +116,6 @@ class EnergyParams:
         self.family._check_nu(self.nu)
 
 
-def _neighbour_pairs(tree: cKDTree, pts: np.ndarray, sel: np.ndarray,
-                     reach: float):
-    """(rows, cols, dist) of the pairs within `reach` of the points
-    pts[sel], ordered by row then column, so that each row sums its pairs
-    in the same order whatever block it falls in."""
-    found = cKDTree(pts[sel]).sparse_distance_matrix(
-        tree, reach, output_type="ndarray")
-    found = found[np.argsort(found["i"] * len(pts) + found["j"])]
-    return found["i"], found["j"], found["v"]
-
-
-def _neighbour_blocks(tree: cKDTree, pts: np.ndarray, eval_idx: np.ndarray,
-                      reach: float, counts: np.ndarray):
-    """The pairs within `reach`, in blocks of whole rows holding at most
-    _PAIR_BUDGET pairs (`counts` holds each row's pair count)."""
-    ends = np.cumsum(counts)
-    start = 0
-    while start < len(eval_idx):
-        before = ends[start - 1] if start else 0
-        stop = max(start + 1, int(np.searchsorted(
-            ends, before + _PAIR_BUDGET, side="right")))
-        yield (slice(start, stop),
-               *_neighbour_pairs(tree, pts, eval_idx[start:stop], reach))
-        start = stop
-
-
 def _tree_sums(field: SampledField, kernels, p: float,
                eval_idx: np.ndarray):
     """(far, near_num, near_mass) over a k-d tree neighbour list, for
@@ -160,10 +133,8 @@ def _tree_sums(field: SampledField, kernels, p: float,
     far_sums = np.zeros((len(kernels), len(eval_idx)))
     near_num = np.zeros(len(eval_idx))
     near_mass = np.zeros(len(eval_idx))
-    tree = cKDTree(pts)
-    counts = tree.query_ball_point(pts[eval_idx], reach, return_length=True)
-    for block, rows, cols, dist in _neighbour_blocks(tree, pts, eval_idx,
-                                                     reach, counts):
+    for block, rows, cols, dist in geometry._ball_pairs(pts, eval_idx,
+                                                        reach):
         sel = eval_idx[block]
         vals_sel = vals[sel]
         near = (dist > 0.0) & (dist < near_radius)
@@ -231,12 +202,12 @@ def _lattice_offsets(grid: QuadratureGrid, kernels, p: float):
 
 def _offset_blocks(n_tiles: int, n_offsets: int, n_near: int):
     """(tiles, offsets) slices of the offset pass's blocks.  A block holds
-    whole tiles and at most _PAIR_BUDGET entries; the offsets are split
-    only once one tile of all of them exceeds the budget, and the near
-    offsets, which come first, always stay in the first block."""
-    o_step = max(n_near, _PAIR_BUDGET // _ROW_TILE)
-    t_step = max(1, _PAIR_BUDGET // (max(1, min(n_offsets, o_step))
-                                     * _ROW_TILE))
+    whole tiles and at most `geometry._PAIR_BUDGET` entries; the offsets
+    are split only once one tile of all of them exceeds the budget, and the
+    near offsets, which come first, always stay in the first block."""
+    budget = geometry._PAIR_BUDGET
+    o_step = max(n_near, budget // _ROW_TILE)
+    t_step = max(1, budget // (max(1, min(n_offsets, o_step)) * _ROW_TILE))
     for t0 in range(0, n_tiles, t_step):
         for o0 in range(0, n_offsets, o_step):
             yield slice(t0, t0 + t_step), slice(o0, o0 + o_step)

@@ -11,7 +11,10 @@ become maxima over a declared finite search family, Luxemburg-type norms
 are found by a bracketed root solve on the scale parameter (a bracket
 from the Orlicz types, closed by Illinois regula falsi, every field and
 center of a stack in one solve), and rearrangement-based norms sort
-values carrying their cell weights.  Ball sums come from closed balls.
+values carrying their cell weights.  Every Luxemburg norm (Orlicz,
+variable exponent, Orlicz-slice's balls and its |B_t| denominator) sums
+one modular, `_luxemburg_sum`, in which cells of zero weight count for
+nothing.  Ball sums come from closed balls.
 On lattice grids Morrey's balls are integer ones, |o|^2 <=
 floor((rho/h)^2) for the integer offset o, so no pair at exactly rho is
 decided by round-off; each of its 12 rungs' sums is an FFT correlation of
@@ -20,12 +23,11 @@ split of convolution-based nonlocal solvers; Jafarzadeh, Wang, Larios &
 Bobaru, CMAME 375 (2021) 113633), and otherwise every block of centers
 masks one block of integer squared distances per rung for all fields of
 the stack.  Point clouds keep the test |x - y|^2 <= rho^2 on their
-coordinates, and Orlicz-slice's single small radius uses `cKDTree` ball
-lists.  Morrey's ladder (radii, ball bounds, FFT box) is made once per
-grid.  Besov-Bourgain-Morrey labels the occupied dyadic cubes of every
-level with one `lexsort` and sums them all with one `bincount`, the Herz
-norms sum the annuli of a block of centers with one `bincount`, and
-Orlicz-slice solves its |B_t| denominator once per (phi, t, dimension).
+coordinates, and Orlicz-slice's single small radius takes its balls from
+`geometry._ball_pairs`, the package's k-d tree neighbour list.
+Besov-Bourgain-Morrey labels the occupied dyadic cubes of every level
+with one `lexsort` and sums them all with one `bincount`, and the Herz
+norms sum the annuli of a block of centers with one `bincount`.
 All engines depend on |f| only and are positively homogeneous.
 `norm(spec, field)` is the checked entry point, and `norm(spec, grid,
 values)` its stacked form: it rejects stacks of the wrong shape,
@@ -35,11 +37,8 @@ spec's engine once.
 
 from __future__ import annotations
 
-import functools
-import itertools
 import math
 import numbers
-import weakref
 from dataclasses import dataclass, field as dc_field, replace
 from typing import Callable, ClassVar, Union
 
@@ -48,7 +47,7 @@ from scipy import fft as sp_fft
 from scipy.spatial import cKDTree
 
 from .field import SampledField, read_csv_table
-from .geometry import QuadratureGrid
+from .geometry import QuadratureGrid, _ball_pairs
 
 __all__ = [
     "Lebesgue",
@@ -613,48 +612,28 @@ class OrliczSlice(SpaceSpec):
             raise ValueError("Orlicz-slice needs r >= 1 and t > 0")
 
     def norm(self, grid: QuadratureGrid, values: np.ndarray) -> np.ndarray:
-        """The ball lists are built once per stack; each block of centers
-        solves its balls for a group of fields at a time, all of them in
-        one Luxemburg solve."""
+        """Each block of the neighbour list holds its balls as rows padded
+        to the block's largest ball with zero weight, and solves them for
+        a group of fields at a time, all of them in one Luxemburg solve."""
         w = grid.weights
-        a = np.abs(values)
-        denom = _slice_denominator(self.phi, self.t, grid.dimension)
-        ratios = np.zeros(a.shape)
-        for block, rows, cols in _ball_blocks(grid.points, self.t):
+        ratios = np.zeros(values.shape)
+        for block, rows, cols, _ in _ball_pairs(grid.points,
+                                                np.arange(len(grid)), self.t):
+            # the rows are sorted: a pair's slot is its place in its row
+            slot = np.arange(len(rows)) - np.searchsorted(rows, rows)
+            ball = np.zeros((block.stop - block.start, slot.max() + 1),
+                            dtype=np.intp)
+            ball[rows, slot] = cols
+            w_ball = np.zeros(ball.shape)
+            w_ball[rows, slot] = w[cols]
             step = max(1, _STACK_ENTRIES // len(rows))
-            for first in range(0, len(a), step):
+            for first in range(0, len(values), step):
                 fields = slice(first, first + step)
-                ratios[fields, block] = self._ball_norms(
-                    a[fields], w, rows, cols, block.stop - block.start)
-        ratios /= denom
+                ratios[fields, block] = _luxemburg_sum(
+                    w_ball, values[fields][:, ball], self.phi,
+                    self.phi.lower_type, self.phi.upper_type)
+        ratios /= _slice_denominator(self.phi, self.t, grid.dimension)
         return np.sum(w * ratios**self.r, axis=1) ** (1.0 / self.r)
-
-    def _ball_norms(self, a, w, rows, cols, centers):
-        """The Luxemburg norms of each row of `a` on the balls (rows,
-        cols) around `centers` centers, as a (len(a), centers) array.
-        Component b * centers + c is field b's ball around center c, and
-        its pairs are one run of the flat (len(a), pairs) arrays."""
-        counts = np.bincount(rows, minlength=centers)
-        starts = (np.arange(len(a))[:, None] * len(rows)
-                  + np.cumsum(counts) - counts).ravel()
-        lengths = np.tile(counts, len(a))
-        a_ball = a[:, cols]
-        w_ball = np.tile(w[cols], len(a))
-        lam0 = np.where(_stacked_bincount(rows, w[cols] * (a_ball > 0),
-                                          centers) > 0,
-                        a.max(axis=1, initial=0.0)[:, None], 0.0)
-        a_ball = a_ball.ravel()
-
-        def modular(lam, which):
-            pairs = _runs(starts[which], lengths[which])
-            at = np.repeat(np.arange(len(which)), lengths[which])
-            with np.errstate(divide="ignore"):
-                scaled = self.phi(a_ball[pairs] / lam[at])
-            return np.bincount(at, weights=w_ball[pairs] * scaled,
-                               minlength=len(which))
-
-        return _luxemburg(modular, lam0.ravel(), self.phi.lower_type,
-                          self.phi.upper_type).reshape(len(a), centers)
 
 
 SPACES = {cls.kind: cls for cls in (
@@ -734,6 +713,8 @@ def _rearranged(w: np.ndarray, values: np.ndarray):
 
 # relative bracket width at which a Luxemburg solve stops
 _LUXEMBURG_RTOL = 1e-15
+# the least positive (subnormal) float
+_TINY = math.ulp(0.0)
 
 
 def _luxemburg(modular: Callable[[np.ndarray, np.ndarray], np.ndarray],
@@ -752,8 +733,9 @@ def _luxemburg(modular: Callable[[np.ndarray, np.ndarray], np.ndarray],
     with m0 = M(lam0).  Declared types are not verified, so the bracket is
     widened by two ulps, checked, and doubled or halved until
     M(hi) <= 1 < M(lo).  Illinois regula falsi (Dowell & Jarratt, BIT 11,
-    1971) then closes it to hi - lo <= 1e-15 hi, interpolating in
-    (log lam, log M), which is exact for power modulars.  The bracket stays
+    1971) then closes it to hi - lo <= 1e-15 hi (or, among subnormals, to
+    adjacent floats), interpolating in (log lam, log M), which is exact
+    for power modulars.  The bracket stays
     in lam: past lam ~ e^8 the spacing of log lam exceeds 1e-15 relative,
     so a bracket in log lam could not close."""
     lam0 = np.atleast_1d(np.asarray(lam0, dtype=float))
@@ -781,14 +763,18 @@ def _luxemburg(modular: Callable[[np.ndarray, np.ndarray], np.ndarray],
             m_lo[shrink] = modular(lo[shrink], active[shrink])
         y_lo, y_hi = np.log(m_lo), np.log(m_hi)
         moved = np.zeros(len(lo))  # +1: hi moved last step, -1: lo moved
-        while len(o := np.flatnonzero(hi - lo > _LUXEMBURG_RTOL * hi)):
+        # the width test and the step's margin never fall below the least
+        # subnormal, where 1e-15 hi underflows: each step then moves an end,
+        # and a bracket of adjacent floats is closed
+        while len(o := np.flatnonzero(
+                hi - lo > np.maximum(_LUXEMBURG_RTOL * hi, _TINY))):
             lo_o, hi_o, yl, yh = lo[o], hi[o], y_lo[o], y_hi[o]
             x_lo, x_hi = np.log(lo_o), np.log(hi_o)
             lam = np.exp(x_hi - yh * (x_hi - x_lo) / (yh - yl))
             # bisect where an end's log is infinite or undefined
             lam = np.where(np.isfinite(x_lo + yl + yh), lam,
                            0.5 * (lo_o + hi_o))
-            tol = 0.5 * _LUXEMBURG_RTOL * hi_o
+            tol = np.maximum(0.5 * _LUXEMBURG_RTOL * hi_o, _TINY)
             lam = np.clip(lam, lo_o + tol, hi_o - tol)
             m = modular(lam, active[o])
             below = m <= 1.0
@@ -813,19 +799,27 @@ def _lebesgue_norm(q: float, w: np.ndarray, vals: np.ndarray):
     return np.sum(w * np.abs(vals) ** q, axis=-1) ** (1.0 / q)
 
 
-def _luxemburg_sum(w: np.ndarray, vals: np.ndarray,
+def _luxemburg_sum(w, vals: np.ndarray,
                    phi: Callable[[np.ndarray], np.ndarray],
                    lower_type: float, upper_type: float) -> np.ndarray:
-    """inf{lam > 0 : sum w phi(|f| / lam) <= 1} for each row f of `vals`,
-    all rows in one solve; phi acts elementwise on the (rows, points) array
-    of |f| / lam and has the given types."""
-    a = np.abs(vals)
+    """inf{lam > 0 : sum w phi(|f| / lam) <= 1} for each row f along the
+    last axis of `vals`, all rows in one solve: an array of shape
+    vals.shape[:-1].  The weights `w` broadcast against the rows (one row
+    shared by all, or one per row), and phi acts elementwise on |f| / lam
+    with the given types.  Points of zero weight count for nothing, and
+    the start scale is the largest |f| on positive weight, so a row
+    without mass there has norm exactly 0."""
+    a = np.abs(vals) * (w > 0)
+    w = np.broadcast_to(w, a.shape).reshape(-1, a.shape[-1])
+    shape, a = a.shape[:-1], a.reshape(w.shape)
 
     def modular(lam, which):
-        return np.sum(w * phi(a[which] / lam[:, None]), axis=1)
+        # no copies where every row is asked for
+        rows = slice(None) if len(which) == len(a) else which
+        return np.sum(w[rows] * phi(a[rows] / lam[:, None]), axis=1)
 
     return _luxemburg(modular, a.max(axis=1, initial=0.0), lower_type,
-                      upper_type)
+                      upper_type).reshape(shape)
 
 
 def _stacked_bincount(labels: np.ndarray, weights: np.ndarray,
@@ -838,35 +832,12 @@ def _stacked_bincount(labels: np.ndarray, weights: np.ndarray,
                        minlength=len(weights) * size).reshape(-1, size)
 
 
-def _runs(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """The indices start, ..., start + length - 1 of every run, in order."""
-    ends = np.cumsum(lengths)
-    return np.arange(ends[-1]) + np.repeat(starts - ends + lengths, lengths)
-
-
-# centers per block of ball lists or distance rows (bounds their memory)
+# centers per block of distance rows (bounds their memory)
 _BALL_BLOCK = 256
 # entries of the (fields x pairs) or (centers x fields) arrays a stacked
 # call works on at once; a larger stack is taken in groups of fields, so
 # that its memory stays near that of one field's call
 _STACK_ENTRIES = 2**14
-
-
-def _ball_blocks(pts: np.ndarray, radius: float):
-    """The closed balls of `radius` around every point, per block of
-    _BALL_BLOCK centers, as (block, rows, cols): `block` slices the
-    centers, and each (rows[k], cols[k]) pairs a center of the block with
-    a point of its ball."""
-    tree = cKDTree(pts)
-    for start in range(0, len(pts), _BALL_BLOCK):
-        block = slice(start, min(start + _BALL_BLOCK, len(pts)))
-        idx_lists = tree.query_ball_point(pts[block], radius)
-        lengths = np.fromiter(map(len, idx_lists), dtype=np.intp,
-                              count=len(idx_lists))
-        rows = np.repeat(np.arange(len(idx_lists)), lengths)
-        cols = np.fromiter(itertools.chain.from_iterable(idx_lists),
-                           dtype=np.intp, count=int(lengths.sum()))
-        yield block, rows, cols
 
 
 def _ladder_ball_sums(pts: np.ndarray, power: np.ndarray,
@@ -903,36 +874,26 @@ _BALL_FFT_COST = 5.0
 # eps log2(B) times the sum of all terms, lies below _BALL_FFT_GUARD times
 # the maximising ball sum; other calls take the distance block
 _BALL_FFT_GUARD = 1e-13
-# Morrey's ladder per grid; a grid's points never change, and an entry
-# goes with its grid
-_LADDERS = weakref.WeakKeyDictionary()
 
 
 def _morrey_ladder(grid: QuadratureGrid):
-    """(radii, coords, bounds, box) of the Morrey ladder on `grid`, made
-    once per grid: 12 radii on a geometric ladder from 2h to the diameter,
+    """(radii, coords, bounds, box) of the Morrey ladder on `grid`: 12 radii on a geometric ladder from 2h to the diameter,
     and the coordinates and squared radii the balls test.  Point clouds
     test their points against radii**2 and have no FFT box.  Lattice
     grids test their integer indices against k_rho, and their box holds
     2 E - 1 cells per axis for the lattice's extent E, rounded up to a
     fast FFT length, so that no ball wraps onto a grid cell."""
-    ladder = _LADDERS.get(grid)
-    if ladder is not None:
-        return ladder
     pts = grid.points
     span = pts.max(axis=0) - pts.min(axis=0)
     diam = float(np.linalg.norm(span)) + grid.h
     radii = np.geomspace(min(2.0 * grid.h, diam), diam, 12)
     if grid.lattice is None:
-        ladder = radii, pts, radii**2, None
-    else:
-        extent = grid.lattice.max(axis=0) - grid.lattice.min(axis=0) + 1
-        box = tuple(sp_fft.next_fast_len(int(2 * e - 1), real=True)
-                    for e in extent)
-        bounds = np.floor((radii / grid.h) ** 2 * (1.0 + _BALL_MARGIN))
-        ladder = radii, grid.lattice, bounds, box
-    _LADDERS[grid] = ladder
-    return ladder
+        return radii, pts, radii**2, None
+    extent = grid.lattice.max(axis=0) - grid.lattice.min(axis=0) + 1
+    box = tuple(sp_fft.next_fast_len(int(2 * e - 1), real=True)
+                for e in extent)
+    bounds = np.floor((radii / grid.h) ** 2 * (1.0 + _BALL_MARGIN))
+    return radii, grid.lattice, bounds, box
 
 
 def _fft_ball_sums(lattice: np.ndarray, power: np.ndarray,
@@ -1029,14 +990,11 @@ def _dyadic_cube_labels(pts: np.ndarray, levels: np.ndarray):
     return labels.reshape(len(levels), len(pts)), level[new]
 
 
-@functools.cache
 def _slice_denominator(phi: OrliczFunction, t: float, n: int) -> float:
     """The Luxemburg norm of the indicator of an n-ball of radius t, the
-    Orlicz-slice denominator; it depends on (phi, t, n) alone."""
-    ball = unit_ball_volume(n) * t**n
-    return float(_luxemburg(lambda lam, which: ball * phi(1.0 / lam),
-                            np.array([1.0]), phi.lower_type,
-                            phi.upper_type)[0])
+    Orlicz-slice denominator: one cell of weight |B_t| holding 1."""
+    return float(_luxemburg_sum(unit_ball_volume(n) * t**n, np.ones(1), phi,
+                                phi.lower_type, phi.upper_type))
 
 
 # ---------------------------------------------------------------------------

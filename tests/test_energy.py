@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from bbmlab import nonlocal_energy
+from bbmlab import geometry, nonlocal_energy
 from bbmlab.field import (
     SampledField,
     indicator_halfspace,
@@ -381,7 +381,7 @@ class TestPairSources:
                                * nonlocal_energy._ROW_TILE))
                 yield tiles, offsets
 
-        monkeypatch.setattr(nonlocal_energy, "_PAIR_BUDGET", budget)
+        monkeypatch.setattr(geometry, "_PAIR_BUDGET", budget)
         monkeypatch.setattr(nonlocal_energy, "_offset_blocks", recording)
         return blocks
 
@@ -455,15 +455,15 @@ class TestPairSources:
         kernels = _kernels("bump", BUMP_SCHEDULE, 2.0, 1)
         whole = _energies(field, kernels, 2.0, 1)
         blocks = []
-        original = nonlocal_energy._neighbour_blocks
+        original = geometry._ball_pairs
 
         def recording(*args):
             for item in original(*args):
                 blocks.append(len(item[1]))
                 yield item
 
-        monkeypatch.setattr(nonlocal_energy, "_PAIR_BUDGET", 5_000)
-        monkeypatch.setattr(nonlocal_energy, "_neighbour_blocks", recording)
+        monkeypatch.setattr(geometry, "_PAIR_BUDGET", 5_000)
+        monkeypatch.setattr(geometry, "_ball_pairs", recording)
         split = _energies(field, kernels, 2.0, 1)
         assert len(blocks) > 1
         assert max(blocks) <= 5_000

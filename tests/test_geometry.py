@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from bbmlab import geometry
 from bbmlab.cli import ConfigError, run_experiment
 from bbmlab.geometry import (
     Box,
@@ -10,6 +11,7 @@ from bbmlab.geometry import (
     Interval,
     Polygon,
     QuadratureGrid,
+    _ball_pairs,
     sample_quadrature,
 )
 
@@ -134,6 +136,12 @@ class TestQuadrature:
     def test_h_too_large(self):
         with pytest.raises(ValueError):
             sample_quadrature(UNIT_DISK, 3.0)
+
+    @pytest.mark.parametrize("h", [math.nan, 0.0, -1.0, math.inf])
+    @pytest.mark.parametrize("scheme", ["tensor-midpoint", "quasi-random"])
+    def test_h_must_be_finite_and_positive(self, h, scheme):
+        with pytest.raises(ValueError, match="h must be a finite number > 0"):
+            sample_quadrature(UNIT_DISK, h, scheme)
 
     def test_empty_acceptance_rejected(self):
         sliver = Polygon(((0.0, 0.0), (1.9, 0.0), (1.9, 0.001)))
@@ -285,3 +293,98 @@ class TestDomainArguments:
         assert ring.vertices == ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0))
         assert ring.boundary_distance_many(np.array([[0.5, 0.5], [0.1, 0.5]])) \
             == pytest.approx([0.5, 0.1])
+
+
+def _brute_force_balls(pts, sel, radius):
+    """(rows, cols, dist) of every closed-ball pair |x - y| <= radius around
+    pts[sel], row by row, from squared distances summed axis by axis."""
+    sq = np.zeros((len(sel), len(pts)))
+    for j in range(pts.shape[1]):
+        sq += (pts[sel, j, None] - pts[None, :, j]) ** 2
+    rows, cols = np.nonzero(sq <= radius * radius)
+    return rows, cols, np.sqrt(sq[rows, cols])
+
+
+def _joined(blocks):
+    """The blocks of `_ball_pairs` as one (rows, cols, dist) list, rows
+    counted from the first point of `sel`."""
+    parts = [(rows + block.start, cols, dist)
+             for block, rows, cols, dist in blocks]
+    return tuple(np.concatenate(a) for a in zip(*parts))
+
+
+class TestBallPairs:
+    """The package's one neighbour list against a brute-force closed-ball
+    search: the same pairs in the same order, and the same distances bit
+    for bit."""
+
+    CASES = [
+        pytest.param(UNIT_DISK, 0.06, "quasi-random", 0.15, id="cloud-disk"),
+        # 34 cells per side, the last one clipped to 0.01
+        pytest.param(UNIT_SQUARE, 0.03, "tensor-midpoint", 0.1,
+                     id="clipped-square"),
+        # many lattice pairs lie at exactly rho
+        pytest.param(UNIT_SQUARE, 0.1, "tensor-midpoint", 0.2,
+                     id="square-ties"),
+        pytest.param(UNIT_SQUARE, 0.1, "tensor-midpoint", math.inf,
+                     id="infinite-radius"),
+    ]
+
+    @pytest.mark.parametrize("domain, h, scheme, radius", CASES)
+    @pytest.mark.parametrize("step", [1, 3])
+    def test_matches_brute_force(self, domain, h, scheme, radius, step):
+        pts = sample_quadrature(domain, h, scheme).points
+        sel = np.arange(0, len(pts), step)
+        got = _joined(_ball_pairs(pts, sel, radius))
+        want = _brute_force_balls(pts, sel, radius)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+
+    def test_float_rule_at_the_ties(self):
+        """On the h = 0.1 square, 784 pairs (self pairs included) lie
+        strictly inside rho = 0.2 and 320 at exactly two cells; the float
+        rule keeps 280 of those."""
+        grid = sample_quadrature(UNIT_SQUARE, 0.1)
+        rows, cols, _ = _joined(_ball_pairs(grid.points,
+                                            np.arange(len(grid)), 0.2))
+        offsets = grid.lattice[cols] - grid.lattice[rows]
+        sq = np.einsum("ij,ij->i", offsets, offsets)
+        assert len(rows) == 1064
+        assert np.count_nonzero(sq < 4) == 784
+        assert np.count_nonzero(sq == 4) == 280
+
+    @pytest.mark.parametrize("scale", [1.0 - 1e-9, 1.0, 1.0 + 1e-9])
+    def test_radius_at_the_diagonal(self, scale):
+        """A radius just below the bounding box's diagonal takes the tree,
+        at or above it every ball holds every point: the same pairs."""
+        pts = sample_quadrature(UNIT_DISK, 0.2, "quasi-random").points
+        span = pts.max(axis=0) - pts.min(axis=0)
+        radius = math.sqrt(np.sum(span * span)) * scale
+        sel = np.arange(len(pts))
+        got = _joined(_ball_pairs(pts, sel, radius))
+        want = _brute_force_balls(pts, sel, radius)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+        if scale >= 1.0:
+            assert len(got[0]) == len(pts) ** 2
+
+    @pytest.mark.parametrize("radius", [0.3, math.inf])
+    def test_small_budget_splits_blocks_not_rows(self, monkeypatch, radius):
+        pts = sample_quadrature(UNIT_DISK, 0.1, "quasi-random").points
+        sel = np.arange(len(pts))
+        whole = list(_ball_pairs(pts, sel, radius))
+        assert len(whole) == 1
+        counts = np.bincount(whole[0][1])
+        budget = 2 * int(counts.max()) + 1
+        monkeypatch.setattr(geometry, "_PAIR_BUDGET", budget)
+        blocks = list(_ball_pairs(pts, sel, radius))
+        assert len(blocks) > 1
+        assert blocks[0][0].start == 0 and blocks[-1][0].stop == len(sel)
+        for (block, rows, _, _), (after, _, _, _) in zip(blocks, blocks[1:]):
+            assert block.stop == after.start
+        for block, rows, _, _ in blocks:
+            assert len(rows) <= budget
+            # every row of the block holds all of its pairs
+            assert np.array_equal(np.bincount(rows), counts[block])
+        for a, b in zip(_joined(blocks), _joined(whole)):
+            assert np.array_equal(a, b)

@@ -241,6 +241,17 @@ class TestLuxemburgSolve:
             assert norm(spec, f) == pytest.approx(norm(Lebesgue(2.0), f),
                                                   rel=1e-13)
 
+    @pytest.mark.parametrize("c", [1e-310, 1e-320])
+    def test_subnormal_fields_return(self, unit_interval_grid, c):
+        """Phi = t^2 on (0, 1): the norm of the constant c is c.  Among
+        subnormals the bracket's tolerance underflows; the solve still
+        ends once no float lies inside the bracket."""
+        f = field_on(unit_interval_grid, np.full(len(unit_interval_grid), c))
+        got = norm(OrliczSpace(PowerOrlicz(2.0)), f)
+        assert math.isfinite(got) and got >= 0.0
+        if c == 1e-310:
+            assert abs(got - c) <= 1e-6 * c
+
     def test_median_evaluations_per_solve(self, monkeypatch):
         import bbmlab.spaces as spaces
         from bbmlab.checks import engine_catalog
@@ -446,8 +457,9 @@ class TestMorreyBallSums:
         (at rho = 0.2: 1,104 pairs, where the float test on the
         coordinates keeps 1,064 and a strict rule 904), in both sources.
         The float test, which point clouds keep, still decides them as
-        Orlicz-slice's `cKDTree` balls do."""
-        from bbmlab.spaces import _ball_blocks, _fft_ball_sums, _morrey_ladder
+        the k-d tree neighbour list of Orlicz-slice does."""
+        from bbmlab.geometry import _ball_pairs
+        from bbmlab.spaces import _fft_ball_sums, _morrey_ladder
 
         ladder = _ladder_array
 
@@ -480,7 +492,8 @@ class TestMorreyBallSums:
         assert pair_counts[0].sum() == 1064
         for rung, rho in enumerate(radii):
             tree_counts, tree_sums = np.zeros(len(pts)), np.zeros(len(pts))
-            for block, rows, cols in _ball_blocks(pts, rho):
+            for block, rows, cols, _ in _ball_pairs(pts, np.arange(len(pts)),
+                                                    rho):
                 centers = block.stop - block.start
                 tree_counts[block] = np.bincount(rows, minlength=centers)
                 tree_sums[block] = np.bincount(rows, weights=power[cols],
@@ -729,19 +742,15 @@ class TestSliceDenominator:
     @pytest.mark.parametrize("n", [1, 2])
     @pytest.mark.parametrize("t", [0.05, 0.15, 0.5])
     def test_cached_equals_a_fresh_solve(self, phi, n, t):
-        """The |B_t| Luxemburg norm is solved once per (phi, t, n) and
-        reused bit for bit."""
+        """The |B_t| Luxemburg norm, solved through the shared modular,
+        equals bit for bit a solve of its own one-term modular."""
         from bbmlab.spaces import _luxemburg, _slice_denominator
 
         ball = unit_ball_volume(n) * t**n
         fresh = float(_luxemburg(lambda lam, which: ball * phi(1.0 / lam),
                                  np.array([1.0]), phi.lower_type,
                                  phi.upper_type)[0])
-        first = _slice_denominator(phi, t, n)
-        hits = _slice_denominator.cache_info().hits
-        assert first == fresh
         assert _slice_denominator(phi, t, n) == fresh
-        assert _slice_denominator.cache_info().hits == hits + 1
 
 
 # The engines that `BesovBourgainMorrey.norm` and `_herz_norms` replaced,

@@ -9,7 +9,8 @@ import pytest
 
 from bbmlab import checks, mollifiers, nonlocal_energy, spaces
 from bbmlab.field import SampledField, linear, sample
-from bbmlab.geometry import Box, Disk, Interval, sample_quadrature
+from bbmlab.geometry import (Box, Disk, Interval, QuadratureGrid,
+                             sample_quadrature)
 from bbmlab.nonlocal_energy import EnergyParams, energy_half_field
 from bbmlab.spaces import (
     SPACES,
@@ -99,14 +100,29 @@ def test_stack_matches_single_fields(kind, grid_name, rows):
 def test_stack_larger_than_a_group(kind):
     """A stack past `_STACK_ENTRIES` is measured in groups of fields (70
     fields on the 316-point cloud: 2 groups for Morrey's distance blocks,
-    8 and 2 for Orlicz-slice's two blocks of centers), each row as on its
-    own."""
+    and 10 groups of 7 for Orlicz-slice's one block of 2,074 ball pairs),
+    each row as on its own."""
     grid = _grid("cloud-disk-0.1")
     spec = _spec(kind, grid.dimension)
     values = _stack(grid, 70, np.random.default_rng(70))
     assert 70 * min(len(grid), spaces._BALL_BLOCK) > spaces._STACK_ENTRIES
     _assert_rows_match(norm(spec, grid, values),
                        _one_at_a_time(spec, grid, values))
+
+
+@pytest.mark.parametrize("kind", list(SPACES))
+def test_mass_on_zero_weight_cells_has_norm_zero(kind):
+    """Cells of weight 0 (a CSV grid may carry them) count for nothing: a
+    field that is nonzero only there has norm 0 in every space."""
+    coords = (np.arange(24) + 0.5) / 24
+    weights = np.full(24, 1.0 / 24)
+    weights[[5, 17]] = 0.0
+    grid = QuadratureGrid(coords[:, None], weights, 1.0 / 24,
+                          axes=((coords, weights),))
+    values = np.zeros((2, 24))
+    values[0, 5] = 3.0
+    values[1, [5, 17]] = [1e-3, 1e3]
+    assert np.array_equal(norm(_spec(kind, 1), grid, values), [0.0, 0.0])
 
 
 @pytest.mark.parametrize("kind", list(SPACES))
