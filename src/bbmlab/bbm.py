@@ -224,7 +224,6 @@ def upper_bound_diagnostics(field: SampledField, p: float, spec: SpaceSpec,
                             stride: int = 1):
     """Ratios functional / |grad f|-norm over a schedule; judge their
     growth from successive increments."""
-    denom = norm(spec, gradient_magnitude_field(field))
     values = bbm_functional_schedule(field, p, family, schedule, spec,
                                      stride=stride)
-    return values / denom
+    return values / norm(spec, gradient_magnitude_field(field))

@@ -37,22 +37,30 @@ cut, which add exactly zero.  The offset source multiplies fixed tiles of
 _ROW_TILE rows, so a row's sums do not depend on how the rows are
 blocked.
 
-At p = 2 on lattice grids the offsets with |o| >= _FFT_SPLIT cells may
-instead be summed as correlations (the split of convolution-based
-nonlocal solvers; Jafarzadeh, Wang, Larios & Bobaru, CMAME 375 (2021)
-113633).  With the field centred by its midrange, v = f - (max f +
-min f) / 2, each kernel's sum over those offsets is a - 2 v b + v^2 m for
-the correlations a, b, m of c_k with v^2 w, v w and w: three forward FFTs
-of the lattice box shared by all kernels, and one forward and three
-inverse ones per kernel with weight there; a kernel without adds exactly
-zero.  The shorter offsets, the near ones among them, stay
-on the offset pass.  The expansion cancels, so a guard bounds each
-kernel's FFT error by e_k = eps log2(B) times its largest term, for B FFT
-cells; a row where e_k exceeds _FFT_GUARD times its sum for any kernel
-falls back to the offset pass over every offset and keeps its values bit
-for bit.  The FFT is taken only when (outer offsets x rows) exceeds
-_FFT_COST (3 + 4K) B log2 B for the K kernels with weight beyond the
-split; other p and point clouds keep the sources above.
+At p = 2 on lattice grids the far offsets may instead be summed as
+correlations (the split of convolution-based nonlocal solvers; Jafarzadeh,
+Wang, Larios & Bobaru, CMAME 375 (2021) 113633), in two rings: the outer
+offsets, |o| >= _FFT_SPLIT cells, and the ring NEAR_FIELD_FACTOR <= |o| <
+_FFT_SPLIT.  The field is centred affinely: a weighted least-squares fit
+f = a + beta . x + g on the lattice indices leaves the residual g, centred
+by its midrange, and d(o) = beta . o.  Each kernel's sum over a ring is then
+T0 - 2 g T1 + g^2 T2 for correlations of c_k, c_k d and c_k d^2 with g^2 w,
+g w and w (see `_fft_far_sums`): three forward FFTs of the lattice box
+shared by all kernels and rings, and three forward and six inverse ones per
+kernel and ring with weight there; a kernel without adds exactly zero.  A
+linear field leaves g at round-off, so no term cancels however far the
+offsets reach.  The near offsets always stay on the offset pass.  The
+expansion cancels for curved fields, so a guard bounds each ring's FFT
+error for kernel k by e_k = eps log2(B) times its largest term, for B FFT
+cells.  A row where both rings' e_k lie within _FFT_GUARD times its sum
+for every kernel keeps both FFT sums.  Any other row takes the ring on the
+offset pass, with the outer FFT sums; where the outer e_k then exceeds
+_FFT_GUARD times its sum for any kernel, it falls back to the offset pass
+over every offset and keeps its values bit for bit.  The outer ring is
+taken only when (outer offsets x rows) exceeds _FFT_COST (3 + 9K) B log2 B
+for the K kernels with weight there, and the ring besides only when (ring
+offsets x rows) exceeds _FFT_COST 9K B log2 B for its own K; other p and
+point clouds keep the sources above.
 """
 
 from __future__ import annotations
@@ -88,18 +96,18 @@ _NEAR_MARGIN = 1e-9
 # evaluated rows per product of the offset pass; fixed, so that a row's
 # sums do not depend on how the rows are blocked
 _ROW_TILE = 8
-# at p = 2 on lattice grids, offsets with |o|^2 >= _FFT_SPLIT^2 may be summed
-# by FFT; the shorter ones always take the offset pass
+# at p = 2 on lattice grids, far offsets may be summed by FFT in two rings
+# split at |o|^2 = _FFT_SPLIT^2; the near ones always take the offset pass
 _FFT_SPLIT = 8
-# a row keeps its FFT sums only where each kernel's error bound lies below
-# _FFT_GUARD times the row's sum; other rows take the offset pass
+# a row keeps a ring's FFT sums only where each kernel's error bound lies
+# below _FFT_GUARD times the row's sum; other rows take the offset pass
 _FFT_GUARD = 1e-13
-# the FFT far field is taken when (outer offsets x rows) exceeds _FFT_COST
-# (3 + 4K) B log2 B, for B FFT cells and K kernels with weight beyond the
-# split.  Measured on 2 vCPUs with one BLAS thread, over 1-d, 2-d and 3-d
-# passes: the offset pass took 10.6 to 25.7 ns per entry, the FFT far
-# field 1.1 to 3.1 ns per B log2 B of each transform, and their ratio ran
-# from 0.07 to 0.15; the largest is kept
+# a ring is summed by FFT when (its offsets x rows) exceeds _FFT_COST times
+# the B log2 B of each of its transforms, for B FFT cells.  Measured on 2
+# vCPUs with one BLAS thread, over 1-d, 2-d and 3-d passes: the offset
+# pass took 10.6 to 25.7 ns per entry, the FFT far field 1.1 to 3.1 ns per
+# B log2 B of each transform, and their ratio ran from 0.07 to 0.15; the
+# largest is kept
 _FFT_COST = 0.15
 
 
@@ -243,64 +251,88 @@ def _tile_sums(vals_pad: np.ndarray, w_pad: np.ndarray, at: np.ndarray,
     return sums, near_mass.ravel()[:n_rows]
 
 
-def _fft_shape(extent: np.ndarray, offsets: np.ndarray, coef: np.ndarray,
-               n_rows: int, p: float):
-    """The FFT box for the offsets beyond the split and their weights
-    `coef`, or None where p != 2 or the offset pass costs less (see
-    _FFT_COST).  Per axis the box holds the lattice's cells plus the
-    offsets' reach, rounded up to a fast FFT length, so that no
-    correlation wraps onto a grid cell."""
-    if p != 2.0 or not len(offsets):
-        return None
+def _fft_shape(extent: np.ndarray, offsets: np.ndarray):
+    """The FFT box for `offsets`: per axis the lattice's cells plus the
+    offsets' reach, rounded up to a fast FFT length, so that no correlation
+    wraps onto a grid cell."""
     reach = np.abs(offsets).max(axis=0)
-    shape = tuple(sp_fft.next_fast_len(int(e + r), real=True)
-                  for e, r in zip(extent, reach))
-    cells = math.prod(shape)
-    # three shared transforms, and four per kernel with weight out there
-    transforms = 3 + 4 * int(np.count_nonzero(coef.any(axis=1)))
-    if len(offsets) * n_rows > _FFT_COST * transforms * cells \
-            * math.log2(cells):
-        return shape
-    return None
+    return tuple(sp_fft.next_fast_len(int(e + r), real=True)
+                 for e, r in zip(extent, reach))
+
+
+def _fft_worth(n_offsets: int, n_rows: int, coef: np.ndarray, shared: int,
+               cells: int) -> bool:
+    """Whether (offsets x rows) of the offset pass exceeds _FFT_COST times
+    the transforms of the FFT box: `shared` ones, and nine per kernel with
+    weight in `coef` (three forward, six inverse)."""
+    transforms = shared + 9 * int(np.count_nonzero(coef.any(axis=1)))
+    return n_offsets * n_rows > _FFT_COST * transforms * cells \
+        * math.log2(cells)
+
+
+def _affine_residual(cells: np.ndarray, values: np.ndarray,
+                     weights: np.ndarray):
+    """(g, beta): the weighted least-squares slope beta of the values over
+    the integer cells, and the residual g = f - beta . x less its midrange.
+    The fit solves the normal equations for f - min f, so a constant field
+    gets beta = 0 and g = 0 exactly; any beta keeps the sums exact, and a
+    better one only leaves them less to cancel."""
+    design = np.column_stack([np.ones(len(cells)),
+                              cells - weights @ cells / weights.sum()])
+    weighted = design.T * weights
+    beta = np.linalg.lstsq(weighted @ design,
+                           weighted @ (values - values.min()),
+                           rcond=None)[0][1:]
+    g = values - cells @ beta
+    return g - (g.max() + g.min()) / 2.0, beta
 
 
 def _fft_far_sums(cells: np.ndarray, values: np.ndarray, weights: np.ndarray,
-                  offsets: np.ndarray, coef: np.ndarray, shape: tuple):
-    """Each kernel's p = 2 sum over `offsets` at every grid cell, by FFT,
-    and an error bound per kernel.
+                  rings, shape: tuple):
+    """Each kernel's p = 2 sum over each ring of offsets at every grid
+    cell, by FFT, and an error bound per ring and kernel.
 
-    With v = f - (max f + min f) / 2, the sum sum_o c_k(o) |v(x+o) -
-    v(x)|^2 w(x+o) is a_k - 2 v b_k + v^2 m_k, for the correlations a_k,
-    b_k and m_k of c_k with v^2 w, v w and w.  Returns (far, bound): far
-    of shape (kernels, cells), and bound[k] = eps log2(B) times the
-    largest term over the cells, for B FFT cells.  A kernel with no
-    weight on `offsets` gets exactly zero.
+    `rings` holds (offsets, coef) pairs, coef of shape (kernels, offsets).
+    With the field affine-centred, f(x) = a + beta . x + g(x), and d(o) =
+    beta . o, the sum sum_o c(o) |f(x+o) - f(x)|^2 w(x+o) is T0 - 2 g T1 +
+    g^2 T2 for T0 = c*g^2w + 2 (c d)*gw + (c d^2)*w, T1 = c*gw + (c d)*w
+    and T2 = c*w, where u*v is the correlation sum_o u(o) v(x+o).  Returns
+    (far, bound): far of shape (rings, kernels, cells), and bound[r, k] =
+    eps log2(B) times the largest of those six terms over the cells, for B
+    FFT cells.  A kernel with no weight on a ring gets exactly zero there.
     """
     axes = tuple(range(1, len(shape) + 1))
-    at = tuple(cells.T)
-    v = values - (values.max() + values.min()) / 2.0
-    inputs = np.zeros((3,) + shape)
-    inputs[(0,) + at] = v * v * weights
-    inputs[(1,) + at] = v * weights
-    inputs[(2,) + at] = weights
-    spectra = sp_fft.rfftn(inputs, axes=axes)
+    at = np.ravel_multi_index(tuple(cells.T), shape)
+    g, beta = _affine_residual(cells, values, weights)
+    inputs = np.zeros((3, math.prod(shape)))
+    inputs[:, at] = g * g * weights, g * weights, weights
+    inputs = inputs.reshape((3,) + shape)
+    spectra = sp_fft.rfftn(inputs, axes=axes)[[0, 1, 2, 1, 2, 2]]
     del inputs
-    kernel_grid = np.zeros(shape)
-    wrapped = tuple((offsets % np.asarray(shape)).T)
     eps_log = np.finfo(float).eps * math.log2(math.prod(shape))
-    far = np.zeros((len(coef), len(cells)))
-    bound = np.zeros(len(coef))
-    for k, c in enumerate(coef):
-        if not c.any():
-            continue
-        kernel_grid[wrapped] = c
-        spectrum = np.conj(sp_fft.rfftn(kernel_grid))
-        a, b, m = sp_fft.irfftn(spectra * spectrum, s=shape,
-                                axes=axes)[(slice(None),) + at]
-        b *= 2.0 * v
-        m *= v * v
-        far[k] = a - b + m
-        bound[k] = eps_log * max(np.abs(a).max(), np.abs(b).max(), m.max())
+    n_kernels = len(rings[0][1])
+    far = np.zeros((len(rings), n_kernels, len(cells)))
+    bound = np.zeros((len(rings), n_kernels))
+    for r, (offsets, coef) in enumerate(rings):
+        kernel_grids = np.zeros((3,) + shape)
+        wrapped = (slice(None),) + tuple((offsets % np.asarray(shape)).T)
+        d = offsets @ beta
+        for k, c in enumerate(coef):
+            if not c.any():
+                continue
+            kernel_grids[wrapped] = c, c * d, c * d * d
+            spectrum = np.conj(sp_fft.rfftn(kernel_grids, axes=axes))
+            a0, a1, a2, b0, b1, m = sp_fft.irfftn(
+                spectra * spectrum[[0, 1, 2, 0, 1, 0]], s=shape,
+                axes=axes).reshape(6, -1)[:, at]
+            a1 *= 2.0
+            b0 *= 2.0 * g
+            b1 *= 2.0 * g
+            m *= g * g
+            far[r, k] = (a0 + a1 + a2) - (b0 + b1) + m
+            bound[r, k] = eps_log * max(
+                a0.max(), np.abs(a1).max(), a2.max(), np.abs(b0).max(),
+                np.abs(b1).max(), m.max())
     return far, bound
 
 
@@ -324,25 +356,56 @@ def _offset_sums(field: SampledField, kernels, p: float,
     shifts = np.ravel_multi_index(tuple((offsets + pad).T), shape) \
         - np.ravel_multi_index(tuple(pad), shape)
     at = pos[eval_idx]
+
+    def tile_pass(rows, offs):
+        return _tile_sums(vals_pad, w_pad, at[rows], shifts[offs], n_near,
+                          coef[:, offs], p)
+
+    every = slice(None)
+    # near offsets, the ring 2 <= |o| < _FFT_SPLIT, and the outer offsets
     outer = np.einsum("ij,ij->i", offsets, offsets) >= _FFT_SPLIT ** 2
-    fft_shape = _fft_shape(extent, offsets[outer], coef[1:, outer], len(at),
-                           p)
+    ring = ~outer
+    ring[:n_near] = False
+    fft_shape = None
+    if p == 2.0 and outer.any():
+        fft_shape = _fft_shape(extent, offsets[n_near:])
+        cells_fft = math.prod(fft_shape)
+        if not _fft_worth(int(outer.sum()), len(at), coef[1:, outer], 3,
+                          cells_fft):
+            fft_shape = None
     if fft_shape is None:
-        sums, near_mass = _tile_sums(vals_pad, w_pad, at, shifts, n_near,
-                                     coef, p)
+        sums, near_mass = tile_pass(every, every)
         return sums[1:], sums[0], near_mass
-    # offsets beyond the split by FFT, the others on the offset pass
-    sums, near_mass = _tile_sums(vals_pad, w_pad, at, shifts[~outer],
-                                 n_near, coef[:, ~outer], p)
+    rings = [outer]
+    if _fft_worth(int(ring.sum()), len(at), coef[1:, ring], 0, cells_fft):
+        rings.append(ring)
     far, bound = _fft_far_sums(cells, field.values, grid.weights,
-                               offsets[outer], coef[1:, outer], fft_shape)
-    sums[1:] += far[:, eval_idx]
-    # rows whose FFT error bound is not far below their sums take the
-    # offset pass over every offset, and so its values
-    back = np.any(bound[:, None] > _FFT_GUARD * sums[1:], axis=0)
-    if back.any():
-        sums[:, back], near_mass[back] = _tile_sums(
-            vals_pad, w_pad, at[back], shifts, n_near, coef, p)
+                               [(offsets[m], coef[1:, m]) for m in rings],
+                               fft_shape)
+    far = far[:, :, eval_idx]
+    sums = np.zeros((len(coef), len(at)))
+    near_mass = np.zeros(len(at))
+    # rows where every ring's error bound is far below the sum keep both
+    # rings' FFT sums, and take only the near offsets on the offset pass
+    fast = np.zeros(len(at), dtype=bool)
+    if len(rings) == 2:
+        both = far[0] + far[1]
+        fast = np.all(bound[:, :, None] <= _FFT_GUARD * both, axis=(0, 1))
+        if fast.any():
+            sums[:, fast], near_mass[fast] = tile_pass(fast, slice(n_near))
+            sums[1:, fast] += both[:, fast]
+    rest = np.flatnonzero(~fast)
+    if len(rest):
+        # the others take the ring on the offset pass and the outer FFT
+        part, near_mass[rest] = tile_pass(rest, ~outer)
+        part[1:] += far[0][:, rest]
+        # and where the outer error bound is not far below their sums,
+        # the offset pass over every offset, and so its values
+        back = np.any(bound[0][:, None] > _FFT_GUARD * part[1:], axis=0)
+        if back.any():
+            part[:, back], near_mass[rest[back]] = tile_pass(rest[back],
+                                                             every)
+        sums[:, rest] = part
     return sums[1:], sums[0], near_mass
 
 
@@ -458,6 +521,9 @@ def bbm_functional_schedule(field: SampledField, p: float,
     """Functional values over a scale schedule, sharing one energy pass
     and one stacked norm call."""
     check_p(p)
+    nus = list(nus)
+    if not nus:
+        raise ValueError("schedule must hold at least one scale, got []")
     kernels = [family.kernel(nu, p) for nu in nus]
     for nu in nus:
         _warn_scale(nu, field.grid.h, p)

@@ -52,21 +52,76 @@ def mc_sphere_moment(p: float, n: int, samples: int, seed: int = 0) -> float:
     return surface * total / samples
 
 
+def _dense_1d_scale(scale: float, p: float, a: float, b: float,
+                    family_kind: str, mode: str):
+    """(cut, rho, mass_below, prefactor) of one scale of the dense oracle:
+    the kernel's cut, the kernel rho(r) on arrays, the kernel mass below
+    t, and the functional's prefactor."""
+    if mode == "rdati":
+        nu = float(scale)
+        if family_kind == "bump":
+            if not 0.0 < nu < 1.0:
+                raise ValueError(f"bump nu must lie in (0, 1), got {nu!r}")
+
+            def rho(r):
+                return np.where((r > 0) & (r <= nu), 1.0 / nu, 0.0)
+
+            def mass_below(t):
+                return min(t, nu) / nu
+
+            return nu, rho, mass_below, 1.0
+        if family_kind == "fractional":
+            nu_max = min(1.0 / p, 1.0)
+            if not 0.0 < nu < nu_max:
+                raise ValueError(
+                    f"fractional nu must lie in (0, {nu_max!r}), got {nu!r}")
+            R = 2.0 * max(abs(a), abs(b))
+            np_exp = nu * p
+
+            def rho(r):
+                out = np_exp * (2.0 * R) ** (-np_exp) * r ** (np_exp - 1.0)
+                return np.where((r > 0) & (r <= 2.0 * R), out, 0.0)
+
+            def mass_below(t):
+                return (min(t, 2.0 * R) / (2.0 * R)) ** np_exp
+
+            return 2.0 * R, rho, mass_below, 1.0
+        raise ValueError(f"unknown family {family_kind!r}")
+    if mode == "gagliardo":
+        s = float(scale)
+        if not 0.0 < s < 1.0:
+            raise ValueError(f"gagliardo s must lie in (0, 1), got {s!r}")
+
+        # rho / r^p must equal the Gagliardo kernel r^(-n - s p), n = 1
+        def rho(r):
+            return r ** (p - 1.0 - s * p)
+
+        def mass_below(t):
+            return t ** ((1.0 - s) * p) / ((1.0 - s) * p)
+
+        return math.inf, rho, mass_below, (1.0 - s) ** (1.0 / p)
+    raise ValueError(f"unknown mode {mode!r}")
+
+
 def dense_1d_functional(fn: TestFunction, domain: Box, p: float,
-                        q: float, scale: float, resolution: float,
+                        q: float, scale, resolution: float,
                         family_kind: str = "bump",
-                        mode: str = "rdati") -> float:
+                        mode: str = "rdati"):
     """The 1-d functional at fine resolution as a sum over the grid's
     integer offsets, each pair's distance from its coordinates.
 
     Reimplements the kernel formulas and the analytic near-field rule
     inline, so it shares no code with the main engine.  `scale` is nu for
-    mode "rdati" and s for mode "gagliardo".  Offset k pairs x_i with
-    x_{i+k} at r = |x_{i+k} - x_i|, so the kernel's cut and the near rule
-    r < 2h split the pairs that sit on them exactly as a loop over all
-    pairs would.  Every term is symmetric in the pair and is added to both
-    of its points.  The loop stops at the first offset whose every distance
-    exceeds both the kernel's cut and 2h.
+    mode "rdati" and s for mode "gagliardo"; a scalar gives a float, and a
+    sequence of scales an array of their values from one offset loop.
+    Offset k pairs x_i with x_{i+k} at r = |x_{i+k} - x_i|, so the kernel's
+    cut and the near rule r < 2h split the pairs that sit on them exactly
+    as a loop over all pairs would.  Every term is symmetric in the pair
+    and is added to both of its points.  A scale stops at the first offset
+    whose every distance exceeds both its kernel's cut and 2h, and the
+    loop at the last scale's stop; the scales share the distances, the
+    differences and the near sums, and each keeps the operations of its
+    own call, so its value is the same bit for bit.
     """
     if not (isinstance(domain, Box) and domain.dimension == 1):
         raise ValueError("the dense oracle needs a 1-d box or interval")
@@ -78,88 +133,58 @@ def dense_1d_functional(fn: TestFunction, domain: Box, p: float,
     if not (math.isfinite(q) and q > 0.0):
         raise ValueError(f"q must be a finite number > 0, got {q!r}")
     (a,), (b,) = domain.lo, domain.hi
-
-    if mode == "rdati":
-        nu = float(scale)
-        if family_kind == "bump":
-            if not 0.0 < nu < 1.0:
-                raise ValueError(f"bump nu must lie in (0, 1), got {nu!r}")
-            cut = nu
-
-            def rho(r):
-                return np.where((r > 0) & (r <= nu), 1.0 / nu, 0.0)
-
-            def mass_below(t):
-                return min(t, nu) / nu
-        elif family_kind == "fractional":
-            nu_max = min(1.0 / p, 1.0)
-            if not 0.0 < nu < nu_max:
-                raise ValueError(
-                    f"fractional nu must lie in (0, {nu_max!r}), got {nu!r}")
-            R = 2.0 * max(abs(a), abs(b))
-            cut = 2.0 * R
-            np_exp = nu * p
-
-            def rho(r):
-                out = np_exp * (2.0 * R) ** (-np_exp) * r ** (np_exp - 1.0)
-                return np.where((r > 0) & (r <= 2.0 * R), out, 0.0)
-
-            def mass_below(t):
-                return (min(t, 2.0 * R) / (2.0 * R)) ** np_exp
-        else:
-            raise ValueError(f"unknown family {family_kind!r}")
-        prefactor = 1.0
-    elif mode == "gagliardo":
-        s = float(scale)
-        if not 0.0 < s < 1.0:
-            raise ValueError(f"gagliardo s must lie in (0, 1), got {s!r}")
-        cut = math.inf
-
-        # rho / r^p must equal the Gagliardo kernel r^(-n - s p), n = 1
-        def rho(r):
-            return r ** (p - 1.0 - s * p)
-
-        def mass_below(t):
-            return t ** ((1.0 - s) * p) / ((1.0 - s) * p)
-
-        prefactor = (1.0 - s) ** (1.0 / p)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    scales = np.atleast_1d(np.asarray(scale, dtype=float))
+    if scales.ndim != 1 or not len(scales):
+        raise ValueError(f"scale must be a number or a non-empty sequence "
+                         f"of numbers, got {scale!r}")
+    cuts, rhos, mass_belows, prefactors = zip(*(
+        _dense_1d_scale(v, p, a, b, family_kind, mode) for v in scales))
 
     m = int(math.ceil((b - a) / h))
     x = a + (b - a) * (np.arange(m) + 0.5) / m
     h = (b - a) / m
     f = fn(x.reshape(-1, 1))
     near_radius = 2.0 * h
-    far_sum = np.zeros(m)
+    far_sum = np.zeros((len(scales), m))
     quot_sum = np.zeros(m)
     counts = np.zeros(m, dtype=np.int64)
+    live = list(range(len(scales)))
+    next_cut = min(cuts)
     with np.errstate(divide="ignore", invalid="ignore"):
         for k in range(1, m):
             r = np.abs(x[k:] - x[:-k])
             r_min = r.min()
-            if r_min > cut and r_min > near_radius:
-                break
+            if r_min > near_radius and r_min > next_cut:
+                live = [i for i in live if not r_min > cuts[i]]
+                if not live:
+                    break
+                next_cut = min(cuts[i] for i in live)
             df = np.abs(f[k:] - f[:-k])
-            far_term = df**p / r**p * rho(r) * h
+            quot_r = df**p / r**p
             if r_min < near_radius:
                 below = r < near_radius
-                far_term[below] = 0.0
                 near = (r > 0) & below
                 quot = np.where(near, (df / r) ** p, 0.0)
                 quot_sum[:-k] += quot
                 quot_sum[k:] += quot
                 counts[:-k] += near
                 counts[k:] += near
-            far_term[np.isnan(far_term)] = 0.0
-            far_sum[:-k] += far_term
-            far_sum[k:] += far_term
+            for i in live:
+                far_term = quot_r * rhos[i](r) * h
+                if r_min < near_radius:
+                    far_term[below] = 0.0
+                far_term[np.isnan(far_term)] = 0.0
+                far_sum[i, :-k] += far_term
+                far_sum[i, k:] += far_term
     qbar = np.divide(quot_sum, counts, out=np.zeros(m), where=counts > 0)
     r_eff = (counts + 1) * h / 2.0
-    near_term = qbar * 2.0 * np.array([mass_below(t) for t in r_eff])
-    energies = far_sum + near_term
-    value = float(np.sum(h * energies ** (q / p)) ** (1.0 / q))
-    return prefactor * value
+    values = np.empty(len(scales))
+    for i, mass_below in enumerate(mass_belows):
+        near_term = qbar * 2.0 * np.array([mass_below(t) for t in r_eff])
+        energies = far_sum[i] + near_term
+        values[i] = prefactors[i] * float(
+            np.sum(h * energies ** (q / p)) ** (1.0 / q))
+    return float(values[0]) if np.ndim(scale) == 0 else values
 
 
 class _DistributionStep:

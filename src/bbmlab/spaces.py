@@ -570,8 +570,8 @@ class BesovBourgainMorrey(SpaceSpec):
 
     def norm(self, grid: QuadratureGrid, values: np.ndarray) -> np.ndarray:
         """All levels' cube sums come from one `bincount` over the labels
-        of `_dyadic_cube_labels`; a level's terms keep the lexicographic
-        order of its cubes."""
+        of `_dyadic_cube_labels`, for a group of fields at a time; a
+        level's terms keep the lexicographic order of its cubes."""
         n = grid.dimension
         # cubes finer than the grid spacing carry no information
         j_hi = min(self.j_max, int(math.floor(-math.log2(grid.h))))
@@ -582,20 +582,26 @@ class BesovBourgainMorrey(SpaceSpec):
         sign_only = -math.frexp(float(np.max(np.abs(grid.points))))[1]
         shared = min(max(sign_only - self.j_min, 0), len(levels) - 1)
         labels, level_of = _dyadic_cube_labels(grid.points, levels[shared:])
-        aq = np.abs(values) ** self.q * grid.weights
-        sums = _stacked_bincount(labels.ravel(), np.tile(aq, len(labels)),
-                                 len(level_of))
         first = np.count_nonzero(level_of == 0)
-        level_of = np.concatenate([np.repeat(np.arange(shared + 1), first),
-                                   level_of[first:] + shared])
-        sums = np.concatenate([np.tile(sums[:, :first], shared + 1),
-                               sums[:, first:]], axis=1)
+        cube_level = np.concatenate([np.repeat(np.arange(shared + 1), first),
+                                     level_of[first:] + shared])
         vol = 2.0 ** (-levels * n)
-        terms = vol[level_of] ** (1.0 / self.p - 1.0 / self.q) \
-            * sums ** (1.0 / self.q)
-        inner = _stacked_bincount(level_of, terms**self.r,
-                                  len(levels)) ** (self.tau / self.r)
-        return np.sum(inner, axis=1) ** (1.0 / self.tau)
+        scale = vol[cube_level] ** (1.0 / self.p - 1.0 / self.q)
+        aq = np.abs(values) ** self.q * grid.weights
+        out = np.empty(len(aq))
+        step = max(1, _STACK_ENTRIES // labels.size)
+        for start in range(0, len(aq), step):
+            group = slice(start, start + step)
+            sums = _stacked_bincount(labels.ravel(),
+                                     np.tile(aq[group], len(labels)),
+                                     len(level_of))
+            sums = np.concatenate([np.tile(sums[:, :first], shared + 1),
+                                   sums[:, first:]], axis=1)
+            terms = scale * sums ** (1.0 / self.q)
+            inner = _stacked_bincount(cube_level, terms**self.r,
+                                      len(levels)) ** (self.tau / self.r)
+            out[group] = np.sum(inner, axis=1) ** (1.0 / self.tau)
+        return out
 
 
 @dataclass(frozen=True)

@@ -151,11 +151,9 @@ def test_ac5_divergence_direction():
     schedule = [0.4 * 0.5**k for k in range(6)]
     rep = convergence_study(f, 2.0, Lebesgue(2.0), family, schedule)
     growth = rep.functional_values[-1] / rep.functional_values[0]
-    dense = [
-        dense_1d_functional(indicator_halfspace((1.0,), 0.0), domain, 2.0,
-                            2.0, nu, 1e-4, family_kind="fractional")
-        for nu in schedule
-    ]
+    dense = dense_1d_functional(indicator_halfspace((1.0,), 0.0), domain,
+                                2.0, 2.0, schedule, 1e-4,
+                                family_kind="fractional")
     dense_monotone = all(a < b for a, b in zip(dense, dense[1:]))
     ok = (rep.verdict == "non-member" and growth > 10.0 and dense_monotone)
     report_line("AC-5", ok,

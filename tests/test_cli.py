@@ -564,19 +564,32 @@ def test_bundled_config_report_bytes(tmp_path, name):
 
 def test_indicator_divergence_golden_is_the_offset_pass(tmp_path,
                                                         monkeypatch):
-    """The indicator_divergence golden takes the FFT far field; with every
-    offset on the offset pass the report differs only in
-    functional_values, by round-off."""
+    """Every bundled golden may take the FFT far field; with every offset
+    on the offset pass each report agrees with its golden to round-off:
+    functional values and the extrapolated limit within 1e-12 relative,
+    every other field equal apart from the fit's own diagnostics."""
     monkeypatch.setattr(nonlocal_energy, "_FFT_COST", math.inf)
-    run_experiment(parse_config(CONFIG_DIR / "indicator_divergence.cfg"),
-                   tmp_path)
-    got = json.loads((tmp_path / "report.json").read_text())
-    golden = json.loads(
-        (GOLDEN_DIR / "indicator_divergence.report.json").read_text())
-    values, golden_values = (r.pop("functional_values")
-                             for r in (got, golden))
-    assert got == golden
-    assert np.allclose(values, golden_values, rtol=1e-12, atol=0.0)
+    for name in ("bbm_1d_linear", "gagliardo_1d_linear",
+                 "indicator_divergence"):
+        out = tmp_path / name
+        out.mkdir()
+        run_experiment(parse_config(CONFIG_DIR / f"{name}.cfg"), out)
+        got = json.loads((out / "report.json").read_text())
+        golden = json.loads(
+            (GOLDEN_DIR / f"{name}.report.json").read_text())
+        for report in (got, golden):
+            for key in ("fit_residual", "fitted_beta", "relative_error"):
+                report.pop(key)
+        values, golden_values = (r.pop("functional_values")
+                                 for r in (got, golden))
+        assert np.allclose(values, golden_values, rtol=1e-12, atol=0.0)
+        limit, golden_limit = (r.pop("extrapolated_limit")
+                               for r in (got, golden))
+        if isinstance(golden_limit, str):
+            assert limit == golden_limit
+        else:
+            assert limit == pytest.approx(golden_limit, rel=1e-12, abs=0.0)
+        assert got == golden
 
 
 class TestOracleCommand:

@@ -10,6 +10,7 @@ from bbmlab.field import (
     linear,
     load_field_csv,
     product_sine,
+    radial_bump,
     sample,
 )
 from bbmlab.geometry import (
@@ -370,11 +371,15 @@ class TestPairSources:
         pointwise_energy(field, 3, EnergyParams(2.0, bump_family(2), 0.3))
         assert taken == ["offset"] * 3
 
-    def _record_blocks(self, monkeypatch, budget):
+    def _record_blocks(self, monkeypatch, budget, widths=None):
+        """Record each block's entries, and each pass's offsets in
+        `widths`."""
         blocks = []
         original = nonlocal_energy._offset_blocks
 
         def recording(n_tiles, n_offsets, n_near):
+            if widths is not None:
+                widths.append(n_offsets)
             for tiles, offsets in original(n_tiles, n_offsets, n_near):
                 blocks.append((len(range(n_tiles)[tiles])
                                * len(range(n_offsets)[offsets])
@@ -423,13 +428,13 @@ class TestPairSources:
         kernels = _kernels(kind, nus, 2.0, domain.dimension)
         monkeypatch.setattr(nonlocal_energy, "_FFT_COST", 0.0)
         ran = _spy_fft(monkeypatch)
+        widths = []
         with pytest.MonkeyPatch.context() as mp:
-            whole_blocks = self._record_blocks(mp, 10**9)
+            whole_blocks = self._record_blocks(mp, 10**9, widths)
             whole = _energies(field, kernels, 2.0, 1)
-        # a few tiles of every offset: blocks of whole tiles and offsets
-        offsets, _, _ = nonlocal_energy._lattice_offsets(field.grid, kernels,
-                                                         2.0)
-        budget = 3 * nonlocal_energy._ROW_TILE * len(offsets) + 1
+        # a few tiles of the widest pass's offsets: blocks of whole tiles
+        # and offsets
+        budget = 3 * nonlocal_energy._ROW_TILE * max(widths) + 1
         blocks = self._record_blocks(monkeypatch, budget)
         split = _energies(field, kernels, 2.0, 1)
         assert len(ran) == 2
@@ -591,16 +596,20 @@ def _fft_field(kind, n):
         return linear((0.6, 0.8, 0.5)[:n] if n > 1 else (1.0,))
     if kind == "sine":
         return product_sine(n)
+    if kind == "radial":
+        return radial_bump((0.5,) * n, 0.5)
     return indicator_halfspace((1.0,) * n, 0.3)
 
 
 class TestFftFarField:
-    """At p = 2 on lattice grids the offsets beyond _FFT_SPLIT cells may be
-    summed by FFT.  Forced on small grids, it must agree with the offset
-    pass pointwise; the largest deviation measured over this matrix is
-    2.4e-14 relative (cube, Gagliardo, indicator)."""
+    """At p = 2 on lattice grids the offsets of two or more cells may be
+    summed by FFT, in two rings split at _FFT_SPLIT cells.  Forced on small
+    grids, both rings must agree with the offset pass pointwise; the
+    largest deviation measured over this matrix is 2.2e-14 relative
+    (interval, fractional, radial bump)."""
 
-    @pytest.mark.parametrize("field_kind", ["linear", "sine", "indicator"])
+    @pytest.mark.parametrize("field_kind",
+                             ["linear", "sine", "indicator", "radial"])
     @pytest.mark.parametrize("kind", ["bump", "fractional", "gagliardo"])
     @pytest.mark.parametrize("domain, h, nu_far", FFT_GRIDS,
                              ids=["interval", "square", "disk", "cube"])
@@ -618,27 +627,32 @@ class TestFftFarField:
         assert np.all(np.abs(got - reference) <= 1e-12 * reference)
 
     def test_fallback_rows_keep_the_offset_pass_bits(self, monkeypatch):
-        """Rows the guard sends back hold the offset pass's values bit for
-        bit; the others take the FFT."""
+        """Rows the outer guard sends back hold the offset pass's values
+        bit for bit; the others keep the outer FFT, with the ring by FFT
+        or on the offset pass.  Each row takes one of the three."""
         domain = Interval(0.0, 1.0)
-        grid = sample_quadrature(domain, 0.01)
+        grid = sample_quadrature(domain, 0.005)
         field = sample(_fft_field("indicator", 1), grid)
-        kernels = _fft_kernels("fractional", domain, 0.01, None)
+        kernels = _fft_kernels("fractional", domain, 0.005, None)
         eval_idx = np.arange(len(grid))
         reference = _offset_pass(field, kernels, eval_idx)
         monkeypatch.setattr(nonlocal_energy, "_FFT_COST", 0.0)
-        passes = []
+        passes = {}
         original = nonlocal_energy._tile_sums
 
-        def spy(vals_pad, w_pad, at, *args):
-            passes.append(at)
-            return original(vals_pad, w_pad, at, *args)
+        def spy(vals_pad, w_pad, at, shifts, *args):
+            passes[len(shifts)] = at
+            return original(vals_pad, w_pad, at, shifts, *args)
 
         monkeypatch.setattr(nonlocal_energy, "_tile_sums", spy)
         got = nonlocal_energy._energy_values(field, kernels, 2.0, eval_idx)
-        rows, back = passes
-        fell_back = np.isin(rows, back)
-        assert 0 < fell_back.sum() < len(grid)
+        near, ring, every = (passes[n] for n in sorted(passes))
+        # on an interval the padded positions increase with the row
+        rows = np.sort(np.concatenate([near, ring]))
+        assert np.array_equal(rows, np.unique(rows)) and len(rows) == len(grid)
+        assert set(every) <= set(ring)
+        fell_back = np.isin(rows, every)
+        assert 0 < fell_back.sum() < len(ring) < len(grid)
         assert np.array_equal(got[:, fell_back], reference[:, fell_back])
         assert np.all(np.abs(got - reference) <= 1e-12 * reference)
 
@@ -682,6 +696,104 @@ class TestFftFarField:
         assert len(ran) == 1
 
 
+def _spy_passes(monkeypatch):
+    """Record each offset pass as (rows, offsets)."""
+    passes = []
+    original = nonlocal_energy._tile_sums
+
+    def spy(vals_pad, w_pad, at, shifts, *args):
+        passes.append((len(at), len(shifts)))
+        return original(vals_pad, w_pad, at, shifts, *args)
+
+    monkeypatch.setattr(nonlocal_energy, "_tile_sums", spy)
+    return passes
+
+
+class TestFftRings:
+    """The FFT far field in two rings, 2 <= |o| < _FFT_SPLIT and beyond,
+    of an affine-centred field: a linear field keeps both on every row,
+    a curved one takes the ring on the offset pass."""
+
+    def _pass(self, monkeypatch, domain, h, fn, kernels):
+        field = sample(fn, sample_quadrature(domain, h))
+        eval_idx = np.arange(len(field.grid))
+        offsets, n_near, _ = nonlocal_energy._lattice_offsets(field.grid,
+                                                              kernels, 2.0)
+        inner = np.count_nonzero(np.einsum("ij,ij->i", offsets, offsets)
+                                 < nonlocal_energy._FFT_SPLIT ** 2)
+        with pytest.MonkeyPatch.context() as mp:
+            passes = _spy_passes(mp)
+            got = nonlocal_energy._energy_values(field, kernels, 2.0,
+                                                 eval_idx)
+        reference = _offset_pass(field, kernels, eval_idx)
+        assert np.all(np.abs(got - reference) <= 1e-12 * reference)
+        return passes, len(eval_idx), n_near, inner
+
+    def test_linear_disk_rows_keep_both_rings(self, monkeypatch):
+        """Disk h = 0.01 with the 7 bump kernels: one pass of the near
+        offsets over all 31,428 rows, and no other offset pass."""
+        passes, rows, n_near, _ = self._pass(
+            monkeypatch, UNIT_DISK, 0.01, linear((0.6, 0.8)),
+            _kernels("bump", BUMP_SCHEDULE, 2.0, 2))
+        assert passes == [(rows, n_near)]
+
+    def test_linear_interval_rows_keep_both_rings(self, monkeypatch):
+        """The `bbm_1d_linear` pass with the ring forced onto the FFT; at
+        the calibrated cost its 12 ring offsets stay on the offset pass,
+        and the outer FFT still keeps every row."""
+        domain, fn = Interval(0.0, 1.0), linear((1.0,))
+        kernels = _kernels("bump", BUMP_SCHEDULE, 2.0, 1)
+        passes, rows, _, inner = self._pass(monkeypatch, domain, 1e-3, fn,
+                                            kernels)
+        assert passes == [(rows, inner)]
+        monkeypatch.setattr(nonlocal_energy, "_FFT_COST", 0.0)
+        passes, rows, n_near, _ = self._pass(monkeypatch, domain, 1e-3, fn,
+                                             kernels)
+        assert passes == [(rows, n_near)]
+
+    def test_curved_rows_take_the_ring_on_the_offset_pass(self,
+                                                          monkeypatch):
+        """Disk h = 0.01, radial bump: the ring's transforms are made, but
+        its error bound is far above every row's sum, so each row takes
+        the ring on the offset pass; half of them also fail the outer
+        guard and take every offset."""
+        ran = _spy_fft(monkeypatch)
+        passes, rows, _, inner = self._pass(
+            monkeypatch, UNIT_DISK, 0.01, radial_bump((0.0, 0.0), 1.0),
+            _kernels("bump", BUMP_SCHEDULE, 2.0, 2))
+        assert len(ran) == 1 and len(ran[0][3]) == 2
+        (ring_rows, ring), (back_rows, _) = passes
+        assert (ring_rows, ring) == (rows, inner)
+        assert 0 < back_rows < rows
+
+    def test_ball_norms_grid_takes_no_fft(self, monkeypatch):
+        """Disk h = 0.05 with the 7 bump kernels: no offset reaches the
+        split, so the ring alone is never worth its transforms."""
+        field = sample(radial_bump((0.0, 0.0), 1.0),
+                       sample_quadrature(UNIT_DISK, 0.05))
+        ran = _spy_fft(monkeypatch)
+        nonlocal_energy._energy_values(
+            field, _kernels("bump", BUMP_SCHEDULE, 2.0, 2), 2.0,
+            np.arange(len(field.grid)))
+        assert ran == []
+
+    @pytest.mark.parametrize("domain, h, nu_far", FFT_GRIDS,
+                             ids=["interval", "square", "disk", "cube"])
+    def test_affine_fit(self, domain, h, nu_far):
+        """The fit gives a constant field beta = 0 and g = 0 exactly, and
+        leaves a linear one a residual at round-off."""
+        grid = sample_quadrature(domain, h)
+        cells = grid.lattice - grid.lattice.min(axis=0)
+        g, beta = nonlocal_energy._affine_residual(
+            cells, np.full(len(grid), 3.7), grid.weights)
+        assert np.all(beta == 0.0) and np.all(g == 0.0)
+        v = np.array((0.6, -0.8, 0.5)[:domain.dimension])
+        g, beta = nonlocal_energy._affine_residual(
+            cells, sample(linear(v), grid).values, grid.weights)
+        assert np.allclose(beta, v * h, rtol=1e-12, atol=0.0)
+        assert np.max(np.abs(g)) <= 1e-14
+
+
 class TestInputChecks:
     """Inputs no energy pass can honour fail before any pass runs."""
 
@@ -701,6 +813,22 @@ class TestInputChecks:
                                     BUMP_SCHEDULE, Lebesgue(2.0))
         with pytest.raises(ValueError, match="p must be a finite number"):
             EnergyParams(p, bump_family(1), 0.1)
+
+    @pytest.mark.parametrize("schedule", [[], (), np.zeros(0)])
+    def test_empty_schedule_fails_by_name(self, line_field, no_pass,
+                                          monkeypatch, schedule):
+        from bbmlab import bbm
+
+        def no_norm(*args):
+            raise AssertionError("a norm was taken")
+
+        monkeypatch.setattr(bbm, "norm", no_norm)
+        with pytest.raises(ValueError, match="schedule must hold"):
+            bbm_functional_schedule(line_field, 2.0, bump_family(1),
+                                    schedule, Lebesgue(2.0))
+        with pytest.raises(ValueError, match="schedule must hold"):
+            bbm.upper_bound_diagnostics(line_field, 2.0, Lebesgue(2.0),
+                                        bump_family(1), schedule)
 
     @pytest.mark.parametrize("index", [-1, 500, 2.5, True])
     def test_pointwise_energy_rejects_index(self, line_field, no_pass, index):

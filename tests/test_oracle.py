@@ -251,6 +251,39 @@ class TestOffsetLoop:
         assert 0 < near < len(x) - 2
 
 
+class TestScheduleLoop:
+    """A sequence of scales shares one offset loop, and each value keeps
+    the bits of its own scalar call."""
+
+    @pytest.mark.parametrize("dom, field, family, mode, scales", [
+        ((0.0, 1.0), "linear", "bump", "rdati", [0.2, 0.05, 0.1, 0.0125]),
+        ((-1.0, 1.0), "indicator", "fractional", "rdati",
+         [0.4 * 0.5**k for k in range(6)]),
+        ((0.0, 1.0), "indicator", "bump", "gagliardo", [0.8, 0.9, 0.95]),
+    ], ids=["bump", "fractional", "gagliardo"])
+    def test_schedule_matches_scalar_calls(self, dom, field, family, mode,
+                                           scales):
+        domain = Interval(*dom)
+        fn = linear((1.0,)) if field == "linear" else \
+            indicator_halfspace((1.0,), 0.1)
+        args = (fn, domain, 2.0, 2.0)
+        got = dense_1d_functional(*args, scales, TIE_RESOLUTION,
+                                  family_kind=family, mode=mode)
+        single = [dense_1d_functional(*args, s, TIE_RESOLUTION,
+                                      family_kind=family, mode=mode)
+                  for s in scales]
+        assert isinstance(got, np.ndarray) and got.shape == (len(scales),)
+        assert all(type(v) is float for v in single)
+        assert got.tolist() == single
+
+    @pytest.mark.parametrize("scale", [[], np.zeros((2, 2)),
+                                       [0.1, 1.5]])
+    def test_bad_schedule_is_named(self, scale):
+        with pytest.raises(ValueError, match="^(scale|bump nu)"):
+            dense_1d_functional(linear((1.0,)), Interval(0.0, 1.0), 2.0, 2.0,
+                                scale, 1e-2)
+
+
 def test_oracle_imports_no_engine_code():
     """The oracle stays code-independent of the engine it checks."""
     tree = ast.parse(Path(oracle.__file__).read_text())

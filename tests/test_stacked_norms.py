@@ -110,6 +110,34 @@ def test_stack_larger_than_a_group(kind):
                        _one_at_a_time(spec, grid, values))
 
 
+def test_bbmorrey_stack_larger_than_a_group(monkeypatch):
+    """Besov-Bourgain-Morrey tiles its fields' cube weights over every
+    level in groups of at most `_STACK_ENTRIES` entries (70 fields on the
+    316-point cloud, 1,264 entries each: five groups of 12 and one of 10),
+    and each row keeps the bits of its one-field call."""
+    grid = _grid("cloud-disk-0.1")
+    spec = _spec("bbmorrey", grid.dimension)
+    values = _stack(grid, 70, np.random.default_rng(71))
+    tiled = []
+    original = spaces._stacked_bincount
+
+    def spy(labels, weights, size):
+        tiled.append(weights.size)
+        return original(labels, weights, size)
+
+    monkeypatch.setattr(spaces, "_stacked_bincount", spy)
+    stacked = norm(spec, grid, values)
+    monkeypatch.undo()
+    # two bincounts per group: the cube sums, then the level sums
+    groups = tiled[::2]
+    per_field = sum(groups) // len(values)
+    per_group = spaces._STACK_ENTRIES // per_field
+    assert 1 < per_group < len(values)
+    assert groups == [per_group * per_field] * (len(values) // per_group) \
+        + [len(values) % per_group * per_field]
+    assert np.array_equal(stacked, _one_at_a_time(spec, grid, values))
+
+
 @pytest.mark.parametrize("kind", list(SPACES))
 def test_mass_on_zero_weight_cells_has_norm_zero(kind):
     """Cells of weight 0 (a CSV grid may carry them) count for nothing: a
