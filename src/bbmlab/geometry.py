@@ -21,7 +21,6 @@ from typing import Optional
 
 import numpy as np
 from scipy.spatial import cKDTree
-from scipy.stats import qmc
 
 __all__ = [
     "Interval",
@@ -383,6 +382,40 @@ def _lattice_indices(counts) -> np.ndarray:
 # the quadrature schemes `sample_quadrature` builds
 SCHEMES = ("tensor-midpoint", "quasi-random")
 
+# the Halton bases, one prime per dimension
+_PRIMES = (2, 3, 5, 7)
+
+
+def _halton(dimension: int, count: int) -> np.ndarray:
+    """The first `count` points of the unscrambled Halton sequence in
+    [0, 1)^dimension, from index 0 (Halton, Numer. Math. 2, 1960):
+    coordinate k of point i is the radical inverse of i in the k-th prime,
+    its base-b digits mirrored about the radix point.  The digits are
+    summed from the lowest up, as `scipy.stats.qmc.Halton(scramble=False)`
+    sums them, so the points agree with it bit for bit."""
+    sample = np.empty((count, dimension))
+    # 32-bit indices divide about twice as fast as 64-bit ones
+    index = np.int32 if count <= np.iinfo(np.int32).max else np.int64
+    for k, base in enumerate(_PRIMES[:dimension]):
+        row = np.zeros(count)
+        q = np.arange(count, dtype=index)
+        b2r = 1.0 / base
+        while q[-1] > 0:  # the last index has the most digits
+            q, rem = np.divmod(q, base)
+            row += rem * b2r
+            b2r /= base
+        sample[:, k] = row
+    return sample
+
+
+def _point_count(cells: float, h: float) -> int:
+    """`cells` rounded to a point count; a ValueError naming h when it is
+    not finite or an array could not index that many points."""
+    if not cells < np.iinfo(np.intp).max:
+        raise ValueError(f"h = {h!r} is too small: the grid would need "
+                         f"{cells:.3g} points")
+    return int(round(cells))
+
 
 def sample_quadrature(domain: Domain, h: float,
                       scheme: str = "tensor-midpoint") -> QuadratureGrid:
@@ -393,8 +426,14 @@ def sample_quadrature(domain: Domain, h: float,
     whose centers pass the membership test (first-order boundary error).
     These grids carry the integer `lattice` index of each point, except
     boxes with a clipped cell, whose last midpoints leave the lattice.
-    quasi-random: Halton points in the bounding box, constant weight
-    |box|/N, points outside the domain discarded.
+    quasi-random: the first N = round(|box| / h^n) points (at least 8) of
+    the unscrambled Halton sequence from index 0, whose coordinate k is the
+    radical inverse of the point's index in the k-th prime, mapped onto
+    the bounding box; constant weight |box|/N, points outside the domain
+    discarded.
+
+    Either scheme counts its points before it allocates any, and raises a
+    ValueError naming h when the count is not finite or exceeds np.intp.
     """
     if not (math.isfinite(h) and h > 0):
         raise ValueError(f"h must be a finite number > 0, got {h!r}")
@@ -403,6 +442,7 @@ def sample_quadrature(domain: Domain, h: float,
     lo, hi = domain.bounding_box()
     n = domain.dimension
     if scheme == "tensor-midpoint":
+        _point_count(math.prod(float(e) / h for e in hi - lo), h)
         if isinstance(domain, Box):
             axes = tuple(_axis_cells(lo[i], hi[i], h) for i in range(n))
             mesh = np.meshgrid(*[a[0] for a in axes], indexing="ij")
@@ -428,9 +468,9 @@ def sample_quadrature(domain: Domain, h: float,
                               domain=domain, lattice=lattice)
     if scheme == "quasi-random":
         box_vol = float(np.prod(hi - lo))
-        total = max(8, int(round(box_vol / h**n)))
-        sampler = qmc.Halton(d=n, scramble=False)
-        raw = lo + sampler.random(total) * (hi - lo)
+        cell = h**n
+        total = max(8, _point_count(box_vol / cell if cell else math.inf, h))
+        raw = lo + _halton(n, total) * (hi - lo)
         keep = domain.contains_many(raw)
         pts = raw[keep]
         if len(pts) == 0:

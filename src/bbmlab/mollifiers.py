@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 __all__ = [
     "check_p",
@@ -145,12 +144,20 @@ def gagliardo_kernel(s: float, p: float, n: int) -> PowerKernel:
     return PowerKernel(1.0, -n - s * p, math.inf, p, n)
 
 
-def _radial_mass(kernel: PowerKernel, lo: float) -> float:
-    """Numeric int_lo^cut rho(r) r^(n-1) dr."""
-    val, _ = integrate.quad(lambda r: float(kernel(r)) * r ** (kernel.n - 1),
-                            lo, kernel.cut, limit=200, epsabs=1e-13,
+def _quad(integrand, lo: float, hi: float) -> float:
+    """int_lo^hi integrand by adaptive quadrature to 1e-13.  Only the two
+    mass diagnostics below integrate, and no run calls them, so
+    scipy.integrate is imported here rather than with the package."""
+    from scipy import integrate
+    val, _ = integrate.quad(integrand, lo, hi, limit=200, epsabs=1e-13,
                             epsrel=1e-13)
     return val
+
+
+def _radial_mass(kernel: PowerKernel, lo: float) -> float:
+    """Numeric int_lo^cut rho(r) r^(n-1) dr."""
+    return _quad(lambda r: float(kernel(r)) * r ** (kernel.n - 1),
+                 lo, kernel.cut)
 
 
 def normalization_defect(family: RdatiFamily, nu: float) -> float:
@@ -173,9 +180,7 @@ def normalization_defect(family: RdatiFamily, nu: float) -> float:
             log_jacobian = (1.0 - np_exp) * log_r - math.log(np_exp)
             return math.exp(log_rho + (family.n - 1) * log_r + log_jacobian)
 
-        val, _ = integrate.quad(
-            integrand, 0.0, cut**np_exp, limit=200, epsabs=1e-13, epsrel=1e-13
-        )
+        val = _quad(integrand, 0.0, cut**np_exp)
     else:
         val = _radial_mass(kernel, 0.0)
     return abs(val - 1.0)

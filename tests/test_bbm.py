@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from bbmlab.bbm import (
     ConvergenceReport,
+    _bounded_minimum,
+    _fit_misfit,
     convergence_study,
     fit_limit,
     kappa,
@@ -70,6 +72,40 @@ class TestFitLimit:
         assert limit == pytest.approx(1.4, abs=1e-6)
         assert beta == pytest.approx(1.3, abs=1e-2)
         assert residual < 1e-8
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_brent_port_matches_scipy_bit_for_bit(self, seed):
+        """The bounded minimiser returns scipy's x and f(x) exactly on the
+        fit's own misfit: 250 seeded four-point fits per seed, with
+        geometric or random scales and noise from 1e-12 to 1e-1."""
+        optimize = pytest.importorskip("scipy.optimize")
+        rng = np.random.default_rng(seed)
+        for k in range(250):
+            if k % 2:
+                scales = 0.2 * rng.uniform(0.3, 0.7) ** np.arange(4)
+            else:
+                scales = np.sort(rng.uniform(1e-3, 1.0, 4))[::-1]
+            beta, noise = rng.uniform(0.3, 2.5), 10.0 ** rng.uniform(-12, -1)
+            values = (rng.normal() + rng.normal() * scales**beta
+                      + noise * rng.normal(size=4))
+            self._assert_brent_matches(optimize, scales, values)
+
+    def test_brent_port_matches_scipy_on_a_flat_misfit(self):
+        # equal scales leave the rate undetermined: every beta fits alike
+        optimize = pytest.importorskip("scipy.optimize")
+        self._assert_brent_matches(optimize, np.full(4, 0.1),
+                                   np.array([1.0, 1.1, 0.9, 1.05]))
+
+    @staticmethod
+    def _assert_brent_matches(optimize, scales, values):
+        def misfit(beta):
+            return _fit_misfit(scales, values, beta)[0]
+
+        want = optimize.minimize_scalar(misfit, bounds=(0.5, 2.0),
+                                        method="bounded",
+                                        options={"xatol": 1e-6})
+        x, fun = _bounded_minimum(misfit, 0.5, 2.0, 1e-6)
+        assert (x, fun) == (want.x, want.fun)
 
     def test_flat_series(self):
         limit, _, _, residual = fit_limit(np.array([0.2, 0.1, 0.05, 0.02]),

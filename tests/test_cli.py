@@ -333,8 +333,14 @@ def _error_line(tmp_path, capsys, old, new):
     (tmp_path / "w.csv").write_text("0.25,1\n0.75\n")
     (tmp_path / "phi.csv").write_text("1,1\n2\n")
     assert old in MEMBER_CFG
+    return _only_error_line(tmp_path, capsys,
+                            MEMBER_CFG.replace(old, new.format(tmp=tmp_path)))
+
+
+def _only_error_line(tmp_path, capsys, text):
+    """The one stderr line of a failing run of the config `text`."""
     path = tmp_path / "bad.cfg"
-    path.write_text(MEMBER_CFG.replace(old, new.format(tmp=tmp_path)))
+    path.write_text(text)
     code = main(["run", "--config", str(path),
                  "--out", str(tmp_path / "out")])
     assert code == 1
@@ -343,6 +349,20 @@ def _error_line(tmp_path, capsys, old, new):
     lines = captured.err.strip().splitlines()
     assert len(lines) == 1
     return lines[0]
+
+
+class TestTinyH:
+    @pytest.mark.parametrize("domain", [
+        INTERVAL + LINEAR,
+        DISK + "function.kind = linear\nfunction.v = 1, 0\n",
+    ], ids=["1d", "2d"])
+    @pytest.mark.parametrize("scheme", ["tensor-midpoint", "quasi-random"])
+    def test_one_named_line(self, tmp_path, capsys, domain, scheme):
+        """A spacing whose point count no array can hold fails by name."""
+        text = MEMBER_CFG.replace(INTERVAL + LINEAR, domain).replace(
+            "h = 0.004", f"h = 1e-200\nscheme = {scheme}")
+        line = _only_error_line(tmp_path, capsys, text)
+        assert line.startswith("config error in 'h'")
 
 
 class TestConfigErrors:

@@ -143,6 +143,15 @@ class TestQuadrature:
         with pytest.raises(ValueError, match="h must be a finite number > 0"):
             sample_quadrature(UNIT_DISK, h, scheme)
 
+    @pytest.mark.parametrize("domain", [Interval(0.0, 1.0), UNIT_DISK],
+                             ids=["interval", "disk"])
+    @pytest.mark.parametrize("scheme", ["tensor-midpoint", "quasi-random"])
+    def test_h_too_small_for_a_point_count(self, domain, scheme):
+        # 1e-200 ** 2 underflows to zero, and 1 / 1e-200 points overflow
+        # np.intp: both are reported before any array is made
+        with pytest.raises(ValueError, match="h = 1e-200 is too small"):
+            sample_quadrature(domain, 1e-200, scheme)
+
     def test_empty_acceptance_rejected(self):
         sliver = Polygon(((0.0, 0.0), (1.9, 0.0), (1.9, 0.001)))
         with pytest.raises(ValueError, match="decrease h"):
@@ -153,6 +162,21 @@ class TestQuadrature:
         radius = UNIT_DISK.enclosing_radius()
         for point in grid.points[::17]:
             assert UNIT_DISK.boundary_distance(point) <= radius
+
+
+class TestHalton:
+    @pytest.mark.parametrize("count", [1, 8, 5_000, 160_000])
+    @pytest.mark.parametrize("dimension", [1, 2, 3, 4])
+    def test_matches_scipy_bit_for_bit(self, dimension, count):
+        qmc = pytest.importorskip("scipy.stats.qmc")
+        want = qmc.Halton(d=dimension, scramble=False).random(count)
+        got = geometry._halton(dimension, count)
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_radical_inverse(self):
+        # index 6 is 110 in base 2 and 20 in base 3
+        assert geometry._halton(2, 7)[6].tolist() == [3 / 8, 2 / 9]
 
 
 class TestMeasure:
