@@ -143,6 +143,12 @@ def parse_config(path) -> dict:
     return config
 
 
+# the top-level keys `run` reads with a default; `sweep --set` may vary
+# them whether or not the config names them
+_RUN_DEFAULTS = {"mode": "rdati", "stride": 1, "tolerance": 0.05,
+                 "scheme": "tensor-midpoint"}
+
+
 def set_config_key(config: dict, key: str, value) -> None:
     if "." in key:
         head, tail = key.split(".", 1)
@@ -150,7 +156,7 @@ def set_config_key(config: dict, key: str, value) -> None:
             raise ConfigError(key, "override references a missing key")
         config[head][tail] = value
     else:
-        if key not in config:
+        if key not in config and key not in _RUN_DEFAULTS:
             raise ConfigError(key, "override references a missing key")
         config[key] = value
 
@@ -281,6 +287,7 @@ def build_schedule(record: dict) -> list:
 
 def run_experiment(config: dict, out_dir) -> ConvergenceReport:
     """Build the experiment from a parsed config, run it, emit artifacts."""
+    config = {**_RUN_DEFAULTS, **config}
     for field in ("domain", "function", "space", "schedule", "p", "h"):
         if field not in config:
             raise ConfigError(field, "missing required field")
@@ -293,16 +300,16 @@ def run_experiment(config: dict, out_dir) -> ConvergenceReport:
     p = _positive_number(config["p"], "p")
     if p < 1.0:
         raise ConfigError("p", f"must be >= 1, got {p:g}")
-    mode = config.get("mode", "rdati")
+    mode = config["mode"]
     spec = build_space(config["space"], n)
     schedule = build_schedule(config["schedule"])
     if len(schedule) < 4:  # the limit fit needs four scales
         raise ConfigError("schedule", f"needs at least 4 points, "
                                       f"got {len(schedule)}")
     h = _positive_number(config["h"], "h")
-    stride = _count(config.get("stride", 1), "stride")
-    tolerance = _positive_number(config.get("tolerance", 0.05), "tolerance")
-    scheme = config.get("scheme", "tensor-midpoint")
+    stride = _count(config["stride"], "stride")
+    tolerance = _positive_number(config["tolerance"], "tolerance")
+    scheme = config["scheme"]
     if scheme not in SCHEMES:
         raise ConfigError("scheme", f"unknown scheme {scheme!r}; "
                                     f"expected one of {', '.join(SCHEMES)}")

@@ -2,9 +2,10 @@
 
 Nothing here imports kernels or norm engines from the modules it checks:
 the sphere moment is plain Monte Carlo, the one-dimensional functional is
-a sum over the grid's integer offsets, each pair's distance from its
-coordinates, with its own inline kernel formulas, and the rearrangement
-follows the distribution-function definition without sorting.
+a sum over the grid's integer offsets, at distance k*h for offset k save
+at the near offsets and the kernel cuts, with its own inline kernel
+formulas, and the rearrangement follows the distribution-function
+definition without sorting.
 """
 
 from __future__ import annotations
@@ -55,8 +56,8 @@ def mc_sphere_moment(p: float, n: int, samples: int, seed: int = 0) -> float:
 def _dense_1d_scale(scale: float, p: float, a: float, b: float,
                     family_kind: str, mode: str):
     """(cut, rho, mass_below, prefactor) of one scale of the dense oracle:
-    the kernel's cut, the kernel rho(r) on arrays, the kernel mass below
-    t, and the functional's prefactor."""
+    the kernel's cut, the kernel rho(r) and the kernel mass below t, both
+    on arrays, and the functional's prefactor."""
     if mode == "rdati":
         nu = float(scale)
         if family_kind == "bump":
@@ -67,7 +68,7 @@ def _dense_1d_scale(scale: float, p: float, a: float, b: float,
                 return np.where((r > 0) & (r <= nu), 1.0 / nu, 0.0)
 
             def mass_below(t):
-                return min(t, nu) / nu
+                return np.minimum(t, nu) / nu
 
             return nu, rho, mass_below, 1.0
         if family_kind == "fractional":
@@ -83,7 +84,7 @@ def _dense_1d_scale(scale: float, p: float, a: float, b: float,
                 return np.where((r > 0) & (r <= 2.0 * R), out, 0.0)
 
             def mass_below(t):
-                return (min(t, 2.0 * R) / (2.0 * R)) ** np_exp
+                return (np.minimum(t, 2.0 * R) / (2.0 * R)) ** np_exp
 
             return 2.0 * R, rho, mass_below, 1.0
         raise ValueError(f"unknown family {family_kind!r}")
@@ -103,25 +104,37 @@ def _dense_1d_scale(scale: float, p: float, a: float, b: float,
     raise ValueError(f"unknown mode {mode!r}")
 
 
+# entries of one block of differences, (offsets x left ends)
+_BLOCK_ENTRIES = 1 << 17
+
+
 def dense_1d_functional(fn: TestFunction, domain: Box, p: float,
                         q: float, scale, resolution: float,
                         family_kind: str = "bump",
                         mode: str = "rdati"):
     """The 1-d functional at fine resolution as a sum over the grid's
-    integer offsets, each pair's distance from its coordinates.
+    integer offsets, at distance k*h for offset k.
 
     Reimplements the kernel formulas and the analytic near-field rule
     inline, so it shares no code with the main engine.  `scale` is nu for
     mode "rdati" and s for mode "gagliardo"; a scalar gives a float, and a
     sequence of scales an array of their values from one offset loop.
-    Offset k pairs x_i with x_{i+k} at r = |x_{i+k} - x_i|, so the kernel's
-    cut and the near rule r < 2h split the pairs that sit on them exactly
-    as a loop over all pairs would.  Every term is symmetric in the pair
-    and is added to both of its points.  A scale stops at the first offset
-    whose every distance exceeds both its kernel's cut and 2h, and the
-    loop at the last scale's stop; the scales share the distances, the
-    differences and the near sums, and each keeps the operations of its
-    own call, so its value is the same bit for bit.
+    Offset k pairs x_i with x_{i+k}, which lie k*h apart up to round-off
+    in the coordinates.  Where k*h is more than a margin (past that
+    round-off) from the near radius 2h and from a scale's kernel cut, the
+    offset is clean for the scale: the scale weighs each of its pairs by
+    the one kernel weight rho(k h) / (k h)^p * h.  The near offsets
+    (k*h up to 2h and the margin) and a scale's tie offsets (k*h within
+    the margin of its cut) take each pair's distance from its coordinates,
+    so the near rule r < 2h and the cut split the pairs that sit on them
+    exactly as a loop over all pairs would.  Clean offsets are summed in
+    blocks of consecutive offsets: one array of |f_{i+k} - f_i|^p per
+    block, which each scale's weights contract once for the pairs' left
+    ends and once, skewed, for their right ends, so every term, symmetric
+    in its pair, is added to both of its points.  A scale stops after the
+    last block that reaches its cut.  The blocks depend on the grid alone
+    and each scale keeps its own weights, tie offsets and operations, so
+    its value from a schedule is its value alone bit for bit.
     """
     if not (isinstance(domain, Box) and domain.dimension == 1):
         raise ValueError("the dense oracle needs a 1-d box or interval")
@@ -144,44 +157,91 @@ def dense_1d_functional(fn: TestFunction, domain: Box, p: float,
     x = a + (b - a) * (np.arange(m) + 0.5) / m
     h = (b - a) / m
     f = fn(x.reshape(-1, 1))
+    bad = ~np.isfinite(f)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"fn must be finite on the grid, got "
+                         f"{float(f[i])} at x = {float(x[i])}")
     near_radius = 2.0 * h
+    # With M = max(|a|, |b|) and eps the machine epsilon, x_i is
+    # a + (b - a)(i + 1/2)/m after four roundings, off by at most 3.5 eps M;
+    # a pair's distance, rounded once more, by 8 eps M, and k*h <= 2M by
+    # 3 eps M.  So every pair at offset k lies within 11 eps M of k*h, on
+    # the side of 2h or of a cut that k*h takes once it is past the margin.
+    # 1e-9 h is the larger term while M/h < 2.8e5.
+    margin = max(1e-9 * h, 16.0 * np.finfo(float).eps * max(abs(a), abs(b)))
     far_sum = np.zeros((len(scales), m))
+
+    def add_pair_terms(i, k):
+        """Scale i's far terms at offset k, each pair at its own r."""
+        r = np.abs(x[k:] - x[:-k])
+        df = np.abs(f[k:] - f[:-k])
+        far_term = df**p / r**p * rhos[i](r) * h
+        far_sum[i, :-k] += far_term
+        far_sum[i, k:] += far_term
+
+    n_near = 2 + int(margin // h)
     quot_sum = np.zeros(m)
     counts = np.zeros(m, dtype=np.int64)
-    live = list(range(len(scales)))
-    next_cut = min(cuts)
+    # a pair at r = 0 (coordinates equal by round-off) is zeroed by `below`
     with np.errstate(divide="ignore", invalid="ignore"):
-        for k in range(1, m):
+        for k in range(1, n_near + 1):
             r = np.abs(x[k:] - x[:-k])
-            r_min = r.min()
-            if r_min > near_radius and r_min > next_cut:
-                live = [i for i in live if not r_min > cuts[i]]
-                if not live:
-                    break
-                next_cut = min(cuts[i] for i in live)
             df = np.abs(f[k:] - f[:-k])
+            below = r < near_radius
+            near = (r > 0) & below
+            quot = np.where(near, (df / r) ** p, 0.0)
+            quot_sum[:-k] += quot
+            quot_sum[k:] += quot
+            counts[:-k] += near
+            counts[k:] += near
             quot_r = df**p / r**p
-            if r_min < near_radius:
-                below = r < near_radius
-                near = (r > 0) & below
-                quot = np.where(near, (df / r) ** p, 0.0)
-                quot_sum[:-k] += quot
-                quot_sum[k:] += quot
-                counts[:-k] += near
-                counts[k:] += near
-            for i in live:
-                far_term = quot_r * rhos[i](r) * h
-                if r_min < near_radius:
-                    far_term[below] = 0.0
-                far_term[np.isnan(far_term)] = 0.0
+            for i, rho in enumerate(rhos):
+                far_term = quot_r * rho(r) * h
+                far_term[below] = 0.0
                 far_sum[i, :-k] += far_term
                 far_sum[i, k:] += far_term
+
+    step = max(1, _BLOCK_ENTRIES // m)
+    buffer = np.empty(min(step, m) * (m + 1))
+    # ahead[k, i] = f[i + k], zero past the grid
+    ahead = np.lib.stride_tricks.sliding_window_view(
+        np.concatenate([f, np.zeros(m)]), m)
+    for k0 in range(n_near + 1, m, step):
+        live = [i for i, cut in enumerate(cuts) if k0 * h <= cut + margin]
+        if not live:
+            break
+        K, L = min(step, m - k0), m - k0
+        # row j holds the pairs at offset k0 + j by their left ends i,
+        # zero where i + k0 + j is past the grid, and a zero column after
+        block = buffer[:K * (L + 1)].reshape(K, L + 1)
+        diff = block[:, :L]
+        np.subtract(ahead[k0:k0 + K, :L], f[:L], out=diff)
+        if p == 2.0:
+            np.square(diff, out=diff)
+        else:
+            np.power(np.abs(diff, out=diff), p, out=diff)
+        block[:, L] = 0.0
+        block[:, L - K + 1:L][
+            np.add.outer(np.arange(K), np.arange(K - 1)) >= K - 1] = 0.0
+        # the same entries by right end t = i + j: row j shifted by j,
+        # with the zeros above filling in where t < j
+        by_right = block.ravel()[:K * L].reshape(K, L)
+        kh = np.arange(k0, k0 + K) * h
+        for i in live:
+            weight = rhos[i](kh) / kh**p * h
+            tie = np.abs(kh - cuts[i]) <= margin
+            weight[tie] = 0.0
+            for j in np.flatnonzero(tie):
+                add_pair_terms(i, k0 + int(j))
+            far_sum[i, :L] += (weight @ block)[:L]
+            far_sum[i, k0:] += weight @ by_right
+
     qbar = np.divide(quot_sum, counts, out=np.zeros(m), where=counts > 0)
     r_eff = (counts + 1) * h / 2.0
     values = np.empty(len(scales))
     for i, mass_below in enumerate(mass_belows):
-        near_term = qbar * 2.0 * np.array([mass_below(t) for t in r_eff])
-        energies = far_sum[i] + near_term
+        energies = far_sum[i] + qbar * 2.0 * mass_below(r_eff)
         values[i] = prefactors[i] * float(
             np.sum(h * energies ** (q / p)) ** (1.0 / q))
     return float(values[0]) if np.ndim(scale) == 0 else values

@@ -554,6 +554,33 @@ class TestSweep:
                      "--out", str(tmp_path / "s"), "--set", "nope=1,2"])
         assert code == 1
 
+    def test_sweep_over_a_defaulted_key(self, tmp_path, capsys):
+        # the config leaves `scheme` to its default, tensor-midpoint
+        config = CONFIG_DIR / "bbm_1d_linear.cfg"
+        assert "scheme" not in parse_config(config)
+        out = tmp_path / "sweep"
+        code = main(["sweep", "--config", str(config), "--out", str(out),
+                     "--set", "scheme=tensor-midpoint,quasi-random"])
+        assert code == 0
+        with open(out / "summary.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [row["scheme"] for row in rows] == ["tensor-midpoint",
+                                                   "quasi-random"]
+        assert [row["status"] for row in rows] == ["ok", "ok"]
+        plain = tmp_path / "plain"
+        assert main(["run", "--config", str(config),
+                     "--out", str(plain)]) == 0
+        assert (out / "run_000" / "report.json").read_text() == \
+            (plain / "report.json").read_text()
+        assert (out / "run_001" / "report.json").read_text() != \
+            (plain / "report.json").read_text()
+        capsys.readouterr()
+        code = main(["sweep", "--config", str(config), "--out",
+                     str(tmp_path / "s"), "--set", "schema=quasi-random"])
+        assert code == 1
+        assert "'schema': override references a missing key" in \
+            capsys.readouterr().err
+
 
 class TestBundledConfigs:
     def test_bbm_1d_linear_example(self, tmp_path):

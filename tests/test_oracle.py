@@ -102,6 +102,14 @@ class TestDense1d:
         # analytic continuum value is (1 + 2 nu)^(-1/2) at nu = 1 - s
         assert value == pytest.approx((1.0 + 0.2) ** -0.5, rel=0.01)
 
+    @pytest.mark.parametrize("fn", [
+        linear((math.inf,)),
+        lambda pts: np.where(pts[:, 0] > 0.5, math.nan, pts[:, 0]),
+    ], ids=["infinite-slope", "nan-half"])
+    def test_non_finite_field_is_named(self, fn):
+        with pytest.raises(ValueError, match="^fn must be finite"):
+            dense_1d_functional(fn, Interval(0.0, 1.0), 2.0, 2.0, 0.1, 1e-2)
+
     @pytest.mark.parametrize("change, message", [
         ({"resolution": 0.0}, "^resolution"),
         ({"resolution": -1e-3}, "^resolution"),
@@ -217,6 +225,24 @@ EQUIVALENCE_IDS = [
 ]
 
 
+# off centre, the coordinates' round-off is about 10x larger relative to h
+OFF_CENTRE = (10.0, 11.0)
+OFF_CENTRE_CASES = [
+    (field, kernel, EXPONENTS[(i + j) % len(EXPONENTS)])
+    for i, field in enumerate(("linear", "indicator"))
+    for j, kernel in enumerate(KERNELS)
+]
+OFF_CENTRE_IDS = [
+    f"{field}-{family if mode == 'rdati' else mode}{scale:g}-p{p:g}q{q:g}"
+    for field, (mode, family, scale), (p, q) in OFF_CENTRE_CASES
+]
+
+
+def _case_field(field, domain):
+    return linear((1.0,)) if field == "linear" else \
+        indicator_halfspace((1.0,), 0.5 * (domain.a + domain.b))
+
+
 def _oracle_grid(a, b, resolution):
     """The oracle's grid: m cell midpoints of (a, b) and their spacing."""
     m = int(math.ceil((b - a) / resolution))
@@ -233,6 +259,20 @@ class TestOffsetLoop:
         mode, family, scale = kernel
         p, q = exponents
         args = (fn, domain, p, q, scale, TIE_RESOLUTION)
+        got = dense_1d_functional(*args, family_kind=family, mode=mode)
+        want = _dense_reference(*args, family_kind=family, mode=mode)
+        assert want > 0.0
+        assert abs(got - want) <= 1e-13 * want
+
+    @pytest.mark.parametrize("field, kernel, exponents", OFF_CENTRE_CASES,
+                             ids=OFF_CENTRE_IDS)
+    def test_matches_dense_reference_off_centre(self, field, kernel,
+                                                exponents):
+        domain = Interval(*OFF_CENTRE)
+        mode, family, scale = kernel
+        p, q = exponents
+        args = (_case_field(field, domain), domain, p, q, scale,
+                TIE_RESOLUTION)
         got = dense_1d_functional(*args, family_kind=family, mode=mode)
         want = _dense_reference(*args, family_kind=family, mode=mode)
         assert want > 0.0
@@ -274,6 +314,28 @@ class TestScheduleLoop:
                   for s in scales]
         assert isinstance(got, np.ndarray) and got.shape == (len(scales),)
         assert all(type(v) is float for v in single)
+        assert got.tolist() == single
+
+    @pytest.mark.parametrize("field", ["linear", "indicator"])
+    def test_schedule_across_blocks_matches_scalar_calls(self, field):
+        """Cuts that tie at offsets 50, 200, 300 and 400, in four blocks
+        of offsets, at p = 3."""
+        domain = Interval(0.0, 1.0)
+        scales = [0.4, 0.05, 0.3, 0.2]
+        x, h = _oracle_grid(domain.a, domain.b, TIE_RESOLUTION)
+        step = max(1, oracle._BLOCK_ENTRIES // len(x))
+        tie_blocks = set()
+        for nu in scales:
+            k = round(nu / h)
+            assert abs(k * h - nu) <= 1e-9 * h
+            kept = np.count_nonzero(np.abs(x[k:] - x[:-k]) <= nu)
+            assert 0 < kept < len(x) - k
+            tie_blocks.add((k - 3) // step)
+        assert len(tie_blocks) >= 3
+        args = (_case_field(field, domain), domain, 3.0, 2.0)
+        got = dense_1d_functional(*args, scales, TIE_RESOLUTION)
+        single = [dense_1d_functional(*args, s, TIE_RESOLUTION)
+                  for s in scales]
         assert got.tolist() == single
 
     @pytest.mark.parametrize("scale", [[], np.zeros((2, 2)),
