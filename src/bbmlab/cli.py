@@ -149,10 +149,20 @@ _RUN_DEFAULTS = {"mode": "rdati", "stride": 1, "tolerance": 0.05,
                  "scheme": "tensor-midpoint"}
 
 
+# the record keys the builders read with a default; `sweep --set` may
+# vary them whether or not the record names them
+_RECORD_DEFAULTS = {
+    "function": ("v", "normal", "offset", "center", "radius"),
+    "space": ("phi", "phi_q", "weight", "weight_c", "base", "slope", "a",
+              "xi"),
+}
+
+
 def set_config_key(config: dict, key: str, value) -> None:
     if "." in key:
         head, tail = key.split(".", 1)
-        if head not in config or tail not in config[head]:
+        if head not in config or (tail not in config[head] and
+                                  tail not in _RECORD_DEFAULTS.get(head, ())):
             raise ConfigError(key, "override references a missing key")
         config[head][tail] = value
     else:

@@ -7,9 +7,10 @@ int_0^inf rho_nu(r) r^(n-1) dr = 1 for every admissible nu, and their mass
 concentrates at the origin as nu shrinks.
 
 Every shipped kernel, the Gagliardo kernel r^(-n-sp) included, is a power
-law cut off at some radius.  `RdatiFamily.kernel` and `gagliardo_kernel`
-return it as a `PowerKernel`, the one representation that the family
-profiles, their closed-form masses and the energy pass all read.
+law cut off at some radius.  `RdatiFamily.kernel`, `gagliardo_kernel` and
+`GagliardoFamily.kernel` return it as a `PowerKernel`, the one
+representation that the family profiles, their closed-form masses and the
+energy pass all read.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ __all__ = [
     "fractional_family",
     "bump_family",
     "gagliardo_kernel",
+    "GagliardoFamily",
     "normalization_defect",
     "tail_mass",
 ]
@@ -142,6 +144,17 @@ def bump_family(n: int) -> RdatiFamily:
 def gagliardo_kernel(s: float, p: float, n: int) -> PowerKernel:
     """The uncut W^{s,p} Gagliardo kernel k(r) = r^(-n - sp)."""
     return PowerKernel(1.0, -n - s * p, math.inf, p, n)
+
+
+@dataclass(frozen=True)
+class GagliardoFamily:
+    """The Gagliardo kernels indexed by the scale nu = 1 - s, so that a
+    schedule of s values runs through the same pass as a kernel family."""
+
+    n: int
+
+    def kernel(self, nu: float, p: float) -> PowerKernel:
+        return gagliardo_kernel(1.0 - nu, p, self.n)
 
 
 def _quad(integrand, lo: float, hi: float) -> float:

@@ -39,27 +39,31 @@ blocked.
 
 At p = 2 on lattice grids the far offsets may instead be summed as
 correlations (the split of convolution-based nonlocal solvers; Jafarzadeh,
-Wang, Larios & Bobaru, CMAME 375 (2021) 113633), in two rings: the outer
-offsets, |o| >= _FFT_SPLIT cells, and the ring NEAR_FIELD_FACTOR <= |o| <
-_FFT_SPLIT.  The field is centred affinely: a weighted least-squares fit
-f = a + beta . x + g on the lattice indices leaves the residual g, centred
-by its midrange, and d(o) = beta . o.  Each kernel's sum over a ring is then
-T0 - 2 g T1 + g^2 T2 for correlations of c_k, c_k d and c_k d^2 with g^2 w,
-g w and w (see `_fft_far_sums`): three forward FFTs of the lattice box
-shared by all kernels and rings, and three forward and six inverse ones per
-kernel and ring with weight there; a kernel without adds exactly zero.  A
-linear field leaves g at round-off, so no term cancels however far the
-offsets reach.  The near offsets always stay on the offset pass.  The
-expansion cancels for curved fields, so a guard bounds each ring's FFT
-error for kernel k by e_k = eps log2(B) times its largest term, for B FFT
-cells.  A row where both rings' e_k lie within _FFT_GUARD times its sum
-for every kernel keeps both FFT sums.  Any other row takes the ring on the
-offset pass, with the outer FFT sums; where the outer e_k then exceeds
-_FFT_GUARD times its sum for any kernel, it falls back to the offset pass
-over every offset and keeps its values bit for bit.  The outer ring is
-taken only when (outer offsets x rows) exceeds _FFT_COST (3 + 9K) B log2 B
-for the K kernels with weight there, and the ring besides only when (ring
-offsets x rows) exceeds _FFT_COST 9K B log2 B for its own K; other p and
+Wang, Larios & Bobaru, CMAME 375 (2021) 113633), in nested rings |o| >= r.
+The field is centred affinely: a weighted least-squares fit f = a + beta .
+x + g on the lattice indices leaves the residual g, centred by its
+midrange, and d(o) = beta . o.  Each kernel's sum over a ring is then T0 -
+2 g T1 + g^2 T2 for correlations of c_k, c_k d and c_k d^2 with g^2 w, g w
+and w (see `_fft_far_field`): the fit and three forward FFTs of the
+lattice box are made once per pass, and each ring adds three forward and
+six inverse ones per kernel with weight there; a kernel without adds
+exactly zero.  A linear field leaves g at round-off, so no term cancels
+however far the offsets reach.  The expansion cancels for curved fields,
+so each ring's FFT error for kernel k is bounded by e_k = eps log2(B)
+times its largest term, for B FFT cells.  The near offsets always stay on
+the offset pass.
+
+The rings: the first starts at r = NEAR_FIELD_FACTOR where (rows x the
+offsets 2 <= |o| < _FFT_SPLIT) exceeds _FFT_COST 9K B log2 B for the K
+kernels with weight there, else at _FFT_SPLIT, and there is none unless
+(rows x the offsets |o| >= _FFT_SPLIT) exceeds _FFT_COST (3 + 9K) B
+log2 B.  Each later ring doubles r and is taken only while (open rows x
+its offsets) exceeds _FFT_COST 9K B log2 B.  An open row keeps ring r
+where, for every kernel, e_k is at most _FFT_GUARD times a lower bound on
+the row's whole far sum, the first ring's sum less its e_k; it takes the
+FFT sums for |o| >= r and the offset pass for |o| < r.  Rows that no
+ring serves take the offset pass over every offset and keep its values
+bit for bit, so every row runs exactly one offset pass.  Other p and
 point clouds keep the sources above.
 """
 
@@ -75,7 +79,7 @@ from scipy import fft as sp_fft
 from . import geometry
 from .field import SampledField
 from .geometry import QuadratureGrid
-from .mollifiers import RdatiFamily, check_p, gagliardo_kernel
+from .mollifiers import GagliardoFamily, RdatiFamily, check_p
 from .spaces import SpaceSpec, norm, unit_ball_volume
 
 __all__ = [
@@ -96,11 +100,12 @@ _NEAR_MARGIN = 1e-9
 # evaluated rows per product of the offset pass; fixed, so that a row's
 # sums do not depend on how the rows are blocked
 _ROW_TILE = 8
-# at p = 2 on lattice grids, far offsets may be summed by FFT in two rings
-# split at |o|^2 = _FFT_SPLIT^2; the near ones always take the offset pass
+# at p = 2 on lattice grids, far offsets may be summed by FFT in nested
+# rings |o| >= r, the first at r = 2 or _FFT_SPLIT; the near ones always
+# take the offset pass
 _FFT_SPLIT = 8
 # a row keeps a ring's FFT sums only where each kernel's error bound lies
-# below _FFT_GUARD times the row's sum; other rows take the offset pass
+# below _FFT_GUARD times a lower bound on the row's far sum
 _FFT_GUARD = 1e-13
 # a ring is summed by FFT when (its offsets x rows) exceeds _FFT_COST times
 # the B log2 B of each of its transforms, for B FFT cells.  Measured on 2
@@ -287,19 +292,20 @@ def _affine_residual(cells: np.ndarray, values: np.ndarray,
     return g - (g.max() + g.min()) / 2.0, beta
 
 
-def _fft_far_sums(cells: np.ndarray, values: np.ndarray, weights: np.ndarray,
-                  rings, shape: tuple):
-    """Each kernel's p = 2 sum over each ring of offsets at every grid
-    cell, by FFT, and an error bound per ring and kernel.
+def _fft_far_field(cells: np.ndarray, values: np.ndarray,
+                   weights: np.ndarray, shape: tuple):
+    """The p = 2 far field by FFT, as a function `ring_sums(offsets,
+    coef)` that sums each kernel over a set of offsets at every grid cell.
 
-    `rings` holds (offsets, coef) pairs, coef of shape (kernels, offsets).
-    With the field affine-centred, f(x) = a + beta . x + g(x), and d(o) =
-    beta . o, the sum sum_o c(o) |f(x+o) - f(x)|^2 w(x+o) is T0 - 2 g T1 +
-    g^2 T2 for T0 = c*g^2w + 2 (c d)*gw + (c d^2)*w, T1 = c*gw + (c d)*w
-    and T2 = c*w, where u*v is the correlation sum_o u(o) v(x+o).  Returns
-    (far, bound): far of shape (rings, kernels, cells), and bound[r, k] =
+    The affine fit and the three input spectra are made once, here, and
+    shared by every call.  With the field affine-centred, f(x) = a + beta .
+    x + g(x), and d(o) = beta . o, the sum sum_o c(o) |f(x+o) - f(x)|^2
+    w(x+o) is T0 - 2 g T1 + g^2 T2 for T0 = c*g^2w + 2 (c d)*gw + (c d^2)*w,
+    T1 = c*gw + (c d)*w and T2 = c*w, where u*v is the correlation sum_o
+    u(o) v(x+o).  For coef of shape (kernels, offsets), `ring_sums`
+    returns (far, bound): far of shape (kernels, cells), and bound[k] =
     eps log2(B) times the largest of those six terms over the cells, for B
-    FFT cells.  A kernel with no weight on a ring gets exactly zero there.
+    FFT cells.  A kernel with no weight on the offsets gets exactly zero.
     """
     axes = tuple(range(1, len(shape) + 1))
     at = np.ravel_multi_index(tuple(cells.T), shape)
@@ -310,10 +316,10 @@ def _fft_far_sums(cells: np.ndarray, values: np.ndarray, weights: np.ndarray,
     spectra = sp_fft.rfftn(inputs, axes=axes)[[0, 1, 2, 1, 2, 2]]
     del inputs
     eps_log = np.finfo(float).eps * math.log2(math.prod(shape))
-    n_kernels = len(rings[0][1])
-    far = np.zeros((len(rings), n_kernels, len(cells)))
-    bound = np.zeros((len(rings), n_kernels))
-    for r, (offsets, coef) in enumerate(rings):
+
+    def ring_sums(offsets: np.ndarray, coef: np.ndarray):
+        far = np.zeros((len(coef), len(cells)))
+        bound = np.zeros(len(coef))
         kernel_grids = np.zeros((3,) + shape)
         wrapped = (slice(None),) + tuple((offsets % np.asarray(shape)).T)
         d = offsets @ beta
@@ -329,11 +335,27 @@ def _fft_far_sums(cells: np.ndarray, values: np.ndarray, weights: np.ndarray,
             b0 *= 2.0 * g
             b1 *= 2.0 * g
             m *= g * g
-            far[r, k] = (a0 + a1 + a2) - (b0 + b1) + m
-            bound[r, k] = eps_log * max(
+            far[k] = (a0 + a1 + a2) - (b0 + b1) + m
+            bound[k] = eps_log * max(
                 a0.max(), np.abs(a1).max(), a2.max(), np.abs(b0).max(),
                 np.abs(b1).max(), m.max())
-    return far, bound
+        return far, bound
+
+    return ring_sums
+
+
+def _fft_first_ring(sq: np.ndarray, coef: np.ndarray, n_rows: int,
+                    cells: int) -> float:
+    """The inner edge of the first FFT ring, or 0 for none: 2 where the
+    ring 2 <= |o| < _FFT_SPLIT is worth its own 9K transforms, else
+    _FFT_SPLIT where the outer offsets are worth 3 + 9K."""
+    outer = sq >= _FFT_SPLIT ** 2
+    if not _fft_worth(int(outer.sum()), n_rows, coef[:, outer], 3, cells):
+        return 0.0
+    ring = (sq >= NEAR_FIELD_FACTOR ** 2) & ~outer
+    if _fft_worth(int(ring.sum()), n_rows, coef[:, ring], 0, cells):
+        return NEAR_FIELD_FACTOR
+    return float(_FFT_SPLIT)
 
 
 def _offset_sums(field: SampledField, kernels, p: float,
@@ -361,51 +383,49 @@ def _offset_sums(field: SampledField, kernels, p: float,
         return _tile_sums(vals_pad, w_pad, at[rows], shifts[offs], n_near,
                           coef[:, offs], p)
 
-    every = slice(None)
-    # near offsets, the ring 2 <= |o| < _FFT_SPLIT, and the outer offsets
-    outer = np.einsum("ij,ij->i", offsets, offsets) >= _FFT_SPLIT ** 2
-    ring = ~outer
-    ring[:n_near] = False
-    fft_shape = None
-    if p == 2.0 and outer.any():
-        fft_shape = _fft_shape(extent, offsets[n_near:])
-        cells_fft = math.prod(fft_shape)
-        if not _fft_worth(int(outer.sum()), len(at), coef[1:, outer], 3,
-                          cells_fft):
-            fft_shape = None
-    if fft_shape is None:
-        sums, near_mass = tile_pass(every, every)
-        return sums[1:], sums[0], near_mass
-    rings = [outer]
-    if _fft_worth(int(ring.sum()), len(at), coef[1:, ring], 0, cells_fft):
-        rings.append(ring)
-    far, bound = _fft_far_sums(cells, field.values, grid.weights,
-                               [(offsets[m], coef[1:, m]) for m in rings],
-                               fft_shape)
-    far = far[:, :, eval_idx]
     sums = np.zeros((len(coef), len(at)))
     near_mass = np.zeros(len(at))
-    # rows where every ring's error bound is far below the sum keep both
-    # rings' FFT sums, and take only the near offsets on the offset pass
-    fast = np.zeros(len(at), dtype=bool)
-    if len(rings) == 2:
-        both = far[0] + far[1]
-        fast = np.all(bound[:, :, None] <= _FFT_GUARD * both, axis=(0, 1))
-        if fast.any():
-            sums[:, fast], near_mass[fast] = tile_pass(fast, slice(n_near))
-            sums[1:, fast] += both[:, fast]
-    rest = np.flatnonzero(~fast)
-    if len(rest):
-        # the others take the ring on the offset pass and the outer FFT
-        part, near_mass[rest] = tile_pass(rest, ~outer)
-        part[1:] += far[0][:, rest]
-        # and where the outer error bound is not far below their sums,
-        # the offset pass over every offset, and so its values
-        back = np.any(bound[0][:, None] > _FFT_GUARD * part[1:], axis=0)
-        if back.any():
-            part[:, back], near_mass[rest[back]] = tile_pass(rest[back],
-                                                             every)
-        sums[:, rest] = part
+    # rows that no FFT ring serves yet
+    open_rows = np.arange(len(at))
+    sq = np.einsum("ij,ij->i", offsets, offsets)
+    radius = 0.0
+    if p == 2.0 and sq.max(initial=0) >= _FFT_SPLIT ** 2:
+        fft_shape = _fft_shape(extent, offsets[n_near:])
+        fft_cells = math.prod(fft_shape)
+        radius = _fft_first_ring(sq, coef[1:], len(at), fft_cells)
+    if radius:
+        ring_sums = _fft_far_field(cells, field.values, grid.weights,
+                                   fft_shape)
+        lower = None
+        outer = sq >= radius ** 2
+        while True:
+            # nested rings |o| >= radius: an open row keeps this ring where
+            # each kernel's error bound is at most _FFT_GUARD times a lower
+            # bound on its whole far sum, the first ring's sum less its
+            # bound, and takes the offsets inside on the offset pass
+            far, bound = ring_sums(offsets[outer], coef[1:, outer])
+            far = far[:, eval_idx[open_rows]]
+            if lower is None:
+                lower = np.maximum(far - bound[:, None], 0.0)
+            keep = np.all(bound[:, None] <= _FFT_GUARD * lower[:, open_rows],
+                          axis=0)
+            if keep.any():
+                kept = open_rows[keep]
+                sums[:, kept], near_mass[kept] = tile_pass(kept, ~outer)
+                sums[1:, kept] += far[:, keep]
+                open_rows = open_rows[~keep]
+            # the next ring, twice as far out, while its transforms cost
+            # less than its offsets on the open rows
+            radius *= 2.0
+            outer = sq >= radius ** 2
+            if not (len(open_rows) and _fft_worth(
+                    int(outer.sum()), len(open_rows), coef[1:, outer], 0,
+                    fft_cells)):
+                break
+    if len(open_rows):
+        # rows no ring serves: the offset pass over every offset
+        sums[:, open_rows], near_mass[open_rows] = tile_pass(open_rows,
+                                                             slice(None))
     return sums[1:], sums[0], near_mass
 
 
@@ -516,10 +536,10 @@ def bbm_functional(field: SampledField, params: EnergyParams,
 
 
 def bbm_functional_schedule(field: SampledField, p: float,
-                            family: RdatiFamily, nus, spec: SpaceSpec,
-                            stride: int = 1) -> np.ndarray:
+                            family: RdatiFamily | GagliardoFamily, nus,
+                            spec: SpaceSpec, stride: int = 1) -> np.ndarray:
     """Functional values over a scale schedule, sharing one energy pass
-    and one stacked norm call."""
+    and one stacked norm call; `family` gives each scale's kernel."""
     check_p(p)
     nus = list(nus)
     if not nus:
@@ -534,14 +554,14 @@ def gagliardo_functional(field: SampledField, p: float, s: float,
                          spec: SpaceSpec, stride: int = 1) -> float:
     """(1-s)^(1/p) times the X-norm of the Gagliardo inner integral.
 
-    Shares the kernel machinery with the RDATI route; with the fractional
-    family at nu = 1 - s the two routes differ by the exact factor
-    p^(1/p) (2R)^(-nu).
+    A one-kernel schedule of `GagliardoFamily` at nu = 1 - s; with the
+    fractional family at nu = 1 - s the two routes differ by the exact
+    factor p^(1/p) (2R)^(-nu).
     """
-    check_p(p)
     if not 0.0 < s < 1.0:
         raise ValueError("s must lie in (0, 1)")
-    _warn_scale(1.0 - s, field.grid.h, p)
-    kernel = gagliardo_kernel(s, p, field.grid.dimension)
-    grid, halves = _half_fields(field, [kernel], p, stride)
-    return float((1.0 - s) ** (1.0 / p) * norm(spec, grid, halves[0]))
+    nu = 1.0 - s
+    value = bbm_functional_schedule(field, p,
+                                    GagliardoFamily(field.grid.dimension),
+                                    [nu], spec, stride)[0]
+    return float(nu ** (1.0 / p) * value)

@@ -15,8 +15,9 @@ from bbmlab.bbm import (
     sobolev_target,
 )
 from bbmlab.field import SampledField, indicator_halfspace, linear, sample
-from bbmlab.geometry import Disk, Interval, sample_quadrature
+from bbmlab.geometry import Box, Disk, Interval, sample_quadrature
 from bbmlab.mollifiers import bump_family, fractional_family
+from bbmlab.nonlocal_energy import gagliardo_functional
 from bbmlab.oracle import mc_sphere_moment
 from bbmlab.spaces import Lebesgue, Morrey
 
@@ -198,6 +199,41 @@ class TestConvergenceStudy:
         assert report.extrapolated_limit == pytest.approx(1.0, rel=0.03)
         assert report.schedule == (0.8, 0.9, 0.95, 0.975)
         assert report.scales == pytest.approx((0.2, 0.1, 0.05, 0.025))
+
+    @pytest.mark.parametrize("domain, h, v", [
+        (Interval(0.0, 1.0), 1e-3, (1.0,)),
+        (Box((0.0, 0.0), (1.0, 1.0)), 0.02, (0.6, 0.8)),
+    ], ids=["interval", "square"])
+    def test_gagliardo_schedule_shares_one_pass(self, monkeypatch, domain,
+                                                h, v):
+        """The 1-d and 2-d linear Gagliardo configs: one energy pass for
+        the schedule, and the values of one `gagliardo_functional` call
+        per s."""
+        import bbmlab.nonlocal_energy as nonlocal_energy
+
+        f = sample(linear(v), sample_quadrature(domain, h))
+        schedule = [0.8, 0.9, 0.95, 0.975]
+        single = [gagliardo_functional(f, 2.0, s, Lebesgue(2.0))
+                  for s in schedule]
+        passes = []
+        original = nonlocal_energy._energy_values
+
+        def spy(*args):
+            passes.append(len(args[1]))
+            return original(*args)
+
+        monkeypatch.setattr(nonlocal_energy, "_energy_values", spy)
+        report = convergence_study(f, 2.0, Lebesgue(2.0), None, schedule,
+                                   mode="gagliardo")
+        assert passes == [4]
+        assert np.allclose(report.functional_values, single, rtol=1e-12,
+                           atol=0.0)
+
+    def test_gagliardo_s_outside_the_unit_interval(self, line_setup):
+        _, _, f = line_setup
+        with pytest.raises(ValueError, match="s must lie in"):
+            convergence_study(f, 2.0, Lebesgue(2.0), None,
+                              [0.8, 0.9, 0.95, 1.0], mode="gagliardo")
 
     def test_fit_quality_for_smooth_function(self, line_setup):
         _, _, f = line_setup

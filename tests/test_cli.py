@@ -582,6 +582,26 @@ class TestSweep:
             capsys.readouterr().err
 
 
+    def test_sweep_over_a_defaulted_record_key(self, tmp_path, capsys):
+        # the config's space record leaves `phi` to its default, power
+        config = CONFIG_DIR / "bbm_1d_linear.cfg"
+        assert "phi" not in parse_config(config)["space"]
+        out = tmp_path / "sweep"
+        code = main(["sweep", "--config", str(config), "--out", str(out),
+                     "--set", "space.phi=power,plog"])
+        assert code == 0
+        with open(out / "summary.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [row["space.phi"] for row in rows] == ["power", "plog"]
+        assert [row["status"] for row in rows] == ["ok", "ok"]
+        capsys.readouterr()
+        code = main(["sweep", "--config", str(config), "--out",
+                     str(tmp_path / "s"), "--set", "space.phy=power,plog"])
+        assert code == 1
+        assert "'space.phy': override references a missing key" in \
+            capsys.readouterr().err
+
+
 class TestBundledConfigs:
     def test_bbm_1d_linear_example(self, tmp_path):
         code = main(["run", "--config", str(CONFIG_DIR / "bbm_1d_linear.cfg"),

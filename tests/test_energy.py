@@ -552,15 +552,23 @@ class TestMorreyTranslation:
 
 
 def _spy_fft(monkeypatch):
-    """Record each run of the FFT far field."""
+    """Record each pass's FFT far field as the list of its rings, each
+    ring as its offsets."""
     ran = []
-    original = nonlocal_energy._fft_far_sums
+    original = nonlocal_energy._fft_far_field
 
     def spy(*args):
-        ran.append(args)
-        return original(*args)
+        rings = []
+        ran.append(rings)
+        ring_sums = original(*args)
 
-    monkeypatch.setattr(nonlocal_energy, "_fft_far_sums", spy)
+        def recording(offsets, coef):
+            rings.append(offsets)
+            return ring_sums(offsets, coef)
+
+        return recording
+
+    monkeypatch.setattr(nonlocal_energy, "_fft_far_field", spy)
     return ran
 
 
@@ -601,12 +609,49 @@ def _fft_field(kind, n):
     return indicator_halfspace((1.0,) * n, 0.3)
 
 
+def _spy_passes(monkeypatch, rows=False):
+    """Record each offset pass as (rows, offsets): counts, or with `rows`
+    the padded positions of its rows."""
+    passes = []
+    original = nonlocal_energy._tile_sums
+
+    def spy(vals_pad, w_pad, at, shifts, *args):
+        passes.append((at.copy() if rows else len(at), len(shifts)))
+        return original(vals_pad, w_pad, at, shifts, *args)
+
+    monkeypatch.setattr(nonlocal_energy, "_tile_sums", spy)
+    return passes
+
+
+def _ring_edges(rings):
+    """The squared inner edge |o|^2 of each FFT ring."""
+    return [int(np.einsum("ij,ij->i", r, r).min()) for r in rings]
+
+
+def _assert_nested(rings, offsets):
+    """The rings are the offsets |o| >= r for r = r0, 2 r0, 4 r0, ...,
+    with r0 = 2 or _FFT_SPLIT."""
+    sq = np.einsum("ij,ij->i", offsets, offsets)
+    r0 = math.isqrt(_ring_edges(rings)[0])
+    assert r0 in (2, nonlocal_energy._FFT_SPLIT)
+    for i, ring in enumerate(rings):
+        expected = offsets[sq >= (r0 * 2**i) ** 2]
+        assert np.array_equal(ring, expected)
+
+
+def _assert_one_pass_per_row(passes, n_rows):
+    """Each row appears in exactly one offset pass."""
+    rows = np.concatenate([at for at, _ in passes])
+    assert len(rows) == n_rows == len(np.unique(rows))
+
+
 class TestFftFarField:
     """At p = 2 on lattice grids the offsets of two or more cells may be
-    summed by FFT, in two rings split at _FFT_SPLIT cells.  Forced on small
-    grids, both rings must agree with the offset pass pointwise; the
-    largest deviation measured over this matrix is 2.2e-14 relative
-    (interval, fractional, radial bump)."""
+    summed by FFT, in nested rings |o| >= r.  Forced on small grids, so
+    that every ring is taken while rows are open, every row must agree
+    with the offset pass and take exactly one offset pass; the largest
+    deviation measured over this matrix is 2.2e-14 relative (interval,
+    bump, radial bump)."""
 
     @pytest.mark.parametrize("field_kind",
                              ["linear", "sine", "indicator", "radial"])
@@ -622,37 +667,43 @@ class TestFftFarField:
         reference = _offset_pass(field, kernels, eval_idx)
         monkeypatch.setattr(nonlocal_energy, "_FFT_COST", 0.0)
         ran = _spy_fft(monkeypatch)
+        passes = _spy_passes(monkeypatch, rows=True)
         got = nonlocal_energy._energy_values(field, kernels, 2.0, eval_idx)
+        offsets, n_near, _ = nonlocal_energy._lattice_offsets(grid, kernels,
+                                                              2.0)
         assert len(ran) == 1
+        _assert_nested(ran[0], offsets[n_near:])
+        _assert_one_pass_per_row(passes, len(grid))
         assert np.all(np.abs(got - reference) <= 1e-12 * reference)
 
     def test_fallback_rows_keep_the_offset_pass_bits(self, monkeypatch):
-        """Rows the outer guard sends back hold the offset pass's values
-        bit for bit; the others keep the outer FFT, with the ring by FFT
-        or on the offset pass.  Each row takes one of the three."""
-        domain = Interval(0.0, 1.0)
-        grid = sample_quadrature(domain, 0.005)
-        field = sample(_fft_field("indicator", 1), grid)
-        kernels = _fft_kernels("fractional", domain, 0.005, None)
+        """The `indicator_divergence` pass at the calibrated cost: rows
+        keep rings |o| >= 8, 16, ..., 128 with the offsets inside on the
+        offset pass, and the few rows no ring serves take the offset pass
+        over every offset and hold its values bit for bit.  Each row takes
+        exactly one offset pass."""
+        grid = sample_quadrature(Interval(-1.0, 1.0), 1e-3)
+        field = sample(indicator_halfspace((1.0,), 0.0), grid)
+        family = fractional_family(2.0, 1.0, 1)
+        kernels = [family.kernel(0.4 * 0.5**k, 2.0) for k in range(6)]
         eval_idx = np.arange(len(grid))
         reference = _offset_pass(field, kernels, eval_idx)
-        monkeypatch.setattr(nonlocal_energy, "_FFT_COST", 0.0)
-        passes = {}
-        original = nonlocal_energy._tile_sums
-
-        def spy(vals_pad, w_pad, at, shifts, *args):
-            passes[len(shifts)] = at
-            return original(vals_pad, w_pad, at, shifts, *args)
-
-        monkeypatch.setattr(nonlocal_energy, "_tile_sums", spy)
+        ran = _spy_fft(monkeypatch)
+        passes = _spy_passes(monkeypatch, rows=True)
         got = nonlocal_energy._energy_values(field, kernels, 2.0, eval_idx)
-        near, ring, every = (passes[n] for n in sorted(passes))
+        offsets, n_near, _ = nonlocal_energy._lattice_offsets(grid, kernels,
+                                                              2.0)
+        assert len(ran) == 1
+        _assert_nested(ran[0], offsets[n_near:])
+        assert _ring_edges(ran[0]) == [64, 256, 1024, 4096, 16384]
+        _assert_one_pass_per_row(passes, len(grid))
+        # one pass per ring, inner offsets growing, then every offset
+        widths = [n for _, n in passes]
+        assert widths == sorted(widths) and widths[-1] == len(offsets)
         # on an interval the padded positions increase with the row
-        rows = np.sort(np.concatenate([near, ring]))
-        assert np.array_equal(rows, np.unique(rows)) and len(rows) == len(grid)
-        assert set(every) <= set(ring)
-        fell_back = np.isin(rows, every)
-        assert 0 < fell_back.sum() < len(ring) < len(grid)
+        first = np.min([at.min() for at, _ in passes])
+        fell_back = passes[-1][0] - first
+        assert 0 < len(fell_back) < 0.05 * len(grid)
         assert np.array_equal(got[:, fell_back], reference[:, fell_back])
         assert np.all(np.abs(got - reference) <= 1e-12 * reference)
 
@@ -696,23 +747,10 @@ class TestFftFarField:
         assert len(ran) == 1
 
 
-def _spy_passes(monkeypatch):
-    """Record each offset pass as (rows, offsets)."""
-    passes = []
-    original = nonlocal_energy._tile_sums
-
-    def spy(vals_pad, w_pad, at, shifts, *args):
-        passes.append((len(at), len(shifts)))
-        return original(vals_pad, w_pad, at, shifts, *args)
-
-    monkeypatch.setattr(nonlocal_energy, "_tile_sums", spy)
-    return passes
-
-
 class TestFftRings:
-    """The FFT far field in two rings, 2 <= |o| < _FFT_SPLIT and beyond,
-    of an affine-centred field: a linear field keeps both on every row,
-    a curved one takes the ring on the offset pass."""
+    """The FFT far field in nested rings |o| >= r of an affine-centred
+    field: a linear field keeps the first ring on every row, a curved one
+    takes later rings, with more offsets on the offset pass."""
 
     def _pass(self, monkeypatch, domain, h, fn, kernels):
         field = sample(fn, sample_quadrature(domain, h))
@@ -730,17 +768,20 @@ class TestFftRings:
         return passes, len(eval_idx), n_near, inner
 
     def test_linear_disk_rows_keep_both_rings(self, monkeypatch):
-        """Disk h = 0.01 with the 7 bump kernels: one pass of the near
-        offsets over all 31,428 rows, and no other offset pass."""
+        """Disk h = 0.01 with the 7 bump kernels: the first ring starts at
+        2 cells, so the ring and the outer offsets are one FFT ring.  One
+        pass of the near offsets over all 31,428 rows, and no other
+        offset pass."""
         passes, rows, n_near, _ = self._pass(
             monkeypatch, UNIT_DISK, 0.01, linear((0.6, 0.8)),
             _kernels("bump", BUMP_SCHEDULE, 2.0, 2))
         assert passes == [(rows, n_near)]
 
     def test_linear_interval_rows_keep_both_rings(self, monkeypatch):
-        """The `bbm_1d_linear` pass with the ring forced onto the FFT; at
-        the calibrated cost its 12 ring offsets stay on the offset pass,
-        and the outer FFT still keeps every row."""
+        """The `bbm_1d_linear` pass: at the calibrated cost its 12 offsets
+        2 <= |o| < 8 stay on the offset pass and the first ring, |o| >= 8,
+        keeps every row; with the cost rule set aside the first ring
+        starts at 2 and keeps every row."""
         domain, fn = Interval(0.0, 1.0), linear((1.0,))
         kernels = _kernels("bump", BUMP_SCHEDULE, 2.0, 1)
         passes, rows, _, inner = self._pass(monkeypatch, domain, 1e-3, fn,
@@ -753,18 +794,20 @@ class TestFftRings:
 
     def test_curved_rows_take_the_ring_on_the_offset_pass(self,
                                                           monkeypatch):
-        """Disk h = 0.01, radial bump: the ring's transforms are made, but
-        its error bound is far above every row's sum, so each row takes
-        the ring on the offset pass; half of them also fail the outer
-        guard and take every offset."""
+        """Disk h = 0.01, radial bump: the rings |o| >= 2 and 4 keep no
+        row, |o| >= 8 half of them and |o| >= 16 most of the rest, each
+        with the offsets inside on the offset pass; the other rows take
+        every offset."""
         ran = _spy_fft(monkeypatch)
         passes, rows, _, inner = self._pass(
             monkeypatch, UNIT_DISK, 0.01, radial_bump((0.0, 0.0), 1.0),
             _kernels("bump", BUMP_SCHEDULE, 2.0, 2))
-        assert len(ran) == 1 and len(ran[0][3]) == 2
-        (ring_rows, ring), (back_rows, _) = passes
-        assert (ring_rows, ring) == (rows, inner)
-        assert 0 < back_rows < rows
+        assert len(ran) == 1 and _ring_edges(ran[0]) == [4, 16, 64, 256]
+        (ring_rows, ring), (next_rows, _), (back_rows, every) = passes
+        assert ring == inner
+        assert ring_rows + next_rows + back_rows == rows
+        assert 0 < back_rows < next_rows < ring_rows
+        assert every > ring
 
     def test_ball_norms_grid_takes_no_fft(self, monkeypatch):
         """Disk h = 0.05 with the 7 bump kernels: no offset reaches the
