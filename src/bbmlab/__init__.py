@@ -30,6 +30,7 @@ from .geometry import (
     sample_quadrature,
 )
 from .mollifiers import (
+    GagliardoFamily,
     RdatiFamily,
     bump_family,
     fractional_family,

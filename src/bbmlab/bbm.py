@@ -24,6 +24,7 @@ __all__ = [
     "sobolev_target",
     "ConvergenceReport",
     "convergence_study",
+    "study_scales",
     "fit_limit",
     "upper_bound_diagnostics",
     "CSV_HEADER",
@@ -212,45 +213,48 @@ def _diverging(values: np.ndarray) -> bool:
     )
 
 
+def study_scales(family: RdatiFamily | GagliardoFamily, schedule) -> list:
+    """The kernel scales of a study's schedule, a list of floats: nu for
+    an `RdatiFamily`, nu = 1 - s for a `GagliardoFamily`, whose schedule
+    lists s values.  At least 4 (the fit takes the last four), each
+    admissible for the family, strictly decreasing; else a ValueError."""
+    if len(schedule) < 4:
+        raise ValueError(f"schedule needs at least 4 points, "
+                         f"got {len(schedule)}")
+    if isinstance(family, GagliardoFamily):
+        scales = [1.0 - s for s in schedule]
+    elif isinstance(family, RdatiFamily):
+        scales = schedule
+    else:
+        raise ValueError(f"not a kernel family: {family!r}")
+    for nu in scales:
+        family._check_nu(nu)
+    if np.any(np.diff(scales) >= 0):
+        raise ValueError("schedule scales must be strictly decreasing")
+    return scales
+
+
 def convergence_study(field: SampledField, p: float, spec: SpaceSpec,
-                      family: Optional[RdatiFamily], schedule,
-                      mode: str = "rdati", tolerance: float = 0.05,
-                      stride: int = 1) -> ConvergenceReport:
+                      family: RdatiFamily | GagliardoFamily, schedule,
+                      tolerance: float = 0.05) -> ConvergenceReport:
     """Sweep the functional over a scale schedule and classify the field.
 
-    mode "rdati": schedule lists kernel scales nu, strictly decreasing.
-    mode "gagliardo": schedule lists s values increasing to 1; internally
-    the sweep runs over scales nu = 1 - s.  Either mode makes one energy
-    pass for the whole schedule and one stacked norm call; a Gagliardo
-    schedule applies its (1 - s)^(1/p) factors after the norm.
+    The family picks the route (see `study_scales`).  An `RdatiFamily`
+    study runs over scales nu, towards the target kappa(p,n)^(1/p) times
+    the norm of |grad f|.  A `GagliardoFamily` study runs over s values
+    increasing to 1 and applies its (1 - s)^(1/p) factors after the norm,
+    towards (kappa(p,n)/p)^(1/p) times that norm.  Either makes one
+    energy pass for the whole schedule and one stacked norm call.
     """
     check_p(p)
     schedule = [float(v) for v in schedule]
-    if len(schedule) < 4:
-        raise ValueError("schedule needs at least 4 points")
-    if mode == "rdati":
-        if family is None:
-            raise ValueError("rdati mode needs a kernel family")
-        scales = list(schedule)
-    elif mode == "gagliardo":
-        scales = [1.0 - s for s in schedule]
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    if np.any(np.diff(scales) >= 0):
-        raise ValueError("schedule scales must be strictly decreasing")
-
+    scales = study_scales(family, schedule)
+    gagliardo = isinstance(family, GagliardoFamily)
     n = field.grid.dimension
-    if mode == "rdati":
-        values = bbm_functional_schedule(field, p, family, scales, spec,
-                                         stride=stride)
-        target_factor = kappa(p, n) ** (1.0 / p)
-    else:
-        if not all(0.0 < s < 1.0 for s in schedule):
-            raise ValueError("s must lie in (0, 1)")
-        values = bbm_functional_schedule(field, p, GagliardoFamily(n),
-                                         scales, spec, stride=stride)
+    values = bbm_functional_schedule(field, p, family, scales, spec)
+    if gagliardo:
         values *= np.asarray(scales) ** (1.0 / p)
-        target_factor = (kappa(p, n) / p) ** (1.0 / p)
+    target_factor = (kappa(p, n) / (p if gagliardo else 1.0)) ** (1.0 / p)
     if np.any(values < 0) or not np.all(np.isfinite(values)):
         raise ValueError("functional values must be finite and nonnegative")
 
@@ -278,7 +282,7 @@ def convergence_study(field: SampledField, p: float, spec: SpaceSpec,
                 verdict = "inconclusive"
 
     return ConvergenceReport(
-        mode=mode,
+        mode="gagliardo" if gagliardo else "rdati",
         p=p,
         spec_label=spec.label,
         schedule=tuple(schedule),
@@ -295,10 +299,8 @@ def convergence_study(field: SampledField, p: float, spec: SpaceSpec,
 
 
 def upper_bound_diagnostics(field: SampledField, p: float, spec: SpaceSpec,
-                            family: RdatiFamily, schedule,
-                            stride: int = 1):
+                            family: RdatiFamily, schedule):
     """Ratios functional / |grad f|-norm over a schedule; judge their
     growth from successive increments."""
-    values = bbm_functional_schedule(field, p, family, schedule, spec,
-                                     stride=stride)
+    values = bbm_functional_schedule(field, p, family, schedule, spec)
     return values / norm(spec, gradient_magnitude_field(field))

@@ -4,8 +4,8 @@ Shared by the check-spaces CLI subcommand and the acceptance tests: the
 lattice, Fatou-via-truncation, triangle, and homogeneity audits run per
 engine on seeded random fields, and the reduction suite compares each
 engine against the Lebesgue norm it must collapse to.  Each audit draws
-its cases one after another, as a loop of single cases would, stacks
-them, and measures every field of a step in one `norm` call.
+each of its random inputs as one stack over the cases and measures every
+field of a step in one `norm` call.
 """
 
 from __future__ import annotations
@@ -93,19 +93,15 @@ def engine_catalog():
 
 
 def _random_fields(grid, rng, count: int) -> np.ndarray:
-    """`count` audit fields as a (count, N) stack; one draw of the stack
-    gives the numbers of `count` successive single-field draws."""
+    """`count` audit fields as a (count, N) stack."""
     return rng.normal(scale=2.0, size=(count, len(grid)))
 
 
 def lattice_violation(spec, grid, rng, cases: int = 1) -> np.ndarray:
     """norm(g) - norm(f) for |g| <= |f| pointwise (should be <= 0), per
     case."""
-    f = np.empty((cases, len(grid)))
-    damp = np.empty((cases, len(grid)))
-    for k in range(cases):
-        f[k] = _random_fields(grid, rng, 1)
-        damp[k] = rng.uniform(0.0, 1.0, size=len(grid))
+    f = _random_fields(grid, rng, cases)
+    damp = rng.uniform(0.0, 1.0, size=f.shape)
     norms = norm(spec, grid, np.concatenate([f * damp, f]))
     return norms[:cases] - norms[cases:]
 
@@ -135,13 +131,10 @@ def triangle_violation(spec, grid, rng, cases: int = 1) -> np.ndarray:
 
 def homogeneity_violation(spec, grid, rng, cases: int = 1) -> np.ndarray:
     """Relative |norm(cf) - |c| norm(f)|, per case."""
-    f = np.empty((cases, len(grid)))
-    c = np.empty((cases, 1))
-    for k in range(cases):
-        f[k] = _random_fields(grid, rng, 1)
-        # the sign is the draw of rng.choice([-1.0, 1.0]), without the
-        # cost of its list conversion
-        c[k] = float(rng.uniform(0.1, 10.0)) * (2.0 * rng.integers(2) - 1.0)
+    f = _random_fields(grid, rng, cases)
+    # the signs are the draws of rng.choice([-1.0, 1.0], size=(cases, 1))
+    c = rng.uniform(0.1, 10.0, size=(cases, 1)) * (
+        2.0 * rng.integers(2, size=(cases, 1)) - 1.0)
     scaled, unit = norm(spec, grid, np.concatenate([c * f, f])).reshape(
         2, cases)
     ref = np.abs(c[:, 0]) * unit

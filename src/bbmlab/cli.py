@@ -24,7 +24,8 @@ from pathlib import Path
 import numpy as np
 
 from . import checks, oracle
-from .bbm import CSV_HEADER, ConvergenceReport, convergence_study
+from .bbm import (CSV_HEADER, ConvergenceReport, convergence_study,
+                  study_scales)
 from .field import (
     indicator_halfspace,
     linear,
@@ -42,7 +43,7 @@ from .geometry import (
     Polygon,
     sample_quadrature,
 )
-from .mollifiers import bump_family, fractional_family
+from .mollifiers import GagliardoFamily, bump_family, fractional_family
 from .spaces import (
     SPACES,
     ConstantWeight,
@@ -145,7 +146,7 @@ def parse_config(path) -> dict:
 
 # the top-level keys `run` reads with a default; `sweep --set` may vary
 # them whether or not the config names them
-_RUN_DEFAULTS = {"mode": "rdati", "stride": 1, "tolerance": 0.05,
+_RUN_DEFAULTS = {"mode": "rdati", "tolerance": 0.05,
                  "scheme": "tensor-midpoint"}
 
 
@@ -298,9 +299,14 @@ def build_schedule(record: dict) -> list:
 def run_experiment(config: dict, out_dir) -> ConvergenceReport:
     """Build the experiment from a parsed config, run it, emit artifacts."""
     config = {**_RUN_DEFAULTS, **config}
-    for field in ("domain", "function", "space", "schedule", "p", "h"):
-        if field not in config:
-            raise ConfigError(field, "missing required field")
+    required = ("domain", "function", "space", "schedule", "p", "h")
+    known = (*required, "family", "expectation", *_RUN_DEFAULTS)
+    for key in (*required, *config):
+        if key not in config:
+            raise ConfigError(key, "missing required field")
+        if key not in known:
+            raise ConfigError(key, f"unknown key (set to {config[key]!r}); "
+                                   f"a run reads {', '.join(known)}")
     for name in ("domain", "function", "space", "schedule", "family"):
         if not isinstance(config.get(name, {}), dict):
             raise ConfigError(name, f"expected {name}.* keys, "
@@ -310,14 +316,9 @@ def run_experiment(config: dict, out_dir) -> ConvergenceReport:
     p = _positive_number(config["p"], "p")
     if p < 1.0:
         raise ConfigError("p", f"must be >= 1, got {p:g}")
-    mode = config["mode"]
     spec = build_space(config["space"], n)
     schedule = build_schedule(config["schedule"])
-    if len(schedule) < 4:  # the limit fit needs four scales
-        raise ConfigError("schedule", f"needs at least 4 points, "
-                                      f"got {len(schedule)}")
     h = _positive_number(config["h"], "h")
-    stride = _count(config["stride"], "stride")
     tolerance = _positive_number(config["tolerance"], "tolerance")
     scheme = config["scheme"]
     if scheme not in SCHEMES:
@@ -326,23 +327,20 @@ def run_experiment(config: dict, out_dir) -> ConvergenceReport:
     fn = _build_kind(_FUNCTIONS, config["function"], "function", n)
     if fn.dimension != n:
         raise ConfigError("function", "function dimension does not match domain")
-
-    family = None
-    if mode == "rdati":
+    mode = config["mode"]  # names the family, which picks the route
+    if mode == "gagliardo":
+        if "family" in config:
+            raise ConfigError("family", "mode gagliardo takes no family")
+        family = GagliardoFamily(n)
+    elif mode == "rdati":
         family = _build_kind(_FAMILIES, config.get("family", {}), "family",
                              p, domain)
-        nu_max = family.nu_max
-        if any(not 0.0 < nu < nu_max for nu in schedule):
-            raise ConfigError(
-                "schedule",
-                f"scale outside the admissible range (0, min{{n/p, 1}}) "
-                f"= (0, {nu_max:g}) for this family",
-            )
-    elif mode == "gagliardo":
-        if any(not 0.0 < s < 1.0 for s in schedule):
-            raise ConfigError("schedule", "s values must lie in (0, 1)")
     else:
         raise ConfigError("mode", f"unknown mode {mode!r}")
+    try:
+        study_scales(family, schedule)
+    except ValueError as exc:
+        raise ConfigError("schedule", str(exc)) from None
 
     try:
         grid = sample_quadrature(domain, h, scheme)
@@ -354,10 +352,8 @@ def run_experiment(config: dict, out_dir) -> ConvergenceReport:
         raise ConfigError("space", str(exc))
     field_data = sample(fn, grid)
 
-    report = convergence_study(
-        field_data, p, spec, family, schedule, mode=mode,
-        tolerance=tolerance, stride=stride,
-    )
+    report = convergence_study(field_data, p, spec, family, schedule,
+                               tolerance=tolerance)
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

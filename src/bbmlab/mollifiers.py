@@ -103,9 +103,10 @@ class RdatiFamily:
 
     def _check_nu(self, nu: float) -> None:
         if not 0.0 < nu < self.nu_max:
-            raise ValueError(
-                f"nu={nu} outside the admissible range (0, {self.nu_max})"
-            )
+            bound = "(0, 1)" if self.kind == "bump" else \
+                f"(0, min{{n/p, 1}}) = (0, {self.nu_max:g})"
+            raise ValueError(f"nu={nu} outside the admissible range "
+                             f"{bound} of the {self.kind} family")
 
     def kernel(self, nu: float, p: float = 0.0) -> PowerKernel:
         """rho_nu as the power kernel k = rho_nu / r^p (p = 0: rho_nu)."""
@@ -153,7 +154,13 @@ class GagliardoFamily:
 
     n: int
 
+    def _check_nu(self, nu: float) -> None:
+        if not 0.0 < nu < 1.0:
+            raise ValueError(f"nu={nu} outside the admissible range (0, 1): "
+                             f"s = 1 - nu must lie in (0, 1)")
+
     def kernel(self, nu: float, p: float) -> PowerKernel:
+        self._check_nu(nu)
         return gagliardo_kernel(1.0 - nu, p, self.n)
 
 

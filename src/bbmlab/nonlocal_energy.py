@@ -510,11 +510,11 @@ def _half_fields(field: SampledField, kernels, p: float, stride: int):
     return out_grid, energies ** (1.0 / p)
 
 
-def energy_half_field(field: SampledField, params: EnergyParams,
-                      stride: int = 1) -> SampledField:
+def energy_half_field(field: SampledField,
+                      params: EnergyParams) -> SampledField:
     """The field x -> E(x)^(1/p) that the functional feeds into the norm."""
     kernel = params.family.kernel(params.nu, params.p)
-    grid, halves = _half_fields(field, [kernel], params.p, stride)
+    grid, halves = _half_fields(field, [kernel], params.p, 1)
     return SampledField(grid, halves[0])
 
 
@@ -529,17 +529,19 @@ def _warn_scale(nu: float, h: float, p: float) -> None:
 
 
 def bbm_functional(field: SampledField, params: EnergyParams,
-                   spec: SpaceSpec, stride: int = 1) -> float:
+                   spec: SpaceSpec) -> float:
     """X-norm of the pointwise energy to the 1/p, for one RDATI scale."""
     return float(bbm_functional_schedule(field, params.p, params.family,
-                                         [params.nu], spec, stride)[0])
+                                         [params.nu], spec)[0])
 
 
 def bbm_functional_schedule(field: SampledField, p: float,
                             family: RdatiFamily | GagliardoFamily, nus,
                             spec: SpaceSpec, stride: int = 1) -> np.ndarray:
     """Functional values over a scale schedule, sharing one energy pass
-    and one stacked norm call; `family` gives each scale's kernel."""
+    and one stacked norm call; `family` gives each scale's kernel.  No
+    study passes `stride` (`_strided_grid`); only the benchmark's tracer,
+    which binds it by name here and on `gagliardo_functional`, keeps it."""
     check_p(p)
     nus = list(nus)
     if not nus:
@@ -556,10 +558,8 @@ def gagliardo_functional(field: SampledField, p: float, s: float,
 
     A one-kernel schedule of `GagliardoFamily` at nu = 1 - s; with the
     fractional family at nu = 1 - s the two routes differ by the exact
-    factor p^(1/p) (2R)^(-nu).
+    factor p^(1/p) (2R)^(-nu).  `stride`: see `bbm_functional_schedule`.
     """
-    if not 0.0 < s < 1.0:
-        raise ValueError("s must lie in (0, 1)")
     nu = 1.0 - s
     value = bbm_functional_schedule(field, p,
                                     GagliardoFamily(field.grid.dimension),

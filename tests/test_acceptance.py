@@ -32,6 +32,7 @@ from bbmlab.geometry import (
     sample_quadrature,
 )
 from bbmlab.mollifiers import (
+    GagliardoFamily,
     bump_family,
     fractional_family,
     normalization_defect,
@@ -108,7 +109,7 @@ def test_ac3_limit_identity_2d_disk():
     grid = sample_quadrature(domain, 0.01)
     f = sample(linear((1.0, 0.0)), grid)
     rep = convergence_study(f, 2.0, Lebesgue(2.0), bump_family(2),
-                            BUMP_SCHEDULE, tolerance=0.04, stride=2)
+                            BUMP_SCHEDULE, tolerance=0.04)
     target = math.pi
     err = abs(rep.extrapolated_limit - target) / target
     ok = err <= 0.04 and rep.verdict == "member"
@@ -123,8 +124,8 @@ def test_ac4_gagliardo_limit_and_route():
     grid = sample_quadrature(domain, 1e-3)
     f = sample(linear((1.0,)), grid)
     svals = [0.8, 0.9, 0.95, 0.975]
-    rep = convergence_study(f, 2.0, Lebesgue(2.0), None, svals,
-                            mode="gagliardo", tolerance=0.03)
+    rep = convergence_study(f, 2.0, Lebesgue(2.0), GagliardoFamily(1), svals,
+                            tolerance=0.03)
     err = abs(rep.extrapolated_limit - 1.0)
     R = domain.enclosing_radius()
     family = fractional_family(2.0, R, 1)

@@ -13,10 +13,11 @@ from bbmlab.bbm import (
     fit_limit,
     kappa,
     sobolev_target,
+    study_scales,
 )
 from bbmlab.field import SampledField, indicator_halfspace, linear, sample
 from bbmlab.geometry import Box, Disk, Interval, sample_quadrature
-from bbmlab.mollifiers import bump_family, fractional_family
+from bbmlab.mollifiers import GagliardoFamily, bump_family, fractional_family
 from bbmlab.nonlocal_energy import gagliardo_functional
 from bbmlab.oracle import mc_sphere_moment
 from bbmlab.spaces import Lebesgue, Morrey
@@ -173,6 +174,7 @@ class TestConvergenceStudy:
             convergence_study(f, 2.0, Lebesgue(2.0), bump_family(1),
                               [0.05, 0.1, 0.2, 0.4])
 
+    # family None stands for the Gagliardo route's own kernels
     @pytest.mark.parametrize("mode, family", [("gagliardo", None),
                                               ("rdati", bump_family(1))])
     @pytest.mark.parametrize("p", [0.5, math.nan, math.inf])
@@ -186,15 +188,16 @@ class TestConvergenceStudy:
         monkeypatch.setattr(nonlocal_energy, "_energy_values", fail)
         _, _, f = line_setup
         with pytest.raises(ValueError, match="p must be a finite number"):
-            convergence_study(f, p, Lebesgue(2.0), family,
+            convergence_study(f, p, Lebesgue(2.0),
+                              family or GagliardoFamily(1),
                               [0.8, 0.9, 0.95, 0.975] if family is None
-                              else [0.2, 0.1, 0.05, 0.025], mode=mode)
+                              else [0.2, 0.1, 0.05, 0.025])
 
     def test_gagliardo_mode(self, line_setup):
         _, _, f = line_setup
-        report = convergence_study(f, 2.0, Lebesgue(2.0), None,
-                                   [0.8, 0.9, 0.95, 0.975],
-                                   mode="gagliardo", tolerance=0.03)
+        report = convergence_study(f, 2.0, Lebesgue(2.0), GagliardoFamily(1),
+                                   [0.8, 0.9, 0.95, 0.975], tolerance=0.03)
+        assert report.mode == "gagliardo"
         assert report.verdict == "member"
         assert report.extrapolated_limit == pytest.approx(1.0, rel=0.03)
         assert report.schedule == (0.8, 0.9, 0.95, 0.975)
@@ -223,17 +226,50 @@ class TestConvergenceStudy:
             return original(*args)
 
         monkeypatch.setattr(nonlocal_energy, "_energy_values", spy)
-        report = convergence_study(f, 2.0, Lebesgue(2.0), None, schedule,
-                                   mode="gagliardo")
+        report = convergence_study(f, 2.0, Lebesgue(2.0),
+                                   GagliardoFamily(domain.dimension), schedule)
         assert passes == [4]
         assert np.allclose(report.functional_values, single, rtol=1e-12,
                            atol=0.0)
 
+    def test_family_states_the_route(self, line_setup):
+        _, _, f = line_setup
+        s_values = [0.8, 0.9, 0.95, 0.975]
+        # s values under a kernel family read as increasing scales
+        with pytest.raises(ValueError, match="strictly decreasing"):
+            convergence_study(f, 2.0, Lebesgue(2.0), bump_family(1),
+                              s_values)
+        with pytest.raises(ValueError, match="not a kernel family: None"):
+            convergence_study(f, 2.0, Lebesgue(2.0), None, s_values)
+        report = convergence_study(f, 2.0, Lebesgue(2.0), bump_family(1),
+                                   [0.2, 0.1, 0.05, 0.025])
+        assert report.mode == "rdati"
+
+    @pytest.mark.parametrize("family, schedule, match", [
+        (bump_family(1), [0.2, 0.1, 0.05], "at least 4 points, got 3"),
+        (bump_family(1), [1.0, 0.5, 0.25, 0.125],
+         r"nu=1.0 outside the admissible range \(0, 1\) of the bump"),
+        (fractional_family(2.0, 0.5, 1), [0.6, 0.3, 0.15, 0.075],
+         r"nu=0.6 outside the admissible range \(0, min\{n/p, 1\}\) "
+         r"= \(0, 0.5\)"),
+        (GagliardoFamily(1), [0.8, 0.9, 0.95, 0.95], "strictly decreasing"),
+        (GagliardoFamily(1), [-0.5, 0.5, 0.9, 0.95], r"nu=1.5 outside"),
+    ])
+    def test_schedule_check_names_the_fault(self, family, schedule, match):
+        with pytest.raises(ValueError, match=match):
+            study_scales(family, schedule)
+
+    def test_gagliardo_scales_are_one_minus_s(self):
+        s_values = [0.8, 0.9, 0.95, 0.975]
+        assert study_scales(GagliardoFamily(1), s_values) == \
+            [1.0 - s for s in s_values]
+
     def test_gagliardo_s_outside_the_unit_interval(self, line_setup):
         _, _, f = line_setup
-        with pytest.raises(ValueError, match="s must lie in"):
-            convergence_study(f, 2.0, Lebesgue(2.0), None,
-                              [0.8, 0.9, 0.95, 1.0], mode="gagliardo")
+        with pytest.raises(ValueError, match=r"nu=0.0 outside .*"
+                                             r"s = 1 - nu must lie in"):
+            convergence_study(f, 2.0, Lebesgue(2.0), GagliardoFamily(1),
+                              [0.8, 0.9, 0.95, 1.0])
 
     def test_fit_quality_for_smooth_function(self, line_setup):
         _, _, f = line_setup

@@ -395,6 +395,36 @@ class TestConfigErrors:
         line = _error_line(tmp_path, capsys, old, new)
         assert line.startswith(f"config error in 'domain': {key} must ")
 
+    @pytest.mark.parametrize("line, key, value", [
+        ("tolerence = 0.0001", "tolerence", "0.0001"),
+        ("stride = 2", "stride", "2"),
+    ])
+    def test_unknown_key_named_with_its_value(self, tmp_path, capsys, line,
+                                              key, value):
+        error = _only_error_line(tmp_path, capsys, MEMBER_CFG + line + "\n")
+        assert error.startswith(f"config error in {key!r}: unknown key "
+                                f"(set to {value})")
+
+    @pytest.mark.parametrize("kind", ["bump", "nonsense"])
+    def test_gagliardo_mode_takes_no_family(self, tmp_path, capsys, kind):
+        text = (CONFIG_DIR / "gagliardo_1d_linear.cfg").read_text()
+        error = _only_error_line(tmp_path, capsys,
+                                 text + f"family.kind = {kind}\n")
+        assert error.startswith("config error in 'family'")
+
+    def test_gagliardo_s_outside_the_unit_interval(self, tmp_path, capsys,
+                                                   monkeypatch):
+        from bbmlab import cli
+
+        def no_grid(*args, **kwargs):
+            raise AssertionError("grid built for s = 1")
+
+        monkeypatch.setattr(cli, "sample_quadrature", no_grid)
+        text = (CONFIG_DIR / "gagliardo_1d_linear.cfg").read_text()
+        error = _only_error_line(tmp_path, capsys, text.replace(
+            "0.95, 0.975", "0.95, 1.0"))
+        assert error.startswith("config error in 'schedule': nu=0.0 outside")
+
     def test_table_error_names_file_and_line(self, tmp_path, capsys):
         (tmp_path / "w.csv").write_text("0.25,1\n0.75\n")
         path = tmp_path / "bad.cfg"

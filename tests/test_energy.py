@@ -20,7 +20,12 @@ from bbmlab.geometry import (
     Polygon,
     sample_quadrature,
 )
-from bbmlab.mollifiers import bump_family, fractional_family, gagliardo_kernel
+from bbmlab.mollifiers import (
+    GagliardoFamily,
+    bump_family,
+    fractional_family,
+    gagliardo_kernel,
+)
 from bbmlab.nonlocal_energy import (
     EnergyParams,
     bbm_functional,
@@ -135,7 +140,8 @@ class TestBbmFunctional:
     def test_stride_reweights_measure(self, line_field):
         params = EnergyParams(2.0, bump_family(1), 0.1)
         full = bbm_functional(line_field, params, Lebesgue(2.0))
-        thinned = bbm_functional(line_field, params, Lebesgue(2.0), stride=2)
+        thinned = bbm_functional_schedule(line_field, 2.0, bump_family(1),
+                                          [0.1], Lebesgue(2.0), stride=2)[0]
         assert thinned == pytest.approx(full, rel=1e-2)
 
     def test_quasi_random_grid_supported(self):
@@ -881,9 +887,15 @@ class TestInputChecks:
 
     @pytest.mark.parametrize("stride", [0, 2.5, 2.0])
     def test_half_field_rejects_stride(self, line_field, no_pass, stride):
-        params = EnergyParams(2.0, bump_family(1), 0.1)
         with pytest.raises(ValueError, match="stride must be an integer"):
-            energy_half_field(line_field, params, stride=stride)
+            bbm_functional_schedule(line_field, 2.0, bump_family(1), [0.1],
+                                    Lebesgue(2.0), stride=stride)
+
+    def test_gagliardo_scale_outside_the_unit_interval(self, line_field,
+                                                       no_pass):
+        with pytest.raises(ValueError, match="nu=1.5 outside the admissible"):
+            bbm_functional_schedule(line_field, 2.0, GagliardoFamily(1),
+                                    [1.5, -0.5], Lebesgue(2.0))
 
 
 class TestStride:
@@ -908,26 +920,28 @@ class TestStride:
         # the cells of their group, the last group holding only 18 and 19
         grid = square_field.grid
         params = EnergyParams(2.0, bump_family(2), 0.2)
-        half = energy_half_field(square_field, params, stride=3)
-        assert half.grid.axes is not None
-        for (kept, kept_w), (full, _) in zip(half.grid.axes, grid.axes):
+        kernel = bump_family(2).kernel(0.2, 2.0)
+        kept_grid, halves = nonlocal_energy._half_fields(
+            square_field, [kernel], 2.0, 3)
+        assert kept_grid.axes is not None
+        for (kept, kept_w), (full, _) in zip(kept_grid.axes, grid.axes):
             assert np.array_equal(kept, full[::3])
             assert np.allclose(kept_w, [0.15] * 6 + [0.1], rtol=1e-12)
             assert math.isclose(kept_w.sum(), 1.0, rel_tol=1e-14)
         keep = np.arange(0, 20, 3)
         full_half = energy_half_field(square_field, params).values
         expected = full_half.reshape(20, 20)[np.ix_(keep, keep)].ravel()
-        assert np.allclose(half.values, expected, rtol=1e-12, atol=0.0)
+        assert np.allclose(halves[0], expected, rtol=1e-12, atol=0.0)
         assert np.array_equal(
-            half.grid.points,
+            kept_grid.points,
             grid.points.reshape(20, 20, 2)[np.ix_(keep, keep)].reshape(-1, 2))
 
     def test_point_cloud_stride_rescales_raveled_points(self):
         grid = sample_quadrature(Disk((0.0, 0.0), 1.0), 0.1)
         field = sample(linear((1.0, 0.0)), grid)
-        params = EnergyParams(2.0, bump_family(2), 0.3)
-        half = energy_half_field(field, params, stride=2)
-        assert half.grid.axes is None
-        assert np.array_equal(half.grid.points, grid.points[::2])
-        assert half.grid.weights.sum() == pytest.approx(grid.weights.sum(),
+        kernel = bump_family(2).kernel(0.3, 2.0)
+        kept_grid, _ = nonlocal_energy._half_fields(field, [kernel], 2.0, 2)
+        assert kept_grid.axes is None
+        assert np.array_equal(kept_grid.points, grid.points[::2])
+        assert kept_grid.weights.sum() == pytest.approx(grid.weights.sum(),
                                                         rel=1e-14)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from bbmlab.mollifiers import (
+    GagliardoFamily,
     bump_family,
     fractional_family,
     normalization_defect,
@@ -49,6 +50,18 @@ class TestFractionalFamily:
             fam.rho(0.6, 0.5)
         with pytest.raises(ValueError):
             normalization_defect(fam, 0.5)
+
+
+class TestGagliardoFamily:
+    @pytest.mark.parametrize("nu", [1.5, -0.5, 0.0, 1.0, math.nan])
+    def test_scale_outside_the_unit_interval_named(self, nu):
+        with pytest.raises(ValueError, match=f"nu={nu} outside the "
+                                             r"admissible range \(0, 1\)"):
+            GagliardoFamily(1).kernel(nu, 2.0)
+
+    def test_kernel_at_one_minus_s(self):
+        kernel = GagliardoFamily(2).kernel(0.25, 2.0)
+        assert (kernel.A, kernel.e, kernel.cut) == (1.0, -2.0 - 1.5, math.inf)
 
 
 class TestBumpFamily:

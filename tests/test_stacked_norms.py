@@ -239,28 +239,35 @@ def _one(spec, grid, values):
     return norm(spec, SampledField(grid, values))
 
 
-def _reference_case(suite, spec, grid, rng):
-    """One audit case drawn and measured as before stacking."""
+def _reference_cases(suite, spec, grid, rng, cases):
+    """The audit's cases, drawn as the audit draws them (each random input
+    as one stack over the cases) and measured one field at a time."""
     n = len(grid)
     if suite == "lattice":
-        f = rng.normal(scale=2.0, size=n)
-        damp = rng.uniform(0.0, 1.0, size=n)
-        return _one(spec, grid, f * damp) - _one(spec, grid, f)
+        f = rng.normal(scale=2.0, size=(cases, n))
+        damp = rng.uniform(0.0, 1.0, size=(cases, n))
+        return [_one(spec, grid, fk * dk) - _one(spec, grid, fk)
+                for fk, dk in zip(f, damp)]
     if suite == "fatou":
-        f = np.abs(rng.normal(scale=2.0, size=n))
-        cuts = np.linspace(0.2, 1.0, 5) * max(float(f.max()), 1e-9)
-        norms = [_one(spec, grid, np.minimum(f, c)) for c in cuts]
-        worst = max(norms[i] - norms[i + 1] for i in range(4))
-        return max(worst, abs(norms[-1] - _one(spec, grid, f)))
+        out = []
+        for fk in np.abs(rng.normal(scale=2.0, size=(cases, n))):
+            cuts = np.linspace(0.2, 1.0, 5) * max(float(fk.max()), 1e-9)
+            norms = [_one(spec, grid, np.minimum(fk, c)) for c in cuts]
+            worst = max(norms[i] - norms[i + 1] for i in range(4))
+            out.append(max(worst, abs(norms[-1] - _one(spec, grid, fk))))
+        return out
     if suite == "triangle":
-        f = rng.normal(scale=2.0, size=n)
-        g = rng.normal(scale=2.0, size=n)
-        return (_one(spec, grid, f + g) - _one(spec, grid, f)
-                - _one(spec, grid, g))
-    f = rng.normal(scale=2.0, size=n)
-    c = float(rng.uniform(0.1, 10.0)) * float(rng.choice([-1.0, 1.0]))
-    ref = abs(c) * _one(spec, grid, f)
-    return abs(_one(spec, grid, c * f) - ref) / max(ref, 1.0)
+        pairs = rng.normal(scale=2.0, size=(cases, 2, n))
+        return [_one(spec, grid, fk + gk) - _one(spec, grid, fk)
+                - _one(spec, grid, gk) for fk, gk in pairs]
+    f = rng.normal(scale=2.0, size=(cases, n))
+    c = rng.uniform(0.1, 10.0, size=cases) * rng.choice([-1.0, 1.0],
+                                                        size=cases)
+    out = []
+    for fk, ck in zip(f, c):
+        ref = abs(ck) * _one(spec, grid, fk)
+        out.append(abs(_one(spec, grid, ck * fk) - ref) / max(ref, 1.0))
+    return out
 
 
 SUITES = [("lattice", checks.LATTICE_SLACK), ("fatou", checks.FATOU_SLACK),
@@ -285,8 +292,7 @@ def test_axiom_suites_match_single_field_loop():
     for engine, spec, grid in checks.engine_catalog():
         for suite, slack in SUITES:
             rng = np.random.default_rng(seed)
-            want = np.array([_reference_case(suite, spec, grid, rng)
-                             for _ in range(cases)])
+            want = np.array(_reference_cases(suite, spec, grid, rng, cases))
             got = getattr(checks, f"{suite}_violation")(
                 spec, grid, np.random.default_rng(seed), cases)
             assert np.abs(got - want).max() <= 1e-12, (suite, engine)
