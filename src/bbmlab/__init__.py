@@ -38,8 +38,8 @@ from .mollifiers import (
     tail_mass,
 )
 from .nonlocal_energy import (
-    EnergyParams,
-    bbm_functional,
+    bbm_functional_schedule,
+    energy_half_field,
     gagliardo_functional,
     pointwise_energy,
 )

@@ -501,8 +501,10 @@ def _cmd_sweep(args) -> int:
     except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # a fork pool starts all its workers at once: no more than the runs
+    workers = min(jobs, len(payloads))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             cases = list(pool.map(_run_sweep_case, payloads))
     else:
         cases = [_run_sweep_case(p) for p in payloads]

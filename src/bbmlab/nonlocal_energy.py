@@ -10,9 +10,10 @@ re-integrated in polar coordinates with the difference quotient frozen at
 its grid average.  This keeps the total quadrature error O(h) uniformly
 over admissible scales.
 
-One pass serves every kernel of a schedule, and every entry point (the
-functionals, `energy_half_field` and `pointwise_energy`) runs it.  It has
-two sources, chosen by the grid:
+One pass serves every kernel of a schedule on the field's own grid, and
+every entry point (`bbm_functional_schedule`, `gagliardo_functional`,
+`energy_half_field` and `pointwise_energy`) runs it.  It has two sources,
+chosen by the grid:
 
 * lattice grids, whose points carry integer `lattice` indices
   (tensor-midpoint intervals and boxes whose cells are all full, disks and
@@ -71,7 +72,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import fft as sp_fft
@@ -83,9 +83,8 @@ from .mollifiers import GagliardoFamily, RdatiFamily, check_p
 from .spaces import SpaceSpec, norm, unit_ball_volume
 
 __all__ = [
-    "EnergyParams",
     "pointwise_energy",
-    "bbm_functional",
+    "bbm_functional_schedule",
     "gagliardo_functional",
     "energy_half_field",
     "NEAR_FIELD_FACTOR",
@@ -114,19 +113,6 @@ _FFT_GUARD = 1e-13
 # B log2 B of each transform, and their ratio ran from 0.07 to 0.15; the
 # largest is kept
 _FFT_COST = 0.15
-
-
-@dataclass(frozen=True)
-class EnergyParams:
-    """Exponent, kernel family and scale for one energy evaluation."""
-
-    p: float
-    family: RdatiFamily
-    nu: float
-
-    def __post_init__(self):
-        check_p(self.p)
-        self.family._check_nu(self.nu)
 
 
 def _tree_sums(field: SampledField, kernels, p: float,
@@ -453,103 +439,67 @@ def _energy_values(field: SampledField, kernels, p: float,
     return out
 
 
-def pointwise_energy(field: SampledField, x_index: int,
-                     params: EnergyParams) -> float:
+def _kernels(field: SampledField, p: float,
+             family: RdatiFamily | GagliardoFamily, nus) -> list:
+    """The kernels of `family` at the scales `nus`, after checks of p and of
+    the family's dimension against the field's; a scale below 4 h p warns."""
+    check_p(p)
+    if family.n != field.grid.dimension:
+        raise ValueError(f"kernel family of dimension {family.n} on a field "
+                         f"of dimension {field.grid.dimension}")
+    kernels = [family.kernel(nu, p) for nu in nus]
+    bound = 4.0 * field.grid.h * p
+    for nu in nus:
+        if nu < bound:
+            warnings.warn(f"kernel scale nu={nu:g} below the resolved bound "
+                          f"4*h*p={bound:g}; the near-field freeze dominates",
+                          RuntimeWarning, stacklevel=3)
+    return kernels
+
+
+def pointwise_energy(field: SampledField, p: float,
+                     family: RdatiFamily | GagliardoFamily, nu: float,
+                     x_index: int) -> float:
     """Energy density at one grid point (same path as the functionals)."""
     if isinstance(x_index, bool) or not isinstance(x_index, (int, np.integer)) \
             or not 0 <= x_index < len(field.grid):
         raise ValueError(f"x_index must be an integer in [0, "
                          f"{len(field.grid)}), got {x_index!r}")
-    kernel = params.family.kernel(params.nu, params.p)
-    value = _energy_values(field, [kernel], params.p,
-                           np.asarray([x_index]))[0, 0]
-    return float(value)
+    kernels = _kernels(field, p, family, [nu])
+    return float(_energy_values(field, kernels, p, np.array([x_index]))[0, 0])
 
 
-def _strided_grid(grid: QuadratureGrid, stride: int):
-    """The evaluation indices and output grid of a strided pass.
-
-    Tensor grids (those carrying `axes`) keep every stride-th coordinate
-    of each axis; a kept coordinate carries the summed weight of its
-    stride group, so the per-axis weights still sum exactly to the side
-    lengths and the output keeps its `axes`; an n-d tensor grid thus keeps
-    about N / stride^n points.  Other point clouds keep
-    every stride-th point of the raveled order with the weights rescaled
-    uniformly to the full measure; on a lattice cut out by a disk or
-    polygon the kept set therefore depends on the row lengths.
-    """
-    if stride == 1:
-        return np.arange(len(grid)), grid
-    if grid.axes is None:
-        eval_idx = np.arange(0, len(grid), stride)
-        w = grid.weights[eval_idx]
-        scale = grid.weights.sum() / w.sum()
-        return eval_idx, QuadratureGrid(grid.points[eval_idx], w * scale,
-                                        grid.h, domain=grid.domain)
-    keep = [np.arange(0, len(coords), stride) for coords, _ in grid.axes]
-    axes = tuple((coords[k], np.add.reduceat(weights, k))
-                 for (coords, weights), k in zip(grid.axes, keep))
-    shape = tuple(len(coords) for coords, _ in grid.axes)
-    eval_idx = np.ravel_multi_index(
-        [m.ravel() for m in np.meshgrid(*keep, indexing="ij")], shape)
-    w = np.ones(len(eval_idx))
-    for wm in np.meshgrid(*[ax[1] for ax in axes], indexing="ij"):
-        w = w * wm.ravel()
-    return eval_idx, QuadratureGrid(grid.points[eval_idx], w, grid.h,
-                                    axes=axes, domain=grid.domain)
+def _half_fields(field: SampledField, kernels, p: float) -> np.ndarray:
+    """x -> E(x)^(1/p) on the field's grid, one row per kernel."""
+    rows = np.arange(len(field.grid))
+    return _energy_values(field, kernels, p, rows) ** (1.0 / p)
 
 
-def _half_fields(field: SampledField, kernels, p: float, stride: int):
-    """The fields x -> E(x)^(1/p), one per kernel, on the strided grid:
-    (grid, values) with one row of values per kernel."""
-    if isinstance(stride, bool) or not isinstance(stride, (int, np.integer)) \
-            or stride < 1:
-        raise ValueError(f"stride must be an integer >= 1, got {stride!r}")
-    eval_idx, out_grid = _strided_grid(field.grid, stride)
-    energies = _energy_values(field, kernels, p, eval_idx)
-    return out_grid, energies ** (1.0 / p)
-
-
-def energy_half_field(field: SampledField,
-                      params: EnergyParams) -> SampledField:
+def energy_half_field(field: SampledField, p: float,
+                      family: RdatiFamily | GagliardoFamily,
+                      nu: float) -> SampledField:
     """The field x -> E(x)^(1/p) that the functional feeds into the norm."""
-    kernel = params.family.kernel(params.nu, params.p)
-    grid, halves = _half_fields(field, [kernel], params.p, 1)
-    return SampledField(grid, halves[0])
-
-
-def _warn_scale(nu: float, h: float, p: float) -> None:
-    if nu < 4.0 * h * p:
-        warnings.warn(
-            f"kernel scale nu={nu:g} below the resolved bound 4*h*p="
-            f"{4.0 * h * p:g}; the near-field freeze dominates",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-
-
-def bbm_functional(field: SampledField, params: EnergyParams,
-                   spec: SpaceSpec) -> float:
-    """X-norm of the pointwise energy to the 1/p, for one RDATI scale."""
-    return float(bbm_functional_schedule(field, params.p, params.family,
-                                         [params.nu], spec)[0])
+    kernels = _kernels(field, p, family, [nu])
+    return SampledField(field.grid, _half_fields(field, kernels, p)[0])
 
 
 def bbm_functional_schedule(field: SampledField, p: float,
                             family: RdatiFamily | GagliardoFamily, nus,
                             spec: SpaceSpec, stride: int = 1) -> np.ndarray:
     """Functional values over a scale schedule, sharing one energy pass
-    and one stacked norm call; `family` gives each scale's kernel.  No
-    study passes `stride` (`_strided_grid`); only the benchmark's tracer,
-    which binds it by name here and on `gagliardo_functional`, keeps it."""
-    check_p(p)
+    and one stacked norm call; `family` gives each scale's kernel.
+
+    The pass evaluates every row of the field's grid, so `stride` must be
+    1: the name stays only while the benchmark's tracer binds it, here and
+    on `gagliardo_functional`."""
+    if not isinstance(stride, (int, np.integer)) or stride != 1:
+        raise ValueError(f"stride must be an integer equal to 1, got "
+                         f"{stride!r}")
     nus = list(nus)
+    kernels = _kernels(field, p, family, nus)
     if not nus:
         raise ValueError("schedule must hold at least one scale, got []")
-    kernels = [family.kernel(nu, p) for nu in nus]
-    for nu in nus:
-        _warn_scale(nu, field.grid.h, p)
-    return norm(spec, *_half_fields(field, kernels, p, stride))
+    return norm(spec, field.grid, _half_fields(field, kernels, p))
 
 
 def gagliardo_functional(field: SampledField, p: float, s: float,
@@ -558,7 +508,8 @@ def gagliardo_functional(field: SampledField, p: float, s: float,
 
     A one-kernel schedule of `GagliardoFamily` at nu = 1 - s; with the
     fractional family at nu = 1 - s the two routes differ by the exact
-    factor p^(1/p) (2R)^(-nu).  `stride`: see `bbm_functional_schedule`.
+    factor p^(1/p) (2R)^(-nu).  `stride` must be 1, a name kept only for
+    the benchmark's tracer: see `bbm_functional_schedule`.
     """
     nu = 1.0 - s
     value = bbm_functional_schedule(field, p,

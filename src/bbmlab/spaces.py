@@ -91,8 +91,8 @@ class PowerOrlicz:
     q: float
 
     def __post_init__(self):
-        if self.q <= 0:
-            raise ValueError("power Orlicz function needs q > 0")
+        if not 0 < self.q < math.inf:
+            raise ValueError("power Orlicz function needs finite q > 0")
 
     def __call__(self, t):
         return np.asarray(t, dtype=float) ** self.q
@@ -113,8 +113,8 @@ class PowerLogOrlicz:
     q: float
 
     def __post_init__(self):
-        if not self.q > 0:
-            raise ValueError("power-log Orlicz function needs q > 0")
+        if not 0 < self.q < math.inf:
+            raise ValueError("power-log Orlicz function needs finite q > 0")
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
@@ -198,8 +198,8 @@ class ConstantWeight:
     c: float = 1.0
 
     def __post_init__(self):
-        if self.c <= 0:
-            raise ValueError("weight must be positive")
+        if not 0 < self.c < math.inf:
+            raise ValueError("weight must be positive and finite")
 
     def __call__(self, pts: np.ndarray) -> np.ndarray:
         return np.full(np.atleast_2d(pts).shape[0], self.c)
@@ -220,6 +220,10 @@ class PowerWeight:
     """omega(x) = |x|^a, locally integrable for a > -n."""
 
     a: float
+
+    def __post_init__(self):
+        if not math.isfinite(self.a):
+            raise ValueError("power weight needs a finite a")
 
     def __call__(self, pts: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -324,8 +328,8 @@ class Lebesgue(SpaceSpec):
     q: float
 
     def __post_init__(self):
-        if self.q < 1:
-            raise ValueError("Lebesgue exponent must be >= 1")
+        if not 1 <= self.q < math.inf:
+            raise ValueError("Lebesgue exponent must lie in [1, inf)")
 
     def norm(self, grid: QuadratureGrid, values: np.ndarray) -> np.ndarray:
         return _lebesgue_norm(self.q, grid.weights, values)
@@ -340,8 +344,8 @@ class WeightedLebesgue(SpaceSpec):
     weight: Weight = dc_field(default_factory=ConstantWeight)
 
     def __post_init__(self):
-        if self.q < 1:
-            raise ValueError("weighted Lebesgue exponent must be >= 1")
+        if not 1 <= self.q < math.inf:
+            raise ValueError("weighted Lebesgue exponent must lie in [1, inf)")
 
     def norm(self, grid: QuadratureGrid, values: np.ndarray) -> np.ndarray:
         return _lebesgue_norm(self.q, grid.weights * self.weight(grid.points),
@@ -356,8 +360,8 @@ class Lorentz(SpaceSpec):
     tau: float
 
     def __post_init__(self):
-        if not (self.r > 1 and self.tau > 0):
-            raise ValueError("Lorentz space needs r > 1 and tau > 0")
+        if not (1 < self.r < math.inf and 0 < self.tau < math.inf):
+            raise ValueError("Lorentz space needs finite r > 1 and tau > 0")
 
     def norm(self, grid: QuadratureGrid, values: np.ndarray) -> np.ndarray:
         levels, breaks = _rearranged(grid.weights, values)
@@ -391,8 +395,8 @@ class Morrey(SpaceSpec):
     r: float
 
     def __post_init__(self):
-        if not (1 < self.r <= self.alpha):
-            raise ValueError("Morrey space needs 1 < r <= alpha")
+        if not 1 < self.r <= self.alpha < math.inf:
+            raise ValueError("Morrey space needs 1 < r <= alpha < inf")
 
     def norm(self, grid: QuadratureGrid, values: np.ndarray) -> np.ndarray:
         """Max over balls centered at grid points, radii on a geometric
@@ -450,8 +454,9 @@ class VariableLebesgue(SpaceSpec):
         return np.full(np.atleast_2d(pts).shape[0], float(self.exponent))
 
     def check_grid(self, grid: QuadratureGrid) -> None:
-        if np.any(self.exponents(grid.points) <= 1):
-            raise ValueError("variable exponent must stay above 1")
+        r = self.exponents(grid.points)
+        if not np.all((r > 1) & (r < math.inf)):
+            raise ValueError("variable exponent must stay finite and above 1")
 
     def norm(self, grid: QuadratureGrid, values: np.ndarray) -> np.ndarray:
         r = self.exponents(grid.points)
@@ -468,7 +473,7 @@ class MixedLebesgue(SpaceSpec):
     def __post_init__(self):
         object.__setattr__(self, "rvec", tuple(
             float(r) for r in np.atleast_1d(self.rvec)))
-        if any(r < 1 for r in self.rvec):
+        if not all(1 <= r < math.inf for r in self.rvec):
             raise ValueError("mixed exponents must lie in [1, inf)")
 
     def check_grid(self, grid: QuadratureGrid) -> None:
@@ -501,8 +506,9 @@ class HerzLocal(SpaceSpec):
     def __post_init__(self):
         object.__setattr__(self, "xi", tuple(
             float(c) for c in np.atleast_1d(self.xi)))
-        if not (self.p > 1 and self.q > 1):
-            raise ValueError("Herz space needs p, q in (1, inf)")
+        if not (1 < self.p < math.inf and 1 < self.q < math.inf
+                and math.isfinite(self.a) and np.all(np.isfinite(self.xi))):
+            raise ValueError("Herz needs p, q in (1, inf), finite a and xi")
 
     def check_grid(self, grid: QuadratureGrid) -> None:
         if len(self.xi) != grid.dimension:
@@ -523,8 +529,9 @@ class HerzGlobal(SpaceSpec):
     a: float
 
     def __post_init__(self):
-        if not (self.p > 1 and self.q > 1):
-            raise ValueError("Herz space needs p, q in (1, inf)")
+        if not (1 < self.p < math.inf and 1 < self.q < math.inf
+                and math.isfinite(self.a)):
+            raise ValueError("Herz space needs p, q in (1, inf), finite a")
 
     def norm(self, grid: QuadratureGrid, values: np.ndarray) -> np.ndarray:
         """Sup over centers sampled on a bounding-box lattice; a documented
@@ -557,8 +564,8 @@ class BesovBourgainMorrey(SpaceSpec):
     def __post_init__(self):
         if not (1 <= self.q <= self.p <= self.r < math.inf):
             raise ValueError("Besov-Bourgain-Morrey needs q <= p <= r")
-        if self.tau < 1:
-            raise ValueError("tau must be >= 1")
+        if not 1 <= self.tau < math.inf:
+            raise ValueError("tau must lie in [1, inf)")
         for name in ("j_min", "j_max"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value,
@@ -614,8 +621,8 @@ class OrliczSlice(SpaceSpec):
     t: float
 
     def __post_init__(self):
-        if self.r < 1 or self.t <= 0:
-            raise ValueError("Orlicz-slice needs r >= 1 and t > 0")
+        if not (1 <= self.r < math.inf and 0 < self.t < math.inf):
+            raise ValueError("Orlicz-slice needs finite r >= 1 and t > 0")
 
     def norm(self, grid: QuadratureGrid, values: np.ndarray) -> np.ndarray:
         """Each block of the neighbour list holds its balls as rows padded

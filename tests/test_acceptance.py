@@ -37,7 +37,7 @@ from bbmlab.mollifiers import (
     fractional_family,
     normalization_defect,
 )
-from bbmlab.nonlocal_energy import EnergyParams, bbm_functional, \
+from bbmlab.nonlocal_energy import bbm_functional_schedule, \
     gagliardo_functional
 from bbmlab.oracle import dense_1d_functional, mc_sphere_moment
 from bbmlab.spaces import (
@@ -133,9 +133,9 @@ def test_ac4_gagliardo_limit_and_route():
     for s in svals:
         nu = 1.0 - s
         direct = gagliardo_functional(f, 2.0, s, Lebesgue(2.0))
-        converted = bbm_functional(
-            f, EnergyParams(2.0, family, nu), Lebesgue(2.0)
-        ) * (2.0 * R) ** nu / 2.0**0.5
+        converted = bbm_functional_schedule(
+            f, 2.0, family, [nu], Lebesgue(2.0)
+        )[0] * (2.0 * R) ** nu / 2.0**0.5
         route_worst = max(route_worst, abs(direct - converted) / direct)
     ok = err <= 0.03 and route_worst <= 1e-8
     report_line("AC-4", ok,

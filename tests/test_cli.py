@@ -325,6 +325,13 @@ CONFIG_ERRORS = [
     ("herz-xi-dimension", LEBESGUE,
      "space.kind = herz_local\nspace.p = 2\nspace.q = 2\nspace.xi = 0, 0\n",
      "space"),
+    # non-finite spec parameters
+    ("orlicz-slice-t-inf", LEBESGUE,
+     "space.kind = orlicz_slice\nspace.r = 2\nspace.t = inf\n", "space"),
+    ("lebesgue-q-nan", "space.q = 2", "space.q = nan", "space"),
+    ("lebesgue-q-inf", "space.q = 2", "space.q = inf", "space"),
+    ("power-orlicz-q-inf", LEBESGUE,
+     "space.kind = orlicz\nspace.phi_q = inf\n", "space"),
 ]
 
 
@@ -752,6 +759,38 @@ class TestDomainRecords:
         code = main(["run", "--config", str(path),
                      "--out", str(tmp_path / "out")])
         assert code == 0
+
+    def test_sweep_starts_no_more_workers_than_runs(self, member_config,
+                                                    tmp_path, monkeypatch):
+        from bbmlab import cli
+
+        sizes = []
+
+        class RecordingPool:
+            """Records the pool size and runs the cases in-process."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        assert main(["sweep", "--config", str(member_config), "--out",
+                     str(tmp_path / "two"), "--set", "p=1,2",
+                     "--jobs", "8"]) == 0
+        assert sizes == [2]
+        # one run takes no pool at all
+        assert main(["sweep", "--config", str(member_config), "--out",
+                     str(tmp_path / "one"), "--jobs", "8"]) == 0
+        assert sizes == [2]
+        assert (tmp_path / "one" / "run_000" / "report.json").exists()
 
     def test_parallel_sweep(self, member_config, tmp_path):
         out = tmp_path / "par"

@@ -27,14 +27,12 @@ from bbmlab.mollifiers import (
     gagliardo_kernel,
 )
 from bbmlab.nonlocal_energy import (
-    EnergyParams,
-    bbm_functional,
     bbm_functional_schedule,
     energy_half_field,
     gagliardo_functional,
     pointwise_energy,
 )
-from bbmlab.spaces import Lebesgue, MixedLebesgue, norm, unit_ball_volume
+from bbmlab.spaces import Lebesgue, norm, unit_ball_volume
 
 
 @pytest.fixture(scope="module")
@@ -51,42 +49,39 @@ class TestPointwiseEnergy:
     def test_linear_interior_hits_kappa(self, line_field):
         # difference quotient is exactly |v| so the energy equals the
         # kernel mass times kappa(2,1) = 2
-        params = EnergyParams(2.0, bump_family(1), 0.1)
         idx = len(line_field.grid) // 2
-        value = pointwise_energy(line_field, idx, params)
+        value = pointwise_energy(line_field, 2.0, bump_family(1), 0.1, idx)
         assert value == pytest.approx(2.0, rel=1e-2)
 
     def test_constant_zero(self, line_grid):
         f = SampledField(line_grid, np.full(len(line_grid), 3.7))
-        params = EnergyParams(2.0, bump_family(1), 0.1)
-        assert pointwise_energy(f, 10, params) == 0.0
+        assert pointwise_energy(f, 2.0, bump_family(1), 0.1, 10) == 0.0
 
     def test_2d_linear_interior(self):
         grid = sample_quadrature(Box((0.0, 0.0), (1.0, 1.0)), 0.02)
         f = sample(linear((1.0, 0.0)), grid)
-        params = EnergyParams(2.0, bump_family(2), 0.15)
         idx = int(np.argmin(
             np.linalg.norm(grid.points - np.array([0.5, 0.5]), axis=1)))
-        value = pointwise_energy(f, idx, params)
+        value = pointwise_energy(f, 2.0, bump_family(2), 0.15, idx)
         assert value == pytest.approx(math.pi, rel=2e-2)
 
     def test_shift_and_sign_invariance(self, line_grid, rng):
         vals = rng.normal(size=len(line_grid))
-        params = EnergyParams(2.0, bump_family(1), 0.05)
-        base = pointwise_energy(SampledField(line_grid, vals), 7, params)
-        shifted = pointwise_energy(SampledField(line_grid, vals + 4.2), 7,
-                                   params)
-        negated = pointwise_energy(SampledField(line_grid, -vals), 7, params)
+        params = (2.0, bump_family(1), 0.05, 7)
+        base = pointwise_energy(SampledField(line_grid, vals), *params)
+        shifted = pointwise_energy(SampledField(line_grid, vals + 4.2),
+                                   *params)
+        negated = pointwise_energy(SampledField(line_grid, -vals), *params)
         assert shifted == pytest.approx(base, rel=1e-12)
         assert negated == pytest.approx(base, rel=1e-12)
 
     def test_p_homogeneous_scaling(self, line_grid, rng):
         vals = rng.normal(size=len(line_grid))
         for p in (1.0, 2.0, 3.0):
-            params = EnergyParams(p, bump_family(1), 0.05)
-            base = pointwise_energy(SampledField(line_grid, vals), 11, params)
-            scaled = pointwise_energy(SampledField(line_grid, 3.0 * vals), 11,
-                                      params)
+            params = (p, bump_family(1), 0.05, 11)
+            base = pointwise_energy(SampledField(line_grid, vals), *params)
+            scaled = pointwise_energy(SampledField(line_grid, 3.0 * vals),
+                                      *params)
             assert scaled == pytest.approx(3.0**p * base, rel=1e-12)
 
     def test_continuity_in_scale_for_lipschitz(self, line_field):
@@ -94,8 +89,7 @@ class TestPointwiseEnergy:
         nus = np.linspace(0.05, 0.2, 12)
         idx = len(line_field.grid) // 2
         values = [
-            pointwise_energy(line_field, idx,
-                             EnergyParams(2.0, bump_family(1), nu))
+            pointwise_energy(line_field, 2.0, bump_family(1), nu, idx)
             for nu in nus
         ]
         sigma = 2.0
@@ -107,12 +101,12 @@ class TestPointwiseEnergy:
 class TestBbmFunctional:
     def test_constant_is_zero(self, line_grid):
         f = SampledField(line_grid, np.full(len(line_grid), 2.0))
-        params = EnergyParams(2.0, bump_family(1), 0.1)
-        assert bbm_functional(f, params, Lebesgue(2.0)) == 0.0
+        assert bbm_functional_schedule(f, 2.0, bump_family(1), [0.1],
+                                       Lebesgue(2.0))[0] == 0.0
 
     def test_linear_near_sqrt_two(self, line_field):
-        params = EnergyParams(2.0, bump_family(1), 0.05)
-        value = bbm_functional(line_field, params, Lebesgue(2.0))
+        value = bbm_functional_schedule(line_field, 2.0, bump_family(1),
+                                        [0.05], Lebesgue(2.0))[0]
         assert value == pytest.approx(math.sqrt(2.0), rel=0.03)
 
     def test_indicator_grows_as_scale_shrinks(self):
@@ -130,34 +124,26 @@ class TestBbmFunctional:
         batched = bbm_functional_schedule(line_field, 2.0, family, nus,
                                           Lebesgue(2.0))
         single = [
-            bbm_functional(line_field,
-                           EnergyParams(2.0, family, nu),
-                           Lebesgue(2.0))
+            bbm_functional_schedule(line_field, 2.0, family, [nu],
+                                    Lebesgue(2.0))[0]
             for nu in nus
         ]
         assert np.allclose(batched, single, rtol=1e-14)
-
-    def test_stride_reweights_measure(self, line_field):
-        params = EnergyParams(2.0, bump_family(1), 0.1)
-        full = bbm_functional(line_field, params, Lebesgue(2.0))
-        thinned = bbm_functional_schedule(line_field, 2.0, bump_family(1),
-                                          [0.1], Lebesgue(2.0), stride=2)[0]
-        assert thinned == pytest.approx(full, rel=1e-2)
 
     def test_quasi_random_grid_supported(self):
         domain = Interval(0.0, 1.0)
         grid = sample_quadrature(domain, 2e-3, "quasi-random")
         f = sample(linear((1.0,)), grid)
-        params = EnergyParams(2.0, bump_family(1), 0.2)
         reference = math.sqrt(2.0 - 0.2)
-        value = bbm_functional(f, params, Lebesgue(2.0))
+        value = bbm_functional_schedule(f, 2.0, bump_family(1), [0.2],
+                                        Lebesgue(2.0))[0]
         assert value == pytest.approx(reference, rel=0.15)
 
     def test_energy_half_field_feeds_norm(self, line_field):
-        params = EnergyParams(2.0, bump_family(1), 0.1)
-        half = energy_half_field(line_field, params)
+        half = energy_half_field(line_field, 2.0, bump_family(1), 0.1)
         assert norm(Lebesgue(2.0), half) == pytest.approx(
-            bbm_functional(line_field, params, Lebesgue(2.0)), rel=1e-14)
+            bbm_functional_schedule(line_field, 2.0, bump_family(1), [0.1],
+                                    Lebesgue(2.0))[0], rel=1e-14)
 
 
 class TestGagliardoRoute:
@@ -173,8 +159,8 @@ class TestGagliardoRoute:
         p = 2.0
         family = fractional_family(p, R, 1)
         direct = gagliardo_functional(line_field, p, s, Lebesgue(2.0))
-        via_family = bbm_functional(
-            line_field, EnergyParams(p, family, nu), Lebesgue(2.0))
+        via_family = bbm_functional_schedule(line_field, p, family, [nu],
+                                             Lebesgue(2.0))[0]
         converted = via_family * (2.0 * R) ** nu / p ** (1.0 / p)
         assert direct == pytest.approx(converted, rel=1e-8)
 
@@ -183,9 +169,9 @@ class TestGagliardoRoute:
             gagliardo_functional(line_field, 2.0, 1.2, Lebesgue(2.0))
 
     def test_scale_warning_below_resolved_bound(self, line_field):
-        params = EnergyParams(2.0, bump_family(1), 0.004)
         with pytest.warns(RuntimeWarning, match="below the resolved bound"):
-            bbm_functional(line_field, params, Lebesgue(2.0))
+            bbm_functional_schedule(line_field, 2.0, bump_family(1), [0.004],
+                                    Lebesgue(2.0))
 
 
 BUMP_SCHEDULE = [0.2 * 0.5**k for k in range(7)]
@@ -237,14 +223,13 @@ def _kernels(kind, nus, p, n):
     return [gagliardo_kernel(s, p, n) for s in nus]
 
 
-def _energies(field, kernels, p, stride):
-    eval_idx, _ = nonlocal_energy._strided_grid(field.grid, stride)
-    return nonlocal_energy._energy_values(field, kernels, p, eval_idx)
+def _energies(field, kernels, p):
+    return nonlocal_energy._energy_values(field, kernels, p,
+                                          np.arange(len(field.grid)))
 
 
-def _reference(field, kernels, p, stride):
-    eval_idx, _ = nonlocal_energy._strided_grid(field.grid, stride)
-    return _all_pairs_reference(field, kernels, p, eval_idx)
+def _reference(field, kernels, p):
+    return _all_pairs_reference(field, kernels, p, np.arange(len(field.grid)))
 
 
 def _spy_sources(monkeypatch):
@@ -267,14 +252,14 @@ UNIT_DISK = Disk((0.0, 0.0), 1.0)
 
 # beside the lattice cases of test_neighbour_list_matches_all_pairs
 LATTICE_CASES = [
-    (Interval(0.0, 1.0), 2e-3, product_sine(1), "gagliardo", [0.9], 1.5, 1),
-    (UNIT_SQUARE, 0.05, product_sine(2), "gagliardo", [0.95], 2.0, 1),
-    (UNIT_DISK, 0.08, linear((0.6, 0.8)), "bump", BUMP_SCHEDULE, 3.0, 2),
-    (TRIANGLE, 0.03, linear((0.6, 0.8)), "bump", BUMP_SCHEDULE, 2.0, 1),
-    (TRIANGLE, 0.04, product_sine(2), "gagliardo", [0.8, 0.9], 2.0, 2),
-    (UNIT_CUBE, 0.1, product_sine(3), "bump", [0.4, 0.2], 2.0, 1),
-    (UNIT_CUBE, 0.1, product_sine(3), "fractional", [0.3], 2.0, 2),
-    (UNIT_CUBE, 0.125, product_sine(3), "gagliardo", [0.9], 2.0, 1),
+    (Interval(0.0, 1.0), 2e-3, product_sine(1), "gagliardo", [0.9], 1.5),
+    (UNIT_SQUARE, 0.05, product_sine(2), "gagliardo", [0.95], 2.0),
+    (UNIT_DISK, 0.08, linear((0.6, 0.8)), "bump", BUMP_SCHEDULE, 3.0),
+    (TRIANGLE, 0.03, linear((0.6, 0.8)), "bump", BUMP_SCHEDULE, 2.0),
+    (TRIANGLE, 0.04, product_sine(2), "gagliardo", [0.8, 0.9], 2.0),
+    (UNIT_CUBE, 0.1, product_sine(3), "bump", [0.4, 0.2], 2.0),
+    (UNIT_CUBE, 0.1, product_sine(3), "fractional", [0.3], 2.0),
+    (UNIT_CUBE, 0.125, product_sine(3), "gagliardo", [0.9], 2.0),
 ]
 
 
@@ -283,48 +268,47 @@ class TestPairSources:
     both reproduce the all-pairs reference."""
 
     @pytest.mark.parametrize(
-        "domain, h, fn, kind, nus, p, stride", LATTICE_CASES)
+        "domain, h, fn, kind, nus, p", LATTICE_CASES)
     def test_offset_pass_matches_all_pairs(self, monkeypatch, domain, h, fn,
-                                           kind, nus, p, stride):
+                                           kind, nus, p):
         field = sample(fn, sample_quadrature(domain, h))
         kernels = _kernels(kind, nus, p, domain.dimension)
-        dense = _reference(field, kernels, p, stride)
+        dense = _reference(field, kernels, p)
         taken = _spy_sources(monkeypatch)
-        got = _energies(field, kernels, p, stride)
+        got = _energies(field, kernels, p)
         assert taken == ["offset"]
         assert np.all(dense > 0)
         assert np.max(np.abs(got - dense) / dense) <= 1e-12
 
-    @pytest.mark.parametrize("domain, h, scheme, fn, family, nus, stride", [
+    @pytest.mark.parametrize("domain, h, scheme, fn, family, nus", [
         (Interval(0.0, 1.0), 2e-3, "tensor-midpoint", linear((1.0,)),
-         bump_family(1), BUMP_SCHEDULE, 1),
+         bump_family(1), BUMP_SCHEDULE),
         (Interval(0.0, 1.0), 2e-3, "quasi-random", product_sine(1),
-         bump_family(1), BUMP_SCHEDULE, 2),
+         bump_family(1), BUMP_SCHEDULE),
         (Interval(0.0, 1.0), 2e-3, "tensor-midpoint", product_sine(1),
-         fractional_family(2.0, 0.2, 1), [0.1, 0.3, 0.45], 2),
+         fractional_family(2.0, 0.2, 1), [0.1, 0.3, 0.45]),
         (Box((0.0, 0.0), (1.0, 1.0)), 0.04, "tensor-midpoint",
-         product_sine(2), bump_family(2), BUMP_SCHEDULE, 2),
+         product_sine(2), bump_family(2), BUMP_SCHEDULE),
         (Disk((0.0, 0.0), 1.0), 0.06, "quasi-random", linear((0.6, 0.8)),
-         bump_family(2), BUMP_SCHEDULE, 1),
+         bump_family(2), BUMP_SCHEDULE),
         (Disk((0.0, 0.0), 1.0), 0.06, "tensor-midpoint", product_sine(2),
-         fractional_family(2.0, 0.3, 2), [0.2, 0.5], 1),
+         fractional_family(2.0, 0.3, 2), [0.2, 0.5]),
         (Box((0.0, 0.0), (1.0, 1.0)), 0.05, "quasi-random", product_sine(2),
-         fractional_family(2.0, 0.3, 2), [0.2, 0.5], 2),
+         fractional_family(2.0, 0.3, 2), [0.2, 0.5]),
         # 34 cells per side, the last one clipped to 0.01
         (UNIT_SQUARE, 0.03, "tensor-midpoint", product_sine(2),
-         bump_family(2), BUMP_SCHEDULE, 1),
+         bump_family(2), BUMP_SCHEDULE),
     ])
     def test_neighbour_list_matches_all_pairs(self, monkeypatch, domain, h,
-                                              scheme, fn, family, nus,
-                                              stride):
+                                              scheme, fn, family, nus):
         """Through the source its grid takes: the neighbour list on point
         clouds, the offset pass on lattice grids."""
         grid = sample_quadrature(domain, h, scheme)
         field = sample(fn, grid)
         kernels = [family.kernel(nu, 2.0) for nu in nus]
-        dense = _reference(field, kernels, 2.0, stride)
+        dense = _reference(field, kernels, 2.0)
         taken = _spy_sources(monkeypatch)
-        got = _energies(field, kernels, 2.0, stride)
+        got = _energies(field, kernels, 2.0)
         assert taken == ["tree" if grid.lattice is None else "offset"]
         assert np.all(dense > 0)
         assert np.max(np.abs(got - dense) / dense) <= 1e-12
@@ -358,13 +342,13 @@ class TestPairSources:
         field = load_field_csv(path, 2)
         assert field.grid.lattice is None
         kernels = _kernels("bump", BUMP_SCHEDULE, 2.0, 2)
-        dense = _reference(field, kernels, 2.0, 1)
+        dense = _reference(field, kernels, 2.0)
         taken = _spy_sources(monkeypatch)
-        got = _energies(field, kernels, 2.0, 1)
+        got = _energies(field, kernels, 2.0)
         assert taken == ["tree"]
         assert np.max(np.abs(got - dense) / dense) <= 1e-12
         # the same points on their lattice give the same energies
-        on_lattice = _energies(sample(product_sine(2), grid), kernels, 2.0, 1)
+        on_lattice = _energies(sample(product_sine(2), grid), kernels, 2.0)
         assert np.max(np.abs(got - on_lattice) / on_lattice) <= 1e-12
 
     def test_public_entry_points_take_the_offset_pass(self, monkeypatch):
@@ -373,8 +357,8 @@ class TestPairSources:
         gagliardo_functional(field, 2.0, 0.9, Lebesgue(2.0))
         family = fractional_family(2.0, UNIT_SQUARE.enclosing_radius(), 2)
         bbm_functional_schedule(field, 2.0, family, [0.5, 0.2],
-                                Lebesgue(2.0), stride=2)
-        pointwise_energy(field, 3, EnergyParams(2.0, bump_family(2), 0.3))
+                                Lebesgue(2.0))
+        pointwise_energy(field, 2.0, bump_family(2), 0.3, 3)
         assert taken == ["offset"] * 3
 
     def _record_blocks(self, monkeypatch, budget, widths=None):
@@ -408,14 +392,14 @@ class TestPairSources:
         monkeypatch.setattr(nonlocal_energy, "_FFT_COST", math.inf)
         with pytest.MonkeyPatch.context() as mp:
             whole_blocks = self._record_blocks(mp, 10**9)
-            whole = _energies(field, kernels, 2.0, 1)
+            whole = _energies(field, kernels, 2.0)
         assert len(whole_blocks) == 1
         # a budget of a few tiles of every offset: blocks of whole tiles
         per_tile = whole_blocks[0] // -(-len(field.grid)
                                          // nonlocal_energy._ROW_TILE)
         budget = 3 * per_tile + 1
         blocks = self._record_blocks(monkeypatch, budget)
-        split = _energies(field, kernels, 2.0, 1)
+        split = _energies(field, kernels, 2.0)
         assert len(blocks) > 1
         assert max(blocks) <= budget
         assert np.array_equal(split, whole)
@@ -437,12 +421,12 @@ class TestPairSources:
         widths = []
         with pytest.MonkeyPatch.context() as mp:
             whole_blocks = self._record_blocks(mp, 10**9, widths)
-            whole = _energies(field, kernels, 2.0, 1)
+            whole = _energies(field, kernels, 2.0)
         # a few tiles of the widest pass's offsets: blocks of whole tiles
         # and offsets
         budget = 3 * nonlocal_energy._ROW_TILE * max(widths) + 1
         blocks = self._record_blocks(monkeypatch, budget)
-        split = _energies(field, kernels, 2.0, 1)
+        split = _energies(field, kernels, 2.0)
         assert len(ran) == 2
         assert len(blocks) > len(whole_blocks)
         assert max(blocks) <= budget
@@ -452,9 +436,9 @@ class TestPairSources:
         field = sample(product_sine(1),
                        sample_quadrature(Interval(0.0, 1.0), 2e-3))
         kernels = _kernels("bump", BUMP_SCHEDULE, 2.0, 1)
-        whole = _energies(field, kernels, 2.0, 1)
+        whole = _energies(field, kernels, 2.0)
         blocks = self._record_blocks(monkeypatch, 800)
-        split = _energies(field, kernels, 2.0, 1)
+        split = _energies(field, kernels, 2.0)
         assert max(blocks) <= 800
         assert np.max(np.abs(split - whole) / whole) <= 1e-14
 
@@ -464,7 +448,7 @@ class TestPairSources:
         field = sample(product_sine(1),
                        sample_quadrature(domain, 2e-3, "quasi-random"))
         kernels = _kernels("bump", BUMP_SCHEDULE, 2.0, 1)
-        whole = _energies(field, kernels, 2.0, 1)
+        whole = _energies(field, kernels, 2.0)
         blocks = []
         original = geometry._ball_pairs
 
@@ -475,7 +459,7 @@ class TestPairSources:
 
         monkeypatch.setattr(geometry, "_PAIR_BUDGET", 5_000)
         monkeypatch.setattr(geometry, "_ball_pairs", recording)
-        split = _energies(field, kernels, 2.0, 1)
+        split = _energies(field, kernels, 2.0)
         assert len(blocks) > 1
         assert max(blocks) <= 5_000
         assert np.array_equal(split, whole)
@@ -861,7 +845,9 @@ class TestInputChecks:
             bbm_functional_schedule(line_field, p, bump_family(1),
                                     BUMP_SCHEDULE, Lebesgue(2.0))
         with pytest.raises(ValueError, match="p must be a finite number"):
-            EnergyParams(p, bump_family(1), 0.1)
+            pointwise_energy(line_field, p, bump_family(1), 0.1, 0)
+        with pytest.raises(ValueError, match="p must be a finite number"):
+            energy_half_field(line_field, p, bump_family(1), 0.1)
 
     @pytest.mark.parametrize("schedule", [[], (), np.zeros(0)])
     def test_empty_schedule_fails_by_name(self, line_field, no_pass,
@@ -881,67 +867,37 @@ class TestInputChecks:
 
     @pytest.mark.parametrize("index", [-1, 500, 2.5, True])
     def test_pointwise_energy_rejects_index(self, line_field, no_pass, index):
-        params = EnergyParams(2.0, bump_family(1), 0.1)
         with pytest.raises(ValueError, match="x_index must be an integer"):
-            pointwise_energy(line_field, index, params)
+            pointwise_energy(line_field, 2.0, bump_family(1), 0.1, index)
 
-    @pytest.mark.parametrize("stride", [0, 2.5, 2.0])
+    @pytest.mark.parametrize("stride", [0, 2.5, 2.0, 2])
     def test_half_field_rejects_stride(self, line_field, no_pass, stride):
         with pytest.raises(ValueError, match="stride must be an integer"):
             bbm_functional_schedule(line_field, 2.0, bump_family(1), [0.1],
                                     Lebesgue(2.0), stride=stride)
+        with pytest.raises(ValueError, match="stride must be an integer"):
+            gagliardo_functional(line_field, 2.0, 0.9, Lebesgue(2.0),
+                                 stride=stride)
+
+    @pytest.mark.parametrize("family, schedule", [
+        (GagliardoFamily(2), [0.8, 0.9, 0.95, 0.975]),
+        (bump_family(2), [0.2, 0.1, 0.05, 0.025]),
+    ], ids=["gagliardo", "bump"])
+    def test_family_must_match_the_field(self, line_field, no_pass, family,
+                                         schedule):
+        from bbmlab.bbm import convergence_study
+
+        message = "family of dimension 2 .* field of dimension 1"
+        with pytest.raises(ValueError, match=message):
+            convergence_study(line_field, 2.0, Lebesgue(2.0), family,
+                              schedule)
+        with pytest.raises(ValueError, match=message):
+            pointwise_energy(line_field, 2.0, family, 0.1, 0)
+        with pytest.raises(ValueError, match=message):
+            energy_half_field(line_field, 2.0, family, 0.1)
 
     def test_gagliardo_scale_outside_the_unit_interval(self, line_field,
                                                        no_pass):
         with pytest.raises(ValueError, match="nu=1.5 outside the admissible"):
             bbm_functional_schedule(line_field, 2.0, GagliardoFamily(1),
                                     [1.5, -0.5], Lebesgue(2.0))
-
-
-class TestStride:
-    @pytest.fixture(scope="class")
-    def square_field(self):
-        grid = sample_quadrature(Box((0.0, 0.0), (1.0, 1.0)), 0.05)
-        return sample(product_sine(2), grid)
-
-    @pytest.mark.parametrize("stride", [2, 3])
-    def test_mixed_norm_with_stride(self, square_field, stride):
-        # on a tensor grid the (2, 2) mixed norm is the L^2 norm
-        mixed = bbm_functional_schedule(
-            square_field, 2.0, bump_family(2), BUMP_SCHEDULE[:3],
-            MixedLebesgue((2.0, 2.0)), stride=stride)
-        plain = bbm_functional_schedule(
-            square_field, 2.0, bump_family(2), BUMP_SCHEDULE[:3],
-            Lebesgue(2.0), stride=stride)
-        assert np.allclose(mixed, plain, rtol=1e-12, atol=0.0)
-
-    def test_stride_keeps_an_axis_sublattice(self, square_field):
-        # 20 cells per axis at stride 3: coordinates 0, 3, ..., 18 carry
-        # the cells of their group, the last group holding only 18 and 19
-        grid = square_field.grid
-        params = EnergyParams(2.0, bump_family(2), 0.2)
-        kernel = bump_family(2).kernel(0.2, 2.0)
-        kept_grid, halves = nonlocal_energy._half_fields(
-            square_field, [kernel], 2.0, 3)
-        assert kept_grid.axes is not None
-        for (kept, kept_w), (full, _) in zip(kept_grid.axes, grid.axes):
-            assert np.array_equal(kept, full[::3])
-            assert np.allclose(kept_w, [0.15] * 6 + [0.1], rtol=1e-12)
-            assert math.isclose(kept_w.sum(), 1.0, rel_tol=1e-14)
-        keep = np.arange(0, 20, 3)
-        full_half = energy_half_field(square_field, params).values
-        expected = full_half.reshape(20, 20)[np.ix_(keep, keep)].ravel()
-        assert np.allclose(halves[0], expected, rtol=1e-12, atol=0.0)
-        assert np.array_equal(
-            kept_grid.points,
-            grid.points.reshape(20, 20, 2)[np.ix_(keep, keep)].reshape(-1, 2))
-
-    def test_point_cloud_stride_rescales_raveled_points(self):
-        grid = sample_quadrature(Disk((0.0, 0.0), 1.0), 0.1)
-        field = sample(linear((1.0, 0.0)), grid)
-        kernel = bump_family(2).kernel(0.3, 2.0)
-        kept_grid, _ = nonlocal_energy._half_fields(field, [kernel], 2.0, 2)
-        assert kept_grid.axes is None
-        assert np.array_equal(kept_grid.points, grid.points[::2])
-        assert kept_grid.weights.sum() == pytest.approx(grid.weights.sum(),
-                                                        rel=1e-14)

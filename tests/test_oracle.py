@@ -9,7 +9,7 @@ from bbmlab import oracle
 from bbmlab.field import linear, sample, indicator_halfspace
 from bbmlab.geometry import Box, Interval, sample_quadrature
 from bbmlab.mollifiers import bump_family
-from bbmlab.nonlocal_energy import EnergyParams, bbm_functional
+from bbmlab.nonlocal_energy import bbm_functional_schedule
 from bbmlab.oracle import (
     dense_1d_functional,
     mc_sphere_moment,
@@ -66,8 +66,8 @@ class TestDense1d:
         domain = Interval(0.0, 1.0)
         grid = sample_quadrature(domain, 1e-3)
         f = sample(linear((1.0,)), grid)
-        engine = bbm_functional(
-            f, EnergyParams(2.0, bump_family(1), 0.1), Lebesgue(2.0))
+        engine = bbm_functional_schedule(f, 2.0, bump_family(1), [0.1],
+                                         Lebesgue(2.0))[0]
         dense = dense_1d_functional(linear((1.0,)), domain, 2.0, 2.0, 0.1,
                                     1e-4, family_kind="bump")
         assert engine == pytest.approx(dense, rel=0.01)

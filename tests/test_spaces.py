@@ -1145,6 +1145,12 @@ REQUIRED_KEYS = [
     ("bbmorrey", "tau"), ("orlicz_slice", "r"), ("orlicz_slice", "t"),
 ]
 
+# the keys whose NaN or infinite value no spec accepts
+NON_FINITE_KEYS = REQUIRED_KEYS + [
+    ("herz_local", "a"), ("herz_local", "xi"), ("herz_global", "a"),
+    ("orlicz", "phi_q")]
+
+
 
 class TestSpecContract:
     def test_registry_covers_every_kind(self):
@@ -1189,3 +1195,19 @@ class TestSpecContract:
         with pytest.raises(ConfigError) as info:
             build_space(record, 2)
         assert info.value.field == f"space.{key}"
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("kind, key", NON_FINITE_KEYS)
+    def test_non_finite_value_names_the_space(self, kind, key, value):
+        record = next(dict(r) for r, _, _ in SPEC_RECORDS if r["kind"] == kind)
+        record[key] = value
+        with pytest.raises(ConfigError) as info:
+            build_space(record, 2)
+        assert info.value.field == "space"
+
+    @pytest.mark.parametrize("base", [math.nan, math.inf])
+    def test_variable_exponent_must_stay_finite(self, unit_interval_grid,
+                                                base):
+        f = field_on(unit_interval_grid, np.ones(len(unit_interval_grid)))
+        with pytest.raises(ValueError, match="finite and above 1"):
+            norm(VariableLebesgue(base), f)

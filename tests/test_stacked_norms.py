@@ -11,7 +11,7 @@ from bbmlab import checks, mollifiers, nonlocal_energy, spaces
 from bbmlab.field import SampledField, linear, sample
 from bbmlab.geometry import (Box, Disk, Interval, QuadratureGrid,
                              sample_quadrature)
-from bbmlab.nonlocal_energy import EnergyParams, energy_half_field
+from bbmlab.nonlocal_energy import energy_half_field
 from bbmlab.spaces import (
     SPACES,
     BesovBourgainMorrey,
@@ -227,7 +227,7 @@ def test_schedule_measures_its_half_fields_in_one_call(monkeypatch):
     assert len(calls) == 1
     monkeypatch.setattr(nonlocal_energy, "norm", original)
     single = np.array([
-        norm(spec, energy_half_field(f, EnergyParams(2.0, family, nu)))
+        norm(spec, energy_half_field(f, 2.0, family, nu))
         for nu in nus])
     _assert_rows_match(values, single)
 

@@ -37,7 +37,7 @@ def test_tracer_binds_and_restores_every_boundary():
         # both energy bindings, through the parameters the tracer binds
         bbm.gagliardo_functional(field, 2.0, 0.9, Lebesgue(2.0), stride=1)
         bbm.bbm_functional_schedule(field, 2.0, bump_family(1), [0.4, 0.2],
-                                    Lebesgue(2.0), stride=2)
+                                    Lebesgue(2.0), stride=1)
         direct = [span[4] for span in tracer.spans
                   if span[0] == "nonlocal_energy"]
         tracer.begin_pass()
@@ -50,7 +50,7 @@ def test_tracer_binds_and_restores_every_boundary():
     assert all(getattr(module, name) is original
                for (module, name, _, _), original in zip(bindings, originals))
     assert direct == [{"points": 64, "kernels": 1},
-                      {"points": 32, "kernels": 2}]
+                      {"points": 64, "kernels": 2}]
     metrics = tracer.pass_metrics(1.0)
     # one schedule pass for each study, each feeding one stacked norm
     # call, and one norm call for each study's target
