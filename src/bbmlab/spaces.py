@@ -12,9 +12,11 @@ are found by a bracketed root solve on the scale parameter (a bracket
 from the Orlicz types, closed by Illinois regula falsi, every field and
 center of a stack in one solve), and rearrangement-based norms sort
 values carrying their cell weights.  Every Luxemburg norm (Orlicz,
-variable exponent, Orlicz-slice's balls and its |B_t| denominator) sums
-one modular, `_luxemburg_sum`, in which cells of zero weight count for
-nothing.  Ball sums come from closed balls.
+variable exponent, and Orlicz-slice's balls and |B_t| denominator unless
+Phi is a power) sums one modular, `_luxemburg_sum`, in which cells of
+zero weight count for nothing.  With a power Phi = t^q the slice's ones
+have closed forms, (sum_B w|f|^q)^(1/q) and |B_t|^(1/q), and each block
+of balls is summed by one `bincount`.  Ball sums come from closed balls.
 On lattice grids Morrey's balls are integer ones, |o|^2 <=
 floor((rho/h)^2) for the integer offset o, so no pair at exactly rho is
 decided by round-off; each of its 12 rungs' sums is an FFT correlation of
@@ -448,6 +450,12 @@ class VariableLebesgue(SpaceSpec):
     label = "variable"
     exponent: Union[float, Callable[[np.ndarray], np.ndarray]]
 
+    def __post_init__(self):
+        # a constant exponent is checked here, a callable one on each grid
+        if not (callable(self.exponent)
+                or 1 < float(self.exponent) < math.inf):
+            raise ValueError("variable exponent must stay finite and above 1")
+
     def exponents(self, pts: np.ndarray) -> np.ndarray:
         if callable(self.exponent):
             return np.asarray(self.exponent(pts), dtype=float)
@@ -625,27 +633,38 @@ class OrliczSlice(SpaceSpec):
             raise ValueError("Orlicz-slice needs finite r >= 1 and t > 0")
 
     def norm(self, grid: QuadratureGrid, values: np.ndarray) -> np.ndarray:
-        """Each block of the neighbour list holds its balls as rows padded
-        to the block's largest ball with zero weight, and solves them for
-        a group of fields at a time, all of them in one Luxemburg solve."""
-        w = grid.weights
+        """Balls from the neighbour list, a group of fields at a time.  A
+        power Phi = t^q has the ratio (sum_B w|f|^q / |B_t|)^(1/q), one
+        `bincount` per group; any other Phi pads each block's balls to its
+        largest with zero weight and solves them in one Luxemburg solve."""
+        w, n = grid.weights, grid.dimension
+        q = self.phi.q if isinstance(self.phi, PowerOrlicz) else None
+        power = None if q is None else np.abs(values) ** q * w
         ratios = np.zeros(values.shape)
         for block, rows, cols, _ in _ball_pairs(grid.points,
                                                 np.arange(len(grid)), self.t):
-            # the rows are sorted: a pair's slot is its place in its row
-            slot = np.arange(len(rows)) - np.searchsorted(rows, rows)
-            ball = np.zeros((block.stop - block.start, slot.max() + 1),
-                            dtype=np.intp)
-            ball[rows, slot] = cols
-            w_ball = np.zeros(ball.shape)
-            w_ball[rows, slot] = w[cols]
+            if q is None:
+                # the rows are sorted: a pair's slot is its place in its row
+                slot = np.arange(len(rows)) - np.searchsorted(rows, rows)
+                ball = np.zeros((block.stop - block.start, slot.max() + 1),
+                                dtype=np.intp)
+                ball[rows, slot] = cols
+                w_ball = np.zeros(ball.shape)
+                w_ball[rows, slot] = w[cols]
             step = max(1, _STACK_ENTRIES // len(rows))
             for first in range(0, len(values), step):
                 fields = slice(first, first + step)
-                ratios[fields, block] = _luxemburg_sum(
-                    w_ball, values[fields][:, ball], self.phi,
-                    self.phi.lower_type, self.phi.upper_type)
-        ratios /= _slice_denominator(self.phi, self.t, grid.dimension)
+                if q is None:
+                    ratios[fields, block] = _luxemburg_sum(
+                        w_ball, values[fields][:, ball], self.phi,
+                        self.phi.lower_type, self.phi.upper_type)
+                else:
+                    ratios[fields, block] = _stacked_bincount(
+                        rows, power[fields][:, cols], block.stop - block.start)
+        if q is None:
+            ratios /= _slice_denominator(self.phi, self.t, n)
+        else:
+            ratios = (ratios / (unit_ball_volume(n) * self.t**n)) ** (1.0 / q)
         return np.sum(w * ratios**self.r, axis=1) ** (1.0 / self.r)
 
 

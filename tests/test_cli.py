@@ -322,6 +322,10 @@ CONFIG_ERRORS = [
      "space"),
     ("variable-exponent-one", LEBESGUE,
      "space.kind = variable\nspace.base = 1\n", "space"),
+    ("variable-exponent-nan", LEBESGUE,
+     "space.kind = variable\nspace.base = nan\n", "space"),
+    ("variable-exponent-inf", LEBESGUE,
+     "space.kind = variable\nspace.base = inf\n", "space"),
     ("herz-xi-dimension", LEBESGUE,
      "space.kind = herz_local\nspace.p = 2\nspace.q = 2\nspace.xi = 0, 0\n",
      "space"),
@@ -393,6 +397,19 @@ class TestConfigErrors:
         monkeypatch.setattr(cli, "convergence_study", energy_pass)
         line = _error_line(tmp_path, capsys, old, new)
         assert line.startswith(f"config error in {field!r}")
+
+    @pytest.mark.parametrize("base", ["1", "nan", "inf"])
+    def test_constant_exponent_fails_before_the_grid(self, tmp_path, capsys,
+                                                     monkeypatch, base):
+        from bbmlab import cli
+
+        grids = []
+        monkeypatch.setattr(cli, "sample_quadrature",
+                            lambda *args, **kwargs: grids.append(args))
+        line = _error_line(tmp_path, capsys, LEBESGUE,
+                           f"space.kind = variable\nspace.base = {base}\n")
+        assert line.startswith("config error in 'space': variable exponent")
+        assert grids == []
 
     @pytest.mark.parametrize("old, new, key",
                              [case[1:] for case in DOMAIN_ERRORS],

@@ -273,11 +273,19 @@ class TestLuxemburgSolve:
 
         monkeypatch.setattr(spaces, "_luxemburg", counting)
         rng = np.random.default_rng(7)
+        cases = []
         for name, spec, grid in engine_catalog():
             if name in ("orlicz", "variable", "orlicz_slice"):
-                for _ in range(10):
-                    norm(spec, field_on(grid, rng.normal(scale=2.0,
-                                                         size=len(grid))))
+                cases.append((spec, grid))
+            if name == "orlicz_slice":
+                # the catalog's power Phi sums its balls in closed form;
+                # a power-log Phi on the same grid solves them
+                cases.append((OrliczSlice(PowerLogOrlicz(1.0), 2.0, 0.15),
+                              grid))
+        for spec, grid in cases:
+            for _ in range(10):
+                norm(spec, field_on(grid, rng.normal(scale=2.0,
+                                                     size=len(grid))))
         assert len(evaluations) >= 30
         assert np.median(evaluations) <= 12
 
@@ -716,22 +724,41 @@ class TestOrliczSlice:
         ratios = _luxemburg(modular, lam0) / denom
         return float(np.sum(w * ratios**spec.r) ** (1.0 / spec.r))
 
-    @pytest.mark.parametrize("domain, h", [
-        (Interval(0.0, 1.0), 1.0 / 64),
-        (Box((0.0, 0.0), (1.0, 1.0)), 0.1),
-        (Disk((0.0, 0.0), 1.0), 0.15),
-    ])
-    @pytest.mark.parametrize("phi", [PowerOrlicz(2.0), PowerOrlicz(1.5),
-                                     PowerLogOrlicz(1.0)])
-    @pytest.mark.parametrize("t", [0.05, 0.15, 0.5])
-    def test_ball_lists_match_dense_masks(self, rng, domain, h, phi, t):
-        grid = sample_quadrature(domain, h)
+    # power Phi sum their balls in closed form, any other Phi solves them
+    PHIS = [PowerOrlicz(2.0), PowerOrlicz(1.5), PowerLogOrlicz(1.0),
+            PowerOrlicz(1.0), PowerOrlicz(3.0)]
+
+    def _assert_matches_dense_masks(self, rng, grid, phi, t):
         values = rng.normal(size=len(grid))
         values[rng.random(len(grid)) < 0.3] = 0.0
         spec = OrliczSlice(phi, 2.0, t)
         f = field_on(grid, values)
         assert norm(spec, f) == pytest.approx(self._dense_mask_norm(spec, f),
                                               rel=1e-12)
+
+    @pytest.mark.parametrize("domain, h", [
+        (Interval(0.0, 1.0), 1.0 / 64),
+        (Box((0.0, 0.0), (1.0, 1.0)), 0.1),
+        (Disk((0.0, 0.0), 1.0), 0.15),
+        (Box((0.0,) * 3, (1.0,) * 3), 0.2),
+    ])
+    @pytest.mark.parametrize("phi", PHIS)
+    @pytest.mark.parametrize("t", [0.05, 0.15, 0.5])
+    def test_ball_lists_match_dense_masks(self, rng, domain, h, phi, t):
+        self._assert_matches_dense_masks(rng, sample_quadrature(domain, h),
+                                         phi, t)
+
+    @pytest.mark.parametrize("domain, h", [
+        (Interval(0.0, 1.0), 1.0 / 64),
+        (Disk((0.0, 0.0), 1.0), 0.15),
+        (Box((0.0,) * 3, (1.0,) * 3), 0.2),
+    ], ids=["interval", "disk", "cube"])
+    @pytest.mark.parametrize("phi", PHIS)
+    @pytest.mark.parametrize("t", [0.05, 0.15, 0.5])
+    def test_cloud_ball_lists_match_dense_masks(self, rng, domain, h, phi,
+                                                t):
+        grid = sample_quadrature(domain, h, "quasi-random")
+        self._assert_matches_dense_masks(rng, grid, phi, t)
 
 
 class TestSliceDenominator:
