@@ -45,27 +45,31 @@ The field is centred affinely: a weighted least-squares fit f = a + beta .
 x + g on the lattice indices leaves the residual g, centred by its
 midrange, and d(o) = beta . o.  Each kernel's sum over a ring is then T0 -
 2 g T1 + g^2 T2 for correlations of c_k, c_k d and c_k d^2 with g^2 w, g w
-and w (see `_fft_far_field`): the fit and three forward FFTs of the
-lattice box are made once per pass, and each ring adds three forward and
-six inverse ones per kernel with weight there; a kernel without adds
-exactly zero.  A linear field leaves g at round-off, so no term cancels
-however far the offsets reach.  The expansion cancels for curved fields,
-so each ring's FFT error for kernel k is bounded by e_k = eps log2(B)
-times its largest term, for B FFT cells.  The near offsets always stay on
-the offset pass.
+and w, each T summed in the frequency domain (see `_fft_far_field`): the
+fit and three forward FFTs of the lattice box are made once per pass, and
+each ring adds three forward and three inverse ones per kernel with weight
+there; a kernel without adds exactly zero.  A linear field leaves g at
+round-off, so no term cancels however far the offsets reach.  The
+expansion cancels for curved fields, so each ring's FFT error for kernel
+k is bounded, before any transform, by Young's inequality: e_k = eps
+log2(B) (max(g^2 w) sum c_k + max(w) sum c_k d^2 + max(g^2) max(w) sum
+c_k), for B FFT cells, which is at least the largest of the six
+correlation terms.  The near offsets always stay on the offset pass.
 
 The rings: the first starts at r = NEAR_FIELD_FACTOR where (rows x the
-offsets 2 <= |o| < _FFT_SPLIT) exceeds _FFT_COST 9K B log2 B for the K
+offsets 2 <= |o| < _FFT_SPLIT) exceeds _FFT_COST 6K B log2 B for the K
 kernels with weight there, else at _FFT_SPLIT, and there is none unless
-(rows x the offsets |o| >= _FFT_SPLIT) exceeds _FFT_COST (3 + 9K) B
-log2 B.  Each later ring doubles r and is taken only while (open rows x
-its offsets) exceeds _FFT_COST 9K B log2 B.  An open row keeps ring r
-where, for every kernel, e_k is at most _FFT_GUARD times a lower bound on
-the row's whole far sum, the first ring's sum less its e_k; it takes the
-FFT sums for |o| >= r and the offset pass for |o| < r.  Rows that no
-ring serves take the offset pass over every offset and keep its values
-bit for bit, so every row runs exactly one offset pass.  Other p and
-point clouds keep the sources above.
+(rows x the offsets |o| >= _FFT_SPLIT) exceeds _FFT_COST (3 + 6K) B
+log2 B.  An open row takes ring r where, for every kernel, e_k is at most
+_FFT_GUARD times a lower bound on the row's whole far sum, the first
+ring's sum less its e_k; it takes the FFT sums for |o| >= r and the
+offset pass for |o| < r.  Each later ring doubles r.  Its takers are
+known before its transforms, so it is transformed only where (takers x
+its offsets) exceeds _FFT_COST 6K B log2 B, and a ring that no row takes
+costs nothing; the rings stop once (open rows x the offsets) no longer
+does.  Rows that no ring serves take the offset pass over every offset
+and keep its values bit for bit, so every row runs exactly one offset
+pass.  Other p and point clouds keep the sources above.
 """
 
 from __future__ import annotations
@@ -103,15 +107,17 @@ _ROW_TILE = 8
 # rings |o| >= r, the first at r = 2 or _FFT_SPLIT; the near ones always
 # take the offset pass
 _FFT_SPLIT = 8
-# a row keeps a ring's FFT sums only where each kernel's error bound lies
-# below _FFT_GUARD times a lower bound on the row's far sum
+# a row takes a ring's FFT sums only where each kernel's error bound, made
+# before the ring's transforms, lies below _FFT_GUARD times a lower bound
+# on the row's far sum
 _FFT_GUARD = 1e-13
-# a ring is summed by FFT when (its offsets x rows) exceeds _FFT_COST times
-# the B log2 B of each of its transforms, for B FFT cells.  Measured on 2
-# vCPUs with one BLAS thread, over 1-d, 2-d and 3-d passes: the offset
-# pass took 10.6 to 25.7 ns per entry, the FFT far field 1.1 to 3.1 ns per
-# B log2 B of each transform, and their ratio ran from 0.07 to 0.15; the
-# largest is kept
+# a ring is summed by FFT when (its offsets x the rows that take it)
+# exceeds _FFT_COST times the B log2 B of each of its transforms, for B FFT
+# cells: three forward and three inverse per kernel, and the three shared
+# forward ones of the first ring.  Measured on 2 vCPUs with one BLAS
+# thread, over 1-d, 2-d and 3-d passes: the offset pass took 10.6 to 25.7
+# ns per entry, the FFT far field 1.1 to 3.1 ns per B log2 B of each
+# transform, and their ratio ran from 0.07 to 0.15; the largest is kept
 _FFT_COST = 0.15
 
 
@@ -254,9 +260,9 @@ def _fft_shape(extent: np.ndarray, offsets: np.ndarray):
 def _fft_worth(n_offsets: int, n_rows: int, coef: np.ndarray, shared: int,
                cells: int) -> bool:
     """Whether (offsets x rows) of the offset pass exceeds _FFT_COST times
-    the transforms of the FFT box: `shared` ones, and nine per kernel with
-    weight in `coef` (three forward, six inverse)."""
-    transforms = shared + 9 * int(np.count_nonzero(coef.any(axis=1)))
+    the transforms of the FFT box: `shared` ones, and six per kernel with
+    weight in `coef` (three forward, three inverse)."""
+    transforms = shared + 6 * int(np.count_nonzero(coef.any(axis=1)))
     return n_offsets * n_rows > _FFT_COST * transforms * cells \
         * math.log2(cells)
 
@@ -280,61 +286,78 @@ def _affine_residual(cells: np.ndarray, values: np.ndarray,
 
 def _fft_far_field(cells: np.ndarray, values: np.ndarray,
                    weights: np.ndarray, shape: tuple):
-    """The p = 2 far field by FFT, as a function `ring_sums(offsets,
-    coef)` that sums each kernel over a set of offsets at every grid cell.
+    """The p = 2 far field by FFT, as two functions of a ring's (offsets,
+    coef): `ring_bound`, the error bound of each kernel's FFT sums, made
+    without a transform, and `ring_sums`, the sums themselves.
 
     The affine fit and the three input spectra are made once, here, and
-    shared by every call.  With the field affine-centred, f(x) = a + beta .
+    shared by every ring.  With the field affine-centred, f(x) = a + beta .
     x + g(x), and d(o) = beta . o, the sum sum_o c(o) |f(x+o) - f(x)|^2
     w(x+o) is T0 - 2 g T1 + g^2 T2 for T0 = c*g^2w + 2 (c d)*gw + (c d^2)*w,
     T1 = c*gw + (c d)*w and T2 = c*w, where u*v is the correlation sum_o
-    u(o) v(x+o).  For coef of shape (kernels, offsets), `ring_sums`
-    returns (far, bound): far of shape (kernels, cells), and bound[k] =
-    eps log2(B) times the largest of those six terms over the cells, for B
-    FFT cells.  A kernel with no weight on the offsets gets exactly zero.
+    u(o) v(x+o).  Each T is summed in the frequency domain, so a kernel
+    takes three forward transforms (of c, c d and c d^2) and three inverse
+    ones.  For coef of shape (kernels, offsets), `ring_sums` returns far of
+    shape (kernels, cells); a kernel with no weight on the offsets gets
+    exactly zero.  `ring_bound` returns, for B FFT cells, e_k = eps
+    log2(B) (max(g^2 w) sum c + max(w) sum c d^2 + max(g^2) max(w) sum c),
+    from Young's inequality.  With c, w >= 0, c*g^2w, (c d^2)*w and g^2
+    (c*w) each lie below one part of e_k, and by Cauchy-Schwarz each cross
+    term, 2 (c d)*gw, 2 g (c*gw) and 2 g ((c d)*w), below the sum of two of
+    those; so e_k is at least eps log2(B) times the largest of the six.
     """
     axes = tuple(range(1, len(shape) + 1))
     at = np.ravel_multi_index(tuple(cells.T), shape)
     g, beta = _affine_residual(cells, values, weights)
+    g2 = g * g
     inputs = np.zeros((3, math.prod(shape)))
-    inputs[:, at] = g * g * weights, g * weights, weights
-    inputs = inputs.reshape((3,) + shape)
-    spectra = sp_fft.rfftn(inputs, axes=axes)[[0, 1, 2, 1, 2, 2]]
+    inputs[:, at] = g2 * weights, g * weights, weights
+    s_g2w, s_gw, s_w = sp_fft.rfftn(inputs.reshape((3,) + shape), axes=axes)
+    s_2gw = 2.0 * s_gw
     del inputs
+    # e_k = per_c sum c + per_cd2 sum c d^2
     eps_log = np.finfo(float).eps * math.log2(math.prod(shape))
+    per_c = eps_log * ((g2 * weights).max() + g2.max() * weights.max())
+    per_cd2 = eps_log * weights.max()
+
+    def ring_bound(offsets: np.ndarray, coef: np.ndarray):
+        d = offsets @ beta
+        return per_c * coef.sum(axis=1) + per_cd2 * (coef @ (d * d))
 
     def ring_sums(offsets: np.ndarray, coef: np.ndarray):
         far = np.zeros((len(coef), len(cells)))
-        bound = np.zeros(len(coef))
         kernel_grids = np.zeros((3,) + shape)
         wrapped = (slice(None),) + tuple((offsets % np.asarray(shape)).T)
         d = offsets @ beta
+        sums_hat = np.empty((3,) + s_w.shape, dtype=s_w.dtype)
+        t0_hat, t1_hat, t2_hat = sums_hat
         for k, c in enumerate(coef):
             if not c.any():
                 continue
             kernel_grids[wrapped] = c, c * d, c * d * d
-            spectrum = np.conj(sp_fft.rfftn(kernel_grids, axes=axes))
-            a0, a1, a2, b0, b1, m = sp_fft.irfftn(
-                spectra * spectrum[[0, 1, 2, 0, 1, 0]], s=shape,
-                axes=axes).reshape(6, -1)[:, at]
-            a1 *= 2.0
-            b0 *= 2.0 * g
-            b1 *= 2.0 * g
-            m *= g * g
-            far[k] = (a0 + a1 + a2) - (b0 + b1) + m
-            bound[k] = eps_log * max(
-                a0.max(), np.abs(a1).max(), a2.max(), np.abs(b0).max(),
-                np.abs(b1).max(), m.max())
-        return far, bound
+            spectrum = sp_fft.rfftn(kernel_grids, axes=axes)
+            k_c, k_cd, k_cd2 = np.conjugate(spectrum, out=spectrum)
+            # the spectra of T2, T1 and T0 in place, the kernel's own
+            # spectra reused once they are spent
+            np.multiply(s_w, k_c, out=t2_hat)
+            np.multiply(s_gw, k_c, out=t1_hat)
+            np.multiply(s_g2w, k_c, out=t0_hat)
+            t1_hat += np.multiply(s_w, k_cd, out=k_c)
+            t0_hat += np.multiply(s_2gw, k_cd, out=k_cd)
+            t0_hat += np.multiply(s_w, k_cd2, out=k_cd2)
+            t0, t1, t2 = sp_fft.irfftn(sums_hat, s=shape,
+                                       axes=axes).reshape(3, -1)[:, at]
+            far[k] = t0 - 2.0 * g * t1 + g2 * t2
+        return far
 
-    return ring_sums
+    return ring_bound, ring_sums
 
 
 def _fft_first_ring(sq: np.ndarray, coef: np.ndarray, n_rows: int,
                     cells: int) -> float:
     """The inner edge of the first FFT ring, or 0 for none: 2 where the
-    ring 2 <= |o| < _FFT_SPLIT is worth its own 9K transforms, else
-    _FFT_SPLIT where the outer offsets are worth 3 + 9K."""
+    ring 2 <= |o| < _FFT_SPLIT is worth its own 6K transforms, else
+    _FFT_SPLIT where the outer offsets are worth 3 + 6K."""
     outer = sq >= _FFT_SPLIT ** 2
     if not _fft_worth(int(outer.sum()), n_rows, coef[:, outer], 3, cells):
         return 0.0
@@ -380,34 +403,38 @@ def _offset_sums(field: SampledField, kernels, p: float,
         fft_cells = math.prod(fft_shape)
         radius = _fft_first_ring(sq, coef[1:], len(at), fft_cells)
     if radius:
-        ring_sums = _fft_far_field(cells, field.values, grid.weights,
-                                   fft_shape)
+        ring_bound, ring_sums = _fft_far_field(cells, field.values,
+                                               grid.weights, fft_shape)
         lower = None
-        outer = sq >= radius ** 2
-        while True:
-            # nested rings |o| >= radius: an open row keeps this ring where
+        while len(open_rows):
+            # nested rings |o| >= radius: an open row takes this ring where
             # each kernel's error bound is at most _FFT_GUARD times a lower
             # bound on its whole far sum, the first ring's sum less its
             # bound, and takes the offsets inside on the offset pass
-            far, bound = ring_sums(offsets[outer], coef[1:, outer])
-            far = far[:, eval_idx[open_rows]]
-            if lower is None:
-                lower = np.maximum(far - bound[:, None], 0.0)
-            keep = np.all(bound[:, None] <= _FFT_GUARD * lower[:, open_rows],
-                          axis=0)
-            if keep.any():
-                kept = open_rows[keep]
-                sums[:, kept], near_mass[kept] = tile_pass(kept, ~outer)
-                sums[1:, kept] += far[:, keep]
-                open_rows = open_rows[~keep]
-            # the next ring, twice as far out, while its transforms cost
-            # less than its offsets on the open rows
-            radius *= 2.0
             outer = sq >= radius ** 2
-            if not (len(open_rows) and _fft_worth(
-                    int(outer.sum()), len(open_rows), coef[1:, outer], 0,
-                    fft_cells)):
+            n_outer = int(outer.sum())
+            ring = offsets[outer], coef[1:, outer]
+            bound = ring_bound(*ring)[:, None]
+            far = None
+            if lower is None:
+                far = ring_sums(*ring)[:, eval_idx]
+                lower = np.maximum(far - bound, 0.0)
+            elif not _fft_worth(n_outer, len(open_rows), ring[1], 0,
+                                fft_cells):
+                # a later ring has fewer offsets and no more open rows
                 break
+            keep = np.all(bound <= _FFT_GUARD * lower[:, open_rows], axis=0)
+            kept = open_rows[keep]
+            # a later ring's takers are known before its transforms: it is
+            # summed only where they make it worth them
+            if far is None and _fft_worth(n_outer, len(kept), ring[1], 0,
+                                          fft_cells):
+                far = ring_sums(*ring)[:, eval_idx]
+            if far is not None and len(kept):
+                sums[:, kept], near_mass[kept] = tile_pass(kept, ~outer)
+                sums[1:, kept] += far[:, kept]
+                open_rows = open_rows[~keep]
+            radius *= 2.0
     if len(open_rows):
         # rows no ring serves: the offset pass over every offset
         sums[:, open_rows], near_mass[open_rows] = tile_pass(open_rows,

@@ -415,7 +415,8 @@ class Morrey(SpaceSpec):
         on their coordinates.  The FFT guard is decided per field, and the
         fields it rejects share the distance blocks."""
         n = grid.dimension
-        power = np.abs(values) ** self.r * grid.weights
+        scale = _row_scales(grid.weights, values)
+        power = np.abs(values / scale[:, None]) ** self.r * grid.weights
         radii, coords, bounds, box = _morrey_ladder(grid)
         vol_factors = (unit_ball_volume(n) * radii**n) ** (
             1.0 / self.alpha - 1.0 / self.r)
@@ -423,13 +424,25 @@ class Morrey(SpaceSpec):
         on_block = np.ones(len(values), dtype=bool)
         if box is not None and len(grid) ** 2 > _BALL_FFT_COST \
                 * math.prod(box) * math.log2(math.prod(box)):
-            for k, (sums, error) in enumerate(
+            for k, (rungs, error) in enumerate(
                     _fft_ball_sums(coords, power, bounds, box)):
-                cand = vol_factors[:, None] * sums ** (1.0 / self.r)
-                at = np.unravel_index(np.argmax(cand), cand.shape)
-                out[k] = cand[at]
+                # no ball sum exceeds the field's total beyond round-off, and
+                # the volume factors fall with the radius: the rungs from the
+                # first whose cap cannot beat the best so far are left out.
+                # Ties keep the first, smallest rung, as one argmax would
+                cap = (power[k].sum() * (1.0 + _BALL_MARGIN)) ** (1.0 / self.r)
+                best, best_sum = -math.inf, 0.0
+                for vol in vol_factors:
+                    if vol * cap <= best:
+                        break
+                    sums = next(rungs)
+                    cand = vol * sums ** (1.0 / self.r)
+                    at = np.argmax(cand)
+                    if cand[at] > best:
+                        best, best_sum = cand[at], sums[at]
+                out[k] = best
                 # the maximising sum must be far above the FFT's round-off
-                on_block[k] = error > _BALL_FFT_GUARD * sums[at]
+                on_block[k] = error > _BALL_FFT_GUARD * best_sum
         rows = np.flatnonzero(on_block)
         step = max(1, _STACK_ENTRIES // min(len(grid), _BALL_BLOCK))
         for first in range(0, len(rows), step):
@@ -439,7 +452,7 @@ class Morrey(SpaceSpec):
                 cand = vol_factors[rung] * sums ** (1.0 / self.r)
                 best = np.maximum(best, cand.max(axis=0, initial=0.0))
             out[group] = best
-        return out
+        return out * scale
 
 
 @dataclass(frozen=True, eq=False)
@@ -636,10 +649,14 @@ class OrliczSlice(SpaceSpec):
         """Balls from the neighbour list, a group of fields at a time.  A
         power Phi = t^q has the ratio (sum_B w|f|^q / |B_t|)^(1/q), one
         `bincount` per group; any other Phi pads each block's balls to its
-        largest with zero weight and solves them in one Luxemburg solve."""
+        largest with zero weight and solves them in one Luxemburg solve.
+        The power sums, a power Phi's ball sums and for every Phi the sum
+        of w ratio^r, run at the scale of `_row_scales`."""
         w, n = grid.weights, grid.dimension
         q = self.phi.q if isinstance(self.phi, PowerOrlicz) else None
-        power = None if q is None else np.abs(values) ** q * w
+        scale = _row_scales(w, values)
+        if q is not None:
+            power = np.abs(values / scale[:, None]) ** q * w
         ratios = np.zeros(values.shape)
         for block, rows, cols, _ in _ball_pairs(grid.points,
                                                 np.arange(len(grid)), self.t):
@@ -661,11 +678,13 @@ class OrliczSlice(SpaceSpec):
                 else:
                     ratios[fields, block] = _stacked_bincount(
                         rows, power[fields][:, cols], block.stop - block.start)
+        # every ratio at its field's scale, so that ratio^r stays in range
         if q is None:
             ratios /= _slice_denominator(self.phi, self.t, n)
+            ratios /= scale[:, None]
         else:
             ratios = (ratios / (unit_ball_volume(n) * self.t**n)) ** (1.0 / q)
-        return np.sum(w * ratios**self.r, axis=1) ** (1.0 / self.r)
+        return np.sum(w * ratios**self.r, axis=1) ** (1.0 / self.r) * scale
 
 
 SPACES = {cls.kind: cls for cls in (
@@ -826,9 +845,22 @@ def _luxemburg(modular: Callable[[np.ndarray, np.ndarray], np.ndarray],
 # ---------------------------------------------------------------------------
 # Shared engine pieces
 
+def _row_scales(w: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """2^e for each field along the last axis of `vals`, e from `np.frexp`
+    of its largest |f| on positive weight (1 for a field without any).
+    A power sum of f / 2^e, scaled back by 2^e after its root, neither
+    overflows nor underflows where the field's own would, and the division
+    is exact: at exponent 2 the norm keeps every bit."""
+    top = np.max(np.abs(vals), axis=-1, where=w > 0, initial=0.0)
+    return np.ldexp(1.0, np.frexp(top)[1])
+
+
 def _lebesgue_norm(q: float, w: np.ndarray, vals: np.ndarray):
-    """(sum w |f|^q)^(1/q) of each field along the last axis of `vals`."""
-    return np.sum(w * np.abs(vals) ** q, axis=-1) ** (1.0 / q)
+    """(sum w |f|^q)^(1/q) of each field along the last axis of `vals`,
+    summed at the scale of `_row_scales`."""
+    scale = _row_scales(w, vals)
+    return np.sum(w * np.abs(vals / scale[..., None]) ** q,
+                  axis=-1) ** (1.0 / q) * scale
 
 
 def _luxemburg_sum(w, vals: np.ndarray,
@@ -932,10 +964,11 @@ def _fft_ball_sums(lattice: np.ndarray, power: np.ndarray,
                    bounds: np.ndarray, box: tuple):
     """Sums of each row of the (K, N) `power` over the integer balls
     |o|^2 <= bound around every lattice cell, for every bound, by FFT over
-    `box`: yields, row by row, (sums, error) with sums of shape
-    (len(bounds), N), clipped at zero, and error = eps log2(B) times the
-    row's sum for B cells of the box.  The ball spectra are made once, and
-    each row is transformed on its own against them.  The balls are
+    `box`: yields, row by row, (rungs, error) with rungs the generator of
+    its sums of shape (N,) bound by bound, clipped at zero, and error = eps
+    log2(B) times the row's sum for B cells of the box.  The ball spectra
+    are made once, and each row is transformed on its own against them; a
+    row's rungs are inverted only as far as they are taken.  The balls are
     symmetric, so each correlation is a convolution with a ball."""
     low = lattice.min(axis=0)
     cells = tuple((lattice - low).T)
@@ -955,12 +988,16 @@ def _fft_ball_sums(lattice: np.ndarray, power: np.ndarray,
     placed = np.zeros(box)
     for row in power:
         placed[cells] = row
-        transform = sp_fft.rfftn(placed)
-        # rung by rung, so that no product of all spectra is held
-        sums = np.stack([sp_fft.irfftn(ball * transform, s=box)[cells]
-                         for ball in spectra])
-        np.maximum(sums, 0.0, out=sums)
-        yield sums, np.finfo(float).eps * math.log2(math.prod(box)) * row.sum()
+        yield (_rung_sums(spectra, sp_fft.rfftn(placed), box, cells),
+               np.finfo(float).eps * math.log2(math.prod(box)) * row.sum())
+
+
+def _rung_sums(spectra: np.ndarray, transform: np.ndarray, box: tuple,
+               cells: tuple):
+    """One row's ball sums at the cells, clipped at zero, one rung at a
+    time, so that no product of all spectra is held."""
+    for ball in spectra:
+        yield np.maximum(sp_fft.irfftn(ball * transform, s=box)[cells], 0.0)
 
 
 def _herz_norms(spec, grid: QuadratureGrid, values: np.ndarray,

@@ -1,4 +1,5 @@
 import math
+import types
 
 import numpy as np
 import pytest
@@ -542,24 +543,45 @@ class TestMorreyTranslation:
 
 
 def _spy_fft(monkeypatch):
-    """Record each pass's FFT far field as the list of its rings, each
-    ring as its offsets."""
+    """Record each pass's FFT far field as the list of the rings it
+    transforms, each ring as its offsets."""
     ran = []
     original = nonlocal_energy._fft_far_field
 
     def spy(*args):
         rings = []
         ran.append(rings)
-        ring_sums = original(*args)
+        ring_bound, ring_sums = original(*args)
 
         def recording(offsets, coef):
             rings.append(offsets)
             return ring_sums(offsets, coef)
 
-        return recording
+        return ring_bound, recording
 
     monkeypatch.setattr(nonlocal_energy, "_fft_far_field", spy)
     return ran
+
+
+def _spy_transforms(monkeypatch):
+    """Count the forward and inverse FFTs of the energy pass, one per
+    array along the axes that a batched call does not transform."""
+    counts = {"forward": 0, "inverse": 0}
+    real = nonlocal_energy.sp_fft
+
+    def counted(name, transform):
+        def call(x, *args, axes=None, **kwargs):
+            batch = x.shape[:x.ndim - len(axes)] if axes else ()
+            counts[name] += math.prod(batch)
+            return transform(x, *args, axes=axes, **kwargs)
+
+        return call
+
+    monkeypatch.setattr(nonlocal_energy, "sp_fft", types.SimpleNamespace(
+        rfftn=counted("forward", real.rfftn),
+        irfftn=counted("inverse", real.irfftn),
+        next_fast_len=real.next_fast_len))
+    return counts
 
 
 def _offset_pass(field, kernels, eval_idx):
@@ -619,14 +641,18 @@ def _ring_edges(rings):
 
 
 def _assert_nested(rings, offsets):
-    """The rings are the offsets |o| >= r for r = r0, 2 r0, 4 r0, ...,
-    with r0 = 2 or _FFT_SPLIT."""
+    """The rings are the offsets |o| >= r for some of r = r0, 2 r0, 4 r0,
+    ..., in that order, the first at r0 = 2 or _FFT_SPLIT; the others may
+    be skipped."""
     sq = np.einsum("ij,ij->i", offsets, offsets)
-    r0 = math.isqrt(_ring_edges(rings)[0])
-    assert r0 in (2, nonlocal_energy._FFT_SPLIT)
-    for i, ring in enumerate(rings):
-        expected = offsets[sq >= (r0 * 2**i) ** 2]
-        assert np.array_equal(ring, expected)
+    r = math.isqrt(_ring_edges(rings)[0])
+    assert r in (2, nonlocal_energy._FFT_SPLIT)
+    for ring in rings:
+        while r * r <= sq.max() and not np.array_equal(ring,
+                                                       offsets[sq >= r * r]):
+            r *= 2
+        assert np.array_equal(ring, offsets[sq >= r * r])
+        r *= 2
 
 
 def _assert_one_pass_per_row(passes, n_rows):
@@ -666,11 +692,10 @@ class TestFftFarField:
         _assert_one_pass_per_row(passes, len(grid))
         assert np.all(np.abs(got - reference) <= 1e-12 * reference)
 
-    def test_fallback_rows_keep_the_offset_pass_bits(self, monkeypatch):
+    def test_indicator_divergence_rows_all_take_a_ring(self, monkeypatch):
         """The `indicator_divergence` pass at the calibrated cost: rows
-        keep rings |o| >= 8, 16, ..., 128 with the offsets inside on the
-        offset pass, and the few rows no ring serves take the offset pass
-        over every offset and hold its values bit for bit.  Each row takes
+        keep rings |o| >= 8, 16, ..., 256 with the offsets inside on the
+        offset pass, and every row takes one of them.  Each row takes
         exactly one offset pass."""
         grid = sample_quadrature(Interval(-1.0, 1.0), 1e-3)
         field = sample(indicator_halfspace((1.0,), 0.0), grid)
@@ -685,17 +710,131 @@ class TestFftFarField:
                                                               2.0)
         assert len(ran) == 1
         _assert_nested(ran[0], offsets[n_near:])
-        assert _ring_edges(ran[0]) == [64, 256, 1024, 4096, 16384]
+        assert _ring_edges(ran[0]) == [64, 256, 1024, 4096, 16384, 65536]
+        _assert_one_pass_per_row(passes, len(grid))
+        # one pass per ring, inner offsets growing, and none over every
+        # offset
+        widths = [n for _, n in passes]
+        assert widths == sorted(widths) and widths[-1] < len(offsets)
+        assert np.all(np.abs(got - reference) <= 1e-12 * reference)
+
+    def test_fallback_rows_keep_the_offset_pass_bits(self, monkeypatch):
+        """Disk h = 0.02, radial bump, the 7 bump kernels at the
+        calibrated cost: the first ring, |o| >= 2, keeps no row, rows keep
+        rings |o| >= 4 and 8 with the offsets inside on the offset pass,
+        and the rows no ring serves take the offset pass over every offset
+        and hold its values bit for bit.  Each row takes exactly one
+        offset pass."""
+        grid = sample_quadrature(UNIT_DISK, 0.02)
+        field = sample(radial_bump((0.0, 0.0), 1.0), grid)
+        kernels = _kernels("bump", BUMP_SCHEDULE, 2.0, 2)
+        eval_idx = np.arange(len(grid))
+        reference = _offset_pass(field, kernels, eval_idx)
+        ran = _spy_fft(monkeypatch)
+        passes = _spy_passes(monkeypatch, rows=True)
+        got = nonlocal_energy._energy_values(field, kernels, 2.0, eval_idx)
+        offsets, n_near, _ = nonlocal_energy._lattice_offsets(grid, kernels,
+                                                              2.0)
+        assert len(ran) == 1
+        _assert_nested(ran[0], offsets[n_near:])
+        assert _ring_edges(ran[0]) == [4, 16, 64]
         _assert_one_pass_per_row(passes, len(grid))
         # one pass per ring, inner offsets growing, then every offset
         widths = [n for _, n in passes]
         assert widths == sorted(widths) and widths[-1] == len(offsets)
-        # on an interval the padded positions increase with the row
-        first = np.min([at.min() for at, _ in passes])
-        fell_back = passes[-1][0] - first
-        assert 0 < len(fell_back) < 0.05 * len(grid)
+        # the lattice runs in C order, so the padded positions increase
+        # with the row
+        cells = grid.lattice - grid.lattice.min(axis=0)
+        assert np.all(np.diff(np.ravel_multi_index(
+            tuple(cells.T), tuple(cells.max(axis=0) + 1))) > 0)
+        positions = np.sort(np.concatenate([at for at, _ in passes]))
+        fell_back = np.searchsorted(positions, passes[-1][0])
+        assert 0 < len(fell_back) < len(grid)
         assert np.array_equal(got[:, fell_back], reference[:, fell_back])
         assert np.all(np.abs(got - reference) <= 1e-12 * reference)
+
+    @pytest.mark.parametrize("field_kind", ["sine", "indicator", "radial"])
+    @pytest.mark.parametrize("kind", ["bump", "fractional"])
+    @pytest.mark.parametrize("domain, h, nu_far", FFT_GRIDS,
+                             ids=["interval", "square", "disk", "cube"])
+    def test_three_transforms_each_way_per_kernel(self, monkeypatch, domain,
+                                                  h, nu_far, kind,
+                                                  field_kind):
+        """The pass makes three forward transforms of the field, and each
+        transformed ring three forward and three inverse ones per kernel
+        with weight there.  A ring after the first is transformed only
+        where some row takes it: each one has its offset pass."""
+        grid = sample_quadrature(domain, h)
+        field = sample(_fft_field(field_kind, domain.dimension), grid)
+        kernels = _fft_kernels(kind, domain, h, nu_far)
+        monkeypatch.setattr(nonlocal_energy, "_FFT_COST", 0.0)
+        ran = _spy_fft(monkeypatch)
+        passes = _spy_passes(monkeypatch)
+        counts = _spy_transforms(monkeypatch)
+        nonlocal_energy._energy_values(field, kernels, 2.0,
+                                       np.arange(len(grid)))
+        offsets, _, coef = nonlocal_energy._lattice_offsets(grid, kernels,
+                                                            2.0)
+        sq = np.einsum("ij,ij->i", offsets, offsets)
+        with_weight = [
+            np.count_nonzero(coef[1:, sq >= edge].any(axis=1))
+            for edge in _ring_edges(ran[0])]
+        assert counts == {"forward": 3 + 3 * sum(with_weight),
+                          "inverse": 3 * sum(with_weight)}
+        widths = {n for _, n in passes}
+        for edge in _ring_edges(ran[0])[1:]:
+            assert np.count_nonzero(sq < edge) in widths
+
+    @pytest.mark.parametrize("field_kind",
+                             ["linear", "sine", "indicator", "radial"])
+    @pytest.mark.parametrize("domain, h, nu_far", FFT_GRIDS,
+                             ids=["interval", "square", "disk", "cube"])
+    def test_bound_covers_each_term(self, domain, h, nu_far, field_kind):
+        """The guard's bound, made before any transform, is at least eps
+        log2(B) times the largest of each of the six correlation terms of
+        the far offsets, summed here directly over the offsets."""
+        grid = sample_quadrature(domain, h)
+        field = sample(_fft_field(field_kind, domain.dimension), grid)
+        kernels = _fft_kernels("bump", domain, h, nu_far) \
+            + _fft_kernels("fractional", domain, h, nu_far)
+        offsets, n_near, coef = nonlocal_energy._lattice_offsets(
+            grid, kernels, 2.0)
+        offsets, coef = offsets[n_near:], coef[1:, n_near:]
+        cells = grid.lattice - grid.lattice.min(axis=0)
+        extent = cells.max(axis=0) + 1
+        shape = nonlocal_energy._fft_shape(extent, offsets)
+        ring_bound, _ = nonlocal_energy._fft_far_field(
+            cells, field.values, grid.weights, shape)
+        bound = ring_bound(offsets, coef)
+        g, beta = nonlocal_energy._affine_residual(cells, field.values,
+                                                   grid.weights)
+        d = offsets @ beta
+        # g^2 w, g w and w in the lattice box padded by the reach, read at
+        # x + o for each row x and offset o
+        pad = np.abs(offsets).max(axis=0)
+        box = tuple(extent + 2 * pad)
+        place = np.ravel_multi_index(tuple((cells + pad).T), box)
+        shifts = np.ravel_multi_index(tuple((offsets + pad).T), box) \
+            - np.ravel_multi_index(tuple(pad), box)
+        padded = np.zeros((3, math.prod(box)))
+        padded[:, place] = g * g * grid.weights, g * grid.weights, \
+            grid.weights
+        largest = np.zeros((len(coef), 6))
+        for first in range(0, len(cells), 64):
+            rows = slice(first, first + 64)
+            g2w, gw, w = padded[:, place[rows, None] + shifts]
+            gx = g[rows]
+            for k, c in enumerate(coef):
+                terms = (g2w @ c, 2.0 * gw @ (c * d), w @ (c * d * d),
+                         2.0 * gx * (gw @ c), 2.0 * gx * (w @ (c * d)),
+                         gx * gx * (w @ c))
+                largest[k] = np.maximum(largest[k], [np.abs(t).max()
+                                                     for t in terms])
+        eps_log = np.finfo(float).eps * math.log2(math.prod(shape))
+        # a linear field on an interval meets the bound: (c d^2)*w is
+        # max(w) sum c d^2 on the rows whose offsets all land on the
+        # grid, up to the round-off of a different summation order
+        assert np.all(bound[:, None] >= eps_log * largest * (1.0 - 1e-12))
 
     @pytest.mark.parametrize("domain, h, nu_far", FFT_GRIDS,
                              ids=["interval", "square", "disk", "cube"])
@@ -784,15 +923,16 @@ class TestFftRings:
 
     def test_curved_rows_take_the_ring_on_the_offset_pass(self,
                                                           monkeypatch):
-        """Disk h = 0.01, radial bump: the rings |o| >= 2 and 4 keep no
-        row, |o| >= 8 half of them and |o| >= 16 most of the rest, each
-        with the offsets inside on the offset pass; the other rows take
-        every offset."""
+        """Disk h = 0.01, radial bump: the first ring, |o| >= 2, keeps no
+        row, and |o| >= 4 would keep none, so it is not transformed; |o| >=
+        8 keeps half of them and |o| >= 16 most of the rest, each with the
+        offsets inside on the offset pass; the other rows take every
+        offset."""
         ran = _spy_fft(monkeypatch)
         passes, rows, _, inner = self._pass(
             monkeypatch, UNIT_DISK, 0.01, radial_bump((0.0, 0.0), 1.0),
             _kernels("bump", BUMP_SCHEDULE, 2.0, 2))
-        assert len(ran) == 1 and _ring_edges(ran[0]) == [4, 16, 64, 256]
+        assert len(ran) == 1 and _ring_edges(ran[0]) == [4, 64, 256]
         (ring_rows, ring), (next_rows, _), (back_rows, every) = passes
         assert ring == inner
         assert ring_rows + next_rows + back_rows == rows

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 from bbmlab.cli import ConfigError, build_space
-from bbmlab.field import SampledField
+from bbmlab.field import SampledField, product_sine, radial_bump, sample
 from bbmlab.geometry import (
     Box,
     Disk,
@@ -44,6 +44,7 @@ from bbmlab.spaces import (
     unit_ball_volume,
     weight_from_csv,
 )
+from bbmlab.mollifiers import bump_family
 
 
 def field_on(grid, values):
@@ -487,11 +488,11 @@ class TestMorreyBallSums:
         assert np.array_equal(pair_counts, exact)
         box = _morrey_ladder(grid)[3]
         assert box == (20, 20)  # 2 E - 1 = 19 cells per axis, rounded up
-        fft_counts, _ = next(_fft_ball_sums(lattice, ones[None], bounds,
-                                            box))
+        fft_counts = np.stack(list(next(_fft_ball_sums(
+            lattice, ones[None], bounds, box))[0]))
         assert np.array_equal(np.rint(fft_counts), exact)
-        fft_sums, _ = next(_fft_ball_sums(lattice, power[None], bounds,
-                                          box))
+        fft_sums = np.stack(list(next(_fft_ball_sums(
+            lattice, power[None], bounds, box))[0]))
         assert fft_sums == pytest.approx(ladder(lattice, power, bounds),
                                          rel=1e-12, abs=1e-14)
         # the float test on coordinates, as point clouds use it
@@ -584,8 +585,9 @@ class TestMorreyLatticeSources:
         block = _ladder_array(lattice, power, bounds)
         extent = lattice.max(axis=0) - lattice.min(axis=0) + 1
         shape = tuple(int(2 * e - 1) for e in extent)
-        fft, error = next(_fft_ball_sums(lattice, power[None], bounds,
-                                         shape))
+        rungs, error = next(_fft_ball_sums(lattice, power[None], bounds,
+                                           shape))
+        fft = np.stack(list(rungs))
         assert np.all(fft >= 0.0)
         assert np.abs(fft - dense).max() <= 1e-12 * dense.max()
         expected, _ = _morrey_from_sums(spec, grid, dense)
@@ -657,14 +659,16 @@ class TestMorreyLatticeSources:
     def test_point_clouds_bit_for_bit(self, rng, domain, h, scheme, alpha,
                                       r):
         """Point clouds keep the float rule |x - y|^2 <= rho^2, summed as
-        before the lattice sources came."""
+        before the lattice sources came, at the scale 2^e of the field's
+        largest |f|."""
         from bbmlab.spaces import _BALL_BLOCK
 
         grid = sample_quadrature(domain, h, scheme)
         assert grid.lattice is None
         f = _morrey_test_field(grid, "zeros", rng)
         pts, n = grid.points, grid.dimension
-        power = np.abs(f.values) ** r * grid.weights
+        scale = np.ldexp(1.0, np.frexp(np.abs(f.values).max())[1])
+        power = np.abs(f.values / scale) ** r * grid.weights
         diam = float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0))) + h
         radii = np.geomspace(min(2.0 * h, diam), diam, 12)
         vol_factors = (unit_ball_volume(n) * radii**n) ** (
@@ -678,7 +682,95 @@ class TestMorreyLatticeSources:
             sums = np.stack([(d2 <= rho * rho) @ power for rho in radii])
             cand = vol_factors[:, None] * sums ** (1.0 / r)
             best = max(best, float(cand.max(initial=0.0)))
-        assert norm(Morrey(alpha, r), f) == best
+        assert norm(Morrey(alpha, r), f) == best * scale
+
+
+    def test_fft_ladder_stops_at_the_cap(self, monkeypatch):
+        """The FFT source walks the rungs from the smallest radius up and
+        stops at the first where vol_k (total (1 + margin))^(1/r) cannot
+        beat the best value so far.  On the disk of the ball-norm studies,
+        h = 0.05, the energy half-fields of a radial bump under the 7 bump
+        kernels leave out rungs 8 to 11, and every value keeps the bits of
+        the argmax over all 12 rungs."""
+        from bbmlab import nonlocal_energy, spaces
+
+        grid = sample_quadrature(Disk((0.0, 0.0), 1.0), 0.05)
+        bump = sample(radial_bump((0.0, 0.0), 1.0), grid)
+        kernels = [bump_family(2).kernel(0.2 * 0.5**k, 2.0)
+                   for k in range(7)]
+        values = nonlocal_energy._half_fields(bump, kernels, 2.0)
+        spec = Morrey(3.0, 2.0)
+        radii, coords, bounds, box = spaces._morrey_ladder(grid)
+        vol = (unit_ball_volume(2) * radii**2) ** (1.0 / spec.alpha
+                                                   - 1.0 / spec.r)
+        expected = []
+        for row in values:
+            rungs, _ = next(spaces._fft_ball_sums(
+                coords, (row**2 * grid.weights)[None], bounds, box))
+            expected.append(float(np.max(
+                vol[:, None] * np.stack(list(rungs)) ** 0.5)))
+        taken = []
+        original = spaces._rung_sums
+
+        def counting(*args):
+            taken.append(0)
+            for sums in original(*args):
+                taken[-1] += 1
+                yield sums
+
+        monkeypatch.setattr(spaces, "_rung_sums", counting)
+        got = norm(spec, grid, values)
+        assert taken == [8] * len(values)
+        assert got.tolist() == expected
+
+
+class TestPowerSumRange:
+    """Power sums run at the scale 2^e of each field's largest |f|, so a
+    field far from 1 in size keeps its norm: at 1e-160 its squares are
+    subnormal and its cubes underflow, at 1e160 both overflow."""
+
+    SPECS = [Lebesgue(2.0), Lebesgue(3.0), WeightedLebesgue(3.0),
+             Morrey(3.0, 2.0), Morrey(4.0, 1.5),
+             OrliczSlice(PowerOrlicz(2.0), 2.0, 0.3),
+             OrliczSlice(PowerOrlicz(3.0), 1.5, 0.3)]
+
+    @pytest.fixture
+    def values(self):
+        grid = sample_quadrature(Disk((0.0, 0.0), 1.0), 0.15)
+        return grid, sample(product_sine(2), grid).values
+
+    @pytest.mark.parametrize("ball_cost", [0.0, math.inf],
+                             ids=["fft", "block"])
+    @pytest.mark.parametrize("factor", [1e-160, 1e160])
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.label)
+    def test_norm_scales_with_the_field(self, monkeypatch, values, spec,
+                                        factor, ball_cost):
+        monkeypatch.setattr("bbmlab.spaces._BALL_FFT_COST", ball_cost)
+        grid, f = values
+        base = norm(spec, field_on(grid, f))
+        assert 0.0 < base < math.inf
+        got = norm(spec, field_on(grid, f * factor))
+        assert got == pytest.approx(factor * base, rel=1e-12, abs=0.0)
+
+    def test_slice_of_another_phi_stays_finite(self, values):
+        """A Phi other than a power keeps its Luxemburg solve, whose range
+        is wide; only its sum of w ratio^r is scaled."""
+        grid, f = values
+        for factor in (1e-160, 1e160):
+            got = norm(OrliczSlice(PowerLogOrlicz(2.0), 2.0, 0.3),
+                       field_on(grid, f * factor))
+            assert 0.0 < got / factor < math.inf
+
+    @pytest.mark.parametrize("spec", [
+        Lebesgue(2.0), Morrey(3.0, 2.0),
+        OrliczSlice(PowerOrlicz(2.0), 2.0, 0.3)], ids=lambda s: s.label)
+    def test_square_sums_keep_their_bits(self, values, spec):
+        """At exponent 2 a scale of 2^k moves every norm by exactly 2^k."""
+        grid, f = values
+        base = norm(spec, field_on(grid, f))
+        for k in (-500, -1, 1, 500):
+            assert norm(spec, field_on(grid, np.ldexp(f, k))) \
+                == np.ldexp(base, k)
 
 
 class TestOrliczSlice:

@@ -189,8 +189,9 @@ def _fft_guard_trips(spec, grid, values):
     trips = []
     for row in values:
         power = np.abs(row) ** spec.r * grid.weights
-        sums, error = next(spaces._fft_ball_sums(coords, power[None],
-                                                 bounds, box))
+        rungs, error = next(spaces._fft_ball_sums(coords, power[None],
+                                                  bounds, box))
+        sums = np.stack(list(rungs))
         cand = vol[:, None] * sums ** (1.0 / spec.r)
         at = np.unravel_index(np.argmax(cand), cand.shape)
         trips.append(bool(error > spaces._BALL_FFT_GUARD * sums[at]))
