@@ -244,23 +244,27 @@ def convergence_study(field: SampledField, p: float, spec: SpaceSpec,
     the norm of |grad f|.  A `GagliardoFamily` study runs over s values
     increasing to 1 and applies its (1 - s)^(1/p) factors after the norm,
     towards (kappa(p,n)/p)^(1/p) times that norm.  Either makes one
-    energy pass for the whole schedule and one stacked norm call.
+    energy pass for the whole schedule and one stacked norm call, whose
+    last row is |grad f| when the field carries gradient values.
     """
     check_p(p)
     schedule = [float(v) for v in schedule]
     scales = study_scales(family, schedule)
     gagliardo = isinstance(family, GagliardoFamily)
     n = field.grid.dimension
-    values = bbm_functional_schedule(field, p, family, scales, spec)
+    with_gradient = field.gradient_values is not None
+    norms = bbm_functional_schedule(field, p, family, scales, spec,
+                                    with_gradient=with_gradient)
+    values = norms[:len(scales)]
     if gagliardo:
-        values *= np.asarray(scales) ** (1.0 / p)
+        values = values * np.asarray(scales) ** (1.0 / p)
     target_factor = (kappa(p, n) / (p if gagliardo else 1.0)) ** (1.0 / p)
     if np.any(values < 0) or not np.all(np.isfinite(values)):
         raise ValueError("functional values must be finite and nonnegative")
 
     target = None
-    if field.gradient_values is not None:
-        target = target_factor * norm(spec, gradient_magnitude_field(field))
+    if with_gradient:
+        target = target_factor * float(norms[-1])
 
     diverging = _diverging(values)
     if diverging:
@@ -300,7 +304,8 @@ def convergence_study(field: SampledField, p: float, spec: SpaceSpec,
 
 def upper_bound_diagnostics(field: SampledField, p: float, spec: SpaceSpec,
                             family: RdatiFamily, schedule):
-    """Ratios functional / |grad f|-norm over a schedule; judge their
-    growth from successive increments."""
-    values = bbm_functional_schedule(field, p, family, schedule, spec)
-    return values / norm(spec, gradient_magnitude_field(field))
+    """Ratios functional / |grad f|-norm over a schedule, from one stacked
+    norm call; judge their growth from successive increments."""
+    norms = bbm_functional_schedule(field, p, family, schedule, spec,
+                                    with_gradient=True)
+    return norms[:-1] / norms[-1]

@@ -12,8 +12,11 @@ over admissible scales.
 
 One pass serves every kernel of a schedule on the field's own grid, and
 every entry point (`bbm_functional_schedule`, `gagliardo_functional`,
-`energy_half_field` and `pointwise_energy`) runs it.  It has two sources,
-chosen by the grid:
+`energy_half_field` and `pointwise_energy`) runs it.
+`bbm_functional_schedule` measures the pass's half-fields in one stacked
+norm call, with |grad f| as its last row under `with_gradient`, so that
+a study's target shares the call.  The pass has two sources, chosen by
+the grid:
 
 * lattice grids, whose points carry integer `lattice` indices
   (tensor-midpoint intervals and boxes whose cells are all full, disks and
@@ -75,13 +78,15 @@ pass.  Other p and point clouds keep the sources above.
 from __future__ import annotations
 
 import math
+import os
+import sys
 import warnings
 
 import numpy as np
 from scipy import fft as sp_fft
 
 from . import geometry
-from .field import SampledField
+from .field import SampledField, gradient_magnitude_field
 from .geometry import QuadratureGrid
 from .mollifiers import GagliardoFamily, RdatiFamily, check_p
 from .spaces import SpaceSpec, norm, unit_ball_volume
@@ -94,6 +99,8 @@ __all__ = [
     "NEAR_FIELD_FACTOR",
 ]
 
+# the package's own source files, which a warning's stack frame skips
+_PACKAGE_DIR = os.path.dirname(os.path.abspath(__file__)) + os.sep
 # cells closer than NEAR_FIELD_FACTOR * h are handled analytically
 NEAR_FIELD_FACTOR = 2.0
 # relative margin that gives the near rule r < NEAR_FIELD_FACTOR * h its
@@ -480,8 +487,19 @@ def _kernels(field: SampledField, p: float,
         if nu < bound:
             warnings.warn(f"kernel scale nu={nu:g} below the resolved bound "
                           f"4*h*p={bound:g}; the near-field freeze dominates",
-                          RuntimeWarning, stacklevel=3)
+                          RuntimeWarning, stacklevel=_caller_level())
     return kernels
+
+
+def _caller_level() -> int:
+    """The `warnings.warn` stacklevel, for a warning raised by this
+    function's caller, of the first frame outside the package: the call
+    the user made, whichever entry point it went through."""
+    frame, level = sys._getframe(1), 1
+    while frame is not None and frame.f_code.co_filename.startswith(
+            _PACKAGE_DIR):
+        frame, level = frame.f_back, level + 1
+    return level
 
 
 def pointwise_energy(field: SampledField, p: float,
@@ -512,9 +530,16 @@ def energy_half_field(field: SampledField, p: float,
 
 def bbm_functional_schedule(field: SampledField, p: float,
                             family: RdatiFamily | GagliardoFamily, nus,
-                            spec: SpaceSpec, stride: int = 1) -> np.ndarray:
+                            spec: SpaceSpec, stride: int = 1, *,
+                            with_gradient: bool = False) -> np.ndarray:
     """Functional values over a scale schedule, sharing one energy pass
     and one stacked norm call; `family` gives each scale's kernel.
+
+    With `with_gradient`, |grad f| joins the stack as its last row, so the
+    result holds len(nus) + 1 norms, the X-norm of |grad f| last; a field
+    without gradient values then raises a ValueError.  Each row is the
+    norm its own one-field call gives (to round-off for Morrey on point
+    clouds, whose ball sums are one product for the whole stack).
 
     The pass evaluates every row of the field's grid, so `stride` must be
     1: the name stays only while the benchmark's tracer binds it, here and
@@ -522,11 +547,16 @@ def bbm_functional_schedule(field: SampledField, p: float,
     if not isinstance(stride, (int, np.integer)) or stride != 1:
         raise ValueError(f"stride must be an integer equal to 1, got "
                          f"{stride!r}")
+    if with_gradient and field.gradient_values is None:
+        raise ValueError("with_gradient needs a field with gradient values")
     nus = list(nus)
     kernels = _kernels(field, p, family, nus)
     if not nus:
         raise ValueError("schedule must hold at least one scale, got []")
-    return norm(spec, field.grid, _half_fields(field, kernels, p))
+    stack = _half_fields(field, kernels, p)
+    if with_gradient:
+        stack = np.vstack([stack, gradient_magnitude_field(field).values])
+    return norm(spec, field.grid, stack)
 
 
 def gagliardo_functional(field: SampledField, p: float, s: float,

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from bbmlab import geometry, nonlocal_energy
+from bbmlab.bbm import convergence_study
 from bbmlab.field import (
     SampledField,
     indicator_halfspace,
@@ -173,6 +174,24 @@ class TestGagliardoRoute:
         with pytest.warns(RuntimeWarning, match="below the resolved bound"):
             bbm_functional_schedule(line_field, 2.0, bump_family(1), [0.004],
                                     Lebesgue(2.0))
+
+    @pytest.mark.parametrize("entry", [
+        lambda f: convergence_study(f, 2.0, Lebesgue(2.0), bump_family(1),
+                                    [0.04, 0.03, 0.02, 0.01]),
+        lambda f: bbm_functional_schedule(f, 2.0, bump_family(1), [0.004],
+                                          Lebesgue(2.0)),
+        lambda f: gagliardo_functional(f, 2.0, 0.99, Lebesgue(2.0)),
+        lambda f: energy_half_field(f, 2.0, bump_family(1), 0.004),
+        lambda f: pointwise_energy(f, 2.0, bump_family(1), 0.004, 7),
+    ], ids=["convergence_study", "bbm_functional_schedule",
+            "gagliardo_functional", "energy_half_field", "pointwise_energy"])
+    def test_scale_warning_names_the_callers_line(self, line_field, entry):
+        """The warning points at the user's call, not at a frame inside
+        the package, whichever entry point it went through."""
+        with pytest.warns(RuntimeWarning,
+                          match="below the resolved bound") as record:
+            entry(line_field)
+        assert [w.filename for w in record] == [__file__] * len(record)
 
 
 BUMP_SCHEDULE = [0.2 * 0.5**k for k in range(7)]

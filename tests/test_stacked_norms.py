@@ -1,14 +1,17 @@
 """Stacked norm calls: `norm(spec, grid, values)` on a (B, N) stack gives
-the norms of its rows one at a time, the audits measure the same fields
-as a loop of single-field calls, and bad stacks fail by name."""
+the norms of its rows one at a time, a study measures its schedule and
+its target in one call, the audits measure the same fields as a loop of
+single-field calls, and bad stacks fail by name."""
 
 import math
 
 import numpy as np
 import pytest
 
-from bbmlab import checks, mollifiers, nonlocal_energy, spaces
-from bbmlab.field import SampledField, linear, sample
+from bbmlab import bbm, checks, mollifiers, nonlocal_energy, spaces
+from bbmlab.bbm import convergence_study, kappa, upper_bound_diagnostics
+from bbmlab.field import (SampledField, gradient_magnitude_field, linear,
+                          radial_bump, sample)
 from bbmlab.geometry import (Box, Disk, Interval, QuadratureGrid,
                              sample_quadrature)
 from bbmlab.nonlocal_energy import energy_half_field
@@ -251,6 +254,116 @@ def test_schedule_measures_its_half_fields_in_one_call(monkeypatch):
         norm(spec, energy_half_field(f, 2.0, family, nu))
         for nu in nus])
     _assert_rows_match(values, single)
+
+
+# ---------------------------------------------------------------------------
+# One norm call per study: the K half-fields and |grad f| in one stack
+
+STUDY_SCHEDULES = [(mollifiers.bump_family(2), [0.4, 0.3, 0.2, 0.1]),
+                   (mollifiers.GagliardoFamily(2), [0.6, 0.7, 0.8, 0.9])]
+
+
+def _spy_norm_calls(monkeypatch):
+    """The value stacks of every `spaces.norm` call, under each name the
+    package binds it by."""
+    stacks = []
+    original = spaces.norm
+
+    def spy(spec, field, values=None):
+        stacks.append(field.values if values is None else values)
+        return original(spec, field, values)
+
+    for module in (bbm, nonlocal_energy):
+        monkeypatch.setattr(module, "norm", spy)
+    return stacks
+
+
+@pytest.mark.parametrize("family, schedule", STUDY_SCHEDULES,
+                         ids=["rdati", "gagliardo"])
+def test_study_makes_one_norm_call(monkeypatch, family, schedule):
+    """A study measures its K half-fields and |grad f| in one stacked
+    call, |grad f| last."""
+    grid = sample_quadrature(Disk((0.0, 0.0), 1.0), 0.1)
+    f = sample(radial_bump((0.0, 0.0), 1.0), grid)
+    stacks = _spy_norm_calls(monkeypatch)
+    convergence_study(f, 2.0, Morrey(3.0, 2.0), family, schedule)
+    assert len(stacks) == 1
+    assert stacks[0].shape == (len(schedule) + 1, len(grid))
+    assert np.array_equal(stacks[0][-1],
+                          gradient_magnitude_field(f).values)
+
+
+def test_upper_bound_diagnostics_makes_one_norm_call(monkeypatch):
+    grid = sample_quadrature(Disk((0.0, 0.0), 1.0), 0.1)
+    f = sample(linear((0.6, 0.8)), grid)
+    nus = [0.4, 0.2, 0.1]
+    spec = OrliczSlice(PowerOrlicz(2.0), 2.0, 0.15)
+    stacks = _spy_norm_calls(monkeypatch)
+    ratios = upper_bound_diagnostics(f, 2.0, spec, mollifiers.bump_family(2),
+                                     nus)
+    assert len(stacks) == 1 and stacks[0].shape == (len(nus) + 1, len(grid))
+    monkeypatch.undo()
+    values = nonlocal_energy.bbm_functional_schedule(
+        f, 2.0, mollifiers.bump_family(2), nus, spec)
+    assert np.array_equal(ratios,
+                          values / norm(spec, gradient_magnitude_field(f)))
+
+
+@pytest.mark.parametrize("family, schedule", STUDY_SCHEDULES,
+                         ids=["rdati", "gagliardo"])
+def test_study_without_gradient_stacks_only_half_fields(monkeypatch, family,
+                                                        schedule):
+    grid = sample_quadrature(Disk((0.0, 0.0), 1.0), 0.1)
+    f = SampledField(grid, sample(radial_bump((0.0, 0.0), 1.0), grid).values)
+    stacks = _spy_norm_calls(monkeypatch)
+    report = convergence_study(f, 2.0, Lebesgue(2.0), family, schedule)
+    assert len(stacks) == 1 and stacks[0].shape == (len(schedule), len(grid))
+    assert report.target is None
+    with pytest.raises(ValueError, match="with_gradient needs a field with "
+                                         "gradient values"):
+        nonlocal_energy.bbm_functional_schedule(
+            f, 2.0, family, [0.4, 0.2], Lebesgue(2.0), with_gradient=True)
+    with pytest.raises(ValueError, match="with_gradient"):
+        upper_bound_diagnostics(f, 2.0, Lebesgue(2.0),
+                                mollifiers.bump_family(2), [0.4, 0.2])
+    assert len(stacks) == 1
+
+
+def _assert_same_norms(kind, grid, got, want):
+    """Bit for bit, except Morrey on point clouds: its distance block sums
+    a stack's balls in one BLAS product, whose summation order may depend
+    on the stack's height, so there its rows agree to STACK_RTOL."""
+    if kind == "morrey" and grid.lattice is None:
+        _assert_rows_match(np.asarray(got), np.asarray(want))
+    else:
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("grid_name", ["disk-0.05", "cloud-disk-0.1",
+                                       "square-36"])
+@pytest.mark.parametrize("kind", list(SPACES))
+def test_study_target_keeps_the_bits_of_its_own_call(kind, grid_name):
+    """In every space, the target that rides in the study's stack equals
+    the target factor times the one-field norm of |grad f|, and the
+    functional values equal those of a stack without it."""
+    grid = _grid(grid_name)
+    if kind == "mixed" and grid.axes is None:
+        pytest.skip("mixed norms need a tensor-product grid")
+    spec = _spec(kind, grid.dimension)
+    center = grid.points.mean(axis=0)
+    f = sample(radial_bump(tuple(center), 1.0), grid)
+    for family, schedule in STUDY_SCHEDULES:
+        report = convergence_study(f, 2.0, spec, family, schedule)
+        gagliardo = isinstance(family, mollifiers.GagliardoFamily)
+        factor = (kappa(2.0, 2) / (2.0 if gagliardo else 1.0)) ** 0.5
+        _assert_same_norms(kind, grid, [report.target],
+                           [factor * norm(spec, gradient_magnitude_field(f))])
+        scales = report.scales
+        values = nonlocal_energy.bbm_functional_schedule(f, 2.0, family,
+                                                         scales, spec)
+        if gagliardo:
+            values = values * np.asarray(scales) ** 0.5
+        _assert_same_norms(kind, grid, report.functional_values, values)
 
 
 # ---------------------------------------------------------------------------
