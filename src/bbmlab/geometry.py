@@ -11,6 +11,10 @@ with nonnegative cell weights.
 |x - y| <= radius around chosen points, from one `cKDTree` pair search
 per block of whole rows under a pair budget.  The energy pass (point
 clouds) and the Orlicz-slice norm take their pairs from it.
+
+`_LatticeBox` is its lattice twin, a lattice grid in a padded box with
+the one B log2 B cost rule for FFTs, for three users: the energy pass's
+offset pass and p = 2 far field, and Morrey's ball ladder.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy import fft as sp_fft
 from scipy.spatial import cKDTree
 
 __all__ = [
@@ -38,6 +43,9 @@ _EDGE_TOL = 1e-12
 # pass) holds at once: bounds its memory, and blocks that stay in cache run
 # about twice as fast as larger ones
 _PAIR_BUDGET = 1 << 20
+# FFT sums are kept only where their error bound, eps log2(B) times a sum
+# of terms, lies below _FFT_GUARD times the sum they must resolve
+_FFT_GUARD = 1e-13
 
 
 def _finite(value, name: str) -> float:
@@ -521,3 +529,65 @@ def _ball_pairs(pts: np.ndarray, sel: np.ndarray, radius: float):
             rows, cols, dist = (found[key][order] for key in "ijv")
         yield slice(start, stop), rows, cols, dist
         start = stop
+
+
+class _LatticeBox:
+    """A lattice grid in a box of zeros, per axis its extent E plus
+    `reach` rounded up to a fast FFT length: `cells` are its indices less
+    their minimum, `at` their flat positions, and `eps_log` eps log2(B)
+    for B cells.  One-sided padding serves both uses: a flat shift within
+    the reach takes a neighbour off the lattice into the padding of its
+    last axis out of range, and no correlation within it wraps onto a cell."""
+
+    def __init__(self, lattice: np.ndarray, reach):
+        self.cells = lattice - lattice.min(axis=0)
+        self.extent = self.cells.max(axis=0) + 1
+        self.reach = reach
+        self.shape = tuple(sp_fft.next_fast_len(int(e + r), real=True)
+                           for e, r in zip(self.extent, reach))
+        self.size = math.prod(self.shape)
+        self.at = np.ravel_multi_index(tuple(self.cells.T), self.shape)
+        self.axes = tuple(range(-len(self.shape), 0))
+        self.eps_log = np.finfo(float).eps * math.log2(self.size)
+
+    def worth(self, entries: int, transforms: int, cost: float) -> bool:
+        """Whether `entries` exceed `cost` x `transforms` x B log2 B."""
+        return entries > cost * transforms * self.size * math.log2(self.size)
+
+    def place(self, rows: np.ndarray, at=None) -> np.ndarray:
+        """The flat box of 0s with the (..., M) `rows` at `at` or the cells."""
+        out = np.zeros(rows.shape[:-1] + (self.size,))
+        out[..., self.at if at is None else at] = rows
+        return out
+
+    def shifts(self, offsets: np.ndarray) -> np.ndarray:
+        """The signed flat shift of each integer offset, unwrapped."""
+        return offsets @ np.cumprod((self.shape[1:] + (1,))[::-1])[::-1]
+
+    def spectra(self, rows: np.ndarray, at=None) -> np.ndarray:
+        """The spectra of the (..., M) `rows` placed as by `place`."""
+        return sp_fft.rfftn(self.place(rows, at).reshape(
+            rows.shape[:-1] + self.shape), axes=self.axes)
+
+    def stencils(self, offsets: np.ndarray, weights: np.ndarray):
+        """The spectra of the (..., O) `weights` on the offsets, each axis
+        wrapped: a row's spectrum times one sums the row at x - o, and
+        times its conjugate at x + o."""
+        return self.spectra(weights, np.ravel_multi_index(
+            tuple(offsets.T), self.shape, mode="wrap"))
+
+    def ball_spectra(self, bounds: np.ndarray) -> np.ndarray:
+        """The spectra of the integer balls |o|^2 <= bound within the reach,
+        one per bound, from the squared offsets of each axis wrapped."""
+        axis_sq = []
+        for length, r in zip(self.shape, self.reach):
+            o = np.minimum(np.arange(length), np.arange(length, 0, -1))
+            axis_sq.append(np.where(o <= r, o * o, np.inf))
+        sq = sum(np.ix_(*axis_sq))
+        bounds = bounds.reshape((-1,) + (1,) * len(self.shape))
+        return sp_fft.rfftn((sq <= bounds).astype(float), axes=self.axes)
+
+    def at_cells(self, spectra: np.ndarray) -> np.ndarray:
+        """The (..., N) inverse transforms of `spectra` at the cells."""
+        out = sp_fft.irfftn(spectra, s=self.shape, axes=self.axes)
+        return out.reshape(out.shape[:-len(self.shape)] + (-1,))[..., self.at]

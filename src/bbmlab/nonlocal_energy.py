@@ -42,30 +42,31 @@ _ROW_TILE rows, so a row's sums do not depend on how the rows are
 blocked.
 
 At p = 2 on lattice grids the far offsets may instead be summed as
-correlations (the split of convolution-based nonlocal solvers; Jafarzadeh,
-Wang, Larios & Bobaru, CMAME 375 (2021) 113633), in nested rings |o| >= r.
-The field is centred affinely: a weighted least-squares fit f = a + beta .
-x + g on the lattice indices leaves the residual g, centred by its
-midrange, and d(o) = beta . o.  Each kernel's sum over a ring is then T0 -
-2 g T1 + g^2 T2 for correlations of c_k, c_k d and c_k d^2 with g^2 w, g w
-and w, each T summed in the frequency domain (see `_fft_far_field`): the
-fit and three forward FFTs of the lattice box are made once per pass, and
-each ring adds three forward and three inverse ones per kernel with weight
-there; a kernel without adds exactly zero.  A linear field leaves g at
-round-off, so no term cancels however far the offsets reach.  The
-expansion cancels for curved fields, so each ring's FFT error for kernel
-k is bounded, before any transform, by Young's inequality: e_k = eps
-log2(B) (max(g^2 w) sum c_k + max(w) sum c_k d^2 + max(g^2) max(w) sum
-c_k), for B FFT cells, which is at least the largest of the six
-correlation terms.  The near offsets always stay on the offset pass.
+correlations (the split of convolution-based nonlocal solvers;
+Jafarzadeh, Wang, Larios & Bobaru, CMAME 375 (2021) 113633), in nested
+rings |o| >= r.  The field is centred affinely: a weighted least-squares
+fit f = a + beta . x + g on the lattice indices leaves the residual g,
+centred by its midrange, and d(o) = beta . o.  Each kernel's sum over a
+ring is then T0 - 2 g T1 + g^2 T2 for correlations of c_k, c_k d and c_k
+d^2 with g^2 w, g w and w, each T summed in the frequency domain (see
+`_fft_far_field`): the fit and three forward FFTs of the pass's
+`geometry._LatticeBox` are made once, and each ring adds three forward
+and three inverse ones per kernel with weight there; a kernel without
+adds exactly zero.  A linear field leaves g at round-off, so no term
+cancels however far the offsets reach.  The expansion cancels for curved
+fields, so each ring's FFT error for kernel k is bounded, before any
+transform, by Young's inequality: e_k = eps log2(B) (max(g^2 w) sum c_k +
+max(w) sum c_k d^2 + max(g^2) max(w) sum c_k), for B FFT cells, which is
+at least the largest of the six correlation terms.  The near offsets
+always stay on the offset pass.
 
 The rings: the first starts at r = NEAR_FIELD_FACTOR where (rows x the
 offsets 2 <= |o| < _FFT_SPLIT) exceeds _FFT_COST 6K B log2 B for the K
 kernels with weight there, else at _FFT_SPLIT, and there is none unless
-(rows x the offsets |o| >= _FFT_SPLIT) exceeds _FFT_COST (3 + 6K) B
-log2 B.  An open row takes ring r where, for every kernel, e_k is at most
-_FFT_GUARD times a lower bound on the row's whole far sum, the first
-ring's sum less its e_k; it takes the FFT sums for |o| >= r and the
+(rows x the offsets |o| >= _FFT_SPLIT) exceeds _FFT_COST (3 + 6K) B log2
+B.  An open row takes ring r where, for every kernel, e_k is at most
+`geometry._FFT_GUARD` times a lower bound on the row's whole far sum, the
+first ring's sum less its e_k; it takes the FFT sums for |o| >= r and the
 offset pass for |o| < r.  Each later ring doubles r.  Its takers are
 known before its transforms, so it is transformed only where (takers x
 its offsets) exceeds _FFT_COST 6K B log2 B, and a ring that no row takes
@@ -83,7 +84,6 @@ import sys
 import warnings
 
 import numpy as np
-from scipy import fft as sp_fft
 
 from . import geometry
 from .field import SampledField, gradient_magnitude_field
@@ -114,10 +114,6 @@ _ROW_TILE = 8
 # rings |o| >= r, the first at r = 2 or _FFT_SPLIT; the near ones always
 # take the offset pass
 _FFT_SPLIT = 8
-# a row takes a ring's FFT sums only where each kernel's error bound, made
-# before the ring's transforms, lies below _FFT_GUARD times a lower bound
-# on the row's far sum
-_FFT_GUARD = 1e-13
 # a ring is summed by FFT when (its offsets x the rows that take it)
 # exceeds _FFT_COST times the B log2 B of each of its transforms, for B FFT
 # cells: three forward and three inverse per kernel, and the three shared
@@ -255,23 +251,12 @@ def _tile_sums(vals_pad: np.ndarray, w_pad: np.ndarray, at: np.ndarray,
     return sums, near_mass.ravel()[:n_rows]
 
 
-def _fft_shape(extent: np.ndarray, offsets: np.ndarray):
-    """The FFT box for `offsets`: per axis the lattice's cells plus the
-    offsets' reach, rounded up to a fast FFT length, so that no correlation
-    wraps onto a grid cell."""
-    reach = np.abs(offsets).max(axis=0)
-    return tuple(sp_fft.next_fast_len(int(e + r), real=True)
-                 for e, r in zip(extent, reach))
-
-
-def _fft_worth(n_offsets: int, n_rows: int, coef: np.ndarray, shared: int,
-               cells: int) -> bool:
+def _fft_worth(box, n_offsets: int, n_rows: int, coef: np.ndarray,
+               shared: int) -> bool:
     """Whether (offsets x rows) of the offset pass exceeds _FFT_COST times
-    the transforms of the FFT box: `shared` ones, and six per kernel with
-    weight in `coef` (three forward, three inverse)."""
+    `shared` transforms and six per kernel with weight in `coef`."""
     transforms = shared + 6 * int(np.count_nonzero(coef.any(axis=1)))
-    return n_offsets * n_rows > _FFT_COST * transforms * cells \
-        * math.log2(cells)
+    return box.worth(n_offsets * n_rows, transforms, _FFT_COST)
 
 
 def _affine_residual(cells: np.ndarray, values: np.ndarray,
@@ -291,20 +276,17 @@ def _affine_residual(cells: np.ndarray, values: np.ndarray,
     return g - (g.max() + g.min()) / 2.0, beta
 
 
-def _fft_far_field(cells: np.ndarray, values: np.ndarray,
-                   weights: np.ndarray, shape: tuple):
-    """The p = 2 far field by FFT, as two functions of a ring's (offsets,
-    coef): `ring_bound`, the error bound of each kernel's FFT sums, made
-    without a transform, and `ring_sums`, the sums themselves.
+def _fft_far_field(box, values: np.ndarray, weights: np.ndarray):
+    """The p = 2 far field by FFT in `box`, as two functions of a ring's
+    (offsets, coef): `ring_bound`, the error bound of each kernel's FFT
+    sums, made without a transform, and `ring_sums`, the sums themselves.
 
-    The affine fit and the three input spectra are made once, here, and
-    shared by every ring.  With the field affine-centred, f(x) = a + beta .
-    x + g(x), and d(o) = beta . o, the sum sum_o c(o) |f(x+o) - f(x)|^2
-    w(x+o) is T0 - 2 g T1 + g^2 T2 for T0 = c*g^2w + 2 (c d)*gw + (c d^2)*w,
-    T1 = c*gw + (c d)*w and T2 = c*w, where u*v is the correlation sum_o
-    u(o) v(x+o).  Each T is summed in the frequency domain, so a kernel
-    takes three forward transforms (of c, c d and c d^2) and three inverse
-    ones.  For coef of shape (kernels, offsets), `ring_sums` returns far of
+    With the field affine-centred, f(x) = a + beta . x + g(x), and d(o) =
+    beta . o, the sum sum_o c(o) |f(x+o) - f(x)|^2 w(x+o) is T0 - 2 g T1 +
+    g^2 T2 for T0 = c*g^2w + 2 (c d)*gw + (c d^2)*w, T1 = c*gw + (c d)*w
+    and T2 = c*w, where u*v is the correlation sum_o u(o) v(x+o).  Each T
+    is summed in the frequency domain, so a kernel takes three forward
+    transforms (of c, c d and c d^2) and three inverse ones.  For coef of shape (kernels, offsets), `ring_sums` returns far of
     shape (kernels, cells); a kernel with no weight on the offsets gets
     exactly zero.  `ring_bound` returns, for B FFT cells, e_k = eps
     log2(B) (max(g^2 w) sum c + max(w) sum c d^2 + max(g^2) max(w) sum c),
@@ -313,36 +295,29 @@ def _fft_far_field(cells: np.ndarray, values: np.ndarray,
     term, 2 (c d)*gw, 2 g (c*gw) and 2 g ((c d)*w), below the sum of two of
     those; so e_k is at least eps log2(B) times the largest of the six.
     """
-    axes = tuple(range(1, len(shape) + 1))
-    at = np.ravel_multi_index(tuple(cells.T), shape)
-    g, beta = _affine_residual(cells, values, weights)
+    g, beta = _affine_residual(box.cells, values, weights)
     g2 = g * g
-    inputs = np.zeros((3, math.prod(shape)))
-    inputs[:, at] = g2 * weights, g * weights, weights
-    s_g2w, s_gw, s_w = sp_fft.rfftn(inputs.reshape((3,) + shape), axes=axes)
+    s_g2w, s_gw, s_w = box.spectra(np.stack([g2 * weights, g * weights,
+                                              weights]))
     s_2gw = 2.0 * s_gw
-    del inputs
     # e_k = per_c sum c + per_cd2 sum c d^2
-    eps_log = np.finfo(float).eps * math.log2(math.prod(shape))
-    per_c = eps_log * ((g2 * weights).max() + g2.max() * weights.max())
-    per_cd2 = eps_log * weights.max()
+    per_c = box.eps_log * ((g2 * weights).max() + g2.max() * weights.max())
+    per_cd2 = box.eps_log * weights.max()
 
     def ring_bound(offsets: np.ndarray, coef: np.ndarray):
         d = offsets @ beta
         return per_c * coef.sum(axis=1) + per_cd2 * (coef @ (d * d))
 
     def ring_sums(offsets: np.ndarray, coef: np.ndarray):
-        far = np.zeros((len(coef), len(cells)))
-        kernel_grids = np.zeros((3,) + shape)
-        wrapped = (slice(None),) + tuple((offsets % np.asarray(shape)).T)
+        far = np.zeros((len(coef), len(g)))
         d = offsets @ beta
         sums_hat = np.empty((3,) + s_w.shape, dtype=s_w.dtype)
         t0_hat, t1_hat, t2_hat = sums_hat
         for k, c in enumerate(coef):
             if not c.any():
                 continue
-            kernel_grids[wrapped] = c, c * d, c * d * d
-            spectrum = sp_fft.rfftn(kernel_grids, axes=axes)
+            # conjugated, as c d is odd: the sums run over x + o
+            spectrum = box.stencils(offsets, np.stack([c, c * d, c * d * d]))
             k_c, k_cd, k_cd2 = np.conjugate(spectrum, out=spectrum)
             # the spectra of T2, T1 and T0 in place, the kernel's own
             # spectra reused once they are spent
@@ -352,24 +327,23 @@ def _fft_far_field(cells: np.ndarray, values: np.ndarray,
             t1_hat += np.multiply(s_w, k_cd, out=k_c)
             t0_hat += np.multiply(s_2gw, k_cd, out=k_cd)
             t0_hat += np.multiply(s_w, k_cd2, out=k_cd2)
-            t0, t1, t2 = sp_fft.irfftn(sums_hat, s=shape,
-                                       axes=axes).reshape(3, -1)[:, at]
+            t0, t1, t2 = box.at_cells(sums_hat)
             far[k] = t0 - 2.0 * g * t1 + g2 * t2
         return far
 
     return ring_bound, ring_sums
 
 
-def _fft_first_ring(sq: np.ndarray, coef: np.ndarray, n_rows: int,
-                    cells: int) -> float:
+def _fft_first_ring(box, sq: np.ndarray, coef: np.ndarray,
+                    n_rows: int) -> float:
     """The inner edge of the first FFT ring, or 0 for none: 2 where the
     ring 2 <= |o| < _FFT_SPLIT is worth its own 6K transforms, else
     _FFT_SPLIT where the outer offsets are worth 3 + 6K."""
     outer = sq >= _FFT_SPLIT ** 2
-    if not _fft_worth(int(outer.sum()), n_rows, coef[:, outer], 3, cells):
+    if not _fft_worth(box, int(outer.sum()), n_rows, coef[:, outer], 3):
         return 0.0
     ring = (sq >= NEAR_FIELD_FACTOR ** 2) & ~outer
-    if _fft_worth(int(ring.sum()), n_rows, coef[:, ring], 0, cells):
+    if _fft_worth(box, int(ring.sum()), n_rows, coef[:, ring], 0):
         return NEAR_FIELD_FACTOR
     return float(_FFT_SPLIT)
 
@@ -380,20 +354,12 @@ def _offset_sums(field: SampledField, kernels, p: float,
     lattice grid; see `_energy_values`."""
     grid = field.grid
     offsets, n_near, coef = _lattice_offsets(grid, kernels, p)
-    cells = grid.lattice - grid.lattice.min(axis=0)
-    extent = cells.max(axis=0) + 1
-    # the grid in a box of its lattice padded by the largest offset, with
-    # zero weight wherever the lattice has no grid point
-    pad = np.abs(offsets).max(axis=0, initial=0)
-    shape = tuple(int(d) for d in extent + 2 * pad)
-    pos = np.ravel_multi_index(tuple((cells + pad).T), shape)
-    vals_pad = np.zeros(math.prod(shape))
-    vals_pad[pos] = field.values
-    w_pad = np.zeros(math.prod(shape))
-    w_pad[pos] = grid.weights
-    shifts = np.ravel_multi_index(tuple((offsets + pad).T), shape) \
-        - np.ravel_multi_index(tuple(pad), shape)
-    at = pos[eval_idx]
+    # one box, of zero weight off the grid, for the offset pass and the FFT
+    box = geometry._LatticeBox(grid.lattice,
+                               np.abs(offsets).max(axis=0, initial=0))
+    vals_pad, w_pad = box.place(field.values), box.place(grid.weights)
+    shifts = box.shifts(offsets)
+    at = box.at[eval_idx]
 
     def tile_pass(rows, offs):
         return _tile_sums(vals_pad, w_pad, at[rows], shifts[offs], n_near,
@@ -406,16 +372,14 @@ def _offset_sums(field: SampledField, kernels, p: float,
     sq = np.einsum("ij,ij->i", offsets, offsets)
     radius = 0.0
     if p == 2.0 and sq.max(initial=0) >= _FFT_SPLIT ** 2:
-        fft_shape = _fft_shape(extent, offsets[n_near:])
-        fft_cells = math.prod(fft_shape)
-        radius = _fft_first_ring(sq, coef[1:], len(at), fft_cells)
+        radius = _fft_first_ring(box, sq, coef[1:], len(at))
     if radius:
-        ring_bound, ring_sums = _fft_far_field(cells, field.values,
-                                               grid.weights, fft_shape)
+        ring_bound, ring_sums = _fft_far_field(box, field.values,
+                                               grid.weights)
         lower = None
         while len(open_rows):
             # nested rings |o| >= radius: an open row takes this ring where
-            # each kernel's error bound is at most _FFT_GUARD times a lower
+            # each kernel's error bound is at most the guard times a lower
             # bound on its whole far sum, the first ring's sum less its
             # bound, and takes the offsets inside on the offset pass
             outer = sq >= radius ** 2
@@ -426,16 +390,16 @@ def _offset_sums(field: SampledField, kernels, p: float,
             if lower is None:
                 far = ring_sums(*ring)[:, eval_idx]
                 lower = np.maximum(far - bound, 0.0)
-            elif not _fft_worth(n_outer, len(open_rows), ring[1], 0,
-                                fft_cells):
+            elif not _fft_worth(box, n_outer, len(open_rows), ring[1], 0):
                 # a later ring has fewer offsets and no more open rows
                 break
-            keep = np.all(bound <= _FFT_GUARD * lower[:, open_rows], axis=0)
+            keep = np.all(bound <= geometry._FFT_GUARD * lower[:, open_rows],
+                          axis=0)
             kept = open_rows[keep]
             # a later ring's takers are known before its transforms: it is
             # summed only where they make it worth them
-            if far is None and _fft_worth(n_outer, len(kept), ring[1], 0,
-                                          fft_cells):
+            if far is None and _fft_worth(box, n_outer, len(kept),
+                                          ring[1], 0):
                 far = ring_sums(*ring)[:, eval_idx]
             if far is not None and len(kept):
                 sums[:, kept], near_mass[kept] = tile_pass(kept, ~outer)

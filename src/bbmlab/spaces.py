@@ -45,11 +45,10 @@ from dataclasses import dataclass, field as dc_field, replace
 from typing import Callable, ClassVar, Union
 
 import numpy as np
-from scipy import fft as sp_fft
 from scipy.spatial import cKDTree
 
 from .field import SampledField, read_csv_table
-from .geometry import QuadratureGrid, _ball_pairs
+from .geometry import _FFT_GUARD, QuadratureGrid, _LatticeBox, _ball_pairs
 
 __all__ = [
     "Lebesgue",
@@ -422,10 +421,9 @@ class Morrey(SpaceSpec):
             1.0 / self.alpha - 1.0 / self.r)
         out = np.zeros(len(values))
         on_block = np.ones(len(values), dtype=bool)
-        if box is not None and len(grid) ** 2 > _BALL_FFT_COST \
-                * math.prod(box) * math.log2(math.prod(box)):
+        if box is not None and box.worth(len(grid) ** 2, 1, _BALL_FFT_COST):
             for k, (rungs, error) in enumerate(
-                    _fft_ball_sums(coords, power, bounds, box)):
+                    _fft_ball_sums(box, power, bounds)):
                 # no ball sum exceeds the field's total beyond round-off, and
                 # the volume factors fall with the radius: the rungs from the
                 # first whose cap cannot beat the best so far are left out.
@@ -442,7 +440,7 @@ class Morrey(SpaceSpec):
                         best, best_sum = cand[at], sums[at]
                 out[k] = best
                 # the maximising sum must be far above the FFT's round-off
-                on_block[k] = error > _BALL_FFT_GUARD * best_sum
+                on_block[k] = error > _FFT_GUARD * best_sum
         rows = np.flatnonzero(on_block)
         step = max(1, _STACK_ENTRIES // min(len(grid), _BALL_BLOCK))
         for first in range(0, len(rows), step):
@@ -934,70 +932,37 @@ _BALL_MARGIN = 1e-9
 # block took 1.4 to 25 ns per entry, the FFT 1.2 to 35 ns per B log2 B,
 # and their ratio ran from 0.7 to 4.9; the largest is kept, rounded up
 _BALL_FFT_COST = 5.0
-# a lattice call keeps its FFT ball sums only where the error bound,
-# eps log2(B) times the sum of all terms, lies below _BALL_FFT_GUARD times
-# the maximising ball sum; other calls take the distance block
-_BALL_FFT_GUARD = 1e-13
 
 
 def _morrey_ladder(grid: QuadratureGrid):
-    """(radii, coords, bounds, box) of the Morrey ladder on `grid`: 12 radii on a geometric ladder from 2h to the diameter,
-    and the coordinates and squared radii the balls test.  Point clouds
-    test their points against radii**2 and have no FFT box.  Lattice
-    grids test their integer indices against k_rho, and their box holds
-    2 E - 1 cells per axis for the lattice's extent E, rounded up to a
-    fast FFT length, so that no ball wraps onto a grid cell."""
+    """(radii, coords, bounds, box) of the Morrey ladder on `grid`: 12
+    radii on a geometric ladder from 2h to the diameter, and the
+    coordinates and squared radii the balls test.  Point clouds test
+    their points against radii**2 and have no box.  Lattice grids test
+    their indices against k_rho, in a box that no ball wraps across."""
     pts = grid.points
     span = pts.max(axis=0) - pts.min(axis=0)
     diam = float(np.linalg.norm(span)) + grid.h
     radii = np.geomspace(min(2.0 * grid.h, diam), diam, 12)
     if grid.lattice is None:
         return radii, pts, radii**2, None
-    extent = grid.lattice.max(axis=0) - grid.lattice.min(axis=0) + 1
-    box = tuple(sp_fft.next_fast_len(int(2 * e - 1), real=True)
-                for e in extent)
+    box = _LatticeBox(grid.lattice, np.ptp(grid.lattice, axis=0))
     bounds = np.floor((radii / grid.h) ** 2 * (1.0 + _BALL_MARGIN))
     return radii, grid.lattice, bounds, box
 
 
-def _fft_ball_sums(lattice: np.ndarray, power: np.ndarray,
-                   bounds: np.ndarray, box: tuple):
+def _fft_ball_sums(box: _LatticeBox, power: np.ndarray, bounds: np.ndarray):
     """Sums of each row of the (K, N) `power` over the integer balls
-    |o|^2 <= bound around every lattice cell, for every bound, by FFT over
-    `box`: yields, row by row, (rungs, error) with rungs the generator of
-    its sums of shape (N,) bound by bound, clipped at zero, and error = eps
-    log2(B) times the row's sum for B cells of the box.  The ball spectra
-    are made once, and each row is transformed on its own against them; a
-    row's rungs are inverted only as far as they are taken.  The balls are
-    symmetric, so each correlation is a convolution with a ball."""
-    low = lattice.min(axis=0)
-    cells = tuple((lattice - low).T)
-    extent = lattice.max(axis=0) - low + 1
-    # squared offsets of the box, each axis wrapped; an offset of E cells
-    # or more along an axis pairs no two cells and stays out of every ball
-    axis_sq = []
-    for length, e in zip(box, extent):
-        o = np.arange(length)
-        o = np.minimum(o, length - o)
-        axis_sq.append(np.where(o < e, o * o, np.inf))
-    sq = sum(np.ix_(*axis_sq))
-    balls = (sq <= bounds.reshape((-1,) + (1,) * len(box))).astype(float)
-    axes = tuple(range(1, len(box) + 1))
-    spectra = sp_fft.rfftn(balls, axes=axes)
-    del balls
-    placed = np.zeros(box)
+    |o|^2 <= bound around every cell of `box`, by FFT: yields, row by row,
+    (rungs, error), rungs the generator of its (N,) sums bound by bound,
+    clipped at zero and drawn before the next row, and error = eps log2(B)
+    times the row's sum.  The balls are symmetric, so each correlation is
+    a convolution with a ball and needs no conjugate."""
+    spectra = box.ball_spectra(bounds)
     for row in power:
-        placed[cells] = row
-        yield (_rung_sums(spectra, sp_fft.rfftn(placed), box, cells),
-               np.finfo(float).eps * math.log2(math.prod(box)) * row.sum())
-
-
-def _rung_sums(spectra: np.ndarray, transform: np.ndarray, box: tuple,
-               cells: tuple):
-    """One row's ball sums at the cells, clipped at zero, one rung at a
-    time, so that no product of all spectra is held."""
-    for ball in spectra:
-        yield np.maximum(sp_fft.irfftn(ball * transform, s=box)[cells], 0.0)
+        transform = box.spectra(row)
+        yield (np.maximum(box.at_cells(ball * transform), 0.0)
+               for ball in spectra), box.eps_log * row.sum()
 
 
 def _herz_norms(spec, grid: QuadratureGrid, values: np.ndarray,

@@ -586,7 +586,7 @@ def _spy_transforms(monkeypatch):
     """Count the forward and inverse FFTs of the energy pass, one per
     array along the axes that a batched call does not transform."""
     counts = {"forward": 0, "inverse": 0}
-    real = nonlocal_energy.sp_fft
+    real = geometry.sp_fft
 
     def counted(name, transform):
         def call(x, *args, axes=None, **kwargs):
@@ -596,7 +596,7 @@ def _spy_transforms(monkeypatch):
 
         return call
 
-    monkeypatch.setattr(nonlocal_energy, "sp_fft", types.SimpleNamespace(
+    monkeypatch.setattr(geometry, "sp_fft", types.SimpleNamespace(
         rfftn=counted("forward", real.rfftn),
         irfftn=counted("inverse", real.irfftn),
         next_fast_len=real.next_fast_len))
@@ -819,29 +819,22 @@ class TestFftFarField:
         offsets, n_near, coef = nonlocal_energy._lattice_offsets(
             grid, kernels, 2.0)
         offsets, coef = offsets[n_near:], coef[1:, n_near:]
-        cells = grid.lattice - grid.lattice.min(axis=0)
-        extent = cells.max(axis=0) + 1
-        shape = nonlocal_energy._fft_shape(extent, offsets)
-        ring_bound, _ = nonlocal_energy._fft_far_field(
-            cells, field.values, grid.weights, shape)
+        box = geometry._LatticeBox(grid.lattice, np.abs(offsets).max(axis=0))
+        ring_bound, _ = nonlocal_energy._fft_far_field(box, field.values,
+                                                       grid.weights)
         bound = ring_bound(offsets, coef)
-        g, beta = nonlocal_energy._affine_residual(cells, field.values,
+        g, beta = nonlocal_energy._affine_residual(box.cells, field.values,
                                                    grid.weights)
         d = offsets @ beta
-        # g^2 w, g w and w in the lattice box padded by the reach, read at
-        # x + o for each row x and offset o
-        pad = np.abs(offsets).max(axis=0)
-        box = tuple(extent + 2 * pad)
-        place = np.ravel_multi_index(tuple((cells + pad).T), box)
-        shifts = np.ravel_multi_index(tuple((offsets + pad).T), box) \
-            - np.ravel_multi_index(tuple(pad), box)
-        padded = np.zeros((3, math.prod(box)))
-        padded[:, place] = g * g * grid.weights, g * grid.weights, \
-            grid.weights
+        # g^2 w, g w and w in the lattice box, read at x + o for each row x
+        # and offset o
+        padded = box.place(np.stack([g * g * grid.weights, g * grid.weights,
+                                     grid.weights]))
+        shifts = box.shifts(offsets)
         largest = np.zeros((len(coef), 6))
-        for first in range(0, len(cells), 64):
+        for first in range(0, len(grid), 64):
             rows = slice(first, first + 64)
-            g2w, gw, w = padded[:, place[rows, None] + shifts]
+            g2w, gw, w = padded[:, box.at[rows, None] + shifts]
             gx = g[rows]
             for k, c in enumerate(coef):
                 terms = (g2w @ c, 2.0 * gw @ (c * d), w @ (c * d * d),
@@ -849,11 +842,11 @@ class TestFftFarField:
                          gx * gx * (w @ c))
                 largest[k] = np.maximum(largest[k], [np.abs(t).max()
                                                      for t in terms])
-        eps_log = np.finfo(float).eps * math.log2(math.prod(shape))
         # a linear field on an interval meets the bound: (c d^2)*w is
         # max(w) sum c d^2 on the rows whose offsets all land on the
         # grid, up to the round-off of a different summation order
-        assert np.all(bound[:, None] >= eps_log * largest * (1.0 - 1e-12))
+        assert np.all(bound[:, None]
+                      >= box.eps_log * largest * (1.0 - 1e-12))
 
     @pytest.mark.parametrize("domain, h, nu_far", FFT_GRIDS,
                              ids=["interval", "square", "disk", "cube"])

@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from bbmlab.geometry import (
     Polygon,
     QuadratureGrid,
     _ball_pairs,
+    _LatticeBox,
     sample_quadrature,
 )
 
@@ -412,3 +415,121 @@ class TestBallPairs:
             assert np.array_equal(np.bincount(rows), counts[block])
         for a, b in zip(_joined(blocks), _joined(whole)):
             assert np.array_equal(a, b)
+
+
+# lattice grids for the box: 1-d, 2-d, a disk, an L and a 3-d box
+BOX_GRIDS = [
+    pytest.param(Interval(0.0, 1.0), 1.0 / 8, id="interval"),
+    pytest.param(UNIT_SQUARE, 1.0 / 8, id="square"),
+    pytest.param(UNIT_DISK, 0.25, id="disk"),
+    pytest.param(L_SHAPE, 0.25, id="L-shape"),
+    pytest.param(Box((0.0, 0.0, 0.0), (1.0, 1.0, 0.75)), 0.25, id="box-3d"),
+]
+
+
+def _offset_cube(reach):
+    """Every integer offset o with |o_j| <= reach_j."""
+    return np.stack([m.ravel() for m in np.meshgrid(
+        *[np.arange(-r, r + 1) for r in reach], indexing="ij")], axis=-1)
+
+
+def _neighbours(cells, offsets):
+    """(N, O) index of the cell at x + o for each cell x and offset o, or
+    -1 where x + o is no cell."""
+    low, high = cells.min(axis=0) - offsets.max(axis=0), cells.max(axis=0)
+    shape = tuple(high + offsets.max(axis=0) - low + 1)
+    lookup = np.full(math.prod(shape), -1)
+    lookup[np.ravel_multi_index(tuple((cells - low).T), shape)] = \
+        np.arange(len(cells))
+    moved = cells[:, None, :] + offsets[None, :, :] - low
+    inside = np.all((moved >= 0) & (moved < shape), axis=2)
+    found = np.full(inside.shape, -1)
+    found[inside] = lookup[np.ravel_multi_index(tuple(moved[inside].T),
+                                                shape)]
+    return found
+
+
+class TestLatticeBox:
+    @pytest.mark.parametrize("domain, h", BOX_GRIDS)
+    def test_stencil_spectra_sum_the_neighbours(self, rng, domain, h):
+        """Random asymmetric weights on every offset within E - 1 cells:
+        a row's spectrum times the conjugate stencil spectrum sums the row
+        at x + o over the cells, and times the plain one at x - o.  On
+        the interval and the square the box is 2 E - 1 = 15 cells per axis,
+        with no slack."""
+        grid = sample_quadrature(domain, h)
+        box = _LatticeBox(grid.lattice, np.ptp(grid.lattice, axis=0))
+        if domain.dimension <= 2 and h == 1.0 / 8:
+            assert box.shape == (15,) * domain.dimension
+        offsets = _offset_cube(box.extent - 1)
+        weights = rng.random(len(offsets))
+        row = rng.normal(size=len(grid))
+        stencil = box.stencils(offsets, weights)
+        spectrum = box.spectra(row)
+        for sign, product in ((1, np.conjugate(stencil)), (-1, stencil)):
+            found = _neighbours(box.cells, sign * offsets)
+            direct = np.where(found >= 0, row[found], 0.0) @ weights
+            got = box.at_cells(spectrum * product)
+            assert got.shape == (len(grid),)
+            assert np.abs(got - direct).max() \
+                <= 1e-12 * np.abs(row).sum() * weights.max()
+
+    @pytest.mark.parametrize("domain, h", BOX_GRIDS)
+    @pytest.mark.parametrize("reach", [1, 2, 3])
+    def test_flat_shifts_land_on_the_neighbour_or_padding(self, domain, h,
+                                                          reach):
+        """With padding on one side only, every flat shift within the
+        reach lands on the neighbour x + o where it is a cell, and on a
+        cell of weight 0 otherwise."""
+        grid = sample_quadrature(domain, h)
+        reach = np.minimum(reach, np.ptp(grid.lattice, axis=0))
+        box = _LatticeBox(grid.lattice, reach)
+        offsets = _offset_cube(reach)
+        landed = box.at[:, None] + box.shifts(offsets)[None, :]
+        assert np.all((landed >= -box.size) & (landed < box.size))
+        landed %= box.size
+        found = _neighbours(box.cells, offsets)
+        assert np.array_equal(landed[found >= 0], box.at[found[found >= 0]])
+        assert not box.place(np.ones(len(grid)))[landed[found < 0]].any()
+        assert (found < 0).any()
+
+    @pytest.mark.parametrize("domain, h", BOX_GRIDS)
+    @pytest.mark.parametrize("share", [1, 2], ids=["whole", "half"])
+    def test_ball_spectra_count_the_integer_balls(self, domain, h, share):
+        """Integer balls, cut at |o_j| <= reach_j where the reach falls
+        short of the lattice."""
+        grid = sample_quadrature(domain, h)
+        box = _LatticeBox(grid.lattice, np.ptp(grid.lattice, axis=0) // share)
+        bounds = np.array([0.0, 1.0, 2.0, 5.0, 9.0, 50.0])
+        o = grid.lattice[:, None, :] - grid.lattice[None, :, :]
+        d2 = np.where(np.all(np.abs(o) <= box.reach, axis=2),
+                      (o ** 2).sum(axis=2), np.inf)
+        exact = np.stack([(d2 <= k).sum(axis=1) for k in bounds])
+        ones = box.spectra(np.ones(len(grid)))
+        counts = box.at_cells(box.ball_spectra(bounds) * ones)
+        assert np.array_equal(np.rint(counts), exact)
+        assert np.abs(counts - exact).max() <= 1e-12 * len(grid)
+
+    def test_worth_prices_each_transform_at_b_log2_b(self):
+        box = _LatticeBox(np.arange(8)[:, None], np.array([8]))
+        assert box.shape == (16,) and box.eps_log == np.finfo(float).eps * 4
+        # 10 x 2 transforms x 16 log2 16 = 1,280 entries
+        assert box.worth(1281, 2, 10.0) and not box.worth(1280, 2, 10.0)
+
+
+def test_only_geometry_imports_scipy_fft():
+    """The lattice box is the package's one user of `scipy.fft`."""
+    package = Path(geometry.__file__).parent
+    users = set()
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                names = [node.module] + [f"{node.module}.{alias.name}"
+                                         for alias in node.names]
+            else:
+                continue
+            if any(name.startswith("scipy.fft") for name in names):
+                users.add(path.name)
+    assert users == {"geometry.py"}

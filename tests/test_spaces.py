@@ -1,4 +1,5 @@
 import math
+import types
 
 import numpy as np
 import pytest
@@ -487,12 +488,13 @@ class TestMorreyBallSums:
         assert pair_counts[0].sum() == 1104
         assert np.array_equal(pair_counts, exact)
         box = _morrey_ladder(grid)[3]
-        assert box == (20, 20)  # 2 E - 1 = 19 cells per axis, rounded up
+        # 2 E - 1 = 19 cells per axis, rounded up
+        assert box.shape == (20, 20)
         fft_counts = np.stack(list(next(_fft_ball_sums(
-            lattice, ones[None], bounds, box))[0]))
+            box, ones[None], bounds))[0]))
         assert np.array_equal(np.rint(fft_counts), exact)
         fft_sums = np.stack(list(next(_fft_ball_sums(
-            lattice, power[None], bounds, box))[0]))
+            box, power[None], bounds))[0]))
         assert fft_sums == pytest.approx(ladder(lattice, power, bounds),
                                          rel=1e-12, abs=1e-14)
         # the float test on coordinates, as point clouds use it
@@ -567,33 +569,27 @@ class TestMorreyLatticeSources:
     @pytest.mark.parametrize("kind", ["zeros", "spike"])
     def test_sources_match_dense_integer_balls(self, rng, domain, h, alpha,
                                                r, kind):
-        from bbmlab.spaces import (
-            _BALL_FFT_GUARD,
-            _fft_ball_sums,
-            _morrey_ladder,
-        )
+        from bbmlab.geometry import _FFT_GUARD
+        from bbmlab.spaces import _fft_ball_sums, _morrey_ladder
 
         grid = sample_quadrature(domain, h)
         assert grid.lattice is not None
         spec = Morrey(alpha, r)
         f = _morrey_test_field(grid, kind, rng)
         power = np.abs(f.values) ** r * grid.weights
-        bounds = _lattice_bounds(grid, _morrey_ladder(grid)[0])
-        lattice = grid.lattice
+        radii, lattice, _, box = _morrey_ladder(grid)
+        bounds = _lattice_bounds(grid, radii)
         d2 = ((lattice[:, None, :] - lattice[None, :, :]) ** 2).sum(axis=2)
         dense = np.stack([(d2 <= k) @ power for k in bounds])
         block = _ladder_array(lattice, power, bounds)
-        extent = lattice.max(axis=0) - lattice.min(axis=0) + 1
-        shape = tuple(int(2 * e - 1) for e in extent)
-        rungs, error = next(_fft_ball_sums(lattice, power[None], bounds,
-                                           shape))
+        rungs, error = next(_fft_ball_sums(box, power[None], bounds))
         fft = np.stack(list(rungs))
         assert np.all(fft >= 0.0)
         assert np.abs(fft - dense).max() <= 1e-12 * dense.max()
         expected, _ = _morrey_from_sums(spec, grid, dense)
         got_block, _ = _morrey_from_sums(spec, grid, block)
         got_fft, at_max = _morrey_from_sums(spec, grid, fft)
-        assert error <= _BALL_FFT_GUARD * at_max
+        assert error <= _FFT_GUARD * at_max
         assert got_block == pytest.approx(expected, rel=1e-12, abs=0.0)
         assert got_fft == pytest.approx(expected, rel=1e-12, abs=0.0)
         assert norm(spec, f) == pytest.approx(expected, rel=1e-12, abs=0.0)
@@ -690,9 +686,10 @@ class TestMorreyLatticeSources:
         stops at the first where vol_k (total (1 + margin))^(1/r) cannot
         beat the best value so far.  On the disk of the ball-norm studies,
         h = 0.05, the energy half-fields of a radial bump under the 7 bump
-        kernels leave out rungs 8 to 11, and every value keeps the bits of
-        the argmax over all 12 rungs."""
-        from bbmlab import nonlocal_energy, spaces
+        kernels leave out rungs 8 to 11: each field's forward transform is
+        followed by 8 inverse ones.  Every value keeps the bits of the
+        argmax over all 12 rungs."""
+        from bbmlab import geometry, nonlocal_energy, spaces
 
         grid = sample_quadrature(Disk((0.0, 0.0), 1.0), 0.05)
         bump = sample(radial_bump((0.0, 0.0), 1.0), grid)
@@ -700,27 +697,32 @@ class TestMorreyLatticeSources:
                    for k in range(7)]
         values = nonlocal_energy._half_fields(bump, kernels, 2.0)
         spec = Morrey(3.0, 2.0)
-        radii, coords, bounds, box = spaces._morrey_ladder(grid)
+        radii, _, bounds, box = spaces._morrey_ladder(grid)
         vol = (unit_ball_volume(2) * radii**2) ** (1.0 / spec.alpha
                                                    - 1.0 / spec.r)
         expected = []
         for row in values:
             rungs, _ = next(spaces._fft_ball_sums(
-                coords, (row**2 * grid.weights)[None], bounds, box))
+                box, (row**2 * grid.weights)[None], bounds))
             expected.append(float(np.max(
                 vol[:, None] * np.stack(list(rungs)) ** 0.5)))
+        # inverse transforms after each forward one: the balls' batched
+        # transform comes first, then one per field
         taken = []
-        original = spaces._rung_sums
+        real = geometry.sp_fft
 
-        def counting(*args):
+        def forward(*args, **kwargs):
             taken.append(0)
-            for sums in original(*args):
-                taken[-1] += 1
-                yield sums
+            return real.rfftn(*args, **kwargs)
 
-        monkeypatch.setattr(spaces, "_rung_sums", counting)
+        def inverse(*args, **kwargs):
+            taken[-1] += 1
+            return real.irfftn(*args, **kwargs)
+
+        monkeypatch.setattr(geometry, "sp_fft", types.SimpleNamespace(
+            rfftn=forward, irfftn=inverse, next_fast_len=real.next_fast_len))
         got = norm(spec, grid, values)
-        assert taken == [8] * len(values)
+        assert taken == [0] + [8] * len(values)
         assert got.tolist() == expected
 
 

@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from bbmlab import bbm, checks, mollifiers, nonlocal_energy, spaces
+from bbmlab import bbm, checks, geometry, mollifiers, nonlocal_energy, spaces
 from bbmlab.bbm import convergence_study, kappa, upper_bound_diagnostics
 from bbmlab.field import (SampledField, gradient_magnitude_field, linear,
                           radial_bump, sample)
@@ -185,19 +185,18 @@ def test_empty_stack_has_no_norms(kind):
 
 def _fft_guard_trips(spec, grid, values):
     """Per row, whether Morrey's FFT guard sends it to the distance block."""
-    radii, coords, bounds, box = spaces._morrey_ladder(grid)
+    radii, _, bounds, box = spaces._morrey_ladder(grid)
     n = grid.dimension
     vol = (spaces.unit_ball_volume(n) * radii**n) ** (
         1.0 / spec.alpha - 1.0 / spec.r)
     trips = []
     for row in values:
         power = np.abs(row) ** spec.r * grid.weights
-        rungs, error = next(spaces._fft_ball_sums(coords, power[None],
-                                                  bounds, box))
+        rungs, error = next(spaces._fft_ball_sums(box, power[None], bounds))
         sums = np.stack(list(rungs))
         cand = vol[:, None] * sums ** (1.0 / spec.r)
         at = np.unravel_index(np.argmax(cand), cand.shape)
-        trips.append(bool(error > spaces._BALL_FFT_GUARD * sums[at]))
+        trips.append(bool(error > geometry._FFT_GUARD * sums[at]))
     return trips
 
 
