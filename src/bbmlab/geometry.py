@@ -9,12 +9,19 @@ with nonnegative cell weights.
 
 `_ball_pairs` is the one neighbour list of the package: the closed balls
 |x - y| <= radius around chosen points, from one `cKDTree` pair search
-per block of whole rows under a pair budget.  The energy pass (point
-clouds) and the Orlicz-slice norm take their pairs from it.
+per block of whole rows under a pair budget.  The energy pass on point
+clouds and the Orlicz-slice norm take their pairs from it, the latter
+on point clouds, for a Phi other than a power, and for balls with more
+integer offsets than the grid has points.
 
 `_LatticeBox` is its lattice twin, a lattice grid in a padded box with
-the one B log2 B cost rule for FFTs, for three users: the energy pass's
-offset pass and p = 2 far field, and Morrey's ball ladder.
+the one B log2 B cost rule for FFTs, for four users: the energy pass's
+offset pass and p = 2 far field, Morrey's ball ladder, and the offset
+pass of `_lattice_balls`, the same closed balls as the neighbour list's
+on a lattice grid, which power-Phi Orlicz-slice sums.  `_lattice_cells`
+takes a lattice's extent once, and `_ball_offsets` lists the integer
+offsets within a radius in lexicographic order, for the energy pass and
+the lattice balls.
 """
 
 from __future__ import annotations
@@ -43,6 +50,13 @@ _EDGE_TOL = 1e-12
 # pass) holds at once: bounds its memory, and blocks that stay in cache run
 # about twice as fast as larger ones
 _PAIR_BUDGET = 1 << 20
+# relative margin within which a lattice distance |o| h is taken to be at
+# a ball's radius rho up to round-off ((0.3 / 0.1)^2 rounds to
+# 8.999999999999998): far above round-off, far below the gap 1/|o|^2
+# between integer squared norms.  Morrey's ladder gives its bound
+# k_rho = floor((rho/h)^2) this reading; the offset pass of
+# `_lattice_balls` decides the offsets within it pair by pair
+_BALL_MARGIN = 1e-9
 # FFT sums are kept only where their error bound, eps log2(B) times a sum
 # of terms, lies below _FFT_GUARD times the sum they must resolve
 _FFT_GUARD = 1e-13
@@ -531,17 +545,97 @@ def _ball_pairs(pts: np.ndarray, sel: np.ndarray, radius: float):
         start = stop
 
 
+def _lattice_cells(lattice: np.ndarray):
+    """(cells, extent) of the integer `lattice` indices: the indices less
+    their minimum, and per axis the extent E of those, max + 1, from one
+    min and one max."""
+    cells = lattice - lattice.min(axis=0)
+    return cells, cells.max(axis=0) + 1
+
+
+def _ball_offsets(extent: np.ndarray, bound: float):
+    """(offsets, sq): the integer offsets o with |o|^2 <= `bound` that join
+    two cells of a lattice of `extent` E, |o_j| < E_j, in lexicographic
+    order, and their squared norms |o|^2."""
+    spans = extent - 1
+    if math.isfinite(bound):
+        spans = np.minimum(spans, math.isqrt(int(bound)))
+    offsets = np.indices(tuple(2 * spans + 1)).reshape(len(spans), -1).T \
+        - spans
+    sq = np.einsum("ij,ij->i", offsets, offsets)
+    if np.sum(spans * spans) <= bound:
+        # the ball holds the whole cube
+        return offsets, sq
+    inside = sq <= bound
+    return offsets[inside], sq[inside]
+
+
+def _lattice_balls(grid: QuadratureGrid, radius: float):
+    """The closed balls |x - y| <= radius of a lattice grid, the pairs of
+    `_ball_pairs`, as one offset pass in a `_LatticeBox`: (box, moves),
+    or None where there are more offsets than points, since the pass
+    touches N entries per offset and the neighbour list at most N per
+    point.
+
+    Each move (start, stop, shift, keep), one per offset in lexicographic
+    order, pairs the box cells x in [start, stop) with the cell at x +
+    shift, where the mask `keep` over them holds (everywhere for None);
+    an offset that pairs no cell has no move.
+    An offset is decided by its integer norm, inside iff |o|^2 <
+    (radius/h)^2, unless |o| h lies within a margin of the radius:
+    _BALL_MARGIN relative, widened by the round-off of the coordinates.
+    Such a tie is decided pair by pair as `_ball_pairs` decides it,
+    sum_j (x_j - y_j)^2 <= radius^2 summed axis by axis.  Only the cells'
+    own span of the box is visited."""
+    cells, extent = _lattice_cells(grid.lattice)
+    ratio = radius / grid.h
+    # the offsets of the cube inscribed in the ball, |o_j| <= side, may
+    # alone outnumber the points: a whole-grid ball is known uncounted
+    spans = (extent - 1).tolist()
+    side = math.isqrt(int(min(ratio * ratio, sum(s * s for s in spans))
+                          / len(spans)))
+    if math.prod(2 * min(s, side) + 1 for s in spans) > len(grid):
+        return None
+    margin = _BALL_MARGIN + 8.0 * np.finfo(float).eps \
+        * np.abs(grid.points).max() / radius
+    offsets, sq = _ball_offsets(extent, (ratio * (1.0 + margin)) ** 2)
+    if len(offsets) > len(grid):
+        return None
+    box = _LatticeBox(cells, extent, np.abs(offsets).max(axis=0))
+    shifts = box.shifts(offsets)
+    low, high = int(box.at.min()), int(box.at.max()) + 1
+    starts = np.maximum(low, -shifts)
+    stops = np.minimum(high, box.size - shifts)
+    tie = sq >= (ratio * (1.0 - margin)) ** 2
+    coords = box.place(grid.points.T) if tie.any() else None
+    moves = []
+    for start, stop, shift, at_tie in zip(starts.tolist(), stops.tolist(),
+                                          shifts.tolist(), tie.tolist()):
+        if start >= stop:
+            continue
+        keep = None
+        if at_tie:
+            sq_dist = np.zeros(stop - start)
+            for axis in coords:
+                sq_dist += (axis[start:stop]
+                            - axis[start + shift:stop + shift]) ** 2
+            keep = sq_dist <= radius * radius
+        moves.append((start, stop, shift, keep))
+    return box, moves
+
+
 class _LatticeBox:
     """A lattice grid in a box of zeros, per axis its extent E plus
-    `reach` rounded up to a fast FFT length: `cells` are its indices less
-    their minimum, `at` their flat positions, and `eps_log` eps log2(B)
-    for B cells.  One-sided padding serves both uses: a flat shift within
-    the reach takes a neighbour off the lattice into the padding of its
-    last axis out of range, and no correlation within it wraps onto a cell."""
+    `reach` rounded up to a fast FFT length, from the (cells, extent) of
+    `_lattice_cells`: `at` are the cells' flat positions, and `eps_log`
+    eps log2(B) for B cells.  One-sided padding serves both uses: a flat
+    shift within the reach takes a neighbour off the lattice into the
+    padding of its last axis out of range, and no correlation within it
+    wraps onto a cell."""
 
-    def __init__(self, lattice: np.ndarray, reach):
-        self.cells = lattice - lattice.min(axis=0)
-        self.extent = self.cells.max(axis=0) + 1
+    def __init__(self, cells: np.ndarray, extent: np.ndarray, reach):
+        self.cells = cells
+        self.extent = extent
         self.reach = reach
         self.shape = tuple(sp_fft.next_fast_len(int(e + r), real=True)
                            for e, r in zip(self.extent, reach))

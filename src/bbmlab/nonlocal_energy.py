@@ -176,8 +176,10 @@ def _tree_sums(field: SampledField, kernels, p: float,
     return far_sums, near_num, near_mass
 
 
-def _lattice_offsets(grid: QuadratureGrid, kernels, p: float):
-    """The integer offsets of the pass, near ones first, and their weights.
+def _lattice_offsets(grid: QuadratureGrid, kernels, p: float,
+                     extent: np.ndarray):
+    """The integer offsets of the pass, near ones first, and their weights,
+    on the lattice of `grid`, whose extent is `extent`.
 
     Returns (offsets, n_near, coef): coef[0] holds 1 / (|o| h)^p on the
     near offsets, 0 < |o| < NEAR_FIELD_FACTOR, and coef[1 + k] the weight
@@ -186,14 +188,10 @@ def _lattice_offsets(grid: QuadratureGrid, kernels, p: float):
     weights and are left out.
     """
     h = grid.h
-    extent = grid.lattice.max(axis=0) - grid.lattice.min(axis=0)
     max_cut = max(k.cut for k in kernels)
-    # no offset beyond ceil(cut / h) + 1 cells along an axis reaches a cut
+    # no offset longer than ceil(cut / h) + 1 cells reaches a cut
     cells = math.ceil(max_cut / h) + 1 if math.isfinite(max_cut) else math.inf
-    spans = [int(min(e, cells)) for e in extent]
-    offsets = np.stack([m.ravel() for m in np.meshgrid(
-        *[np.arange(-s, s + 1) for s in spans], indexing="ij")], axis=-1)
-    sq = np.einsum("ij,ij->i", offsets, offsets)
+    offsets, sq = geometry._ball_offsets(extent, cells * cells)
     near = (sq > 0) & (sq < NEAR_FIELD_FACTOR ** 2)
     far = sq >= NEAR_FIELD_FACTOR ** 2
     r_near = np.sqrt(sq[near]) * h
@@ -353,9 +351,10 @@ def _offset_sums(field: SampledField, kernels, p: float,
     """(far, near_num, near_mass) as sums over the integer offsets of a
     lattice grid; see `_energy_values`."""
     grid = field.grid
-    offsets, n_near, coef = _lattice_offsets(grid, kernels, p)
+    cells, extent = geometry._lattice_cells(grid.lattice)
+    offsets, n_near, coef = _lattice_offsets(grid, kernels, p, extent)
     # one box, of zero weight off the grid, for the offset pass and the FFT
-    box = geometry._LatticeBox(grid.lattice,
+    box = geometry._LatticeBox(cells, extent,
                                np.abs(offsets).max(axis=0, initial=0))
     vals_pad, w_pad = box.place(field.values), box.place(grid.weights)
     shifts = box.shifts(offsets)

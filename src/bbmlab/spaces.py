@@ -15,8 +15,13 @@ values carrying their cell weights.  Every Luxemburg norm (Orlicz,
 variable exponent, and Orlicz-slice's balls and |B_t| denominator unless
 Phi is a power) sums one modular, `_luxemburg_sum`, in which cells of
 zero weight count for nothing.  With a power Phi = t^q the slice's ones
-have closed forms, (sum_B w|f|^q)^(1/q) and |B_t|^(1/q), and each block
-of balls is summed by one `bincount`.  Ball sums come from closed balls.
+have closed forms, (sum_B w|f|^q)^(1/q) and |B_t|^(1/q); on lattice
+grids its ball sums take one offset pass in a `geometry._LatticeBox`
+(`geometry._lattice_balls`), which adds the balls' terms in the order
+and with the bits of the neighbour list's `bincount`, and elsewhere, or
+where a ball has more integer offsets than the grid has points, each
+block of the neighbour list's balls is summed by one `bincount`.  Ball
+sums come from closed balls.
 On lattice grids Morrey's balls are integer ones, |o|^2 <=
 floor((rho/h)^2) for the integer offset o, so no pair at exactly rho is
 decided by round-off; each of its 12 rungs' sums is an FFT correlation of
@@ -25,8 +30,10 @@ split of convolution-based nonlocal solvers; Jafarzadeh, Wang, Larios &
 Bobaru, CMAME 375 (2021) 113633), and otherwise every block of centers
 masks one block of integer squared distances per rung for all fields of
 the stack.  Point clouds keep the test |x - y|^2 <= rho^2 on their
-coordinates, and Orlicz-slice's single small radius takes its balls from
-`geometry._ball_pairs`, the package's k-d tree neighbour list.
+coordinates.  Orlicz-slice's single radius keeps the neighbour list's
+float test at every pair its integer offset cannot decide: on lattices
+a pair at exactly t up to round-off is tested on its coordinates, as
+`geometry._ball_pairs`, the package's k-d tree neighbour list, tests it.
 Besov-Bourgain-Morrey labels the occupied dyadic cubes of every level
 with one `lexsort` and sums them all with one `bincount`, and the Herz
 norms sum the annuli of a block of centers with one `bincount`.
@@ -48,7 +55,8 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .field import SampledField, read_csv_table
-from .geometry import _FFT_GUARD, QuadratureGrid, _LatticeBox, _ball_pairs
+from .geometry import (_BALL_MARGIN, _FFT_GUARD, QuadratureGrid, _LatticeBox,
+                       _ball_pairs, _lattice_balls, _lattice_cells)
 
 __all__ = [
     "Lebesgue",
@@ -644,21 +652,26 @@ class OrliczSlice(SpaceSpec):
             raise ValueError("Orlicz-slice needs finite r >= 1 and t > 0")
 
     def norm(self, grid: QuadratureGrid, values: np.ndarray) -> np.ndarray:
-        """Balls from the neighbour list, a group of fields at a time.  A
-        power Phi = t^q has the ratio (sum_B w|f|^q / |B_t|)^(1/q), one
-        `bincount` per group; any other Phi pads each block's balls to its
-        largest with zero weight and solves them in one Luxemburg solve.
-        The power sums, a power Phi's ball sums and for every Phi the sum
-        of w ratio^r, run at the scale of `_row_scales`."""
+        """A power Phi = t^q has the ratio (sum_B w|f|^q / |B_t|)^(1/q),
+        its ball sums from `_ball_sums`: one offset pass on lattice grids,
+        with the bits of the neighbour list's sums, and the neighbour list
+        on point clouds and for balls with more integer offsets than the
+        grid has points.  Any other Phi takes its balls from the
+        neighbour list, pads each block's balls to its largest with zero
+        weight and solves them in one Luxemburg solve, a group of fields
+        at a time.  The power sums, a power Phi's ball sums and for every
+        Phi the sum of w ratio^r, run at the scale of `_row_scales`."""
         w, n = grid.weights, grid.dimension
-        q = self.phi.q if isinstance(self.phi, PowerOrlicz) else None
         scale = _row_scales(w, values)
-        if q is not None:
+        if isinstance(self.phi, PowerOrlicz):
+            q = self.phi.q
             power = np.abs(values / scale[:, None]) ** q * w
-        ratios = np.zeros(values.shape)
-        for block, rows, cols, _ in _ball_pairs(grid.points,
-                                                np.arange(len(grid)), self.t):
-            if q is None:
+            ratios = (_ball_sums(grid, power, self.t)
+                      / (unit_ball_volume(n) * self.t**n)) ** (1.0 / q)
+        else:
+            ratios = np.zeros(values.shape)
+            for block, rows, cols, _ in _ball_pairs(
+                    grid.points, np.arange(len(grid)), self.t):
                 # the rows are sorted: a pair's slot is its place in its row
                 slot = np.arange(len(rows)) - np.searchsorted(rows, rows)
                 ball = np.zeros((block.stop - block.start, slot.max() + 1),
@@ -666,22 +679,15 @@ class OrliczSlice(SpaceSpec):
                 ball[rows, slot] = cols
                 w_ball = np.zeros(ball.shape)
                 w_ball[rows, slot] = w[cols]
-            step = max(1, _STACK_ENTRIES // len(rows))
-            for first in range(0, len(values), step):
-                fields = slice(first, first + step)
-                if q is None:
+                step = max(1, _STACK_ENTRIES // len(rows))
+                for first in range(0, len(values), step):
+                    fields = slice(first, first + step)
                     ratios[fields, block] = _luxemburg_sum(
                         w_ball, values[fields][:, ball], self.phi,
                         self.phi.lower_type, self.phi.upper_type)
-                else:
-                    ratios[fields, block] = _stacked_bincount(
-                        rows, power[fields][:, cols], block.stop - block.start)
-        # every ratio at its field's scale, so that ratio^r stays in range
-        if q is None:
+            # every ratio at its field's scale, so that ratio^r stays in range
             ratios /= _slice_denominator(self.phi, self.t, n)
             ratios /= scale[:, None]
-        else:
-            ratios = (ratios / (unit_ball_volume(n) * self.t**n)) ** (1.0 / q)
         return np.sum(w * ratios**self.r, axis=1) ** (1.0 / self.r) * scale
 
 
@@ -921,10 +927,43 @@ def _ladder_ball_sums(pts: np.ndarray, power: np.ndarray,
             yield rung, (d2 <= bound) @ power.T
 
 
-# relative margin that gives k_rho = floor((rho/h)^2) its exact-arithmetic
-# reading where (rho/h)^2 is an integer k up to round-off ((0.3 / 0.1)^2
-# rounds to 8.999999999999998): far above round-off, far below 1/k
-_BALL_MARGIN = 1e-9
+def _ball_sums(grid: QuadratureGrid, power: np.ndarray,
+               radius: float) -> np.ndarray:
+    """Sums of each row of the (B, N) `power` over the closed balls
+    |x - y| <= radius around every point of `grid`, a group of fields at
+    a time: by one offset pass on lattice grids (`geometry._lattice_balls`)
+    where it touches no more entries than the neighbour list, and
+    otherwise from `geometry._ball_pairs`, one `bincount` per block.
+    Both add a ball's terms to 0.0 in column order, the offset pass with
+    an exact 0.0 for each neighbour off the grid or out of the ball, so on
+    a lattice whose columns run in its offsets' lexicographic order, as
+    every `sample_quadrature` lattice does, they agree bit for bit."""
+    balls = None if grid.lattice is None else _lattice_balls(grid, radius)
+    if balls is None:
+        sums = np.zeros(power.shape)
+        for block, rows, cols, _ in _ball_pairs(grid.points,
+                                                np.arange(len(grid)), radius):
+            step = max(1, _STACK_ENTRIES // len(rows))
+            for first in range(0, len(power), step):
+                fields = slice(first, first + step)
+                sums[fields, block] = _stacked_bincount(
+                    rows, power[fields][:, cols], block.stop - block.start)
+        return sums
+    box, moves = balls
+    sums = np.empty(power.shape)
+    step = max(1, _STACK_ENTRIES // box.size)
+    for first in range(0, len(power), step):
+        fields = slice(first, first + step)
+        placed = box.place(power[fields])
+        acc = np.zeros(placed.shape)
+        for start, stop, shift, keep in moves:
+            near = placed[:, start + shift:stop + shift]
+            acc[:, start:stop] += near if keep is None \
+                else np.where(keep, near, 0.0)
+        sums[fields] = acc[:, box.at]
+    return sums
+
+
 # Morrey's ball sums on a lattice grid are FFT correlations when the
 # distance block's N^2 entries per rung exceed _BALL_FFT_COST B log2 B per
 # rung, for B FFT cells.  Measured on 2 vCPUs with one BLAS thread over
@@ -946,7 +985,8 @@ def _morrey_ladder(grid: QuadratureGrid):
     radii = np.geomspace(min(2.0 * grid.h, diam), diam, 12)
     if grid.lattice is None:
         return radii, pts, radii**2, None
-    box = _LatticeBox(grid.lattice, np.ptp(grid.lattice, axis=0))
+    cells, extent = _lattice_cells(grid.lattice)
+    box = _LatticeBox(cells, extent, extent - 1)
     bounds = np.floor((radii / grid.h) ** 2 * (1.0 + _BALL_MARGIN))
     return radii, grid.lattice, bounds, box
 

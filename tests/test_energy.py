@@ -603,6 +603,13 @@ def _spy_transforms(monkeypatch):
     return counts
 
 
+def _lattice_offsets(grid, kernels):
+    """The p = 2 pass's offsets, n_near and weights on the lattice of
+    `grid`."""
+    _, extent = geometry._lattice_cells(grid.lattice)
+    return nonlocal_energy._lattice_offsets(grid, kernels, 2.0, extent)
+
+
 def _offset_pass(field, kernels, eval_idx):
     """The p = 2 energies with every offset on the offset pass."""
     with pytest.MonkeyPatch.context() as mp:
@@ -704,8 +711,7 @@ class TestFftFarField:
         ran = _spy_fft(monkeypatch)
         passes = _spy_passes(monkeypatch, rows=True)
         got = nonlocal_energy._energy_values(field, kernels, 2.0, eval_idx)
-        offsets, n_near, _ = nonlocal_energy._lattice_offsets(grid, kernels,
-                                                              2.0)
+        offsets, n_near, _ = _lattice_offsets(grid, kernels)
         assert len(ran) == 1
         _assert_nested(ran[0], offsets[n_near:])
         _assert_one_pass_per_row(passes, len(grid))
@@ -725,8 +731,7 @@ class TestFftFarField:
         ran = _spy_fft(monkeypatch)
         passes = _spy_passes(monkeypatch, rows=True)
         got = nonlocal_energy._energy_values(field, kernels, 2.0, eval_idx)
-        offsets, n_near, _ = nonlocal_energy._lattice_offsets(grid, kernels,
-                                                              2.0)
+        offsets, n_near, _ = _lattice_offsets(grid, kernels)
         assert len(ran) == 1
         _assert_nested(ran[0], offsets[n_near:])
         assert _ring_edges(ran[0]) == [64, 256, 1024, 4096, 16384, 65536]
@@ -752,8 +757,7 @@ class TestFftFarField:
         ran = _spy_fft(monkeypatch)
         passes = _spy_passes(monkeypatch, rows=True)
         got = nonlocal_energy._energy_values(field, kernels, 2.0, eval_idx)
-        offsets, n_near, _ = nonlocal_energy._lattice_offsets(grid, kernels,
-                                                              2.0)
+        offsets, n_near, _ = _lattice_offsets(grid, kernels)
         assert len(ran) == 1
         _assert_nested(ran[0], offsets[n_near:])
         assert _ring_edges(ran[0]) == [4, 16, 64]
@@ -792,8 +796,7 @@ class TestFftFarField:
         counts = _spy_transforms(monkeypatch)
         nonlocal_energy._energy_values(field, kernels, 2.0,
                                        np.arange(len(grid)))
-        offsets, _, coef = nonlocal_energy._lattice_offsets(grid, kernels,
-                                                            2.0)
+        offsets, _, coef = _lattice_offsets(grid, kernels)
         sq = np.einsum("ij,ij->i", offsets, offsets)
         with_weight = [
             np.count_nonzero(coef[1:, sq >= edge].any(axis=1))
@@ -816,10 +819,10 @@ class TestFftFarField:
         field = sample(_fft_field(field_kind, domain.dimension), grid)
         kernels = _fft_kernels("bump", domain, h, nu_far) \
             + _fft_kernels("fractional", domain, h, nu_far)
-        offsets, n_near, coef = nonlocal_energy._lattice_offsets(
-            grid, kernels, 2.0)
+        offsets, n_near, coef = _lattice_offsets(grid, kernels)
         offsets, coef = offsets[n_near:], coef[1:, n_near:]
-        box = geometry._LatticeBox(grid.lattice, np.abs(offsets).max(axis=0))
+        box = geometry._LatticeBox(*geometry._lattice_cells(grid.lattice),
+                                   np.abs(offsets).max(axis=0))
         ring_bound, _ = nonlocal_energy._fft_far_field(box, field.values,
                                                        grid.weights)
         bound = ring_bound(offsets, coef)
@@ -896,8 +899,7 @@ class TestFftRings:
     def _pass(self, monkeypatch, domain, h, fn, kernels):
         field = sample(fn, sample_quadrature(domain, h))
         eval_idx = np.arange(len(field.grid))
-        offsets, n_near, _ = nonlocal_energy._lattice_offsets(field.grid,
-                                                              kernels, 2.0)
+        offsets, n_near, _ = _lattice_offsets(field.grid, kernels)
         inner = np.count_nonzero(np.einsum("ij,ij->i", offsets, offsets)
                                  < nonlocal_energy._FFT_SPLIT ** 2)
         with pytest.MonkeyPatch.context() as mp:

@@ -15,6 +15,7 @@ from bbmlab.geometry import (
     QuadratureGrid,
     _ball_pairs,
     _LatticeBox,
+    _lattice_cells,
     sample_quadrature,
 )
 
@@ -417,6 +418,100 @@ class TestBallPairs:
             assert np.array_equal(a, b)
 
 
+def _lattice_pairs(grid, radius):
+    """(rows, cols) of the balls of `_lattice_balls`, row by row and, in a
+    row, in the order of its moves."""
+    box, moves = geometry._lattice_balls(grid, radius)
+    index = np.full(box.size, -1)
+    index[box.at] = np.arange(len(grid))
+    parts = []
+    for start, stop, shift, keep in moves:
+        cells = np.arange(start, stop)
+        rows, cols = index[cells], index[cells + shift]
+        pair = (rows >= 0) & (cols >= 0)
+        if keep is not None:
+            pair &= keep
+        parts.append(np.stack([rows[pair], cols[pair]]))
+    rows, cols = np.concatenate(parts, axis=1)
+    order = np.argsort(rows, kind="stable")
+    return rows[order], cols[order]
+
+
+UNIT_CUBE = Box((0.0, 0.0, 0.0), (1.0, 1.0, 1.0))
+
+
+class TestLatticeBalls:
+    """The offset pass's closed balls against the neighbour list: the same
+    pairs, in the same order, on lattices where many pairs lie at exactly
+    the radius.  Those ties are decided pair by pair on the coordinates,
+    which round-off splits: the integer test alone would keep all of a
+    ring or none of it."""
+
+    CASES = [
+        pytest.param(Interval(0.0, 1.0), 0.05, 3, id="interval-3h"),
+        pytest.param(UNIT_SQUARE, 0.05, 3, id="square-3h"),
+        # |(3, 4)| = |(0, 5)| = 5 cells
+        pytest.param(UNIT_SQUARE, 0.05, 0.25, id="square-0.25"),
+        pytest.param(UNIT_DISK, 0.05, 3, id="disk-3h"),
+        pytest.param(UNIT_DISK, 0.05, 0.15, id="disk-0.15"),
+        pytest.param(UNIT_DISK, 0.05, 0.25, id="disk-0.25"),
+        pytest.param(UNIT_DISK, 0.05, 0.17, id="disk-no-tie"),
+        pytest.param(L_SHAPE, 0.1, 3, id="L-shape-3h"),
+        pytest.param(L_SHAPE, 0.1, 0.5, id="L-shape-0.5"),
+        pytest.param(UNIT_CUBE, 0.1, 3, id="box-3d-3h"),
+        pytest.param(UNIT_CUBE, 0.1, 0.5, id="box-3d-0.5"),
+    ]
+
+    @pytest.mark.parametrize("domain, h, radius", CASES)
+    def test_pairs_are_the_neighbour_lists(self, domain, h, radius):
+        """A radius given as an integer is that many cells, t = 3h."""
+        grid = sample_quadrature(domain, h)
+        if isinstance(radius, int):
+            radius = radius * h
+        want = _joined(_ball_pairs(grid.points, np.arange(len(grid)),
+                                   radius))[:2]
+        got = _lattice_pairs(grid, radius)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+
+    def test_round_off_splits_a_tie_ring(self):
+        """On the h = 0.05 disk at t = 0.15 the 4,576 pairs three cells
+        apart lie at exactly t, and the neighbour list keeps 1,832: every
+        offset of that ring keeps some of its pairs and drops others."""
+        grid = sample_quadrature(UNIT_DISK, 0.05)
+        rows, cols = _lattice_pairs(grid, 0.15)
+        offsets = grid.lattice[cols] - grid.lattice[rows]
+        sq = np.einsum("ij,ij->i", offsets, offsets)
+        assert np.count_nonzero(sq == 9) == 1832
+        _, moves = geometry._lattice_balls(grid, 0.15)
+        ties = [keep for *_, keep in moves if keep is not None]
+        assert len(ties) == 4
+        lattice = grid.lattice
+        ring = (lattice[:, None, :] - lattice[None, :, :]) ** 2
+        assert np.count_nonzero(ring.sum(axis=2) == 9) == 4576
+        for keep in ties:
+            assert keep.any() and not keep.all()
+
+    @pytest.mark.parametrize("domain, h, over, under", [
+        (Interval(0.0, 1.0), 0.05, 0.5, 0.45),
+        (UNIT_DISK, 0.1, 1.0, 0.95),
+        (UNIT_DISK, 0.1, 5.0, 0.5),
+        (UNIT_CUBE, 0.1, 2.0, 0.6),
+    ])
+    def test_more_offsets_than_points_keep_the_neighbour_list(
+            self, domain, h, over, under):
+        """The offset pass touches N entries per offset, the neighbour
+        list at most N per point: a ball with more offsets than the grid
+        has points, such as one over the whole grid, keeps the list."""
+        grid = sample_quadrature(domain, h)
+        offsets = _offset_cube(np.ptp(grid.lattice, axis=0))
+        sq = np.einsum("ij,ij->i", offsets, offsets)
+        assert np.count_nonzero(sq <= (over / h) ** 2) > len(grid)
+        assert geometry._lattice_balls(grid, over) is None
+        assert np.count_nonzero(sq <= (under / h) ** 2) <= len(grid)
+        assert geometry._lattice_balls(grid, under) is not None
+
+
 # lattice grids for the box: 1-d, 2-d, a disk, an L and a 3-d box
 BOX_GRIDS = [
     pytest.param(Interval(0.0, 1.0), 1.0 / 8, id="interval"),
@@ -458,7 +553,8 @@ class TestLatticeBox:
         the interval and the square the box is 2 E - 1 = 15 cells per axis,
         with no slack."""
         grid = sample_quadrature(domain, h)
-        box = _LatticeBox(grid.lattice, np.ptp(grid.lattice, axis=0))
+        cells, extent = _lattice_cells(grid.lattice)
+        box = _LatticeBox(cells, extent, extent - 1)
         if domain.dimension <= 2 and h == 1.0 / 8:
             assert box.shape == (15,) * domain.dimension
         offsets = _offset_cube(box.extent - 1)
@@ -483,7 +579,7 @@ class TestLatticeBox:
         cell of weight 0 otherwise."""
         grid = sample_quadrature(domain, h)
         reach = np.minimum(reach, np.ptp(grid.lattice, axis=0))
-        box = _LatticeBox(grid.lattice, reach)
+        box = _LatticeBox(*_lattice_cells(grid.lattice), reach)
         offsets = _offset_cube(reach)
         landed = box.at[:, None] + box.shifts(offsets)[None, :]
         assert np.all((landed >= -box.size) & (landed < box.size))
@@ -499,7 +595,8 @@ class TestLatticeBox:
         """Integer balls, cut at |o_j| <= reach_j where the reach falls
         short of the lattice."""
         grid = sample_quadrature(domain, h)
-        box = _LatticeBox(grid.lattice, np.ptp(grid.lattice, axis=0) // share)
+        cells, extent = _lattice_cells(grid.lattice)
+        box = _LatticeBox(cells, extent, (extent - 1) // share)
         bounds = np.array([0.0, 1.0, 2.0, 5.0, 9.0, 50.0])
         o = grid.lattice[:, None, :] - grid.lattice[None, :, :]
         d2 = np.where(np.all(np.abs(o) <= box.reach, axis=2),
@@ -511,7 +608,8 @@ class TestLatticeBox:
         assert np.abs(counts - exact).max() <= 1e-12 * len(grid)
 
     def test_worth_prices_each_transform_at_b_log2_b(self):
-        box = _LatticeBox(np.arange(8)[:, None], np.array([8]))
+        box = _LatticeBox(*_lattice_cells(np.arange(8)[:, None]),
+                          np.array([8]))
         assert box.shape == (16,) and box.eps_log == np.finfo(float).eps * 4
         # 10 x 2 transforms x 16 log2 16 = 1,280 entries
         assert box.worth(1281, 2, 10.0) and not box.worth(1280, 2, 10.0)

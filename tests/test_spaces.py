@@ -855,6 +855,160 @@ class TestOrliczSlice:
         self._assert_matches_dense_masks(rng, grid, phi, t)
 
 
+def _neighbour_list_slice(spec, grid, values):
+    """Power-Phi Orlicz-slice norms of the (B, N) `values`, their ball sums
+    from the neighbour list, one `bincount` per block, as the engine sums
+    point clouds."""
+    from bbmlab.geometry import _ball_pairs
+    from bbmlab.spaces import _row_scales, _stacked_bincount
+
+    q, n, w = spec.phi.q, grid.dimension, grid.weights
+    scale = _row_scales(w, values)
+    power = np.abs(values / scale[:, None]) ** q * w
+    sums = np.zeros(values.shape)
+    for block, rows, cols, _ in _ball_pairs(grid.points, np.arange(len(grid)),
+                                            spec.t):
+        sums[:, block] = _stacked_bincount(rows, power[:, cols],
+                                           block.stop - block.start)
+    ratios = (sums / (unit_ball_volume(n) * spec.t**n)) ** (1.0 / q)
+    return np.sum(w * ratios**spec.r, axis=1) ** (1.0 / spec.r) * scale
+
+
+L_SHAPE = Polygon(((0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)))
+# lattices and radii with pairs at exactly t: 3h, and |(3, 4)| = 5 cells
+SLICE_LATTICES = [
+    pytest.param(Interval(0.0, 1.0), 1.0 / 24, 0.15, id="interval"),
+    pytest.param(Box((0.0, 0.0), (1.0, 1.0)), 0.05, 0.25, id="square"),
+    pytest.param(Disk((0.0, 0.0), 1.0), 0.05, 0.15, id="disk-3h"),
+    pytest.param(Disk((0.0, 0.0), 1.0), 0.05, 0.25, id="disk-5h"),
+    pytest.param(L_SHAPE, 0.1, 0.3, id="L-shape"),
+    pytest.param(Box((0.0,) * 3, (1.0,) * 3), 0.1, 0.5, id="box-3d"),
+]
+SLICE_POWERS = pytest.mark.parametrize("q", [1.0, 1.5, 2.0, 3.0])
+
+
+def _stack_with_zeros(grid, rng, count=3):
+    values = rng.normal(size=(count, len(grid)))
+    values[rng.random(values.shape) < 0.3] = 0.0
+    return values
+
+
+class TestLatticeSlice:
+    """Power-Phi Orlicz-slice on lattices sums its balls by one offset
+    pass, and keeps the bits of the neighbour list's sums."""
+
+    @pytest.mark.parametrize("domain, h, t", SLICE_LATTICES)
+    @SLICE_POWERS
+    def test_bits_of_the_neighbour_list(self, rng, domain, h, t, q):
+        grid = sample_quadrature(domain, h)
+        spec = OrliczSlice(PowerOrlicz(q), 2.0, t)
+        values = _stack_with_zeros(grid, rng)
+        assert np.array_equal(norm(spec, grid, values),
+                              _neighbour_list_slice(spec, grid, values))
+
+    @SLICE_POWERS
+    def test_stack_past_the_group_size(self, rng, q):
+        """20 fields on the h = 0.05 disk fill 20 x 2,025 box cells, past
+        `_STACK_ENTRIES`: three groups, the same bits as one call each."""
+        from bbmlab.geometry import _lattice_balls
+        from bbmlab.spaces import _STACK_ENTRIES
+
+        grid = sample_quadrature(Disk((0.0, 0.0), 1.0), 0.05)
+        spec = OrliczSlice(PowerOrlicz(q), 1.5, 0.15)
+        box, _ = _lattice_balls(grid, spec.t)
+        values = _stack_with_zeros(grid, rng, count=20)
+        assert box.size == 2025 and 20 * box.size > 2 * _STACK_ENTRIES
+        got = norm(spec, grid, values)
+        assert np.array_equal(got, _neighbour_list_slice(spec, grid, values))
+        assert np.array_equal(got, [norm(spec, grid, row) for row in values])
+
+    @pytest.mark.parametrize("domain, h, t", SLICE_LATTICES)
+    @SLICE_POWERS
+    def test_zero_weight_cells(self, rng, domain, h, t, q):
+        """Cells of weight 0 add nothing to a ball, and a field whose mass
+        sits only on them has norm 0."""
+        base = sample_quadrature(domain, h)
+        weights = np.where(rng.random(len(base)) < 0.3, 0.0, base.weights)
+        grid = QuadratureGrid(base.points, weights, h, domain=domain,
+                              lattice=base.lattice)
+        spec = OrliczSlice(PowerOrlicz(q), 2.0, t)
+        values = _stack_with_zeros(grid, rng)
+        values[0] = np.where(weights == 0.0, 1.0, 0.0)
+        got = norm(spec, grid, values)
+        assert np.array_equal(got, _neighbour_list_slice(spec, grid, values))
+        assert got[0] == 0.0 and np.all(got[1:] > 0.0)
+
+    @pytest.mark.parametrize("factor", [1e-160, 1e160])
+    @pytest.mark.parametrize("domain, h, t", SLICE_LATTICES)
+    @SLICE_POWERS
+    def test_fields_far_from_one(self, rng, domain, h, t, q, factor):
+        grid = sample_quadrature(domain, h)
+        spec = OrliczSlice(PowerOrlicz(q), 2.0, t)
+        values = _stack_with_zeros(grid, rng) * factor
+        got = norm(spec, grid, values)
+        assert np.all((0.0 < got) & (got < math.inf))
+        assert np.array_equal(got, _neighbour_list_slice(spec, grid, values))
+
+    @pytest.mark.parametrize("domain, h, t", [
+        (Interval(0.0, 1.0), 1.0 / 24, 2.0),
+        (Disk((0.0, 0.0), 1.0), 0.1, 5.0),
+        (Box((0.0,) * 3, (1.0,) * 3), 0.2, 2.0),
+    ], ids=["interval", "disk", "box-3d"])
+    @SLICE_POWERS
+    def test_whole_grid_radius(self, rng, domain, h, t, q):
+        grid = sample_quadrature(domain, h)
+        spec = OrliczSlice(PowerOrlicz(q), 2.0, t)
+        values = _stack_with_zeros(grid, rng)
+        assert np.array_equal(norm(spec, grid, values),
+                              _neighbour_list_slice(spec, grid, values))
+
+    @pytest.mark.parametrize("domain, h, t", SLICE_LATTICES)
+    @SLICE_POWERS
+    def test_permuted_rows(self, rng, domain, h, t, q):
+        """A lattice grid built by hand with its rows permuted: each ball
+        adds its terms in the offsets' order, no longer in column order,
+        so the norm agrees with the neighbour list's and with the
+        unpermuted grid's within 1e-13 relative, not bit for bit."""
+        base = sample_quadrature(domain, h)
+        perm = rng.permutation(len(base))
+        grid = QuadratureGrid(base.points[perm], base.weights[perm], h,
+                              domain=domain, lattice=base.lattice[perm])
+        spec = OrliczSlice(PowerOrlicz(q), 2.0, t)
+        values = _stack_with_zeros(base, rng)
+        got = norm(spec, grid, values[:, perm])
+        assert got == pytest.approx(
+            _neighbour_list_slice(spec, grid, values[:, perm]),
+            rel=1e-13, abs=0.0)
+        assert got == pytest.approx(norm(spec, base, values), rel=1e-13,
+                                    abs=0.0)
+
+    def test_only_other_routes_take_the_neighbour_list(self, monkeypatch,
+                                                       rng):
+        """A power Phi on a lattice makes no neighbour list; a point cloud
+        and a Phi other than a power still do."""
+        from bbmlab import spaces
+
+        calls = []
+        original = spaces._ball_pairs
+
+        def recording(*args):
+            calls.append(args[2])
+            return original(*args)
+
+        monkeypatch.setattr(spaces, "_ball_pairs", recording)
+        disk = Disk((0.0, 0.0), 1.0)
+        lattice = sample_quadrature(disk, 0.05)
+        cloud = sample_quadrature(disk, 0.05, "quasi-random")
+        power = OrliczSlice(PowerOrlicz(2.0), 2.0, 0.15)
+        norm(power, lattice, _stack_with_zeros(lattice, rng))
+        assert calls == []
+        norm(power, cloud, _stack_with_zeros(cloud, rng))
+        assert calls == [0.15]
+        norm(OrliczSlice(PowerLogOrlicz(2.0), 2.0, 0.2), lattice,
+             _stack_with_zeros(lattice, rng))
+        assert calls == [0.15, 0.2]
+
+
 class TestSliceDenominator:
     @pytest.mark.parametrize("phi", [
         PowerOrlicz(2.0), PowerOrlicz(1.5), PowerLogOrlicz(1.0),
