@@ -9,19 +9,23 @@ with nonnegative cell weights.
 
 `_ball_pairs` is the one neighbour list of the package: the closed balls
 |x - y| <= radius around chosen points, from one `cKDTree` pair search
-per block of whole rows under a pair budget.  The energy pass on point
-clouds and the Orlicz-slice norm take their pairs from it, the latter
-on point clouds, for a Phi other than a power, and for balls with more
-integer offsets than the grid has points.
+per block of whole rows under a pair budget, or, where every ball holds
+every point (`_holds_every_point`), from the coordinates without a
+tree.  The energy pass on point clouds and the Orlicz-slice norm take
+their pairs from it, the latter on point clouds and for a Phi other
+than a power.  `_sq_distances` sums squared distances axis by axis as
+the tree sums them, for that tree-free list and for the distance
+blocks of Morrey and Herz.
 
 `_LatticeBox` is its lattice twin, a lattice grid in a padded box with
 the one B log2 B cost rule for FFTs, for four users: the energy pass's
 offset pass and p = 2 far field, Morrey's ball ladder, and the offset
 pass of `_lattice_balls`, the same closed balls as the neighbour list's
-on a lattice grid, which power-Phi Orlicz-slice sums.  `_lattice_cells`
-takes a lattice's extent once, and `_ball_offsets` lists the integer
-offsets within a radius in lexicographic order, for the energy pass and
-the lattice balls.
+on a lattice grid, which power-Phi Orlicz-slice sums.  That is one route
+per grid: only a ball over the whole grid keeps the tree-free list.
+`_lattice_cells` takes a lattice's extent once, and `_ball_offsets`
+lists the integer offsets within a radius in lexicographic order, for
+the energy pass and the lattice balls.
 """
 
 from __future__ import annotations
@@ -503,6 +507,25 @@ def sample_quadrature(domain: Domain, h: float,
     raise ValueError(f"unknown scheme {scheme!r}")
 
 
+def _holds_every_point(pts: np.ndarray, radius: float) -> bool:
+    """Whether every closed ball of `radius` around a point of `pts` holds
+    every point: radius^2 reaches the squared diagonal of the points'
+    bounding box."""
+    span = pts.max(axis=0) - pts.min(axis=0)
+    return bool(radius * radius >= np.sum(span * span))
+
+
+def _sq_distances(centers: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """The (M, N) squared distances from each of the M `centers` to each
+    of the N `pts`, summed axis by axis as `cKDTree` sums them, so that
+    pairs at a ball's radius fall as in the tree.  Integer coordinates
+    (lattice indices) give exact distances."""
+    sq = np.zeros((len(centers), len(pts)))
+    for j in range(pts.shape[1]):
+        sq += (centers[:, j, None] - pts[None, :, j]) ** 2
+    return sq
+
+
 def _ball_pairs(pts: np.ndarray, sel: np.ndarray, radius: float):
     """The closed balls |x - y| <= radius around the points pts[sel], in
     blocks of whole rows holding at most _PAIR_BUDGET pairs (a row with
@@ -511,11 +534,9 @@ def _ball_pairs(pts: np.ndarray, sel: np.ndarray, radius: float):
     cols[k] at distance dist[k].  Pairs are ordered by row then column, so
     that each row sums its pairs in the same order whatever block it falls
     in.  Squared distances are summed axis by axis, as `cKDTree` sums
-    them.  Where radius^2 reaches the squared diagonal of the points'
-    bounding box every ball holds every point, and the blocks are made
-    from the coordinates without a tree."""
-    span = pts.max(axis=0) - pts.min(axis=0)
-    everything = radius * radius >= np.sum(span * span)
+    them.  Where every ball holds every point (`_holds_every_point`), the
+    blocks are made from the coordinates without a tree."""
+    everything = _holds_every_point(pts, radius)
     if everything:
         counts = np.full(len(sel), len(pts))
     else:
@@ -529,9 +550,7 @@ def _ball_pairs(pts: np.ndarray, sel: np.ndarray, radius: float):
             ends, before + _PAIR_BUDGET, side="right")))
         centers = pts[sel[start:stop]]
         if everything:
-            sq = np.zeros((len(centers), len(pts)))
-            for j in range(pts.shape[1]):
-                sq += (centers[:, j, None] - pts[None, :, j]) ** 2
+            sq = _sq_distances(centers, pts)
             rows, cols = np.divmod(np.arange(sq.size), len(pts))
             dist = np.sqrt(sq.ravel())
         else:
@@ -573,9 +592,8 @@ def _ball_offsets(extent: np.ndarray, bound: float):
 def _lattice_balls(grid: QuadratureGrid, radius: float):
     """The closed balls |x - y| <= radius of a lattice grid, the pairs of
     `_ball_pairs`, as one offset pass in a `_LatticeBox`: (box, moves),
-    or None where there are more offsets than points, since the pass
-    touches N entries per offset and the neighbour list at most N per
-    point.
+    or None where every ball holds every point (`_holds_every_point`),
+    whose sums `_ball_pairs` makes without a tree.
 
     Each move (start, stop, shift, keep), one per offset in lexicographic
     order, pairs the box cells x in [start, stop) with the cell at x +
@@ -587,20 +605,13 @@ def _lattice_balls(grid: QuadratureGrid, radius: float):
     Such a tie is decided pair by pair as `_ball_pairs` decides it,
     sum_j (x_j - y_j)^2 <= radius^2 summed axis by axis.  Only the cells'
     own span of the box is visited."""
+    if _holds_every_point(grid.points, radius):
+        return None
     cells, extent = _lattice_cells(grid.lattice)
     ratio = radius / grid.h
-    # the offsets of the cube inscribed in the ball, |o_j| <= side, may
-    # alone outnumber the points: a whole-grid ball is known uncounted
-    spans = (extent - 1).tolist()
-    side = math.isqrt(int(min(ratio * ratio, sum(s * s for s in spans))
-                          / len(spans)))
-    if math.prod(2 * min(s, side) + 1 for s in spans) > len(grid):
-        return None
     margin = _BALL_MARGIN + 8.0 * np.finfo(float).eps \
         * np.abs(grid.points).max() / radius
     offsets, sq = _ball_offsets(extent, (ratio * (1.0 + margin)) ** 2)
-    if len(offsets) > len(grid):
-        return None
     box = _LatticeBox(cells, extent, np.abs(offsets).max(axis=0))
     shifts = box.shifts(offsets)
     low, high = int(box.at.min()), int(box.at.max()) + 1

@@ -18,10 +18,10 @@ zero weight count for nothing.  With a power Phi = t^q the slice's ones
 have closed forms, (sum_B w|f|^q)^(1/q) and |B_t|^(1/q); on lattice
 grids its ball sums take one offset pass in a `geometry._LatticeBox`
 (`geometry._lattice_balls`), which adds the balls' terms in the order
-and with the bits of the neighbour list's `bincount`, and elsewhere, or
-where a ball has more integer offsets than the grid has points, each
-block of the neighbour list's balls is summed by one `bincount`.  Ball
-sums come from closed balls.
+and with the bits of the neighbour list's `bincount`, and on point
+clouds each block of the neighbour list's balls is summed by one
+`bincount`: one route per grid, where only a ball over the whole grid
+keeps the tree-free list.  Ball sums come from closed balls.
 On lattice grids Morrey's balls are integer ones, |o|^2 <=
 floor((rho/h)^2) for the integer offset o, so no pair at exactly rho is
 decided by round-off; each of its 12 rungs' sums is an FFT correlation of
@@ -56,7 +56,8 @@ from scipy.spatial import cKDTree
 
 from .field import SampledField, read_csv_table
 from .geometry import (_BALL_MARGIN, _FFT_GUARD, QuadratureGrid, _LatticeBox,
-                       _ball_pairs, _lattice_balls, _lattice_cells)
+                       _ball_pairs, _lattice_balls, _lattice_cells,
+                       _sq_distances)
 
 __all__ = [
     "Lebesgue",
@@ -374,11 +375,15 @@ class Lorentz(SpaceSpec):
 
     def norm(self, grid: QuadratureGrid, values: np.ndarray) -> np.ndarray:
         levels, breaks = _rearranged(grid.weights, values)
+        # the first level is the field's largest |f| on positive weight; a
+        # grid without positive weight has no level, and scale 1
+        scale = _row_scales(1.0, levels[:, :1])
+        levels = levels / scale[:, None]
         r, tau = self.r, self.tau
         t = np.concatenate([np.zeros((len(breaks), 1)), breaks], axis=1)
         incr = t[:, 1:] ** (tau / r) - t[:, :-1] ** (tau / r)
         total = np.sum(levels**tau * (r / tau) * incr, axis=1)
-        return total ** (1.0 / tau)
+        return total ** (1.0 / tau) * scale
 
 
 @dataclass(frozen=True)
@@ -512,10 +517,11 @@ class MixedLebesgue(SpaceSpec):
     def norm(self, grid: QuadratureGrid, values: np.ndarray) -> np.ndarray:
         axes = grid.axes
         shape = tuple(len(ax[0]) for ax in axes)
-        a = np.abs(values).reshape((len(values),) + shape)
+        scale = _row_scales(grid.weights, values)
+        a = np.abs(values / scale[:, None]).reshape((len(values),) + shape)
         for (coords, w), r in zip(axes, self.rvec):
             a = np.tensordot(w, a**r, axes=(0, 1)) ** (1.0 / r)
-        return a
+        return a * scale
 
 
 @dataclass(frozen=True)
@@ -621,7 +627,8 @@ class BesovBourgainMorrey(SpaceSpec):
                                      level_of[first:] + shared])
         vol = 2.0 ** (-levels * n)
         scale = vol[cube_level] ** (1.0 / self.p - 1.0 / self.q)
-        aq = np.abs(values) ** self.q * grid.weights
+        field_scale = _row_scales(grid.weights, values)
+        aq = np.abs(values / field_scale[:, None]) ** self.q * grid.weights
         out = np.empty(len(aq))
         step = max(1, _STACK_ENTRIES // labels.size)
         for start in range(0, len(aq), step):
@@ -635,7 +642,7 @@ class BesovBourgainMorrey(SpaceSpec):
             inner = _stacked_bincount(cube_level, terms**self.r,
                                       len(levels)) ** (self.tau / self.r)
             out[group] = np.sum(inner, axis=1) ** (1.0 / self.tau)
-        return out
+        return out * field_scale
 
 
 @dataclass(frozen=True)
@@ -655,12 +662,12 @@ class OrliczSlice(SpaceSpec):
         """A power Phi = t^q has the ratio (sum_B w|f|^q / |B_t|)^(1/q),
         its ball sums from `_ball_sums`: one offset pass on lattice grids,
         with the bits of the neighbour list's sums, and the neighbour list
-        on point clouds and for balls with more integer offsets than the
-        grid has points.  Any other Phi takes its balls from the
-        neighbour list, pads each block's balls to its largest with zero
-        weight and solves them in one Luxemburg solve, a group of fields
-        at a time.  The power sums, a power Phi's ball sums and for every
-        Phi the sum of w ratio^r, run at the scale of `_row_scales`."""
+        on point clouds; only a ball over the whole grid keeps the
+        tree-free list on a lattice.  Any other Phi takes its balls from
+        the neighbour list, pads each block's balls to its largest with
+        zero weight and solves them in one Luxemburg solve, a group of
+        fields at a time.  The power sums, a power Phi's ball sums and for
+        every Phi the sum of w ratio^r, run at the scale of `_row_scales`."""
         w, n = grid.weights, grid.dimension
         scale = _row_scales(w, values)
         if isinstance(self.phi, PowerOrlicz):
@@ -855,7 +862,7 @@ def _row_scales(w: np.ndarray, vals: np.ndarray) -> np.ndarray:
     A power sum of f / 2^e, scaled back by 2^e after its root, neither
     overflows nor underflows where the field's own would, and the division
     is exact: at exponent 2 the norm keeps every bit."""
-    top = np.max(np.abs(vals), axis=-1, where=w > 0, initial=0.0)
+    top = np.max(np.abs(vals) * (w > 0), axis=-1, initial=0.0)
     return np.ldexp(1.0, np.frexp(top)[1])
 
 
@@ -914,15 +921,11 @@ def _ladder_ball_sums(pts: np.ndarray, power: np.ndarray,
     |x - y|^2 <= bound around every point: for each block of _BALL_BLOCK
     centers, in order, and each rung k of `bounds`, (k, sums) with sums of
     shape (block, B), or (block,) for one (N,) row.  Each block computes
-    its squared distances to all points once, summed axis by axis as
-    `cKDTree` sums them, and each rung's sums are one masked product with
-    that block for all fields.  Integer `pts` (lattice indices) give exact
-    distances."""
+    its squared distances to all points once (`geometry._sq_distances`),
+    and each rung's sums are one masked product with that block for all
+    fields."""
     for start in range(0, len(pts), _BALL_BLOCK):
-        centers = pts[start:start + _BALL_BLOCK]
-        d2 = np.zeros((len(centers), len(pts)))
-        for j in range(pts.shape[1]):
-            d2 += (centers[:, j, None] - pts[None, :, j]) ** 2
+        d2 = _sq_distances(pts[start:start + _BALL_BLOCK], pts)
         for rung, bound in enumerate(bounds):
             yield rung, (d2 <= bound) @ power.T
 
@@ -931,13 +934,13 @@ def _ball_sums(grid: QuadratureGrid, power: np.ndarray,
                radius: float) -> np.ndarray:
     """Sums of each row of the (B, N) `power` over the closed balls
     |x - y| <= radius around every point of `grid`, a group of fields at
-    a time: by one offset pass on lattice grids (`geometry._lattice_balls`)
-    where it touches no more entries than the neighbour list, and
-    otherwise from `geometry._ball_pairs`, one `bincount` per block.
-    Both add a ball's terms to 0.0 in column order, the offset pass with
-    an exact 0.0 for each neighbour off the grid or out of the ball, so on
-    a lattice whose columns run in its offsets' lexicographic order, as
-    every `sample_quadrature` lattice does, they agree bit for bit."""
+    a time: by one offset pass on lattice grids (`geometry._lattice_balls`),
+    and on point clouds, or where every ball holds every point, from
+    `geometry._ball_pairs`, one `bincount` per block.  Both add a ball's
+    terms to 0.0 in column order, the offset pass with an exact 0.0 for
+    each neighbour off the grid or out of the ball, so on a lattice whose
+    columns run in its offsets' lexicographic order, as every
+    `sample_quadrature` lattice does, they agree bit for bit."""
     balls = None if grid.lattice is None else _lattice_balls(grid, radius)
     if balls is None:
         sums = np.zeros(power.shape)
@@ -1012,16 +1015,14 @@ def _herz_norms(spec, grid: QuadratureGrid, values: np.ndarray,
     array.  Per block of centers (_BALL_BLOCK // B of them, at least
     one), one offset `bincount` sums every (field, center, annulus)
     triple; a point at a center lies in no annulus, so it adds zero where
-    it is labelled."""
-    s = np.abs(values) ** spec.p * grid.weights
+    it is labelled.  The sums run at the scale of `_row_scales`."""
+    scale = _row_scales(grid.weights, values)
+    s = np.abs(values / scale[:, None]) ** spec.p * grid.weights
     out = np.zeros((len(values), len(centers)))
     step = max(1, _BALL_BLOCK // len(values))
     for start in range(0, len(centers), step):
         block = centers[start:start + step]
-        # squared distances summed axis by axis, as in `_ladder_ball_sums`
-        d = np.zeros((len(block), len(grid.points)))
-        for j in range(grid.dimension):
-            d += (block[:, j, None] - grid.points[None, :, j]) ** 2
+        d = _sq_distances(block, grid.points)
         d = np.sqrt(d, out=d)
         away = d > 0
         d[~away] = 1.0
@@ -1041,7 +1042,7 @@ def _herz_norms(spec, grid: QuadratureGrid, values: np.ndarray,
         out[:, start:start + len(block)] = np.bincount(
             rows, weights=terms, minlength=sums.size // width).reshape(
                 len(values), len(block)) ** (1.0 / spec.q)
-    return out
+    return out * scale[:, None]
 
 
 def _dyadic_cube_labels(pts: np.ndarray, levels: np.ndarray):

@@ -492,24 +492,49 @@ class TestLatticeBalls:
         for keep in ties:
             assert keep.any() and not keep.all()
 
-    @pytest.mark.parametrize("domain, h, over, under", [
-        (Interval(0.0, 1.0), 0.05, 0.5, 0.45),
-        (UNIT_DISK, 0.1, 1.0, 0.95),
-        (UNIT_DISK, 0.1, 5.0, 0.5),
-        (UNIT_CUBE, 0.1, 2.0, 0.6),
-    ])
-    def test_more_offsets_than_points_keep_the_neighbour_list(
-            self, domain, h, over, under):
-        """The offset pass touches N entries per offset, the neighbour
-        list at most N per point: a ball with more offsets than the grid
-        has points, such as one over the whole grid, keeps the list."""
+    @pytest.mark.parametrize("domain, h, whole", [
+        (UNIT_DISK, 0.1, 5.0),
+        (UNIT_CUBE, 0.1, 2.0),
+    ], ids=["disk", "box-3d"])
+    def test_only_whole_grid_balls_leave_the_offset_pass(self, domain, h,
+                                                         whole):
+        """From radius^2 at the squared diagonal of the points' bounding
+        box up, every ball holds every point and `_ball_pairs` makes the
+        balls without a tree; just below it the offset pass keeps the
+        neighbour list's pairs, though the offsets outnumber the points."""
+        grid = sample_quadrature(domain, h)
+        span = np.ptp(grid.points, axis=0)
+        diagonal = math.sqrt(np.sum(span * span))
+        while diagonal * diagonal < np.sum(span * span):
+            diagonal = math.nextafter(diagonal, math.inf)
+        for radius in (diagonal, math.nextafter(diagonal, math.inf), whole):
+            assert geometry._lattice_balls(grid, radius) is None
+        below = math.nextafter(diagonal, 0.0)
+        _, moves = geometry._lattice_balls(grid, below)
+        assert len(moves) > len(grid)
+        want = _joined(_ball_pairs(grid.points, np.arange(len(grid)),
+                                   below))[:2]
+        for a, b in zip(_lattice_pairs(grid, below), want):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("domain, h, radius", [
+        (Interval(0.0, 1.0), 0.05, 0.5),
+        (UNIT_DISK, 0.1, 1.0),
+    ], ids=["interval", "disk"])
+    def test_more_offsets_than_points_take_the_offset_pass(self, domain, h,
+                                                           radius):
+        """A ball with more integer offsets than the grid has points, short
+        of the whole grid, is summed by the pass like any other; the
+        disk's ties at |o| = 10 cells are decided pair by pair."""
         grid = sample_quadrature(domain, h)
         offsets = _offset_cube(np.ptp(grid.lattice, axis=0))
         sq = np.einsum("ij,ij->i", offsets, offsets)
-        assert np.count_nonzero(sq <= (over / h) ** 2) > len(grid)
-        assert geometry._lattice_balls(grid, over) is None
-        assert np.count_nonzero(sq <= (under / h) ** 2) <= len(grid)
-        assert geometry._lattice_balls(grid, under) is not None
+        assert np.count_nonzero(sq <= (radius / h) ** 2) > len(grid)
+        assert geometry._lattice_balls(grid, radius) is not None
+        want = _joined(_ball_pairs(grid.points, np.arange(len(grid)),
+                                   radius))[:2]
+        for a, b in zip(_lattice_pairs(grid, radius), want):
+            assert np.array_equal(a, b)
 
 
 # lattice grids for the box: 1-d, 2-d, a disk, an L and a 3-d box

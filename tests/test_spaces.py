@@ -734,7 +734,10 @@ class TestPowerSumRange:
     SPECS = [Lebesgue(2.0), Lebesgue(3.0), WeightedLebesgue(3.0),
              Morrey(3.0, 2.0), Morrey(4.0, 1.5),
              OrliczSlice(PowerOrlicz(2.0), 2.0, 0.3),
-             OrliczSlice(PowerOrlicz(3.0), 1.5, 0.3)]
+             OrliczSlice(PowerOrlicz(3.0), 1.5, 0.3),
+             Lorentz(2.5, 3.0), HerzLocal(2.0, 2.0, 0.3, (-0.1, 0.1)),
+             HerzGlobal(2.0, 2.0, -0.1),
+             BesovBourgainMorrey(1.5, 2.0, 2.5, 2.0)]
 
     @pytest.fixture
     def values(self):
@@ -749,6 +752,17 @@ class TestPowerSumRange:
                                         factor, ball_cost):
         monkeypatch.setattr("bbmlab.spaces._BALL_FFT_COST", ball_cost)
         grid, f = values
+        base = norm(spec, field_on(grid, f))
+        assert 0.0 < base < math.inf
+        got = norm(spec, field_on(grid, f * factor))
+        assert got == pytest.approx(factor * base, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("factor", [1e-160, 1e160])
+    def test_mixed_norm_scales_with_the_field(self, factor):
+        """The mixed norm needs a tensor grid: the unit square."""
+        grid = sample_quadrature(Box((0.0, 0.0), (1.0, 1.0)), 0.15)
+        f = sample(product_sine(2), grid).values
+        spec = MixedLebesgue((1.5, 2.5))
         base = norm(spec, field_on(grid, f))
         assert 0.0 < base < math.inf
         got = norm(spec, field_on(grid, f * factor))
@@ -884,6 +898,14 @@ SLICE_LATTICES = [
     pytest.param(L_SHAPE, 0.1, 0.3, id="L-shape"),
     pytest.param(Box((0.0,) * 3, (1.0,) * 3), 0.1, 0.5, id="box-3d"),
 ]
+# balls with more integer offsets than the grid has points, short of the
+# whole grid; the h = 0.1 disk ties at |o| = 10 cells
+WIDE_SLICE_LATTICES = [
+    pytest.param(Disk((0.0, 0.0), 1.0), 0.1, 1.0, id="disk-wide"),
+    pytest.param(Box((0.0,) * 3, (1.0,) * 3), 0.1, 0.65, id="box-3d-wide"),
+    pytest.param(Box((0.0, 0.0), (1.0, 1.0)), 1.0 / 6, 1.0,
+                 id="square-36-points"),
+]
 SLICE_POWERS = pytest.mark.parametrize("q", [1.0, 1.5, 2.0, 3.0])
 
 
@@ -897,7 +919,8 @@ class TestLatticeSlice:
     """Power-Phi Orlicz-slice on lattices sums its balls by one offset
     pass, and keeps the bits of the neighbour list's sums."""
 
-    @pytest.mark.parametrize("domain, h, t", SLICE_LATTICES)
+    @pytest.mark.parametrize("domain, h, t",
+                             SLICE_LATTICES + WIDE_SLICE_LATTICES)
     @SLICE_POWERS
     def test_bits_of_the_neighbour_list(self, rng, domain, h, t, q):
         grid = sample_quadrature(domain, h)
@@ -984,8 +1007,9 @@ class TestLatticeSlice:
 
     def test_only_other_routes_take_the_neighbour_list(self, monkeypatch,
                                                        rng):
-        """A power Phi on a lattice makes no neighbour list; a point cloud
-        and a Phi other than a power still do."""
+        """A power Phi on a lattice makes no neighbour list short of a
+        whole-grid ball; a point cloud and a Phi other than a power still
+        do."""
         from bbmlab import spaces
 
         calls = []
@@ -1001,6 +1025,10 @@ class TestLatticeSlice:
         cloud = sample_quadrature(disk, 0.05, "quasi-random")
         power = OrliczSlice(PowerOrlicz(2.0), 2.0, 0.15)
         norm(power, lattice, _stack_with_zeros(lattice, rng))
+        # more offsets than points, short of the whole grid
+        coarse = sample_quadrature(disk, 0.1)
+        norm(OrliczSlice(PowerOrlicz(2.0), 2.0, 1.0), coarse,
+             _stack_with_zeros(coarse, rng))
         assert calls == []
         norm(power, cloud, _stack_with_zeros(cloud, rng))
         assert calls == [0.15]
