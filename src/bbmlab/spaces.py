@@ -27,13 +27,15 @@ floor((rho/h)^2) for the integer offset o, so no pair at exactly rho is
 decided by round-off; each of its 12 rungs' sums is an FFT correlation of
 |f|^r w with the ball where that costs less than the distance block (the
 split of convolution-based nonlocal solvers; Jafarzadeh, Wang, Larios &
-Bobaru, CMAME 375 (2021) 113633), and otherwise every block of centers
-masks one block of integer squared distances per rung for all fields of
-the stack.  Point clouds keep the test |x - y|^2 <= rho^2 on their
-coordinates.  Orlicz-slice's single radius keeps the neighbour list's
-float test at every pair its integer offset cannot decide: on lattices
-a pair at exactly t up to round-off is tested on its coordinates, as
-`geometry._ball_pairs`, the package's k-d tree neighbour list, tests it.
+Bobaru, CMAME 375 (2021) 113633), taken only for the rungs whose
+transform-free cap can beat the best value so far, and otherwise every
+block of centers masks one block of integer squared distances per rung
+for all fields of the stack.  Point clouds keep the test |x - y|^2 <=
+rho^2 on their coordinates.  Orlicz-slice's single radius keeps the
+neighbour list's float test at every pair its integer offset cannot
+decide: on lattices a pair at exactly t up to round-off is tested on its
+coordinates, as `geometry._ball_pairs`, the package's k-d tree neighbour
+list, tests it.
 Besov-Bourgain-Morrey labels the occupied dyadic cubes of every level
 with one `lexsort` and sums them all with one `bincount`, and the Herz
 norms sum the annuli of a block of centers with one `bincount`.
@@ -415,42 +417,28 @@ class Morrey(SpaceSpec):
     def norm(self, grid: QuadratureGrid, values: np.ndarray) -> np.ndarray:
         """Max over balls centered at grid points, radii on a geometric
         ladder from 2h to the diameter (12 rungs).  The top rung covers the
-        whole domain, so alpha = r collapses exactly to the Lebesgue
-        norm.
+        whole domain, so alpha = r gives the Lebesgue norm to round-off.
 
         Balls are closed.  On lattice grids a cell lies in the ball of
         radius rho iff its integer offset o has |o|^2 <= k_rho =
         floor((rho/h)^2 (1 + _BALL_MARGIN)), an exact test that keeps
         every pair at exactly rho and does not move under translation; the
         sums are FFT correlations where they cost less than the distance
-        block (see _BALL_FFT_COST).  Point clouds test |x - y|^2 <= rho^2
-        on their coordinates.  The FFT guard is decided per field, and the
-        fields it rejects share the distance blocks."""
+        block (see _BALL_FFT_COST), and each field visits only the rungs
+        that can win (`_fft_ladder_maxima`).  Point clouds test |x - y|^2
+        <= rho^2 on their coordinates.  The FFT guard is decided per field,
+        and the fields it rejects share the distance blocks."""
         n = grid.dimension
         scale = _row_scales(grid.weights, values)
         power = np.abs(values / scale[:, None]) ** self.r * grid.weights
-        radii, coords, bounds, box = _morrey_ladder(grid)
+        radii, coords, bounds, box, counts = _morrey_ladder(grid)
         vol_factors = (unit_ball_volume(n) * radii**n) ** (
             1.0 / self.alpha - 1.0 / self.r)
         out = np.zeros(len(values))
         on_block = np.ones(len(values), dtype=bool)
-        if box is not None and box.worth(len(grid) ** 2, 1, _BALL_FFT_COST):
-            for k, (rungs, error) in enumerate(
-                    _fft_ball_sums(box, power, bounds)):
-                # no ball sum exceeds the field's total beyond round-off, and
-                # the volume factors fall with the radius: the rungs from the
-                # first whose cap cannot beat the best so far are left out.
-                # Ties keep the first, smallest rung, as one argmax would
-                cap = (power[k].sum() * (1.0 + _BALL_MARGIN)) ** (1.0 / self.r)
-                best, best_sum = -math.inf, 0.0
-                for vol in vol_factors:
-                    if vol * cap <= best:
-                        break
-                    sums = next(rungs)
-                    cand = vol * sums ** (1.0 / self.r)
-                    at = np.argmax(cand)
-                    if cand[at] > best:
-                        best, best_sum = cand[at], sums[at]
+        if counts is not None:
+            for k, (best, best_sum, error) in enumerate(_fft_ladder_maxima(
+                    box, power, bounds, counts, vol_factors, self.r)):
                 out[k] = best
                 # the maximising sum must be far above the FFT's round-off
                 on_block[k] = error > _FFT_GUARD * best_sum
@@ -977,35 +965,80 @@ _BALL_FFT_COST = 5.0
 
 
 def _morrey_ladder(grid: QuadratureGrid):
-    """(radii, coords, bounds, box) of the Morrey ladder on `grid`: 12
-    radii on a geometric ladder from 2h to the diameter, and the
-    coordinates and squared radii the balls test.  Point clouds test
+    """(radii, coords, bounds, box, counts) of the Morrey ladder on
+    `grid`: 12 radii on a geometric ladder from 2h to the diameter, and
+    the coordinates and squared radii the balls test.  Point clouds test
     their points against radii**2 and have no box.  Lattice grids test
-    their indices against k_rho, in a box that no ball wraps across."""
+    their indices against k_rho, in a box that no ball wraps across.
+    Where the FFT costs less than the distance block (_BALL_FFT_COST),
+    counts holds per rung how many integer offsets |o|^2 <= k_rho lie
+    within the box's reach, no fewer than any ball's cells; elsewhere it
+    is None."""
     pts = grid.points
     span = pts.max(axis=0) - pts.min(axis=0)
     diam = float(np.linalg.norm(span)) + grid.h
     radii = np.geomspace(min(2.0 * grid.h, diam), diam, 12)
     if grid.lattice is None:
-        return radii, pts, radii**2, None
+        return radii, pts, radii**2, None, None
     cells, extent = _lattice_cells(grid.lattice)
     box = _LatticeBox(cells, extent, extent - 1)
     bounds = np.floor((radii / grid.h) ** 2 * (1.0 + _BALL_MARGIN))
-    return radii, grid.lattice, bounds, box
+    if not box.worth(len(grid) ** 2, 1, _BALL_FFT_COST):
+        return radii, grid.lattice, bounds, box, None
+    sq = sum(np.ix_(*(np.arange(-r, r + 1) ** 2 for r in box.reach)))
+    counts = np.array([np.count_nonzero(sq <= k) for k in bounds])
+    return radii, grid.lattice, bounds, box, counts
 
 
 def _fft_ball_sums(box: _LatticeBox, power: np.ndarray, bounds: np.ndarray):
     """Sums of each row of the (K, N) `power` over the integer balls
     |o|^2 <= bound around every cell of `box`, by FFT: yields, row by row,
-    (rungs, error), rungs the generator of its (N,) sums bound by bound,
-    clipped at zero and drawn before the next row, and error = eps log2(B)
-    times the row's sum.  The balls are symmetric, so each correlation is
-    a convolution with a ball and needs no conjugate."""
-    spectra = box.ball_spectra(bounds)
+    (sums, error), sums(j) the row's (N,) sums over ball j, clipped at
+    zero and taken before the next row, and error = eps log2(B) times the
+    row's sum.  A ball's spectrum is transformed when a row first asks
+    for it and kept for the later rows.  The balls are symmetric, so each
+    correlation is a convolution with a ball and needs no conjugate."""
+    spectra = [None] * len(bounds)
     for row in power:
         transform = box.spectra(row)
-        yield (np.maximum(box.at_cells(ball * transform), 0.0)
-               for ball in spectra), box.eps_log * row.sum()
+
+        def sums(j, transform=transform):
+            if spectra[j] is None:
+                spectra[j] = box.ball_spectra(bounds[j:j + 1])[0]
+            return np.maximum(box.at_cells(spectra[j] * transform), 0.0)
+
+        yield sums, box.eps_log * row.sum()
+
+
+def _fft_ladder_maxima(box: _LatticeBox, power: np.ndarray,
+                       bounds: np.ndarray, counts: np.ndarray,
+                       vol_factors: np.ndarray, r: float):
+    """Per row of the (K, N) `power`, (best, best_sum, error): the largest
+    vol_k (ball sum)^(1/r) over the rungs k and the cells, the ball sum it
+    comes from, and the row's error in `_fft_ball_sums`.  No computed sum
+    of rung k exceeds the row's total, nor counts[k] times its largest
+    term, by more than the error, so vol_k (min(total, counts[k] max +
+    error) (1 + _BALL_MARGIN))^(1/r) caps the rung's values, strictly
+    where its sums are positive, and takes no transform.  The rungs are
+    visited in decreasing cap order, the smaller first on equal caps, up
+    to the first cap that cannot beat the best value so far; a tie keeps
+    the smaller rung, then the first cell, so best and best_sum are those
+    of one argmax over all the rungs."""
+    for row, (rung_sums, error) in zip(power,
+                                       _fft_ball_sums(box, power, bounds)):
+        caps = vol_factors * (np.minimum(
+            row.sum(), counts * row.max() + error)
+            * (1.0 + _BALL_MARGIN)) ** (1.0 / r)
+        best, best_sum, best_rung = -math.inf, 0.0, len(caps)
+        for rung in np.argsort(-caps, kind="stable").tolist():
+            if caps[rung] <= best:
+                break
+            sums = rung_sums(rung)
+            cand = vol_factors[rung] * sums ** (1.0 / r)
+            at = np.argmax(cand)
+            if cand[at] > best or (cand[at] == best and rung < best_rung):
+                best, best_sum, best_rung = cand[at], sums[at], rung
+        yield best, best_sum, error
 
 
 def _herz_norms(spec, grid: QuadratureGrid, values: np.ndarray,

@@ -411,6 +411,15 @@ def _lattice_bounds(grid, radii):
     return np.floor((radii / grid.h) ** 2 * (1.0 + 1e-9))
 
 
+def _fft_rungs(box, power, bounds):
+    """The (len(bounds), N) FFT ball sums of the one field `power` over
+    every ball, and the field's error."""
+    from bbmlab.spaces import _fft_ball_sums
+
+    sums, error = next(_fft_ball_sums(box, power[None], bounds))
+    return np.stack([sums(j) for j in range(len(bounds))]), error
+
+
 class TestMorreyBallSums:
     @staticmethod
     def _list_sum_norm(spec, field):
@@ -469,7 +478,7 @@ class TestMorreyBallSums:
         The float test, which point clouds keep, still decides them as
         the k-d tree neighbour list of Orlicz-slice does."""
         from bbmlab.geometry import _ball_pairs
-        from bbmlab.spaces import _fft_ball_sums, _morrey_ladder
+        from bbmlab.spaces import _morrey_ladder
 
         ladder = _ladder_array
 
@@ -490,11 +499,9 @@ class TestMorreyBallSums:
         box = _morrey_ladder(grid)[3]
         # 2 E - 1 = 19 cells per axis, rounded up
         assert box.shape == (20, 20)
-        fft_counts = np.stack(list(next(_fft_ball_sums(
-            box, ones[None], bounds))[0]))
+        fft_counts = _fft_rungs(box, ones, bounds)[0]
         assert np.array_equal(np.rint(fft_counts), exact)
-        fft_sums = np.stack(list(next(_fft_ball_sums(
-            box, power[None], bounds))[0]))
+        fft_sums = _fft_rungs(box, power, bounds)[0]
         assert fft_sums == pytest.approx(ladder(lattice, power, bounds),
                                          rel=1e-12, abs=1e-14)
         # the float test on coordinates, as point clouds use it
@@ -570,20 +577,19 @@ class TestMorreyLatticeSources:
     def test_sources_match_dense_integer_balls(self, rng, domain, h, alpha,
                                                r, kind):
         from bbmlab.geometry import _FFT_GUARD
-        from bbmlab.spaces import _fft_ball_sums, _morrey_ladder
+        from bbmlab.spaces import _morrey_ladder
 
         grid = sample_quadrature(domain, h)
         assert grid.lattice is not None
         spec = Morrey(alpha, r)
         f = _morrey_test_field(grid, kind, rng)
         power = np.abs(f.values) ** r * grid.weights
-        radii, lattice, _, box = _morrey_ladder(grid)
+        radii, lattice, _, box, _ = _morrey_ladder(grid)
         bounds = _lattice_bounds(grid, radii)
         d2 = ((lattice[:, None, :] - lattice[None, :, :]) ** 2).sum(axis=2)
         dense = np.stack([(d2 <= k) @ power for k in bounds])
         block = _ladder_array(lattice, power, bounds)
-        rungs, error = next(_fft_ball_sums(box, power[None], bounds))
-        fft = np.stack(list(rungs))
+        fft, error = _fft_rungs(box, power, bounds)
         assert np.all(fft >= 0.0)
         assert np.abs(fft - dense).max() <= 1e-12 * dense.max()
         expected, _ = _morrey_from_sums(spec, grid, dense)
@@ -682,13 +688,14 @@ class TestMorreyLatticeSources:
 
 
     def test_fft_ladder_stops_at_the_cap(self, monkeypatch):
-        """The FFT source walks the rungs from the smallest radius up and
-        stops at the first where vol_k (total (1 + margin))^(1/r) cannot
+        """The FFT source visits each field's rungs best first, by a cap
+        that takes no transform, and stops at the first cap that cannot
         beat the best value so far.  On the disk of the ball-norm studies,
         h = 0.05, the energy half-fields of a radial bump under the 7 bump
-        kernels leave out rungs 8 to 11: each field's forward transform is
-        followed by 8 inverse ones.  Every value keeps the bits of the
-        argmax over all 12 rungs."""
+        kernels visit 2 rungs each: each field's forward transform is
+        followed by 2 inverse ones, and only those 2 balls are
+        transformed, once for the stack.  Every value keeps the bits of
+        the argmax over all 12 rungs."""
         from bbmlab import geometry, nonlocal_energy, spaces
 
         grid = sample_quadrature(Disk((0.0, 0.0), 1.0), 0.05)
@@ -697,33 +704,108 @@ class TestMorreyLatticeSources:
                    for k in range(7)]
         values = nonlocal_energy._half_fields(bump, kernels, 2.0)
         spec = Morrey(3.0, 2.0)
-        radii, _, bounds, box = spaces._morrey_ladder(grid)
+        radii, _, bounds, box, _ = spaces._morrey_ladder(grid)
         vol = (unit_ball_volume(2) * radii**2) ** (1.0 / spec.alpha
                                                    - 1.0 / spec.r)
-        expected = []
-        for row in values:
-            rungs, _ = next(spaces._fft_ball_sums(
-                box, (row**2 * grid.weights)[None], bounds))
-            expected.append(float(np.max(
-                vol[:, None] * np.stack(list(rungs)) ** 0.5)))
-        # inverse transforms after each forward one: the balls' batched
-        # transform comes first, then one per field
-        taken = []
+        expected = [float(np.max(vol[:, None] * _fft_rungs(
+            box, row**2 * grid.weights, bounds)[0] ** 0.5))
+            for row in values]
+        # "f" a forward transform, "i" an inverse one, "b" a ball's
+        # spectrum, which is one forward transform of its stencil
+        log = []
         real = geometry.sp_fft
+        ball_spectra = geometry._LatticeBox.ball_spectra
 
         def forward(*args, **kwargs):
-            taken.append(0)
+            log.append("f")
             return real.rfftn(*args, **kwargs)
 
         def inverse(*args, **kwargs):
-            taken[-1] += 1
+            log.append("i")
             return real.irfftn(*args, **kwargs)
+
+        def ball(self, bounds):
+            log.append("b")
+            return ball_spectra(self, bounds)
 
         monkeypatch.setattr(geometry, "sp_fft", types.SimpleNamespace(
             rfftn=forward, irfftn=inverse, next_fast_len=real.next_fast_len))
+        monkeypatch.setattr(geometry._LatticeBox, "ball_spectra", ball)
         got = norm(spec, grid, values)
-        assert taken == [0] + [8] * len(values)
+        assert log.count("b") == 2
+        assert "".join(log).replace("bf", "") == "fii" * len(values)
         assert got.tolist() == expected
+
+    @pytest.mark.parametrize("domain, h", MORREY_LATTICES + [
+        pytest.param(Disk((0.0, 0.0), 1.0), 0.05, id="study-disk")])
+    @pytest.mark.parametrize("alpha, r", [(3.0, 2.0), (4.0, 1.5), (2.0, 2.0),
+                                          (50.0, 1.01)])
+    def test_best_first_rungs_match_the_exhaustive_argmax(
+            self, rng, monkeypatch, domain, h, alpha, r):
+        """The best-first walk gives each field the value and the ball sum
+        of one argmax over all 12 rungs, bit for bit, so the guard sends
+        the same fields to the block; and no computed rung sum passes its
+        cap.  Fields: zeros, a spike, bump half-fields, normal values,
+        indicators of balls of growing radius, which win at different
+        rungs (for alpha = r every rung that covers one ties), and a spike
+        over ones, which trips the guard on the ball-norm studies' h = 0.05
+        disk under Morrey(50, 1.01)."""
+        from bbmlab import nonlocal_energy, spaces
+        from bbmlab.geometry import _BALL_MARGIN, _FFT_GUARD
+
+        monkeypatch.setattr(spaces, "_BALL_FFT_COST", 0.0)
+        grid = sample_quadrature(domain, h)
+        n, size = grid.dimension, len(grid)
+        center = grid.points.mean(axis=0)
+        spike = np.full(size, 1e-3)
+        spike[size // 2] = 10.0
+        spike_over_ones = np.ones(size)
+        spike_over_ones[size // 2] = 20.0
+        bump = sample(radial_bump(center, 0.4), grid)
+        kernels = [bump_family(n).kernel(0.2 * 0.5**k, 2.0)
+                   for k in range(3)]
+        dist = np.linalg.norm(grid.points - center, axis=1)
+        balls = [(dist <= rho).astype(float)
+                 for rho in np.geomspace(2.0 * h, 0.5, 4)]
+        values = np.vstack([np.zeros(size), spike,
+                            nonlocal_energy._half_fields(bump, kernels, 2.0),
+                            rng.normal(size=size), *balls,
+                            spike_over_ones])
+        spec = Morrey(alpha, r)
+        scale = spaces._row_scales(grid.weights, values)
+        power = np.abs(values / scale[:, None]) ** r * grid.weights
+        radii, _, bounds, box, counts = spaces._morrey_ladder(grid)
+        assert counts is not None
+        vol = (unit_ball_volume(n) * radii**n) ** (1.0 / alpha - 1.0 / r)
+        walk = spaces._fft_ladder_maxima(box, power, bounds, counts, vol, r)
+        wins, trips = set(), []
+        for row, (best, best_sum, error) in zip(power, walk):
+            sums, row_error = _fft_rungs(box, row, bounds)
+            cand = vol[:, None] * sums ** (1.0 / r)
+            at = np.unravel_index(np.argmax(cand), cand.shape)
+            assert (best, best_sum, error) == (cand[at], sums[at], row_error)
+            wins.add(at[0])
+            trips.append(bool(error > _FFT_GUARD * best_sum))
+            sum_caps = np.minimum(row.sum(), counts * row.max() + error) \
+                * (1.0 + _BALL_MARGIN)
+            assert np.all(sums <= sum_caps[:, None])
+            assert np.all(cand <= (vol * sum_caps ** (1.0 / r))[:, None])
+        # under Morrey(50, 1.01) the smallest balls win on their lattice
+        # counts, and a spike over ones trips the guard on the study disk
+        if alpha < 50.0:
+            assert len(wins) >= 4
+        assert any(trips) == (alpha == 50.0 and size > 1000)
+        # the block takes exactly the fields the exhaustive guard rejects
+        blocked = []
+        ladder = spaces._ladder_ball_sums
+
+        def spy(coords, power, bounds):
+            blocked.extend(power.tolist())
+            return ladder(coords, power, bounds)
+
+        monkeypatch.setattr(spaces, "_ladder_ball_sums", spy)
+        norm(spec, grid, values)
+        assert blocked == power[trips].tolist()
 
 
 class TestPowerSumRange:

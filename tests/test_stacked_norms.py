@@ -185,15 +185,16 @@ def test_empty_stack_has_no_norms(kind):
 
 def _fft_guard_trips(spec, grid, values):
     """Per row, whether Morrey's FFT guard sends it to the distance block."""
-    radii, _, bounds, box = spaces._morrey_ladder(grid)
+    radii, _, bounds, box, _ = spaces._morrey_ladder(grid)
     n = grid.dimension
     vol = (spaces.unit_ball_volume(n) * radii**n) ** (
         1.0 / spec.alpha - 1.0 / spec.r)
     trips = []
     for row in values:
         power = np.abs(row) ** spec.r * grid.weights
-        rungs, error = next(spaces._fft_ball_sums(box, power[None], bounds))
-        sums = np.stack(list(rungs))
+        rung_sums, error = next(spaces._fft_ball_sums(box, power[None],
+                                                      bounds))
+        sums = np.stack([rung_sums(j) for j in range(len(bounds))])
         cand = vol[:, None] * sums ** (1.0 / spec.r)
         at = np.unravel_index(np.argmax(cand), cand.shape)
         trips.append(bool(error > geometry._FFT_GUARD * sums[at]))
