@@ -11,7 +11,7 @@ from typing import Optional
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .geometry import Domain, QuadratureGrid
+from .geometry import Domain, QuadratureGrid, _column_extents
 
 __all__ = [
     "TestFunction",
@@ -223,9 +223,8 @@ def zero_extension(field: SampledField, outer_grid: QuadratureGrid,
     that realises the restrictive norm.
     """
     domain = _field_domain(field, domain, "the membership test", outer_grid)
-    lo_o = outer_grid.points.min(axis=0)
-    hi_o = outer_grid.points.max(axis=0)
-    lo_d, hi_d = field.grid.points.min(axis=0), field.grid.points.max(axis=0)
+    lo_o, hi_o = _column_extents(outer_grid.points)
+    lo_d, hi_d = _column_extents(field.grid.points)
     if np.any(lo_o > lo_d) or np.any(hi_o < hi_d):
         raise ValueError("outer grid does not cover the field's bounding box")
     values = np.zeros(len(outer_grid))

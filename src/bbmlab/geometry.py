@@ -507,11 +507,23 @@ def sample_quadrature(domain: Domain, h: float,
     raise ValueError(f"unknown scheme {scheme!r}")
 
 
+def _column_extents(a: np.ndarray):
+    """(lo, hi): the minimum and the maximum of each column of the (N, n)
+    array `a`, the values of a.min(axis=0) and a.max(axis=0).  Each column
+    is reduced on its own: numpy's axis-0 reduction of a C-ordered array
+    runs its inner loop over the n columns, about 10 times slower for
+    n <= 3 and thousands of rows."""
+    columns = a.T
+    return (np.array([c.min() for c in columns], dtype=a.dtype),
+            np.array([c.max() for c in columns], dtype=a.dtype))
+
+
 def _holds_every_point(pts: np.ndarray, radius: float) -> bool:
     """Whether every closed ball of `radius` around a point of `pts` holds
     every point: radius^2 reaches the squared diagonal of the points'
     bounding box."""
-    span = pts.max(axis=0) - pts.min(axis=0)
+    lo, hi = _column_extents(pts)
+    span = hi - lo
     return bool(radius * radius >= np.sum(span * span))
 
 
@@ -566,10 +578,9 @@ def _ball_pairs(pts: np.ndarray, sel: np.ndarray, radius: float):
 
 def _lattice_cells(lattice: np.ndarray):
     """(cells, extent) of the integer `lattice` indices: the indices less
-    their minimum, and per axis the extent E of those, max + 1, from one
-    min and one max."""
-    cells = lattice - lattice.min(axis=0)
-    return cells, cells.max(axis=0) + 1
+    their minimum, and per axis the extent E of those, max + 1."""
+    lo, hi = _column_extents(lattice)
+    return lattice - lo, hi - lo + 1
 
 
 def _ball_offsets(extent: np.ndarray, bound: float):
@@ -612,7 +623,8 @@ def _lattice_balls(grid: QuadratureGrid, radius: float):
     margin = _BALL_MARGIN + 8.0 * np.finfo(float).eps \
         * np.abs(grid.points).max() / radius
     offsets, sq = _ball_offsets(extent, (ratio * (1.0 + margin)) ** 2)
-    box = _LatticeBox(cells, extent, np.abs(offsets).max(axis=0))
+    lo, hi = _column_extents(offsets)
+    box = _LatticeBox(cells, extent, np.maximum(-lo, hi))
     shifts = box.shifts(offsets)
     low, high = int(box.at.min()), int(box.at.max()) + 1
     starts = np.maximum(low, -shifts)

@@ -353,9 +353,11 @@ def _offset_sums(field: SampledField, kernels, p: float,
     grid = field.grid
     cells, extent = geometry._lattice_cells(grid.lattice)
     offsets, n_near, coef = _lattice_offsets(grid, kernels, p, extent)
-    # one box, of zero weight off the grid, for the offset pass and the FFT
-    box = geometry._LatticeBox(cells, extent,
-                               np.abs(offsets).max(axis=0, initial=0))
+    # one box, of zero weight off the grid, for the offset pass and the
+    # FFT; a one-cell lattice has no offsets, and no reach
+    lo, hi = (geometry._column_extents(offsets) if len(offsets)
+              else (np.zeros_like(extent),) * 2)
+    box = geometry._LatticeBox(cells, extent, np.maximum(-lo, hi))
     vals_pad, w_pad = box.place(field.values), box.place(grid.weights)
     shifts = box.shifts(offsets)
     at = box.at[eval_idx]

@@ -58,8 +58,8 @@ from scipy.spatial import cKDTree
 
 from .field import SampledField, read_csv_table
 from .geometry import (_BALL_MARGIN, _FFT_GUARD, QuadratureGrid, _LatticeBox,
-                       _ball_pairs, _lattice_balls, _lattice_cells,
-                       _sq_distances)
+                       _ball_pairs, _column_extents, _lattice_balls,
+                       _lattice_cells, _sq_distances)
 
 __all__ = [
     "Lebesgue",
@@ -557,8 +557,7 @@ class HerzGlobal(SpaceSpec):
     def norm(self, grid: QuadratureGrid, values: np.ndarray) -> np.ndarray:
         """Sup over centers sampled on a bounding-box lattice; a documented
         lower bound of the true supremum over all centers."""
-        lo = grid.points.min(axis=0)
-        hi = grid.points.max(axis=0)
+        lo, hi = _column_extents(grid.points)
         span = float(np.max(hi - lo))
         step = max(grid.h, span / 12.0)
         axes = [np.arange(lo[j], hi[j] + step / 2, step)
@@ -975,8 +974,8 @@ def _morrey_ladder(grid: QuadratureGrid):
     within the box's reach, no fewer than any ball's cells; elsewhere it
     is None."""
     pts = grid.points
-    span = pts.max(axis=0) - pts.min(axis=0)
-    diam = float(np.linalg.norm(span)) + grid.h
+    lo, hi = _column_extents(pts)
+    diam = float(np.linalg.norm(hi - lo)) + grid.h
     radii = np.geomspace(min(2.0 * grid.h, diam), diam, 12)
     if grid.lattice is None:
         return radii, pts, radii**2, None, None

@@ -106,6 +106,14 @@ class TestBbmFunctional:
         assert bbm_functional_schedule(f, 2.0, bump_family(1), [0.1],
                                        Lebesgue(2.0))[0] == 0.0
 
+    def test_one_cell_lattice_is_zero(self):
+        """One cell pairs with nothing: the offset pass has no offsets."""
+        grid = sample_quadrature(Interval(0.0, 1.0), 1.0)
+        f = sample(linear((1.0,)), grid)
+        assert len(grid) == 1
+        assert bbm_functional_schedule(f, 2.0, bump_family(1), [0.5, 0.25],
+                                       Lebesgue(2.0)).tolist() == [0.0, 0.0]
+
     def test_linear_near_sqrt_two(self, line_field):
         value = bbm_functional_schedule(line_field, 2.0, bump_family(1),
                                         [0.05], Lebesgue(2.0))[0]

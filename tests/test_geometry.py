@@ -13,7 +13,9 @@ from bbmlab.geometry import (
     Interval,
     Polygon,
     QuadratureGrid,
+    _ball_offsets,
     _ball_pairs,
+    _column_extents,
     _LatticeBox,
     _lattice_cells,
     sample_quadrature,
@@ -638,6 +640,33 @@ class TestLatticeBox:
         assert box.shape == (16,) and box.eps_log == np.finfo(float).eps * 4
         # 10 x 2 transforms x 16 log2 16 = 1,280 entries
         assert box.worth(1281, 2, 10.0) and not box.worth(1280, 2, 10.0)
+
+
+EXTENT_GRIDS = [
+    pytest.param(Interval(-1.0, 1.0), 0.01, id="interval"),
+    pytest.param(UNIT_DISK, 0.0225, id="disk"),
+    pytest.param(Box((0.0, 0.0, 0.0), (1.0, 0.5, 2.0)), 0.1, id="cube"),
+]
+
+
+@pytest.mark.parametrize("domain, h", EXTENT_GRIDS)
+@pytest.mark.parametrize("scheme", geometry.SCHEMES)
+def test_column_extents_match_the_axis_0_reductions(domain, h, scheme):
+    """Column by column, the same bits and dtype as a.min(axis=0) and
+    a.max(axis=0): on points, lattice indices and ball offsets, and on
+    their Fortran-ordered copies."""
+    grid = sample_quadrature(domain, h, scheme=scheme)
+    arrays = [grid.points, -grid.points[::-1]]
+    if grid.lattice is not None:
+        extent = _lattice_cells(grid.lattice)[1]
+        whole, _ = _ball_offsets(extent, np.inf)
+        ball, _ = _ball_offsets(extent, 30.0)
+        arrays += [grid.lattice, whole, ball]
+    for a in arrays + [np.asfortranarray(a) for a in arrays]:
+        lo, hi = _column_extents(a)
+        for got, want in ((lo, a.min(axis=0)), (hi, a.max(axis=0))):
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
 
 
 def test_only_geometry_imports_scipy_fft():
